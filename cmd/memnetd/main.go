@@ -156,6 +156,11 @@ func run() int {
 		log.Printf("memnetd: recovered %d job(s) from the accept journal", n)
 	}
 
+	// The handler goes in before the listener opens: a SIGTERM that
+	// arrives once /readyz can answer must drain, not kill the process.
+	sigCh := make(chan os.Signal, 2)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Printf("memnetd: %v", err)
@@ -170,8 +175,6 @@ func run() int {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
 		log.Printf("memnetd: %v: draining (grace %s; signal again to exit now)", sig, *drainGrace)

@@ -238,3 +238,45 @@ func TestDaemonRestartSmoke(t *testing.T) {
 	}
 	t.Logf("restart smoke ok: %s", drained)
 }
+
+// TestDaemonEarlySIGTERMDrains sends SIGTERM the moment /readyz first
+// answers 200: the signal handler must already be installed, so the
+// daemon drains and exits 0 instead of dying on the default action.
+func TestDaemonEarlySIGTERMDrains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("daemon subprocess test skipped in -short mode")
+	}
+	bin := buildDaemon(t)
+	d := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-store", filepath.Join(t.TempDir(), "store"))
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := http.Get(d.base + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("readyz never answered 200:\n%s", d.logText())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	waitErr := make(chan error, 1)
+	go func() { waitErr <- d.cmd.Wait() }()
+	select {
+	case err := <-waitErr:
+		if err != nil {
+			t.Fatalf("daemon did not exit 0 after an early SIGTERM: %v\n%s", err, d.logText())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("daemon did not exit after SIGTERM:\n%s", d.logText())
+	}
+	<-d.logDone
+	if !strings.Contains(d.logText(), "drained:") {
+		t.Errorf("daemon exited without draining:\n%s", d.logText())
+	}
+}

@@ -113,7 +113,13 @@ type Auditor struct {
 	limit       int
 	clock       func() sim.Time
 
-	obs        uint64
+	obs uint64
+	// sampleLeft and sweepLeft count down to the next sampled
+	// observation and the next periodic sweep: obs%sampleEvery and
+	// obs%sweepEvery without a 64-bit division on every call.
+	sampleLeft uint64
+	sweepLeft  uint64
+
 	count      uint64
 	violations []Violation
 	sweeps     []Sweep
@@ -135,6 +141,8 @@ func New(cfg Config, clock func() sim.Time) *Auditor {
 	return &Auditor{
 		sampleEvery: cfg.SampleEvery,
 		sweepEvery:  cfg.SweepEvery,
+		sampleLeft:  cfg.SampleEvery,
+		sweepLeft:   cfg.SweepEvery,
 		limit:       cfg.Limit,
 		clock:       clock,
 	}
@@ -149,10 +157,17 @@ func (a *Auditor) Sample() bool {
 		return false
 	}
 	a.obs++
-	if a.obs%a.sweepEvery == 0 {
+	// sampleLeft == sampleEvery exactly when obs%sampleEvery == 0. It is
+	// read after the sweeps so a Sample nested inside one counts, as it
+	// would in obs.
+	if a.sampleLeft--; a.sampleLeft == 0 {
+		a.sampleLeft = a.sampleEvery
+	}
+	if a.sweepLeft--; a.sweepLeft == 0 {
+		a.sweepLeft = a.sweepEvery
 		a.RunSweeps()
 	}
-	return a.obs%a.sampleEvery == 0
+	return a.sampleLeft == a.sampleEvery
 }
 
 // Observations returns the number of Sample calls so far.

@@ -134,3 +134,37 @@ func TestCleanRunHasNilErr(t *testing.T) {
 		t.Fatalf("clean run Err() = %v", err)
 	}
 }
+
+// TestSampleMatchesModulo pins Sample's countdown counters to the
+// modulo arithmetic they replace: observation n is sampled exactly when
+// n%SampleEvery == 0 and sweeps run exactly when n%SweepEvery == 0,
+// counting the Samples a sweep itself makes.
+func TestSampleMatchesModulo(t *testing.T) {
+	for _, c := range []struct{ sample, sweep uint64 }{{1, 1}, {1, 3}, {4, 1}, {3, 5}, {7, 4}, {64, 16}} {
+		a := New(Config{SampleEvery: c.sample, SweepEvery: c.sweep}, fixedClock(0))
+		var sweptAt []uint64
+		a.RegisterSweep(func(sim.Time, func(string, string, string)) {
+			sweptAt = append(sweptAt, a.Observations())
+			a.Sample() // a sweep whose reads trip another observation
+		})
+		var wantSwept []uint64
+		for i := 0; i < 200; i++ {
+			n := a.Observations() + 1
+			if n%c.sweep == 0 {
+				wantSwept = append(wantSwept, n)
+			}
+			got := a.Sample()
+			if want := a.Observations()%c.sample == 0; got != want {
+				t.Fatalf("stride %d/%d: Sample at obs %d = %v, want %v", c.sample, c.sweep, a.Observations(), got, want)
+			}
+		}
+		if len(sweptAt) != len(wantSwept) {
+			t.Fatalf("stride %d/%d: swept at %v, want %v", c.sample, c.sweep, sweptAt, wantSwept)
+		}
+		for i := range wantSwept {
+			if sweptAt[i] != wantSwept[i] {
+				t.Fatalf("stride %d/%d: swept at %v, want %v", c.sample, c.sweep, sweptAt, wantSwept)
+			}
+		}
+	}
+}

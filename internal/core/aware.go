@@ -59,6 +59,7 @@ func (p *AwarePolicy) install(m *Manager) {
 		parentResp := m.Net.Modules[parent].UpResp
 		resp := mod.UpResp
 		mech := resp.Config().Mechanism
+		wakeParent := parentResp.WakeAction()
 		resp.OnWakeStart = func() {
 			// Wait interval: router latency + the downstream link's
 			// current SERDES and (response packet) transmission
@@ -67,7 +68,7 @@ func (p *AwarePolicy) install(m *Manager) {
 			bw := link.BWFactor(mech, mode)
 			tx := sim.Duration(float64(5*link.FlitTimeFull)/bw + 0.5)
 			wait := link.RouterLatency() + link.SERDESLatency(mech, mode) + tx
-			m.Kernel.After(wait, parentResp.Wake)
+			m.Kernel.AfterAction(wait, wakeParent)
 		}
 		resp.OnEnqueue = func() {
 			// A response is about to travel upstream; pre-wake the next

@@ -150,7 +150,18 @@ type Link struct {
 	rooMode     int
 	state       State
 	forcedFull  bool
-	offSeq      uint64
+
+	// ROO off-check timer (see armOffCheck). The live arm's check is due
+	// at (offAt, offKSeq) in the kernel's total order; offArmed is
+	// cleared when traffic or a state change cancels it. cover is the
+	// pending off-check event that will reach the live position, filed
+	// at (coverAt, coverSeq); nil when none is pending.
+	offArmed bool
+	offAt    sim.Time
+	offKSeq  uint64
+	cover    *offCheckAction
+	coverAt  sim.Time
+	coverSeq uint64
 
 	// Transmission state.
 	queue        []*packet.Packet
@@ -163,11 +174,13 @@ type Link struct {
 	// wake-completion events are singletons (the state machine allows at
 	// most one of each in flight), so they live inline in the Link;
 	// delivery events overlap across the SERDES pipeline and off-checks
-	// overlap through cancellation, so those draw from per-link free
-	// lists. Together they make steady-state scheduling allocation-free.
+	// overlap when a threshold decrease orphans the pending cover, so
+	// those draw from per-link free lists. Together they make
+	// steady-state scheduling allocation-free.
 	txDone      txDoneAction
 	retry       retryAction
 	wake        wakeAction
+	wakeReq     wakeReqAction
 	deliverFree []*deliverAction
 	offFree     []*offCheckAction
 
@@ -233,7 +246,7 @@ func New(k *sim.Kernel, cfg Config, id int, dir Direction, owner, from, to, dept
 		mon:         newMonitors(cfg.Mechanism, cfg.Wakeup),
 		lastAccount: k.Now(),
 	}
-	l.txDone.l, l.retry.l, l.wake.l = l, l, l
+	l.txDone.l, l.retry.l, l.wake.l, l.wakeReq.l = l, l, l, l
 	for m := 0; m < NumModes(cfg.Mechanism); m++ {
 		l.wattsByMode[m] = cfg.FullWatts * PowerFactor(cfg.Mechanism, m)
 	}
@@ -442,7 +455,7 @@ func (l *Link) Fail() []*packet.Packet {
 	}
 	l.setState(StateFailed)
 	l.transmitting = false
-	l.offSeq++ // cancel pending off-checks
+	l.offArmed = false // cancel the pending off-check
 	var stranded []*packet.Packet
 	if l.inflight != nil {
 		stranded = append(stranded, l.inflight)
@@ -598,7 +611,7 @@ func (l *Link) Enqueue(p *packet.Packet) {
 		l.mon.observeIdleEnd(now - l.idleSince)
 		l.idleOpen = false
 	}
-	l.offSeq++ // cancel any pending off-check
+	l.offArmed = false // cancel any pending off-check
 	l.mon.observeArrival(now, p)
 
 	if p.Kind.IsRead() {
@@ -717,7 +730,7 @@ func (l *Link) finishTransmit() {
 		l.queue = append(l.queue, nil)
 		copy(l.queue[1:], l.queue)
 		l.queue[0] = p
-		l.offSeq++ // keep ROO from sleeping mid-retry
+		l.offArmed = false // keep ROO from sleeping mid-retry
 		l.crcStreak++
 		if l.crcStreak >= l.cfg.MaxCRCRetries {
 			l.escalate(end)
@@ -866,36 +879,60 @@ func (l *Link) enterIdle(now sim.Time) {
 	l.armOffCheck(now, ROOThresholds[l.rooMode])
 }
 
-// armOffCheck schedules a turn-off attempt after the idleness threshold.
-// Superseded checks (offSeq has moved on) stay scheduled and no-op when
-// they fire, so several can be pending at once; the actions come from a
-// per-link free list and each returns itself exactly once, when it fires.
+// armOffCheck arms a turn-off attempt after the idleness threshold. It
+// supersedes any earlier arm and reserves the check's position in the
+// kernel's total order — one seq, exactly what scheduling it would
+// consume — but files an event only when no cover is pending at or
+// before the deadline. A pending cover that fires before the live
+// position re-files itself there, so a link re-armed on every idle
+// transition keeps one event queued instead of one per arm, and the
+// live check still dispatches exactly where a fresh event would have.
+// A cover past the deadline (the threshold fell) is orphaned and retires
+// when it fires; the actions come from a per-link free list.
 func (l *Link) armOffCheck(now sim.Time, after sim.Duration) {
 	if !l.cfg.ROO || l.forcedFull {
 		return
 	}
-	l.offSeq++
+	l.offArmed = true
+	l.offAt = now + after
+	l.offKSeq = l.kernel.ReserveSeq()
+	if l.cover != nil && l.coverAt <= l.offAt {
+		return
+	}
 	var a *offCheckAction
 	if n := len(l.offFree); n > 0 {
 		a, l.offFree = l.offFree[n-1], l.offFree[:n-1]
 	} else {
 		a = &offCheckAction{l: l}
 	}
-	a.seq = l.offSeq
-	l.kernel.ScheduleAction(now+after, a)
+	l.fileCover(a)
 }
 
-// offCheckAction is a pooled ROO turn-off attempt; seq cancels it if the
-// link saw traffic (or changed state) after it was armed.
-type offCheckAction struct {
-	l   *Link
-	seq uint64
+// fileCover files a as the cover at the live off-check position.
+func (l *Link) fileCover(a *offCheckAction) {
+	l.cover, l.coverAt, l.coverSeq = a, l.offAt, l.offKSeq
+	l.kernel.ScheduleActionSeq(l.offAt, l.offKSeq, a)
 }
+
+// offCheckAction is a pooled ROO off-check event. Only the link's
+// current cover does anything: it retires if the live arm was cancelled
+// (the link saw traffic or changed state), moves on to the live position
+// if that lies later, and runs the turn-off attempt once it is there.
+type offCheckAction struct{ l *Link }
 
 func (a *offCheckAction) Act() {
-	l, seq := a.l, a.seq
+	l := a.l
+	if a != l.cover { // orphaned: a shorter threshold filed its own cover
+		l.offFree = append(l.offFree, a)
+		return
+	}
+	if l.offArmed && l.coverSeq != l.offKSeq {
+		l.fileCover(a) // the live check lies later: move there
+		return
+	}
+	l.cover = nil
 	l.offFree = append(l.offFree, a)
-	if l.offSeq != seq || l.state != StateOn || l.transmitting || len(l.queue) > 0 {
+	if !l.offArmed || l.state != StateOn || l.transmitting || len(l.queue) > 0 {
 		return
 	}
 	if l.HoldOn != nil && l.HoldOn() {
@@ -1011,6 +1048,17 @@ func (l *Link) Wake() {
 	}
 }
 
+// wakeReqAction is a scheduled proactive Wake. It is stateless, so the
+// one inline value can back any number of concurrently scheduled wakes.
+type wakeReqAction struct{ l *Link }
+
+func (a *wakeReqAction) Act() { a.l.Wake() }
+
+// WakeAction returns an Action that calls Wake when it fires. Scheduling
+// it allocates nothing, where the method value l.Wake would allocate a
+// closure each time.
+func (l *Link) WakeAction() sim.Action { return &l.wakeReq }
+
 // SetBWMode requests bandwidth mode m; the change completes after the
 // mechanism's transition latency, during which the link runs at the
 // slower of the two modes and draws the higher power.
@@ -1062,7 +1110,7 @@ func (l *Link) ForceFullPower() {
 	}
 	l.forcedFull = true
 	l.SetBWMode(0)
-	l.offSeq++ // cancel pending off-checks
+	l.offArmed = false // cancel the pending off-check
 	if l.state == StateOff {
 		l.startWake()
 	}

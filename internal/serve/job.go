@@ -81,17 +81,27 @@ func newJob(id string, keys []string, ctx context.Context, cancel context.Cancel
 	}
 }
 
-// publish appends an event to the replay log and fans it out. A
-// subscriber whose buffer is full is closed and dropped — a stalled
-// reader must not stall the job.
-func (j *job) publish(typ string, payload any) {
+// newEvent marshals payload into a typ event.
+func newEvent(typ string, payload any) Event {
 	data, err := json.Marshal(payload)
 	if err != nil {
 		data = json.RawMessage(`{"error":"event payload not encodable"}`)
 	}
-	ev := Event{Type: typ, Data: data}
+	return Event{Type: typ, Data: data}
+}
+
+// publish appends an event to the replay log and fans it out.
+func (j *job) publish(typ string, payload any) {
+	ev := newEvent(typ, payload)
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.appendLocked(ev)
+}
+
+// appendLocked records ev and fans it out; j.mu must be held. A
+// subscriber whose buffer is full is closed and dropped — a stalled
+// reader must not stall the job.
+func (j *job) appendLocked(ev Event) {
 	j.events = append(j.events, ev)
 	for ch := range j.subs {
 		select {
@@ -104,10 +114,13 @@ func (j *job) publish(typ string, payload any) {
 }
 
 // finish moves the job to a terminal state, publishes the final "done"
-// event, closes every subscriber and releases waiters. It reports
-// whether this call performed the transition — the caller that wins
-// owns the follow-up bookkeeping (counters, accept-journal tombstone).
+// event, closes every subscriber and releases waiters. The state change
+// and the "done" event share one critical section, so a subscriber that
+// sees the job terminal always replays "done". It reports whether this
+// call performed the transition — the caller that wins owns the
+// follow-up bookkeeping (counters, accept-journal tombstone).
 func (j *job) finish(state, errMsg string, summary any) bool {
+	done := newEvent("done", summary)
 	j.mu.Lock()
 	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
 		j.mu.Unlock()
@@ -115,11 +128,7 @@ func (j *job) finish(state, errMsg string, summary any) bool {
 	}
 	j.state = state
 	j.errMsg = errMsg
-	j.mu.Unlock()
-
-	j.publish("done", summary)
-
-	j.mu.Lock()
+	j.appendLocked(done)
 	for ch := range j.subs {
 		delete(j.subs, ch)
 		close(ch)

@@ -73,31 +73,45 @@ const (
 	// warmup cost per slot (TestRunSteadyStateZeroAllocs holds the
 	// simulation to ~0 mallocs once warmed).
 	spillCap = 64
+	// seqBits is the width of the sequence number in a wheel key. A
+	// key packs an event's offset within its slot (the low
+	// granularityBits bits of at) above its seq, so one uint64 compare
+	// orders two events of a slot by (at, seq). 2^53 sequence numbers
+	// last ~2.8 years of simulation at 10^8 events/s; ScheduleAction
+	// panics rather than wrap.
+	seqBits = 64 - granularityBits
+	seqMask = 1<<seqBits - 1
+	// offsetMask extracts an instant's offset within its slot.
+	offsetMask = 1<<granularityBits - 1
 )
 
-// wev is a wheel-resident event. Unlike the overflow heap's entries it
-// carries no sequence number: inserts are appended in schedule order and
-// the within-slot sort is stable on at, so slot order IS seq order — and
-// a wheel/overflow tie at the same instant always resolves to the
-// overflow side (see next), so no cross-structure seq comparison is ever
-// needed. Dropping the field cuts each entry to 24 bytes, which matters
-// because inserts hash to effectively random slots and the entry write
-// is usually a cache miss.
+// wev is a wheel-resident event. key packs the event's offset within
+// its slot above its seq (see wheelKey); the rest of at is implied by
+// the slot index, because every resident event lies within one
+// revolution of now (see slotStart). Packing keeps each entry at 24
+// bytes — a separate seq field would make it 32 — which matters because
+// inserts hash to effectively random slots and the entry write is
+// usually a cache miss.
 type wev struct {
-	at  Time
+	key uint64
 	act Action
 }
 
+// wheelKey packs at's offset within its slot above seq: comparing two
+// keys of one slot compares (at, seq).
+func wheelKey(at Time, seq uint64) uint64 {
+	return uint64(at&offsetMask)<<seqBits | seq
+}
+
 // wheelSlot is one slot's pending events. Inserts are pure appends; the
-// dirty flag records whether an append broke at order, and next sorts
-// ev[head:] (stable, so same-instant events keep schedule order) the
-// moment the slot becomes the drain candidate. Deferring the sort moves
-// the shifting work from insert time — when the slot is a random, cold
-// cache line — to drain time, when the slot is about to be walked
-// anyway, and slots that fill in time order (the common case) never sort
-// at all. Retired entries before head are zeroed; the slice resets to
-// its start once drained, so steady state reuses each slot's backing
-// array with no allocation.
+// dirty flag records whether an append broke key order, and next sorts
+// ev[head:] the moment the slot becomes the drain candidate. Deferring
+// the sort moves the shifting work from insert time — when the slot is a
+// random, cold cache line — to drain time, when the slot is about to be
+// walked anyway, and slots that fill in key order (the common case)
+// never sort at all. Retired entries before head are zeroed; the slice
+// resets to its start once drained, so steady state reuses each slot's
+// backing array with no allocation.
 //
 // ev initially aliases the inline buf, so the header and the entries an
 // insert touches share adjacent cache lines — inserts hash to
@@ -114,17 +128,15 @@ type wheelSlot struct {
 	buf   [slotCap]wev
 }
 
-// sortPending restores at order over the unread tail of the slot with a
-// stable binary-insertion sort. Stability is what carries the
-// determinism contract: array order among equal-at entries is schedule
-// (seq) order — appends arrive in seq order and a stable sort preserves
-// relative order — so no wheel entry ever needs a seq field.
+// sortPending restores key — that is (at, seq) — order over the unread
+// tail of the slot with an insertion sort. Keys are unique, so the
+// result does not depend on the order the entries arrived in.
 func (s *wheelSlot) sortPending() {
 	ev := s.ev
 	for i := int(s.head) + 1; i < len(ev); i++ {
 		e := ev[i]
 		j := i
-		for j > int(s.head) && ev[j-1].at > e.at {
+		for j > int(s.head) && ev[j-1].key > e.key {
 			ev[j] = ev[j-1]
 			j--
 		}
@@ -141,15 +153,18 @@ func (s *wheelSlot) sortPending() {
 // slotMask], far-future events spill into a monomorphic 4-ary min-heap.
 // An event's slot position is unambiguous — the insert window is exactly
 // one revolution, so two resident events can never collide a lap apart —
-// and the next event is min(first occupied slot's head, heap head) with
-// same-instant ties resolving to the heap (see next), which preserves
-// the exact (at, seq) total order the deterministic-replay tests pin. Steady-state Schedule+Step performs
+// and the next event is the (at, seq) minimum of the first occupied
+// slot's head and the heap head, which is the exact total order the
+// deterministic-replay tests pin. Steady-state Schedule+Step performs
 // zero heap allocations (see TestKernelScheduleStepZeroAllocs and
 // BenchmarkKernelScheduleStep).
 type Kernel struct {
 	now   Time
 	seq   uint64
 	count uint64
+	// nowSeq is the seq of the event dispatched last at now (0 when none
+	// was): ScheduleActionSeq refuses positions at or before (now, nowSeq).
+	nowSeq uint64
 
 	// Cooperative cancellation: when check is armed (non-nil), Run calls
 	// it once every checkMask+1 processed events and stops — recording
@@ -249,20 +264,58 @@ func (k *Kernel) ScheduleAction(at Time, a Action) {
 		panic("sim: scheduling event in the past")
 	}
 	k.seq++
+	if k.seq > seqMask {
+		panic("sim: sequence numbers exhausted")
+	}
 	if (at>>granularityBits)-(k.now>>granularityBits) < numSlots {
-		k.wheelInsert(at, a)
+		k.wheelInsert(at, k.seq, a)
 	} else {
 		k.overflow.push(event{at: at, seq: k.seq, act: a})
 	}
 }
 
+// ReserveSeq consumes the next sequence number without scheduling
+// anything and returns it. A caller that may or may not need an event
+// reserves its position in the total order now — exactly as
+// ScheduleAction would have — and files it later, if at all, with
+// ScheduleActionSeq.
+func (k *Kernel) ReserveSeq() uint64 {
+	k.seq++
+	if k.seq > seqMask {
+		panic("sim: sequence numbers exhausted")
+	}
+	return k.seq
+}
+
+// ScheduleActionSeq runs a at the position (at, seq) of the total order,
+// where seq came from ReserveSeq: the event dispatches exactly where a
+// ScheduleAction(at, a) issued at reservation time would have. Each
+// reserved position may be filed once. Filing a position the kernel has
+// already passed — at before now, or at now with seq at or before the
+// event being dispatched — panics, as does a seq never issued.
+func (k *Kernel) ScheduleActionSeq(at Time, seq uint64, a Action) {
+	if seq == 0 || seq > k.seq {
+		panic("sim: ScheduleActionSeq with an unreserved seq")
+	}
+	if at < k.now || at == k.now && seq <= k.nowSeq {
+		panic("sim: scheduling event at a position already dispatched")
+	}
+	// The wheel/overflow choice is ScheduleAction's, repeated here
+	// rather than shared: a shared helper is too big to inline and would
+	// add a call to every ScheduleAction.
+	if (at>>granularityBits)-(k.now>>granularityBits) < numSlots {
+		k.wheelInsert(at, seq, a)
+	} else {
+		k.overflow.push(event{at: at, seq: seq, act: a})
+	}
+}
+
 // wheelInsert files the event into its slot. The slot is append-only:
-// an out-of-order arrival — possible only when two distinct instants
-// share a slot — just marks the slot dirty, and sortPending restores at
-// order when the slot reaches the head of the wheel. Same-instant events
-// keep schedule order without storing seq because appends arrive in seq
-// order and the deferred sort is stable.
-func (k *Kernel) wheelInsert(at Time, a Action) {
+// an arrival whose key sorts before the slot's last entry — a later
+// instant was filed first, or a reserved seq is filed late — just marks
+// the slot dirty, and sortPending restores key order when the slot
+// reaches the head of the wheel.
+func (k *Kernel) wheelInsert(at Time, seq uint64, a Action) {
 	idx := int((at >> granularityBits) & slotMask)
 	s := &k.wheel[idx]
 	n := len(s.ev)
@@ -282,8 +335,9 @@ func (k *Kernel) wheelInsert(at Time, a Action) {
 		copy(grown, s.ev)
 		s.ev = grown
 	}
-	s.ev = append(s.ev, wev{at: at, act: a})
-	if n > int(s.head) && at < s.ev[n-1].at {
+	key := wheelKey(at, seq)
+	s.ev = append(s.ev, wev{key: key, act: a})
+	if n > int(s.head) && key < s.ev[n-1].key {
 		s.dirty = true
 	}
 	k.occupied[idx>>6] |= 1 << uint(idx&63)
@@ -313,14 +367,21 @@ func (k *Kernel) wheelMinSlot() int {
 	return w0<<6 + bits.TrailingZeros64(word)
 }
 
+// slotStart returns the absolute start time of wheel slot idx. Every
+// resident event lies less than one revolution at or after now's slot,
+// so the slot's lap is the one at or after now's.
+func (k *Kernel) slotStart(idx int) Time {
+	nowSlot := k.now >> granularityBits
+	return (nowSlot + Time((idx-int(nowSlot))&slotMask)) << granularityBits
+}
+
 // next locates the earliest pending event without removing it. slot is
 // the wheel slot index, or -1 when the minimum sits in the overflow heap.
-// A wheel/overflow tie at the same instant resolves to the overflow side:
-// an event only spills when its instant lies past the horizon, and the
-// horizon moves monotonically forward, so every overflow-resident event
-// at instant T was scheduled — and sequenced — before every wheel-resident
-// event at T. Locate and removal are split so Run can bounds-check the
-// next event with a single min-scan instead of a peek-then-pop pair.
+// A wheel/overflow tie at the same instant goes to the smaller seq: a
+// reserved seq filed late can land in the wheel behind an overflow event
+// scheduled after the reservation. Locate and removal are split so Run
+// can bounds-check the next event with a single min-scan instead of a
+// peek-then-pop pair.
 func (k *Kernel) next() (at Time, slot int, ok bool) {
 	if k.wheelCount == 0 {
 		if len(k.overflow) == 0 {
@@ -333,24 +394,30 @@ func (k *Kernel) next() (at Time, slot int, ok bool) {
 	if s.dirty {
 		s.sortPending()
 	}
-	at = s.ev[s.head].at
-	if len(k.overflow) > 0 && k.overflow[0].at <= at {
-		return k.overflow[0].at, -1, true
+	key := s.ev[s.head].key
+	at = k.slotStart(idx) | Time(key>>seqBits)
+	if len(k.overflow) > 0 {
+		if o := &k.overflow[0]; o.at < at || o.at == at && o.seq < key&seqMask {
+			return o.at, -1, true
+		}
 	}
 	return at, idx, true
 }
 
-// take removes and returns the action of the event next located. The
-// vacated entry is zeroed so the retired action — and everything it
-// captures — is collectable immediately instead of being pinned by the
-// backing array for the rest of the run.
+// take removes and returns the action of the event next located and
+// records its seq in nowSeq. The vacated entry is zeroed so the retired
+// action — and everything it captures — is collectable immediately
+// instead of being pinned by the backing array for the rest of the run.
 func (k *Kernel) take(slot int) Action {
 	if slot < 0 {
-		return k.overflow.pop().act
+		e := k.overflow.pop()
+		k.nowSeq = e.seq
+		return e.act
 	}
 	s := &k.wheel[slot]
 	we := &s.ev[s.head]
 	a := we.act
+	k.nowSeq = we.key & seqMask
 	*we = wev{}
 	s.head++
 	if int(s.head) == len(s.ev) {
@@ -405,6 +472,7 @@ func (k *Kernel) Run(until Time) {
 	}
 	if k.now < until {
 		k.now = until
+		k.nowSeq = 0
 	}
 }
 

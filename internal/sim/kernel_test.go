@@ -182,9 +182,9 @@ func TestKernelStepClearsRetiredSlots(t *testing.T) {
 	for idx := range k.wheel {
 		spare := k.wheel[idx].ev[:cap(k.wheel[idx].ev)]
 		for i := range spare {
-			if spare[i].act != nil || spare[i].at != 0 {
-				t.Fatalf("retired wheel slot %d entry %d still populated (at=%v act=%v)",
-					idx, i, spare[i].at, spare[i].act != nil)
+			if spare[i].act != nil || spare[i].key != 0 {
+				t.Fatalf("retired wheel slot %d entry %d still populated (key=%#x act=%v)",
+					idx, i, spare[i].key, spare[i].act != nil)
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestWheelMatchesHeapOrdering is the differential property test for the
@@ -190,12 +192,17 @@ func TestCheckInvariantsOnPopulatedWheel(t *testing.T) {
 		}
 	}
 
-	// Corruption 1: an event filed past the horizon.
+	// Corruption 1: keys out of order in a slot not marked dirty. (A
+	// wheel entry's lap and slot are implied by where it is filed, so the
+	// horizon and wrong-slot corruptions of an (at, act) entry cannot be
+	// expressed over packed keys.)
 	k2 := NewKernel()
 	k2.Schedule(100, nop)
-	k2.wheel[((100)>>granularityBits)&slotMask].ev[0].at = Time(numSlots<<granularityBits) * 10
-	if err := k2.CheckInvariants(); err == nil {
-		t.Error("horizon violation not detected")
+	k2.Schedule(200, nop)
+	s2 := &k2.wheel[0]
+	s2.ev[0].key, s2.ev[1].key = s2.ev[1].key, s2.ev[0].key
+	if err := k2.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "order violated") {
+		t.Errorf("slot key disorder not detected: %v", err)
 	}
 	// Corruption 2: occupancy bit cleared under a pending event.
 	k3 := NewKernel()
@@ -214,4 +221,162 @@ func TestCheckInvariantsOnPopulatedWheel(t *testing.T) {
 	if err := k4.CheckInvariants(); err == nil {
 		t.Error("overflow heap disorder not detected")
 	}
+}
+
+// TestWheelEntryIs24Bytes pins the packed entry size: a separate seq
+// field would grow each entry to 32 bytes, a third more cache footprint
+// on the insert path, whose entry write is usually a cache miss.
+func TestWheelEntryIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(wev{}); n != 24 {
+		t.Fatalf("wheel entry is %d bytes, want 24", n)
+	}
+}
+
+// TestReservedSeqMatchesHeapOrdering is the differential property test
+// for reserved positions: ScheduleAction, ReserveSeq and a later
+// ScheduleActionSeq are interleaved at random, instants are reused so
+// events tie at the same time across the wheel and the overflow heap
+// (a seq reserved while its instant lay past the horizon and filed once
+// it is inside), and some reservations are never filed. Every filed
+// event must dispatch in exactly the heap oracle's (at, seq) order.
+func TestReservedSeqMatchesHeapOrdering(t *testing.T) {
+	deltas := []Time{0, 1, 700, 2048, 40_000,
+		numSlots<<granularityBits - 1, numSlots << granularityBits,
+		numSlots<<granularityBits + 64, 3_000_000, 50_000_000}
+	type reservation struct {
+		seq uint64
+		at  Time
+		act Action
+	}
+	for trial := uint64(0); trial < 10; trial++ {
+		rng := NewRNG(500 + trial)
+		k := NewKernel()
+		var h heapQ
+		var got, want []int
+		var unfiled []reservation
+		var instants []Time
+		id := 0
+		pickAt := func() Time {
+			if len(instants) > 0 && rng.Intn(3) == 0 {
+				if at := instants[rng.Intn(len(instants))]; at >= k.Now() {
+					return at
+				}
+			}
+			at := k.Now() + deltas[rng.Intn(len(deltas))] + Time(rng.Intn(3))
+			instants = append(instants, at)
+			return at
+		}
+		fileAt := func(i int) {
+			r := unfiled[i]
+			unfiled[i] = unfiled[len(unfiled)-1]
+			unfiled = unfiled[:len(unfiled)-1]
+			k.ScheduleActionSeq(r.at, r.seq, r.act)
+		}
+		// fileSeq files seq's reservation if it is still unfiled.
+		fileSeq := func(seq uint64) {
+			for i := range unfiled {
+				if unfiled[i].seq == seq {
+					fileAt(i)
+					return
+				}
+			}
+		}
+		for op := 0; op < 6000; op++ {
+			switch rng.Intn(6) {
+			case 0, 1: // plain schedule
+				at, myID := pickAt(), id
+				id++
+				k.ScheduleAction(at, funcAction(func() { got = append(got, myID) }))
+				h.push(event{at: at, seq: k.seq, act: funcAction(func() { want = append(want, myID) })})
+			case 2: // reserve; one in four is abandoned, like a retired cover
+				at, myID := pickAt(), id
+				seq := k.ReserveSeq()
+				if rng.Intn(4) == 0 {
+					continue
+				}
+				id++
+				unfiled = append(unfiled, reservation{seq, at, funcAction(func() { got = append(got, myID) })})
+				h.push(event{at: at, seq: seq, act: funcAction(func() { want = append(want, myID) })})
+			case 3: // file some reservation early
+				if len(unfiled) > 0 {
+					fileAt(rng.Intn(len(unfiled)))
+				}
+			default: // step both, filing the oracle's head first if it is unfiled
+				if len(h) == 0 {
+					continue
+				}
+				fileSeq(h[0].seq)
+				k.Step()
+				h.pop().act.Act()
+			}
+		}
+		for len(h) > 0 {
+			fileSeq(h[0].seq)
+			k.Step()
+			h.pop().act.Act()
+		}
+		if k.Pending() != 0 || len(got) != id || len(want) != id {
+			t.Fatalf("trial %d: fired %d/%d events, oracle %d, %d left pending",
+				trial, len(got), id, len(want), k.Pending())
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: order diverges from heap oracle at %d: kernel fired #%d, heap #%d",
+					trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestReservedSeqBeatsOverflowTie pins the tie the reserved path adds:
+// a seq reserved for instant T while T lay past the horizon, then filed
+// into the wheel once T is near, must dispatch before an overflow event
+// at T scheduled after the reservation.
+func TestReservedSeqBeatsOverflowTie(t *testing.T) {
+	k := NewKernel()
+	var got []int
+	at := Time(1_000_000_000)
+	seq := k.ReserveSeq()
+	k.Schedule(at, func() { got = append(got, 2) })
+	k.Run(at - 10*Nanosecond)
+	k.ScheduleActionSeq(at, seq, funcAction(func() { got = append(got, 1) }))
+	k.Schedule(at, func() { got = append(got, 3) })
+	if err := k.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	k.RunAll()
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("reserved/overflow same-instant ordering wrong: %v", got)
+	}
+}
+
+// TestScheduleActionSeqRefusesPassedPositions checks the guard on
+// reserved positions: a position before now, one at now at or before
+// the event being dispatched, and a seq never issued all panic, while
+// a later seq at now is accepted.
+func TestScheduleActionSeqRefusesPassedPositions(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		fn()
+	}
+	k := NewKernel()
+	early := k.ReserveSeq()
+	k.Schedule(100, func() {
+		mustPanic("before the running event at now", func() { k.ScheduleActionSeq(100, early, funcAction(nop)) })
+		mustPanic("the running event's own position", func() { k.ScheduleActionSeq(100, k.nowSeq, funcAction(nop)) })
+		mustPanic("before now", func() { k.ScheduleActionSeq(99, k.ReserveSeq(), funcAction(nop)) })
+		k.ScheduleActionSeq(100, k.ReserveSeq(), funcAction(nop)) // after the running event: fine
+	})
+	k.Step()
+	if k.Pending() != 1 {
+		t.Fatalf("pending = %d, want the one accepted event", k.Pending())
+	}
+	mustPanic("unissued seq", func() { k.ScheduleActionSeq(200, k.seq+1, funcAction(nop)) })
+	mustPanic("zero seq", func() { k.ScheduleActionSeq(200, 0, funcAction(nop)) })
+	k.RunAll()
 }
