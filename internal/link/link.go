@@ -213,6 +213,8 @@ type Link struct {
 
 	errRNG *sim.RNG
 
+	// ser is the mechanism's serialization table, shared with mon.
+	ser *serTable
 	mon *Monitors
 
 	// Runtime invariant auditing (nil = unaudited). The previous-sweep
@@ -243,6 +245,7 @@ func New(k *sim.Kernel, cfg Config, id int, dir Direction, owner, from, to, dept
 		To:          to,
 		Depth:       depth,
 		rooMode:     ROOFullMode,
+		ser:         &serTables[cfg.Mechanism],
 		mon:         newMonitors(cfg.Mechanism, cfg.Wakeup),
 		lastAccount: k.Now(),
 	}
@@ -521,11 +524,6 @@ func (l *Link) effBWLabel(now sim.Time) int {
 	return l.bwMode
 }
 
-// effBWFactor is the bandwidth factor currently deliverable.
-func (l *Link) effBWFactor(now sim.Time) float64 {
-	return BWFactor(l.cfg.Mechanism, l.effBWLabel(now))
-}
-
 // currentWatts is the instantaneous power draw.
 func (l *Link) currentWatts(now sim.Time) float64 {
 	if l.state == StateFailed {
@@ -614,19 +612,18 @@ func (l *Link) Enqueue(p *packet.Packet) {
 	l.offArmed = false // cancel any pending off-check
 	l.mon.observeArrival(now, p)
 
+	l.queue = append(l.queue, p)
 	if p.Kind.IsRead() {
-		idx := len(l.queue)
-		for i, q := range l.queue {
+		// A read overtakes every queued write: slide it in ahead of the
+		// first one.
+		last := len(l.queue) - 1
+		for i, q := range l.queue[:last] {
 			if !q.Kind.IsRead() {
-				idx = i
+				copy(l.queue[i+1:], l.queue[i:last])
+				l.queue[i] = p
 				break
 			}
 		}
-		l.queue = append(l.queue, nil)
-		copy(l.queue[idx+1:], l.queue[idx:])
-		l.queue[idx] = p
-	} else {
-		l.queue = append(l.queue, p)
 	}
 	if len(l.queue) > l.maxQueue {
 		l.maxQueue = len(l.queue)
@@ -657,16 +654,16 @@ func (l *Link) tryTransmit() {
 	now := l.kernel.Now()
 	l.account(now)
 	p := l.queue[0]
-	copy(l.queue, l.queue[1:])
+	if len(l.queue) > 1 {
+		copy(l.queue, l.queue[1:])
+	}
 	l.queue = l.queue[:len(l.queue)-1]
 	l.transmitting = true
 	l.inflight = p
 
-	bw := l.effBWFactor(now)
-	ser := sim.Duration(float64(int64(FlitTimeFull)*int64(p.Flits()))/bw + 0.5)
-	end := now + ser
-	serdes := SERDESLatency(l.cfg.Mechanism, l.effBWLabel(now))
-	l.txDone.p, l.txDone.end, l.txDone.serdes = p, end, serdes
+	mode := l.effBWLabel(now)
+	end := now + l.ser.svc(p.Flits())[mode]
+	l.txDone.p, l.txDone.end, l.txDone.serdes = p, end, l.ser.serdes[mode]
 	l.kernel.ScheduleAction(end, &l.txDone)
 }
 

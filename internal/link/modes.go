@@ -9,6 +9,7 @@ package link
 import (
 	"fmt"
 
+	"memnet/internal/packet"
 	"memnet/internal/sim"
 )
 
@@ -132,6 +133,48 @@ func SERDESLatency(mech Mechanism, m int) sim.Duration {
 		return sim.Duration(float64(SERDESBase) / dvfsBW[m])
 	}
 	return SERDESBase
+}
+
+// serTable is a mechanism's per-mode packet timing: how long each of the
+// protocol's two packet sizes (1-flit headers, 5-flit data) occupies the
+// link, and the SERDES pipeline latency paid once per packet on top. It
+// is the one place the serialization arithmetic lives; the real link and
+// its delay monitors both read it, so a packet's virtual service time in
+// mode m is exactly the time the link takes to send it in mode m.
+type serTable struct {
+	short  [NumBWModes]sim.Duration // 1-flit packets
+	long   [NumBWModes]sim.Duration // 5-flit packets
+	serdes [NumBWModes]sim.Duration
+}
+
+// serTables holds one serTable per mechanism, built once.
+var serTables = [...]serTable{
+	MechNone: newSerTable(MechNone),
+	MechVWL:  newSerTable(MechVWL),
+	MechDVFS: newSerTable(MechDVFS),
+}
+
+func newSerTable(mech Mechanism) serTable {
+	var t serTable
+	for m := 0; m < NumBWModes; m++ {
+		bw := BWFactor(mech, m)
+		occupancy := func(flits int64) sim.Duration {
+			return sim.Duration(float64(int64(FlitTimeFull)*flits)/bw + 0.5)
+		}
+		t.short[m] = occupancy(1)
+		t.long[m] = occupancy(1 + packet.LineBytes/packet.FlitBytes)
+		t.serdes[m] = SERDESLatency(mech, m)
+	}
+	return t
+}
+
+// svc returns the occupancy table for packets of the given flit count.
+// Every packet kind is one or five flits.
+func (t *serTable) svc(flits int) *[NumBWModes]sim.Duration {
+	if flits == 1 {
+		return &t.short
+	}
+	return &t.long
 }
 
 // TransitionLatency returns how long a change to/from mode m takes.

@@ -9,8 +9,9 @@ import (
 // arrival stream against a hypothetical bandwidth mode, with the same
 // read-over-write priority as the real link controller. Because every
 // read on a given link has the same size (1-flit requests downstream,
-// 5-flit responses upstream) and every write is 5 flits, the queue only
-// needs class counts, not per-packet state.
+// 5-flit responses upstream) and so does every write (5-flit writes
+// downstream, 1-flit error responses upstream), the queue only needs
+// class counts, not per-packet state.
 type virtQueue struct {
 	svcEnd   sim.Time // when the in-service packet finishes (<= now: idle)
 	rq, wq   int      // queued (not in-service) reads and writes
@@ -41,18 +42,17 @@ func (q *virtQueue) occupancy(now sim.Time) int {
 	return n
 }
 
-// arriveRead records a read arrival and returns its queueing delay and
-// departure (end of serialization).
-func (q *virtQueue) arriveRead(now sim.Time, svc sim.Duration) (wait sim.Duration, depart sim.Time) {
+// arriveRead records a read arrival and returns its departure (end of
+// serialization); its queueing delay is depart − svc − now.
+func (q *virtQueue) arriveRead(now sim.Time, svc sim.Duration) (depart sim.Time) {
 	q.readSvc = svc
 	q.advance(now)
 	if q.svcEnd <= now {
 		q.svcEnd = now + svc
-		return 0, q.svcEnd
+		return q.svcEnd
 	}
-	depart = q.svcEnd + sim.Duration(q.rq)*q.readSvc + svc
 	q.rq++
-	return depart - svc - now, depart
+	return q.svcEnd + sim.Duration(q.rq)*svc
 }
 
 // arriveWrite records a write arrival (no latency accounting: writes are
@@ -86,20 +86,17 @@ func (q *virtQueue) arriveWrite(now sim.Time, svc sim.Duration) {
 // All counters are per-epoch; the policy snapshots and resets them at each
 // epoch boundary.
 type Monitors struct {
-	mech   Mechanism
+	ser    *serTable
 	wakeup sim.Duration
 	nModes int
-	virt   []virtQueue
 
-	// svcShort/svcLong[m] cache serializeTime for the two packet sizes
-	// the protocol has (1-flit headers, 5-flit data), and serdes[m]
-	// caches SERDESLatency — all three are pure functions of the mode,
-	// re-derived per arrival per virtual queue before, which made the
-	// float divide in serializeTime one of the hottest lines in the
-	// whole simulator.
-	svcShort [NumBWModes]sim.Duration
-	svcLong  [NumBWModes]sim.Duration
-	serdes   [NumBWModes]sim.Duration
+	// virt[m] is mode m's delay monitor and virtLat[m] its running
+	// aggregate read latency this epoch; entries at and past nModes stay
+	// idle. virtLat is copied into epoch.VirtualReadLatency whenever the
+	// counters are read (Peek, SnapshotAndReset), so the per-arrival
+	// replay touches only fixed-size arrays.
+	virt    [NumBWModes]virtQueue
+	virtLat [NumBWModes]sim.Duration
 
 	epoch EpochCounters
 
@@ -174,77 +171,62 @@ func (e *EpochCounters) QF() float64 {
 func newMonitors(mech Mechanism, wakeup sim.Duration) *Monitors {
 	n := NumModes(mech)
 	m := &Monitors{
-		mech:        mech,
+		ser:         &serTables[mech],
 		wakeup:      wakeup,
 		nModes:      n,
-		virt:        make([]virtQueue, n),
 		sampleEvery: 32,
 	}
 	m.epoch.VirtualReadLatency = make([]sim.Duration, n)
-	for mode := 0; mode < n; mode++ {
-		m.svcShort[mode] = serializeFlits(1, mech, mode)
-		m.svcLong[mode] = serializeFlits(1+packet.LineBytes/packet.FlitBytes, mech, mode)
-		m.serdes[mode] = SERDESLatency(mech, mode)
-	}
 	return m
-}
-
-// serializeFlits is the time a packet of the given flit count occupies
-// the link in mode m. SERDES is pipeline latency, paid once per packet,
-// never occupancy.
-func serializeFlits(flits int, mech Mechanism, mode int) sim.Duration {
-	return sim.Duration(float64(int64(FlitTimeFull)*int64(flits))/BWFactor(mech, mode) + 0.5)
 }
 
 // observeArrival replays the arrival into every virtual queue and updates
 // the QD/QF and sampling state. It must be called once per packet, at
 // queue-insertion time.
 func (mn *Monitors) observeArrival(now sim.Time, p *packet.Packet) {
-	isRead := p.Kind.IsRead()
 	mn.epoch.AllPackets++
-	if isRead {
-		mn.epoch.ReadPackets++
+	svc := mn.ser.svc(p.Kind.Flits())
+	if !p.Kind.IsRead() {
+		// Writes only occupy the virtual links: no latency accounting,
+		// they are off the critical path.
+		for m := 0; m < mn.nModes; m++ {
+			mn.virt[m].arriveWrite(now, svc[m])
+		}
+		return
 	}
+	mn.epoch.ReadPackets++
 
-	svcTab := &mn.svcLong
-	if p.Flits() == 1 {
-		svcTab = &mn.svcShort
+	// Latency = queueing + serialization + SERDES pipeline delay. Mode 0
+	// is the full-power monitor, which also judges QD/QF.
+	q := &mn.virt[0]
+	occ := q.occupancy(now)
+	depart := q.arriveRead(now, svc[0])
+	mn.virtLat[0] += depart - now + mn.ser.serdes[0]
+	if occ >= 3 {
+		mn.epoch.QueuedReads++
+		mn.epoch.QD += depart - svc[0] - now
 	}
-	for m := 0; m < mn.nModes; m++ {
-		q := &mn.virt[m]
-		svc := svcTab[m]
-		if !isRead {
-			q.arriveWrite(now, svc)
-			continue
-		}
-		occ := q.occupancy(now)
-		wait, depart := q.arriveRead(now, svc)
-		// Latency = queueing + serialization + SERDES pipeline delay.
-		mn.epoch.VirtualReadLatency[m] += depart - now + mn.serdes[m]
-		if m == 0 && occ >= 3 {
-			mn.epoch.QueuedReads++
-			mn.epoch.QD += wait
-		}
+	for m := 1; m < mn.nModes; m++ {
+		depart := mn.virt[m].arriveRead(now, svc[m])
+		mn.virtLat[m] += depart - now + mn.ser.serdes[m]
 	}
 
 	// Wakeup-arrival sampling: periodically pick a read packet and count
 	// how many further reads arrive within one wakeup latency.
-	if isRead {
-		if mn.sampleOpen {
-			if now <= mn.sampleOpenUntil {
-				mn.sampleArrivals++
-			} else {
-				mn.closeSample()
-			}
+	if mn.sampleOpen {
+		if now <= mn.sampleOpenUntil {
+			mn.sampleArrivals++
+		} else {
+			mn.closeSample()
 		}
-		if !mn.sampleOpen {
-			mn.sinceSample++
-			if mn.sinceSample >= mn.sampleEvery {
-				mn.sinceSample = 0
-				mn.sampleOpen = true
-				mn.sampleOpenUntil = now + mn.wakeup
-				mn.sampleArrivals = 0
-			}
+	}
+	if !mn.sampleOpen {
+		mn.sinceSample++
+		if mn.sinceSample >= mn.sampleEvery {
+			mn.sinceSample = 0
+			mn.sampleOpen = true
+			mn.sampleOpenUntil = now + mn.wakeup
+			mn.sampleArrivals = 0
 		}
 	}
 }
@@ -280,13 +262,15 @@ func (mn *Monitors) SnapshotAndReset(now sim.Time) EpochCounters {
 		mn.closeSample()
 	}
 	out := mn.epoch
-	out.VirtualReadLatency = append([]sim.Duration(nil), mn.epoch.VirtualReadLatency...)
+	out.VirtualReadLatency = append([]sim.Duration(nil), mn.virtLat[:mn.nModes]...)
 	mn.epoch = EpochCounters{VirtualReadLatency: mn.epoch.VirtualReadLatency}
-	for i := range mn.epoch.VirtualReadLatency {
-		mn.epoch.VirtualReadLatency[i] = 0
-	}
+	clear(mn.epoch.VirtualReadLatency)
+	mn.virtLat = [NumBWModes]sim.Duration{}
 	return out
 }
 
 // Peek returns the live counters without resetting (violation checks).
-func (mn *Monitors) Peek() *EpochCounters { return &mn.epoch }
+func (mn *Monitors) Peek() *EpochCounters {
+	copy(mn.epoch.VirtualReadLatency, mn.virtLat[:])
+	return &mn.epoch
+}

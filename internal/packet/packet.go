@@ -62,20 +62,24 @@ func (k Kind) String() string {
 	}
 }
 
+// kindFlits is the flit count per kind: read requests and the
+// header-only error responses are one flit; write requests, read
+// responses and management packets carry a 64 B line behind the header.
+var kindFlits = [...]int{
+	ReadReq:  1,
+	WriteReq: 1 + LineBytes/FlitBytes,
+	ReadResp: 1 + LineBytes/FlitBytes,
+	Control:  1 + LineBytes/FlitBytes,
+	ReadErr:  1,
+	WriteErr: 1,
+}
+
 // Flits returns the number of flits a packet of this kind occupies.
 func (k Kind) Flits() int {
-	switch k {
-	case ReadReq:
-		return 1
-	case WriteReq, ReadResp:
-		return 1 + LineBytes/FlitBytes
-	case Control:
-		return 1 + LineBytes/FlitBytes
-	case ReadErr, WriteErr:
-		return 1 // header-only error response, no data payload
-	default:
+	if int(k) >= len(kindFlits) {
 		panic("packet: unknown kind")
 	}
+	return kindFlits[k]
 }
 
 // IsRead reports whether the packet belongs to a read transaction. The

@@ -4,19 +4,30 @@ import "testing"
 
 func TestFlitCounts(t *testing.T) {
 	// §II: a read request is a single 16 B flit; write request and read
-	// response packets contain five flits (64 B lines).
-	cases := []struct {
-		kind Kind
-		want int
-	}{
-		{ReadReq, 1},
-		{WriteReq, 5},
-		{ReadResp, 5},
-		{Control, 5},
+	// response packets contain five flits (64 B lines). Management
+	// packets are charged as one 64 B packet; error responses are
+	// header-only.
+	want := map[Kind]int{
+		ReadReq:  1,
+		WriteReq: 5,
+		ReadResp: 5,
+		Control:  5,
+		ReadErr:  1,
+		WriteErr: 1,
 	}
-	for _, c := range cases {
-		if got := c.kind.Flits(); got != c.want {
-			t.Errorf("%v.Flits() = %d, want %d", c.kind, got, c.want)
+	for kind, n := range want {
+		if got := kind.Flits(); got != n {
+			t.Errorf("%v.Flits() = %d, want %d", kind, got, n)
+		}
+	}
+	// Every named kind is pinned above, and the table has no row beyond
+	// the named kinds.
+	if len(kindFlits) != len(want) {
+		t.Errorf("kindFlits has %d rows, want %d", len(kindFlits), len(want))
+	}
+	for k := range kindFlits {
+		if _, ok := want[Kind(k)]; !ok {
+			t.Errorf("%v has no pinned flit count", Kind(k))
 		}
 	}
 }

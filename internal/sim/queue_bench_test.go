@@ -29,13 +29,24 @@ func realisticDelta(rng *RNG) Time {
 // benchActs keeps the scheduled work identical across queue benchmarks.
 var benchAct Action = funcAction(func() {})
 
-// BenchmarkQueueRealisticWheel measures steady-state schedule+step on the
-// timing-wheel kernel under the realistic delta distribution with a deep
-// in-flight queue (the shape of a running sweep).
-func BenchmarkQueueRealisticWheel(b *testing.B) {
+// tracedPendingDepth is the peak pending-event count of the benchmark's
+// simulator workloads in traced runs (sim.pending_max: 112 on the
+// managed daisy chain, 111 on the sparse ternary tree, 31 on the
+// write-heavy star). deepPendingDepth is the older, deeper shape the
+// first wheel benchmarks were sized at, before ROO off-check covers cut
+// the pending set.
+const (
+	tracedPendingDepth = 112
+	deepPendingDepth   = 4096
+)
+
+// benchRealisticWheel measures steady-state schedule+step on the
+// timing-wheel kernel under the realistic delta distribution with depth
+// events in flight.
+func benchRealisticWheel(b *testing.B, depth int) {
 	k := NewKernel()
 	rng := NewRNG(7)
-	for i := 0; i < 4096; i++ {
+	for i := 0; i < depth; i++ {
 		k.ScheduleAction(k.Now()+realisticDelta(rng), benchAct)
 	}
 	b.ReportAllocs()
@@ -46,11 +57,11 @@ func BenchmarkQueueRealisticWheel(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueRealisticHeap is the identical workload on the bare 4-ary
-// heap (the pre-wheel event queue, still used as the wheel's spill-over),
-// including the same dispatch call, so the two benchmarks differ only in
-// queue structure.
-func BenchmarkQueueRealisticHeap(b *testing.B) {
+// benchRealisticHeap is the identical workload on the bare 4-ary heap
+// (the pre-wheel event queue, still used as the wheel's spill-over),
+// including the same dispatch call, so the two differ only in queue
+// structure.
+func benchRealisticHeap(b *testing.B, depth int) {
 	var h heapQ
 	var now Time
 	var seq uint64
@@ -59,7 +70,7 @@ func BenchmarkQueueRealisticHeap(b *testing.B) {
 		seq++
 		h.push(event{at: at, seq: seq, act: benchAct})
 	}
-	for i := 0; i < 4096; i++ {
+	for i := 0; i < depth; i++ {
 		push(now + realisticDelta(rng))
 	}
 	b.ReportAllocs()
@@ -71,6 +82,14 @@ func BenchmarkQueueRealisticHeap(b *testing.B) {
 		e.act.Act()
 	}
 }
+
+func BenchmarkQueueRealisticWheel(b *testing.B) { benchRealisticWheel(b, deepPendingDepth) }
+func BenchmarkQueueRealisticHeap(b *testing.B)  { benchRealisticHeap(b, deepPendingDepth) }
+
+// BenchmarkQueueRealisticTraced* run the same workloads at the depth
+// real runs reach.
+func BenchmarkQueueRealisticTracedWheel(b *testing.B) { benchRealisticWheel(b, tracedPendingDepth) }
+func BenchmarkQueueRealisticTracedHeap(b *testing.B)  { benchRealisticHeap(b, tracedPendingDepth) }
 
 // BenchmarkQueueUniformWheel / Heap keep the old uniform-random
 // comparison for contrast: uniform deltas are the heap's best case
