@@ -1,11 +1,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"os"
 
 	"memnet/internal/calib"
+	"memnet/internal/cli"
 )
 
 // runCalibrate executes the model-calibration harness and prints the
@@ -14,58 +15,39 @@ import (
 // calibration.txt can be committed as a golden and CI can fail on drift.
 // The harness has its own operating-point durations (150us/40us): the
 // CLI's -simtime/-warmup defaults are ignored unless set explicitly.
-func runCalibrate(jobs int, simtimeF, warmupF, outDir string) {
-	if jobs < 1 {
-		fmt.Fprintf(os.Stderr, "bad -jobs: need at least 1 worker, got %d\n", jobs)
-		os.Exit(1)
+func runCalibrate(jobs int, simtimeF, warmupF, outDir string) error {
+	if err := cli.Jobs(jobs); err != nil {
+		return err
 	}
 	opts := calib.Options{Jobs: jobs}
 	var err error
 	flag.Visit(func(f *flag.Flag) {
+		if err != nil {
+			return
+		}
 		switch f.Name {
 		case "simtime":
-			if opts.SimTime, err = parseDuration(simtimeF); err != nil {
-				fmt.Fprintf(os.Stderr, "bad -simtime: %v\n", err)
-				os.Exit(1)
-			}
-			if opts.SimTime <= 0 {
-				fmt.Fprintf(os.Stderr, "bad -simtime: must be positive, got %s\n", simtimeF)
-				os.Exit(1)
-			}
+			opts.SimTime, err = cli.PositiveDuration("simtime", simtimeF)
 		case "warmup":
-			if opts.Warmup, err = parseDuration(warmupF); err != nil {
-				fmt.Fprintf(os.Stderr, "bad -warmup: %v\n", err)
-				os.Exit(1)
-			}
-			if opts.Warmup < 0 {
-				fmt.Fprintf(os.Stderr, "bad -warmup: must be non-negative, got %s\n", warmupF)
-				os.Exit(1)
-			}
+			opts.Warmup, err = cli.NonNegativeDuration("warmup", warmupF)
 		case "run", "coordinator", "worker", "list":
-			fmt.Fprintf(os.Stderr, "bad -calibrate: mutually exclusive with -%s\n", f.Name)
-			os.Exit(1)
+			err = fmt.Errorf("bad -calibrate: mutually exclusive with -%s", f.Name)
 		}
 	})
+	if err != nil {
+		return err
+	}
 	rep, err := calib.Evaluate(opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "calibrate: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("calibrate: %v", err)
 	}
 	out := rep.Render()
 	fmt.Print(out)
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "outdir: %v\n", err)
-			os.Exit(1)
-		}
-		path := outDir + "/calibration.txt"
-		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", path, err)
-			os.Exit(1)
-		}
+	if err := save(outDir, "calibration.txt", out); err != nil {
+		return err
 	}
 	if !rep.Pass() {
-		fmt.Fprintln(os.Stderr, "calibrate: model outside published tolerances (see report above)")
-		os.Exit(1)
+		return errors.New("calibrate: model outside published tolerances (see report above)")
 	}
+	return nil
 }

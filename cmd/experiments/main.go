@@ -22,21 +22,12 @@ import (
 	"time"
 
 	"memnet/internal/audit"
-	"memnet/internal/dist"
+	"memnet/internal/cli"
 	"memnet/internal/exp"
 	"memnet/internal/fault"
 	"memnet/internal/metrics"
-	"memnet/internal/sim"
 	"memnet/internal/viz"
 )
-
-func parseDuration(s string) (sim.Duration, error) {
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, err
-	}
-	return sim.Duration(d.Nanoseconds()) * sim.Nanosecond, nil
-}
 
 func main() {
 	// Same GC posture as memnetsim: the live heap is a few MB but sweep
@@ -45,7 +36,10 @@ func main() {
 	// fraction of the run. A higher trigger trades a bounded RSS bump
 	// for those cycles back.
 	debug.SetGCPercent(600)
+	os.Exit(cli.Status(run()))
+}
 
+func run() error {
 	runName := flag.String("run", "", "experiment to run (or 'all')")
 	list := flag.Bool("list", false, "list experiments")
 	calibrate := flag.Bool("calibrate", false,
@@ -77,53 +71,27 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken at exit, after a final GC) to this file")
 	flag.Parse()
 
-	lease := dist.DefaultLeaseTTL
-	if *leaseF != "" {
-		d, err := time.ParseDuration(*leaseF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -lease: %v\n", err)
-			os.Exit(1)
-		}
-		if d <= 0 {
-			fmt.Fprintf(os.Stderr, "bad -lease: must be positive, got %s\n", *leaseF)
-			os.Exit(1)
-		}
-		lease = d
-	}
-	if *leaseF != "" && *coordAddr == "" {
-		fmt.Fprintf(os.Stderr, "bad -lease: requires -coordinator\n")
-		os.Exit(1)
+	lease, err := cli.Lease(*leaseF, *coordAddr)
+	if err != nil {
+		return err
 	}
 	if *calibrate {
-		runCalibrate(*jobs, *simtime, *warmup, *outDir)
-		return
+		return runCalibrate(*jobs, *simtime, *warmup, *outDir)
 	}
 	if *workerURL != "" {
-		if *coordAddr != "" || *runName != "" {
-			fmt.Fprintf(os.Stderr, "bad -worker: mutually exclusive with -coordinator and -run\n")
-			os.Exit(1)
+		if err := cli.CheckWorker(flag.CommandLine, *coordAddr, "run", *runName); err != nil {
+			return err
 		}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "cpuprofile" || f.Name == "memprofile" {
-				fmt.Fprintf(os.Stderr, "bad -%s: not supported with -worker (profiles flush only at a clean exit)\n", f.Name)
-				os.Exit(1)
-			}
-		})
-		runWorkerMode(*workerURL, *journalPath)
-		return
+		return cli.RunWorker(*workerURL, *journalPath)
 	}
 	if *coordAddr != "" && *runName == "" {
-		fmt.Fprintf(os.Stderr, "bad -coordinator: requires -run (it serves a sweep)\n")
-		os.Exit(1)
+		return errors.New("bad -coordinator: requires -run (it serves a sweep)")
 	}
 
 	if *list || *runName == "" {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "cpuprofile" || f.Name == "memprofile" {
-				fmt.Fprintf(os.Stderr, "bad -%s: requires -run (nothing to profile)\n", f.Name)
-				os.Exit(1)
-			}
-		})
+		if err := cli.Forbid(flag.CommandLine, "requires -run (nothing to profile)", "cpuprofile", "memprofile"); err != nil {
+			return err
+		}
 		fmt.Println("experiments:")
 		for _, e := range exp.Registry {
 			heavy := ""
@@ -132,76 +100,31 @@ func main() {
 			}
 			fmt.Printf("  %-9s %s%s\n", e.Name, e.Description, heavy)
 		}
-		return
+		return nil
 	}
 
-	stop, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	stopProfiles = stop
 	defer stopProfiles()
 
-	ctx, stopSignals := interruptContext()
+	ctx, stopSignals := cli.InterruptContext()
 	defer stopSignals()
 
 	r := exp.NewRunner()
 	r.Ctx = ctx
-	if r.SimTime, err = parseDuration(*simtime); err != nil {
-		fmt.Fprintf(os.Stderr, "bad -simtime: %v\n", err)
-		os.Exit(1)
+	if r.SimTime, err = cli.PositiveDuration("simtime", *simtime); err != nil {
+		return err
 	}
-	if r.SimTime <= 0 {
-		fmt.Fprintf(os.Stderr, "bad -simtime: must be positive, got %s\n", *simtime)
-		os.Exit(1)
+	if r.Warmup, err = cli.NonNegativeDuration("warmup", *warmup); err != nil {
+		return err
 	}
-	if r.Warmup, err = parseDuration(*warmup); err != nil {
-		fmt.Fprintf(os.Stderr, "bad -warmup: %v\n", err)
-		os.Exit(1)
+	if r.Retrain, err = cli.Common(*jobs, *auditEvery, *crcRetries, *retrainF); err != nil {
+		return err
 	}
-	if r.Warmup < 0 {
-		fmt.Fprintf(os.Stderr, "bad -warmup: must be non-negative, got %s\n", *warmup)
-		os.Exit(1)
-	}
-	if *jobs < 1 {
-		fmt.Fprintf(os.Stderr, "bad -jobs: need at least 1 worker, got %d\n", *jobs)
-		os.Exit(1)
-	}
-	if *auditEvery < 0 {
-		fmt.Fprintf(os.Stderr, "bad -audit: stride must be >= 0 (0 disables), got %d\n", *auditEvery)
-		os.Exit(1)
-	}
-	if *crcRetries < 0 {
-		fmt.Fprintf(os.Stderr, "bad -crcretries: must be non-negative (0 = model default), got %d\n", *crcRetries)
-		os.Exit(1)
-	}
-	if !*metricsOn {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "metrics-interval" || f.Name == "metrics-out" {
-				fmt.Fprintf(os.Stderr, "bad -%s: requires -metrics\n", f.Name)
-				os.Exit(1)
-			}
-		})
-	} else {
-		if r.Metrics, err = parseDuration(*metricsIntervalF); err != nil {
-			fmt.Fprintf(os.Stderr, "bad -metrics-interval: %v\n", err)
-			os.Exit(1)
-		}
-		if r.Metrics <= 0 {
-			fmt.Fprintf(os.Stderr, "bad -metrics-interval: must be positive, got %s\n", *metricsIntervalF)
-			os.Exit(1)
-		}
-	}
-	if *retrainF != "" {
-		if r.Retrain, err = parseDuration(*retrainF); err != nil {
-			fmt.Fprintf(os.Stderr, "bad -retrain: %v\n", err)
-			os.Exit(1)
-		}
-		if r.Retrain <= 0 {
-			fmt.Fprintf(os.Stderr, "bad -retrain: must be positive, got %s\n", *retrainF)
-			os.Exit(1)
-		}
+	if r.Metrics, err = cli.MetricsInterval(flag.CommandLine, *metricsOn, *metricsIntervalF); err != nil {
+		return err
 	}
 	r.CRCRetries = *crcRetries
 	if *verbose {
@@ -214,97 +137,46 @@ func main() {
 		r.Audit = *auditEvery
 	}
 	if *faultsFile != "" {
-		sc, err := fault.LoadScenario(*faultsFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -faults: %v\n", err)
-			os.Exit(1)
+		if r.Faults, err = fault.LoadScenario(*faultsFile); err != nil {
+			return fmt.Errorf("bad -faults: %v", err)
 		}
-		r.Faults = sc
 	}
 	var journal *exp.Journal
 	var journalLoaded map[string]exp.Result
 	if *journalPath != "" {
-		j, loaded, err := exp.OpenJournal(*journalPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -journal: %v\n", err)
-			os.Exit(1)
+		if journal, journalLoaded, err = exp.OpenJournal(*journalPath); err != nil {
+			return fmt.Errorf("bad -journal: %v", err)
 		}
-		defer j.Close()
-		if len(loaded) > 0 {
-			fmt.Fprintf(os.Stderr, "journal: resuming with %d completed cell(s) from %s\n", len(loaded), *journalPath)
+		defer journal.Close()
+		if len(journalLoaded) > 0 {
+			fmt.Fprintf(os.Stderr, "journal: resuming with %d completed cell(s) from %s\n", len(journalLoaded), *journalPath)
 		}
-		journal, journalLoaded = j, loaded
 	}
 	// In coordinator mode the coordinator owns the journal (cells are
 	// restored and appended at the merge point); locally the runner does.
-	var dc *distCoordinator
+	var dc *cli.Coordinator
 	if *coordAddr != "" {
-		dc = startCoordinator(*coordAddr, lease, journal, journalLoaded)
-		defer dc.close()
+		if dc, err = cli.StartCoordinator(*coordAddr, lease, journal, journalLoaded); err != nil {
+			return err
+		}
+		defer dc.Close()
 	} else if journal != nil {
 		r.AttachJournal(journal, journalLoaded)
 	}
 	// generate renders one experiment, fanning its cells across the local
 	// pool or, in coordinator mode, the connected workers.
-	generate := func(e exp.Experiment) string {
+	generate := func(e exp.Experiment) (string, error) {
 		if dc == nil {
-			return r.Generate(e)
+			return r.Generate(e), nil
 		}
 		if todo := r.Uncached(r.Collect(e.Run)); len(todo) > 0 {
-			results, errs := dc.sweep(todo)
+			results, errs, err := dc.Sweep(todo)
+			if err != nil {
+				return "", err
+			}
 			r.Commit(todo, results, errs)
 		}
-		return e.Run(r)
-	}
-	// Cell failures (audit violations, stalls, recovered panics) are
-	// reported after rendering: the healthy cells still produce output.
-	// An interrupt is reported as a partial run, not a cell failure —
-	// completed cells are already journaled and a -journal rerun resumes
-	// from them.
-	reportFailures := func() {
-		fails := r.Failures()
-		if err := ctx.Err(); err != nil {
-			canceled := 0
-			for _, f := range fails {
-				if errors.Is(f.Err, context.Canceled) {
-					canceled++
-				}
-			}
-			summary := fmt.Sprintf("interrupted: %d cell(s) canceled mid-sweep", canceled)
-			if journal != nil {
-				journal.Close() // flush before os.Exit skips the defer
-				summary += fmt.Sprintf("; completed cells are journaled — rerun with -journal %s to resume",
-					*journalPath)
-			}
-			if dc != nil {
-				dc.close()
-			}
-			exitInterrupted(summary)
-		}
-		if len(fails) == 0 {
-			return
-		}
-		panicked := 0
-		for _, f := range fails {
-			var pe *exp.PanicError
-			if errors.As(f.Err, &pe) {
-				panicked++
-			}
-		}
-		if panicked > 0 {
-			fmt.Fprintf(os.Stderr, "\n%d cell(s) failed (%d panicked):\n", len(fails), panicked)
-		} else {
-			fmt.Fprintf(os.Stderr, "\n%d cell(s) failed:\n", len(fails))
-		}
-		for _, f := range fails {
-			fmt.Fprintf(os.Stderr, "  %s: %v\n", f.Key, f.Err)
-		}
-		if dc != nil {
-			// os.Exit skips defers: dismiss the workers first.
-			dc.close()
-		}
-		stopProfiles()
-		os.Exit(1)
+		return e.Run(r), nil
 	}
 
 	// metricsFigure renders the sweep-aggregate time series for the
@@ -327,67 +199,94 @@ func main() {
 		}
 		return viz.RenderTimeSeries(agg)
 	}
-	exportMetrics := func() {
-		if *metricsOut == "" {
-			return
-		}
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -metrics-out: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		ents := r.MetricsEntries()
-		if strings.HasSuffix(*metricsOut, ".csv") {
-			err = metrics.WriteCSV(f, ents)
-		} else {
-			err = metrics.WriteJSONL(f, ents)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *metricsOut, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote metrics for %d cell(s) to %s\n", len(ents), *metricsOut)
-	}
 
-	save := func(name, out string) {
-		if *outDir == "" {
-			return
+	experiments := exp.Registry
+	if *runName != "all" {
+		e, ok := exp.Lookup(*runName)
+		if !ok {
+			return fmt.Errorf("unknown experiment %q; -list shows options", *runName)
 		}
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "outdir: %v\n", err)
-			os.Exit(1)
-		}
-		path := *outDir + "/" + name + ".txt"
-		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", path, err)
-			os.Exit(1)
-		}
+		experiments = []exp.Experiment{e}
 	}
-
 	fmt.Print(exp.ReportHeader(r))
-	if *runName == "all" {
-		for _, e := range exp.Registry {
-			start := time.Now()
-			out := generate(e)
-			fmt.Printf("\n%s\n(%s in %.1fs)\n", out, e.Name, time.Since(start).Seconds())
-			fmt.Print(metricsFigure())
-			save(e.Name, out)
+	if *runName != "all" {
+		fmt.Println()
+	}
+	for _, e := range experiments {
+		start := time.Now()
+		out, err := generate(e)
+		if err != nil {
+			return err
 		}
-		exportMetrics()
-		reportFailures()
-		return
+		if *runName == "all" {
+			fmt.Printf("\n%s\n(%s in %.1fs)\n", out, e.Name, time.Since(start).Seconds())
+		} else {
+			fmt.Print(out)
+		}
+		fmt.Print(metricsFigure())
+		if err := save(*outDir, e.Name+".txt", out); err != nil {
+			return err
+		}
 	}
-	e, ok := exp.Lookup(*runName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; -list shows options\n", *runName)
-		os.Exit(1)
+	if *metricsOut != "" {
+		if err := cli.WriteMetrics(*metricsOut, r.MetricsEntries()); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote metrics for %d cell(s) to %s\n", len(r.MetricsEntries()), *metricsOut)
 	}
-	fmt.Println()
-	out := generate(e)
-	fmt.Print(out)
-	fmt.Print(metricsFigure())
-	save(e.Name, out)
-	exportMetrics()
-	reportFailures()
+	return failures(ctx, r, *journalPath)
+}
+
+// failures reports the session's failed cells after rendering — the
+// healthy cells still produced output — as the command's error. An
+// interrupt is reported as a partial run, not as cell failures:
+// completed cells are already journaled and a -journal rerun resumes
+// from them.
+func failures(ctx context.Context, r *exp.Runner, journalPath string) error {
+	fails := r.Failures()
+	if ctx.Err() != nil {
+		canceled := 0
+		for _, f := range fails {
+			if errors.Is(f.Err, context.Canceled) {
+				canceled++
+			}
+		}
+		summary := fmt.Sprintf("interrupted: %d cell(s) canceled mid-sweep", canceled)
+		if journalPath != "" {
+			summary += fmt.Sprintf("; completed cells are journaled — rerun with -journal %s to resume", journalPath)
+		}
+		return cli.Interrupted(summary)
+	}
+	if len(fails) == 0 {
+		return nil
+	}
+	errs := make([]error, len(fails))
+	for i, f := range fails {
+		errs[i] = f.Err
+	}
+	var b strings.Builder
+	if panicked := cli.Panics(errs); panicked > 0 {
+		fmt.Fprintf(&b, "\n%d cell(s) failed (%d panicked):", len(fails), panicked)
+	} else {
+		fmt.Fprintf(&b, "\n%d cell(s) failed:", len(fails))
+	}
+	for _, f := range fails {
+		fmt.Fprintf(&b, "\n  %s: %v", f.Key, f.Err)
+	}
+	return errors.New(b.String())
+}
+
+// save writes one experiment's output to dir/name, when dir is set.
+func save(dir, name, out string) error {
+	if dir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("outdir: %v", err)
+	}
+	path := dir + "/" + name
+	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+		return fmt.Errorf("write %s: %v", path, err)
+	}
+	return nil
 }

@@ -12,19 +12,15 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"time"
 
 	"memnet/internal/audit"
-	"memnet/internal/core"
-	"memnet/internal/dist"
+	"memnet/internal/cli"
 	"memnet/internal/exp"
 	"memnet/internal/fault"
-	"memnet/internal/link"
 	"memnet/internal/metrics"
 	"memnet/internal/network"
 	"memnet/internal/sim"
@@ -41,7 +37,10 @@ func main() {
 	// a third of the run. Letting the heap grow several multiples first
 	// trades tens of MB of peak RSS for those cycles back.
 	debug.SetGCPercent(600)
+	os.Exit(cli.Status(run()))
+}
 
+func run() error {
 	wlName := flag.String("wl", "mixB", "workload profile")
 	topoName := flag.String("topo", "star", "daisychain | 'ternary tree' | star | DDRx-like")
 	sizeName := flag.String("size", "small", "small (4GB/module) or big (1GB/module)")
@@ -81,279 +80,200 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken at exit, after a final GC) to this file")
 	flag.Parse()
 
-	lease := dist.DefaultLeaseTTL
-	if *leaseF != "" {
-		d, err := time.ParseDuration(*leaseF)
-		if err != nil {
-			log.Fatalf("bad -lease: %v", err)
-		}
-		if d <= 0 {
-			log.Fatalf("bad -lease: must be positive, got %s", *leaseF)
-		}
-		lease = d
-	}
-	if *leaseF != "" && *coordAddr == "" {
-		log.Fatalf("bad -lease: requires -coordinator")
+	lease, err := cli.Lease(*leaseF, *coordAddr)
+	if err != nil {
+		return err
 	}
 	if *workerURL != "" {
-		if *coordAddr != "" || *config != "" {
-			log.Fatalf("bad -worker: mutually exclusive with -coordinator and -config")
+		if err := cli.CheckWorker(flag.CommandLine, *coordAddr, "config", *config); err != nil {
+			return err
 		}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "cpuprofile" || f.Name == "memprofile" {
-				log.Fatalf("bad -%s: not supported with -worker (profiles flush only at a clean exit)", f.Name)
-			}
-		})
-		runWorkerMode(*workerURL, *journalPath)
-		return
+		return cli.RunWorker(*workerURL, *journalPath)
 	}
 	if *coordAddr != "" && *config == "" {
-		log.Fatalf("bad -coordinator: requires -config (it serves a batch)")
+		return errors.New("bad -coordinator: requires -config (it serves a batch)")
 	}
-	if *jobs < 1 {
-		log.Fatalf("bad -jobs: need at least 1 worker, got %d", *jobs)
-	}
-	if *auditEvery < 0 {
-		log.Fatalf("bad -audit: stride must be >= 0 (0 disables), got %d", *auditEvery)
+	retrain, err := cli.Common(*jobs, *auditEvery, *crcRetries, *retrainF)
+	if err != nil {
+		return err
 	}
 	if *retries < 0 {
-		log.Fatalf("bad -retries: must be non-negative, got %d", *retries)
-	}
-	if *crcRetries < 0 {
-		log.Fatalf("bad -crcretries: must be non-negative (0 = model default), got %d", *crcRetries)
-	}
-	var retrainDur sim.Duration
-	if *retrainF != "" {
-		rt, err := time.ParseDuration(*retrainF)
-		if err != nil {
-			log.Fatalf("bad -retrain: %v", err)
-		}
-		if rt <= 0 {
-			log.Fatalf("bad -retrain: must be positive, got %s", *retrainF)
-		}
-		retrainDur = sim.Duration(rt.Nanoseconds()) * sim.Nanosecond
+		return fmt.Errorf("bad -retries: must be non-negative, got %d", *retries)
 	}
 	if *wakeup <= 0 {
-		log.Fatalf("bad -wakeup: must be a positive nanosecond count, got %d", *wakeup)
+		return fmt.Errorf("bad -wakeup: must be a positive nanosecond count, got %d", *wakeup)
 	}
 	if *alpha < 0 {
-		log.Fatalf("bad -alpha: slowdown factor must be non-negative, got %g", *alpha)
+		return fmt.Errorf("bad -alpha: slowdown factor must be non-negative, got %g", *alpha)
 	}
-	if !*metricsOn {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "metrics-interval" || f.Name == "metrics-out" {
-				log.Fatalf("bad -%s: requires -metrics", f.Name)
-			}
-		})
-	}
-	var metricsIv sim.Duration
-	if *metricsOn {
-		mi, err := time.ParseDuration(*metricsIntervalF)
-		if err != nil {
-			log.Fatalf("bad -metrics-interval: %v", err)
-		}
-		if mi <= 0 {
-			log.Fatalf("bad -metrics-interval: must be positive, got %s", *metricsIntervalF)
-		}
-		metricsIv = sim.Duration(mi.Nanoseconds()) * sim.Nanosecond
+	metricsIv, err := cli.MetricsInterval(flag.CommandLine, *metricsOn, *metricsIntervalF)
+	if err != nil {
+		return err
 	}
 
-	stop, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	stopProfiles = stop
 	defer stopProfiles()
 
 	if *sweepbench != "" {
 		if *metricsOn {
-			log.Fatalf("bad -metrics: not supported with -sweepbench (it times its own metrics pass)")
+			return errors.New("bad -metrics: not supported with -sweepbench (it times its own metrics pass)")
 		}
 		// No interrupt context here on purpose: arming a cancelable
 		// kernel check is exactly the overhead the bench measures in a
 		// separate pass, so the timed runs stay unarmed.
-		runSweepBench(*sweepbench, *jobs)
-		return
+		return runSweepBench(*sweepbench, *jobs)
 	}
 
-	ctx, stopSignals := interruptContext()
+	ctx, stopSignals := cli.InterruptContext()
 	defer stopSignals()
 
-	if *config != "" {
-		runBatch(ctx, *config, *jobs, *auditEvery, *journalPath, retrainDur, *crcRetries, metricsIv, *metricsOut,
-			*coordAddr, lease)
-		return
-	}
-
-	wl, err := workload.ByName(*wlName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	kind, err := topology.ParseKind(*topoName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mech, err := exp.ParseMech(*mechName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	policy, err := exp.ParsePolicy(*policyName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	size := exp.Small
-	if *sizeName == "big" {
-		size = exp.Big
-	} else if *sizeName != "small" {
-		log.Fatalf("unknown size %q", *sizeName)
-	}
-	st, err := time.ParseDuration(*simtime)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if st <= 0 {
-		log.Fatalf("bad -simtime: must be positive, got %s", *simtime)
-	}
-	wu, err := time.ParseDuration(*warmupF)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if wu < 0 {
-		log.Fatalf("bad -warmup: must be non-negative, got %s", *warmupF)
-	}
-
-	spec := exp.Spec{
-		Workload: wl,
-		Topology: kind,
-		Size:     size,
-		Mech:     mech,
-		Policy:   policy,
-		Alpha:    *alpha,
-		Wakeup:   sim.Duration(*wakeup) * sim.Nanosecond,
-		SimTime:  sim.Duration(st.Nanoseconds()) * sim.Nanosecond,
-		Warmup:   sim.Duration(wu.Nanoseconds()) * sim.Nanosecond,
-		Watchdog: *watchdog,
+	// base carries the run settings every spec shares; batch specs take
+	// them where their config leaves a field unset.
+	base := exp.Spec{
+		AuditEvery:      -1,
+		RetrainLatency:  retrain,
+		CRCRetryLimit:   *crcRetries,
+		MetricsInterval: metricsIv,
 	}
 	if *auditEvery > 0 {
-		spec.AuditEvery = *auditEvery
-	} else {
-		spec.AuditEvery = -1
+		base.AuditEvery = *auditEvery
 	}
+	if *config != "" {
+		return runBatch(ctx, *config, base, *jobs, *journalPath, *metricsOut, *coordAddr, lease)
+	}
+
+	spec := base
+	if spec.Workload, err = workload.ByName(*wlName); err != nil {
+		return err
+	}
+	if spec.Topology, err = topology.ParseKind(*topoName); err != nil {
+		return err
+	}
+	if spec.Mech, err = exp.ParseMech(*mechName); err != nil {
+		return err
+	}
+	if spec.Policy, err = exp.ParsePolicy(*policyName); err != nil {
+		return err
+	}
+	switch *sizeName {
+	case "small":
+		spec.Size = exp.Small
+	case "big":
+		spec.Size = exp.Big
+	default:
+		return fmt.Errorf("unknown size %q", *sizeName)
+	}
+	if spec.SimTime, err = exp.ParseSimDuration(*simtime); err != nil {
+		return err
+	}
+	if spec.SimTime <= 0 {
+		return fmt.Errorf("bad -simtime: must be positive, got %s", *simtime)
+	}
+	if spec.Warmup, err = exp.ParseSimDuration(*warmupF); err != nil {
+		return err
+	}
+	if spec.Warmup < 0 {
+		return fmt.Errorf("bad -warmup: must be non-negative, got %s", *warmupF)
+	}
+	spec.Alpha = *alpha
+	spec.Wakeup = sim.Duration(*wakeup) * sim.Nanosecond
+	spec.Watchdog = *watchdog
 	if *faultsFile != "" {
-		sc, err := fault.LoadScenario(*faultsFile)
-		if err != nil {
-			log.Fatal(err)
+		if spec.Faults, err = fault.LoadScenario(*faultsFile); err != nil {
+			return err
 		}
-		spec.Faults = sc
 	}
 	if *timeoutF != "" {
-		to, err := time.ParseDuration(*timeoutF)
-		if err != nil {
-			log.Fatal(err)
+		if spec.RequestTimeout, err = exp.ParseSimDuration(*timeoutF); err != nil {
+			return err
 		}
-		if to <= 0 {
-			log.Fatalf("bad -timeout: must be positive, got %s", *timeoutF)
+		if spec.RequestTimeout <= 0 {
+			return fmt.Errorf("bad -timeout: must be positive, got %s", *timeoutF)
 		}
-		spec.RequestTimeout = sim.Duration(to.Nanoseconds()) * sim.Nanosecond
 		spec.MaxRetries = *retries
 	}
-	spec.RetrainLatency = retrainDur
-	spec.CRCRetryLimit = *crcRetries
-	spec.MetricsInterval = metricsIv
 
 	if *trace {
 		if *metricsOn {
-			log.Fatalf("bad -metrics: not supported with -trace (the trace is already per-epoch)")
+			return errors.New("bad -metrics: not supported with -trace (the trace is already per-epoch)")
 		}
-		runTrace(spec)
-		return
+		return runTrace(spec)
 	}
 
 	start := time.Now()
 	res, err := exp.RunCtx(ctx, spec)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
-			exitInterrupted(fmt.Sprintf(
+			return cli.Interrupted(fmt.Sprintf(
 				"interrupted after %.2fs wall; no result (single runs have nothing partial to keep)",
 				time.Since(start).Seconds()))
 		}
-		log.Fatal(err)
+		return err
 	}
 	report(res, time.Since(start))
-	if *metricsOn {
-		fmt.Print(viz.RenderTimeSeries(res.Metrics))
-		writeMetricsFile(*metricsOut, []metrics.Entry{{Key: spec.Key(), Dump: res.Metrics}})
+	if !*metricsOn {
+		return nil
 	}
+	fmt.Print(viz.RenderTimeSeries(res.Metrics))
+	return exportMetrics(*metricsOut, []metrics.Entry{{Key: spec.Key(), Dump: res.Metrics}})
 }
 
-// writeMetricsFile exports sampled metrics, picking the format from the
-// file extension (.csv gets CSV, anything else JSON lines). An empty
-// path is a no-op so callers can pass -metrics-out through unchecked.
-func writeMetricsFile(path string, entries []metrics.Entry) {
+// exportMetrics writes -metrics-out, if set, and says so.
+func exportMetrics(path string, entries []metrics.Entry) error {
 	if path == "" {
-		return
+		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatalf("bad -metrics-out: %v", err)
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".csv") {
-		err = metrics.WriteCSV(f, entries)
-	} else {
-		err = metrics.WriteJSONL(f, entries)
-	}
-	if err != nil {
-		log.Fatalf("write %s: %v", path, err)
+	if err := cli.WriteMetrics(path, entries); err != nil {
+		return err
 	}
 	fmt.Printf("wrote metrics to %s\n", path)
+	return nil
 }
 
 // runBatch executes every run in a JSON config file across jobs workers;
-// reports print in config order regardless of completion order. A failed
-// run (audit violation, stall, recovered panic) is reported in place and
-// flips the exit status without aborting the remaining runs; with
-// -journal, completed runs are restored on restart instead of re-run.
-// With coordAddr the cells are served to distributed workers instead of
-// the local pool; the report and journal stay byte-identical. SIGINT or
-// SIGTERM cancels ctx: in-flight cells abort at the next kernel check,
-// completed runs stay journaled, and the process exits 130 after a
-// partial-results summary.
-func runBatch(ctx context.Context, path string, jobs, auditEvery int, journalPath string, retrain sim.Duration,
-	crcRetries int, metricsIv sim.Duration, metricsOut string, coordAddr string, lease time.Duration) {
+// reports print in config order regardless of completion order. Runs
+// take base's audit stride, recovery knobs and metrics interval where
+// the config leaves them unset. A failed run (audit violation, stall,
+// recovered panic) is reported in place and fails the batch without
+// aborting the remaining runs; with -journal, completed runs are
+// restored on restart instead of re-run. With coordAddr the cells are
+// served to distributed workers instead of the local pool; the report
+// and journal stay byte-identical. SIGINT or SIGTERM cancels ctx:
+// in-flight cells abort at the next kernel check, completed runs stay
+// journaled, and the command exits 130 after a partial-results summary.
+func runBatch(ctx context.Context, path string, base exp.Spec, jobs int, journalPath, metricsOut, coordAddr string,
+	lease time.Duration) error {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer f.Close()
 	specs, err := exp.LoadBatch(f)
+	f.Close()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i := range specs {
 		if specs[i].AuditEvery == 0 {
-			if auditEvery > 0 {
-				specs[i].AuditEvery = auditEvery
-			} else {
-				specs[i].AuditEvery = -1
-			}
+			specs[i].AuditEvery = base.AuditEvery
 		}
 		if specs[i].RetrainLatency <= 0 {
-			specs[i].RetrainLatency = retrain
+			specs[i].RetrainLatency = base.RetrainLatency
 		}
 		if specs[i].CRCRetryLimit <= 0 {
-			specs[i].CRCRetryLimit = crcRetries
+			specs[i].CRCRetryLimit = base.CRCRetryLimit
 		}
 		if specs[i].MetricsInterval <= 0 {
-			specs[i].MetricsInterval = metricsIv
+			specs[i].MetricsInterval = base.MetricsInterval
 		}
 	}
 	var j *exp.Journal
 	loaded := map[string]exp.Result{}
 	if journalPath != "" {
-		j, loaded, err = exp.OpenJournal(journalPath)
-		if err != nil {
-			log.Fatal(err)
+		if j, loaded, err = exp.OpenJournal(journalPath); err != nil {
+			return err
 		}
 		defer j.Close()
 		if len(loaded) > 0 {
@@ -364,11 +284,19 @@ func runBatch(ctx context.Context, path string, jobs, auditEvery int, journalPat
 	var results []exp.Result
 	var errs []error
 	if coordAddr != "" {
-		results, errs = serveBatch(coordAddr, lease, specs, j, loaded)
+		dc, err := cli.StartCoordinator(coordAddr, lease, j, loaded)
+		if err != nil {
+			return err
+		}
+		results, errs, err = dc.Sweep(specs)
+		dc.Close()
+		if err != nil {
+			return err
+		}
 	} else {
 		results, errs = exp.RunSpecsJournaledCtx(ctx, specs, jobs, j, loaded)
 	}
-	if err := ctx.Err(); err != nil {
+	if ctx.Err() != nil {
 		completed := 0
 		for _, e := range errs {
 			if e == nil {
@@ -377,10 +305,9 @@ func runBatch(ctx context.Context, path string, jobs, auditEvery int, journalPat
 		}
 		summary := fmt.Sprintf("interrupted: %d of %d runs completed", completed, len(specs))
 		if j != nil {
-			j.Close() // flush before os.Exit skips the defer
 			summary += fmt.Sprintf("; rerun with -journal %s to resume", journalPath)
 		}
-		exitInterrupted(summary)
+		return cli.Interrupted(summary)
 	}
 	failed := 0
 	var entries []metrics.Entry
@@ -397,19 +324,18 @@ func runBatch(ctx context.Context, path string, jobs, auditEvery int, journalPat
 			entries = append(entries, metrics.Entry{Key: specs[i].Key(), Dump: res.Metrics})
 		}
 	}
-	writeMetricsFile(metricsOut, entries)
+	if err := exportMetrics(metricsOut, entries); err != nil {
+		return err
+	}
 	fmt.Printf("batch: %d runs in %.2fs wall (-jobs %d)\n",
 		len(specs), time.Since(start).Seconds(), jobs)
-	if failed > 0 {
-		if panicked := countPanics(errs); panicked > 0 {
-			fmt.Fprintf(os.Stderr, "%d of %d runs failed (%d panicked)\n", failed, len(specs), panicked)
-		} else {
-			fmt.Fprintf(os.Stderr, "%d of %d runs failed\n", failed, len(specs))
-		}
-		// os.Exit skips defers: flush any armed profiles first.
-		stopProfiles()
-		os.Exit(1)
+	if failed == 0 {
+		return nil
 	}
+	if panicked := cli.Panics(errs); panicked > 0 {
+		return fmt.Errorf("%d of %d runs failed (%d panicked)", failed, len(specs), panicked)
+	}
+	return fmt.Errorf("%d of %d runs failed", failed, len(specs))
 }
 
 // runSweepBench measures the sweep executor against the sequential path
@@ -419,20 +345,21 @@ func runBatch(ctx context.Context, path string, jobs, auditEvery int, journalPat
 // a noisy shared box — and MeasureSweep's interleaved min-of-N rounds
 // keep the overhead ratios (held to an absolute budget by benchdiff)
 // from comparing walls across a phase boundary.
-func runSweepBench(path string, jobs int) {
+func runSweepBench(path string, jobs int) error {
 	specs, err := exp.BenchSweepSpecs(150*sim.Microsecond, 25*sim.Microsecond)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	bench, err := exp.MeasureSweep(specs, jobs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := bench.WriteJSON(path); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println(bench)
 	fmt.Printf("wrote %s\n", path)
+	return nil
 }
 
 // report prints one run's results.
@@ -480,46 +407,28 @@ func report(res exp.Result, wall time.Duration) {
 	}
 }
 
-// runTrace replays the spec with per-epoch reporting.
-func runTrace(spec exp.Spec) {
-	kernel := sim.NewKernel()
-	n := spec.Workload.Modules(spec.Size.ChunkGB())
-	topo, err := topology.Build(spec.Topology, n)
+// runTrace steps spec's simulation — the very run RunCtx would measure
+// — in 100 µs epochs, printing each epoch's throughput, read latency and
+// channel utilization with the manager's running violation and grant
+// counts.
+func runTrace(spec exp.Spec) error {
+	s, err := exp.Build(spec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	cfg := network.DefaultConfig()
-	cfg.Mechanism = spec.Mech.BW
-	cfg.ROO = spec.Mech.ROO
-	cfg.Wakeup = spec.Wakeup
-	cfg.ChunkBytes = uint64(spec.Size.ChunkGB()) << 30
-	net := network.New(kernel, topo, cfg)
-	mgr := core.Attach(kernel, net, core.DefaultConfig(spec.Policy, spec.Alpha))
-	fe, err := workload.NewFrontEnd(kernel, net, spec.Workload, workload.DefaultFrontEndConfig(42))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fe.Start()
-	fmt.Printf("%s on %v\n", fe, topo)
+	fmt.Printf("%s on %v\n", s.FrontEnd, s.Net.Topo)
 
 	epoch := 100 * sim.Microsecond
-	total := spec.Warmup + spec.SimTime
-	prev := net.TakeSnapshot()
-	for now := epoch; now <= total; now += epoch {
-		kernel.Run(now)
-		snap := net.TakeSnapshot()
-		viol, grant := mgr.Violations()
+	prev := s.Net.TakeSnapshot()
+	for now := epoch; now <= s.Spec.Warmup+s.Spec.SimTime; now += epoch {
+		s.Kernel.Run(now)
+		snap := s.Net.TakeSnapshot()
+		viol, grant := s.Manager.Violations()
 		fmt.Printf("epoch %3d: thr=%7.1fM/s lat=%9s chanUtil=%3.0f%% viol=%d grant=%d\n",
 			int(now/epoch), network.Throughput(prev, snap)/1e6,
 			network.AvgReadLatency(prev, snap), 100*network.ChannelUtilization(prev, snap),
 			viol, grant)
-		if os.Getenv("MEMNETSIM_LINKS") != "" {
-			for li, l := range net.Links {
-				fmt.Printf("   link%-3d %-8s d%d bw=%d roo=%d state=%d forced=%v maxq=%d\n",
-					li, l.Dir, l.Depth, l.BWTarget(), l.ROOMode(), l.State(), l.Forced(), l.MaxQueue())
-			}
-		}
 		prev = snap
 	}
-	_ = link.WakeupDefault
+	return s.Finish()
 }

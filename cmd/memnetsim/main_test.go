@@ -3,6 +3,7 @@ package main
 import (
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -47,5 +48,36 @@ func TestRecoveryFlagValidation(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "power/HMC") {
 		t.Fatalf("run with recovery flags produced no report:\n%s", out)
+	}
+}
+
+// TestTraceShowsFaultedRun: -trace must step the run the report
+// measures, every run flag included. With a 100 µs warmup and a 100 µs
+// measured interval, epoch 2 of the trace is exactly the measured
+// interval, so its throughput must print the report's figure; under the
+// scenario's link failure that is a fraction of the fault-free rate.
+func TestTraceShowsFaultedRun(t *testing.T) {
+	bin := buildCLI(t)
+	args := []string{"-wl", "mixB", "-topo", "daisychain", "-simtime", "100us", "-warmup", "100us",
+		"-faults", filepath.Join("testdata", "faults_metrics.json"), "-timeout", "2us"}
+	rep, err := exec.Command(bin, args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("report run: %v\n%s", err, rep)
+	}
+	m := regexp.MustCompile(`throughput: +(\d+\.\d) M accesses/s`).FindSubmatch(rep)
+	if m == nil {
+		t.Fatalf("no throughput in report:\n%s", rep)
+	}
+	tr, err := exec.Command(bin, append(args, "-trace")...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("trace run: %v\n%s", err, tr)
+	}
+	e := regexp.MustCompile(`epoch +2: thr= *(\d+\.\d)M/s`).FindSubmatch(tr)
+	if e == nil {
+		t.Fatalf("no epoch 2 in trace:\n%s", tr)
+	}
+	if string(e[1]) != string(m[1]) {
+		t.Errorf("trace epoch 2 shows %s M/s, the report measured %s M/s over the same interval:\n%s\n%s",
+			e[1], m[1], tr, rep)
 	}
 }

@@ -9,14 +9,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"os"
-	"time"
 
-	"memnet/internal/core"
-	"memnet/internal/link"
+	"memnet/internal/cli"
+	"memnet/internal/exp"
 	"memnet/internal/network"
 	"memnet/internal/sim"
 	"memnet/internal/topology"
@@ -24,128 +23,105 @@ import (
 	"memnet/internal/workload"
 )
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+var errUsage = &cli.Exit{Code: 2, Msg: `usage:
   memnettrace record -wl <workload> -o <file> [-topo t] [-size s] [-simtime d]
   memnettrace info <file>
-  memnettrace replay [-topo t] [-size s] [-mech m] [-policy p] [-alpha a] <file>`)
-	os.Exit(2)
-}
+  memnettrace replay [-topo t] [-size s] [-mech m] [-policy p] [-alpha a] <file>`}
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func main() { os.Exit(cli.Status(run(os.Args[1:]))) }
+
+func run(args []string) error {
+	if len(args) < 1 {
+		return errUsage
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "record":
-		record(os.Args[2:])
+		return record(args[1:])
 	case "info":
-		info(os.Args[2:])
+		return info(args[1:])
 	case "replay":
-		replay(os.Args[2:])
-	default:
-		usage()
+		return replay(args[1:])
 	}
+	return errUsage
 }
 
-func simDuration(fs *flag.FlagSet, name, def, help string) func() sim.Duration {
-	s := fs.String(name, def, help)
-	return func() sim.Duration {
-		d, err := time.ParseDuration(*s)
-		if err != nil {
-			log.Fatalf("bad -%s: %v", name, err)
-		}
-		return sim.Duration(d.Nanoseconds()) * sim.Nanosecond
+// netSpec parses the network flags record and replay share into a spec.
+func netSpec(topo, size, mech, policy string, alpha float64) (exp.Spec, error) {
+	spec := exp.Spec{Alpha: alpha}
+	var err error
+	if spec.Topology, err = topology.ParseKind(topo); err != nil {
+		return spec, fmt.Errorf("bad -topo: %v", err)
 	}
+	if spec.Size, err = exp.ParseSize(size); err != nil {
+		return spec, fmt.Errorf("bad -size: %v", err)
+	}
+	if spec.Mech, err = exp.ParseMech(mech); err != nil {
+		return spec, fmt.Errorf("bad -mech: %v", err)
+	}
+	if spec.Policy, err = exp.ParsePolicy(policy); err != nil {
+		return spec, fmt.Errorf("bad -policy: %v", err)
+	}
+	return spec, nil
 }
 
-func record(args []string) {
+// record runs the workload on a full-power network — the spec's own
+// seeded traffic, as memnetsim would run it — and writes every access
+// it injects.
+func record(args []string) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	wlName := fs.String("wl", "mixB", "workload profile")
 	out := fs.String("o", "", "output trace file (required)")
 	topoName := fs.String("topo", "star", "topology used while recording")
 	sizeName := fs.String("size", "small", "small or big")
-	simtime := simDuration(fs, "simtime", "400us", "recording window")
+	simtime := fs.String("simtime", "400us", "recording window")
 	fs.Parse(args)
 	if *out == "" {
-		log.Fatal("record: -o is required")
+		return errors.New("record: -o is required")
 	}
-	wl, err := workload.ByName(*wlName)
+	spec, err := netSpec(*topoName, *sizeName, "FP", "none", 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	k := sim.NewKernel()
-	net := makeNet(k, *topoName, *sizeName, "FP", wl.Modules(chunkGBOf(*sizeName)))
+	if spec.Workload, err = workload.ByName(*wlName); err != nil {
+		return fmt.Errorf("bad -wl: %v", err)
+	}
+	if spec.SimTime, err = cli.PositiveDuration("simtime", *simtime); err != nil {
+		return err
+	}
+	s, err := exp.Build(spec)
+	if err != nil {
+		return err
+	}
 	f, err := os.Create(*out)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	w := trace.NewWriter(f)
-	rec := trace.AttachRecorder(net, w)
-	fe, err := workload.NewFrontEnd(k, net, wl, workload.DefaultFrontEndConfig(42))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fe.Start()
-	k.Run(simtime())
+	rec := trace.AttachRecorder(s.Net, w)
+	s.Kernel.Run(spec.SimTime)
 	if rec.Err() != nil {
-		log.Fatal(rec.Err())
+		return rec.Err()
 	}
 	if err := w.Flush(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("recorded %d accesses of %s over %s to %s\n", w.Count(), wl.Name, simtime(), *out)
+	fmt.Printf("recorded %d accesses of %s over %s to %s\n", w.Count(), spec.Workload.Name, spec.SimTime, *out)
+	return nil
 }
 
-func chunkGBOf(size string) int {
-	if size == "big" {
-		return 1
-	}
-	return 4
-}
-
-func makeNet(k *sim.Kernel, topoName, sizeName, mechName string, modules int) *network.Network {
-	kind, err := topology.ParseKind(topoName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	topo, err := topology.Build(kind, modules)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := network.DefaultConfig()
-	cfg.ChunkBytes = uint64(chunkGBOf(sizeName)) << 30
-	switch mechName {
-	case "FP":
-	case "VWL":
-		cfg.Mechanism = link.MechVWL
-	case "ROO":
-		cfg.ROO = true
-	case "VWL+ROO":
-		cfg.Mechanism, cfg.ROO = link.MechVWL, true
-	case "DVFS":
-		cfg.Mechanism = link.MechDVFS
-	case "DVFS+ROO":
-		cfg.Mechanism, cfg.ROO = link.MechDVFS, true
-	default:
-		log.Fatalf("unknown mechanism %q", mechName)
-	}
-	return network.New(k, topo, cfg)
-}
-
-func info(args []string) {
+func info(args []string) error {
 	if len(args) != 1 {
-		usage()
+		return errUsage
 	}
 	f, err := os.Open(args[0])
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	s, err := trace.Summarize(f)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("records:   %d (%d reads, %d writes)\n", s.Records, s.Reads, s.Writes)
 	fmt.Printf("span:      %s (first at %s)\n", s.Span, s.FirstAt)
@@ -154,9 +130,12 @@ func info(args []string) {
 		rate := float64(s.Records) / s.Span.Seconds()
 		fmt.Printf("rate:      %.1f M accesses/s\n", rate/1e6)
 	}
+	return nil
 }
 
-func replay(args []string) {
+// replay drives a recorded trace through the spec's network and power
+// manager, sized to the trace's highest address.
+func replay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	topoName := fs.String("topo", "star", "topology")
 	sizeName := fs.String("size", "small", "small or big")
@@ -166,23 +145,27 @@ func replay(args []string) {
 	scale := fs.Float64("timescale", 1.0, "stretch (>1) or compress (<1) inter-arrival times")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		usage()
+		return errUsage
+	}
+	spec, err := netSpec(*topoName, *sizeName, *mechName, *policyName, *alpha)
+	if err != nil {
+		return err
 	}
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	tr, err := trace.NewReader(f)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	records, err := tr.ReadAll()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if len(records) == 0 {
-		log.Fatal("replay: empty trace")
+		return errors.New("replay: empty trace")
 	}
 	maxAddr := uint64(0)
 	for _, r := range records {
@@ -190,29 +173,16 @@ func replay(args []string) {
 			maxAddr = r.Addr
 		}
 	}
-	chunk := uint64(chunkGBOf(*sizeName)) << 30
-	modules := int(maxAddr/chunk) + 1
+	modules := int(maxAddr/(uint64(spec.Size.ChunkGB())<<30)) + 1
 
 	k := sim.NewKernel()
-	net := makeNet(k, *topoName, *sizeName, *mechName, modules)
-	var pk core.PolicyKind
-	switch *policyName {
-	case "none", "fp":
-		pk = core.PolicyNone
-	case "unaware":
-		pk = core.PolicyUnaware
-	case "aware":
-		pk = core.PolicyAware
-	case "static":
-		pk = core.PolicyStatic
-	default:
-		log.Fatalf("unknown policy %q", *policyName)
+	net, _, err := exp.BuildNetwork(k, spec, modules)
+	if err != nil {
+		return err
 	}
-	core.Attach(k, net, core.DefaultConfig(pk, *alpha))
-
 	player, err := trace.NewPlayer(k, net, records, *scale)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	start := net.TakeSnapshot()
 	player.Start()
@@ -227,4 +197,5 @@ func replay(args []string) {
 	fmt.Printf("  idle I/O:     %.1f%% of total\n", 100*p.IdleIO/p.Total())
 	fmt.Printf("  read latency: %s (avg)\n", network.AvgReadLatency(start, end))
 	fmt.Printf("  throughput:   %.1f M accesses/s\n", network.Throughput(start, end)/1e6)
+	return nil
 }

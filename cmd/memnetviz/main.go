@@ -10,10 +10,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
-	"time"
+	"os"
 
-	"memnet/internal/core"
+	"memnet/internal/cli"
 	"memnet/internal/exp"
 	"memnet/internal/link"
 	"memnet/internal/network"
@@ -23,7 +22,9 @@ import (
 	"memnet/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(cli.Status(run())) }
+
+func run() error {
 	wlName := flag.String("wl", "sp.D", "workload profile")
 	topoName := flag.String("topo", "daisychain", "topology")
 	sizeName := flag.String("size", "big", "small or big")
@@ -33,55 +34,38 @@ func main() {
 	simtime := flag.String("simtime", "500us", "simulated time")
 	flag.Parse()
 
-	wl, err := workload.ByName(*wlName)
-	if err != nil {
-		log.Fatal(err)
+	spec := exp.Spec{Alpha: *alpha}
+	var err error
+	if spec.Workload, err = workload.ByName(*wlName); err != nil {
+		return fmt.Errorf("bad -wl: %v", err)
 	}
-	kind, err := topology.ParseKind(*topoName)
-	if err != nil {
-		log.Fatal(err)
+	if spec.Topology, err = topology.ParseKind(*topoName); err != nil {
+		return fmt.Errorf("bad -topo: %v", err)
 	}
-	mech, err := exp.ParseMech(*mechName)
-	if err != nil {
-		log.Fatal(err)
+	if spec.Mech, err = exp.ParseMech(*mechName); err != nil {
+		return fmt.Errorf("bad -mech: %v", err)
 	}
-	policy, err := exp.ParsePolicy(*policyName)
-	if err != nil {
-		log.Fatal(err)
+	if spec.Policy, err = exp.ParsePolicy(*policyName); err != nil {
+		return fmt.Errorf("bad -policy: %v", err)
 	}
-	size, err := exp.ParseSize(*sizeName)
-	if err != nil {
-		log.Fatal(err)
+	if spec.Size, err = exp.ParseSize(*sizeName); err != nil {
+		return fmt.Errorf("bad -size: %v", err)
 	}
-	dur, err := time.ParseDuration(*simtime)
-	if err != nil {
-		log.Fatal(err)
+	if spec.SimTime, err = cli.PositiveDuration("simtime", *simtime); err != nil {
+		return err
 	}
-	horizon := sim.Duration(dur.Nanoseconds()) * sim.Nanosecond
-
-	kernel := sim.NewKernel()
-	topo, err := topology.Build(kind, wl.Modules(size.ChunkGB()))
+	s, err := exp.Build(spec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	cfg := network.DefaultConfig()
-	cfg.Mechanism = mech.BW
-	cfg.ROO = mech.ROO
-	cfg.ChunkBytes = uint64(size.ChunkGB()) << 30
-	net := network.New(kernel, topo, cfg)
-	core.Attach(kernel, net, core.DefaultConfig(policy, *alpha))
-	fe, err := workload.NewFrontEnd(kernel, net, wl, workload.DefaultFrontEndConfig(42))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fe.Start()
+	net, mech := s.Net, s.Spec.Mech
 
 	// Sample channel utilization per epoch for the sparkline.
 	epoch := 100 * sim.Microsecond
 	var chanSeries []float64
 	prev := net.TakeSnapshot()
-	for now := epoch; now <= horizon; now += epoch {
-		kernel.Run(now)
+	for now := epoch; now <= s.Spec.SimTime; now += epoch {
+		s.Kernel.Run(now)
 		snap := net.TakeSnapshot()
 		chanSeries = append(chanSeries, network.ChannelUtilization(prev, snap))
 		prev = snap
@@ -90,7 +74,7 @@ func main() {
 	elapsed := final.At
 
 	fmt.Printf("%s on %s %s, %s links, %s policy, alpha=%.1f%%, %s simulated\n\n",
-		wl.Name, size, kind, mech, policy, 100**alpha, elapsed)
+		spec.Workload.Name, spec.Size, spec.Topology, mech, spec.Policy, 100*spec.Alpha, elapsed)
 
 	linkDesc := func(l *link.Link) string {
 		util := float64(l.BusyTime()) / float64(elapsed)
@@ -111,10 +95,11 @@ func main() {
 		mod := net.Modules[m]
 		return fmt.Sprintf("↓%s  ↑%s", linkDesc(mod.UpReq), linkDesc(mod.UpResp))
 	}
-	fmt.Print(viz.RenderTree(topo, annotate))
+	fmt.Print(viz.RenderTree(net.Topo, annotate))
 
 	fmt.Printf("\nchannel utilization per epoch: %s\n", viz.Sparkline(chanSeries))
 	p := network.IntervalPower(network.Snapshot{}, final)
 	fmt.Printf("avg power: %.2f W total (%.2f W/HMC), idle I/O %.0f%%\n",
-		p.Total(), p.Total()/float64(topo.N()), 100*p.IdleIO/p.Total())
+		p.Total(), p.Total()/float64(net.Topo.N()), 100*p.IdleIO/p.Total())
+	return nil
 }

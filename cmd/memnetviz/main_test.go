@@ -1,0 +1,58 @@
+package main
+
+import (
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// buildCLI compiles this command into a temp dir so the tests drive the
+// real flag-parsing path end to end.
+func buildCLI(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "memnetviz")
+	out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestRendersTreeAndSparkline: a short run prints the module tree with
+// one annotated row per module under the processor, and one sparkline
+// glyph per 100 µs epoch.
+func TestRendersTreeAndSparkline(t *testing.T) {
+	bin := buildCLI(t)
+	out, err := exec.Command(bin, "-wl", "mixB", "-topo", "daisychain", "-size", "small",
+		"-simtime", "300us").CombinedOutput()
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out)
+	}
+	text := string(out)
+	if !strings.Contains(text, "\nprocessor\n") {
+		t.Errorf("no module tree:\n%s", text)
+	}
+	if rows := strings.Count(text, "↓req"); rows != 3 {
+		t.Errorf("tree has %d module rows, want 3 (mixB on the small study):\n%s", rows, text)
+	}
+	_, spark, ok := strings.Cut(text, "channel utilization per epoch: ")
+	if !ok {
+		t.Fatalf("no utilization sparkline:\n%s", text)
+	}
+	if glyphs := len([]rune(strings.SplitN(spark, "\n", 2)[0])); glyphs != 3 {
+		t.Errorf("sparkline has %d glyphs, want one per epoch (3):\n%s", glyphs, text)
+	}
+}
+
+// TestBadMechRejected: an unknown mechanism fails naming the flag.
+func TestBadMechRejected(t *testing.T) {
+	bin := buildCLI(t)
+	out, err := exec.Command(bin, "-mech", "bogus").CombinedOutput()
+	if err == nil {
+		t.Fatalf("-mech bogus accepted:\n%s", out)
+	}
+	if !strings.Contains(string(out), "bad -mech") {
+		t.Errorf("error does not name -mech:\n%s", out)
+	}
+}

@@ -1,0 +1,138 @@
+package cli
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"time"
+
+	"memnet/internal/dist"
+	"memnet/internal/exp"
+	"memnet/internal/metrics"
+	"memnet/internal/sim"
+)
+
+// PositiveDuration parses the value s of flag -name as a positive
+// simulated duration.
+func PositiveDuration(name, s string) (sim.Duration, error) { return duration(name, s, false) }
+
+// NonNegativeDuration parses the value s of flag -name as a simulated
+// duration that may be zero (a warmup).
+func NonNegativeDuration(name, s string) (sim.Duration, error) { return duration(name, s, true) }
+
+func duration(name, s string, zeroOK bool) (sim.Duration, error) {
+	d, err := exp.ParseSimDuration(s)
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("bad -%s: %v", name, err)
+	case zeroOK && d < 0:
+		return 0, fmt.Errorf("bad -%s: must be non-negative, got %s", name, s)
+	case !zeroOK && d <= 0:
+		return 0, fmt.Errorf("bad -%s: must be positive, got %s", name, s)
+	}
+	return d, nil
+}
+
+// Forbid fails naming the first of the flags names that was set on fs,
+// with why as the reason; it returns nil when none was.
+func Forbid(fs *flag.FlagSet, why string, names ...string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		for _, n := range names {
+			if err == nil && f.Name == n {
+				err = fmt.Errorf("bad -%s: %s", n, why)
+			}
+		}
+	})
+	return err
+}
+
+// Jobs validates -jobs, the parallel worker count.
+func Jobs(n int) error {
+	if n < 1 {
+		return fmt.Errorf("bad -jobs: need at least 1 worker, got %d", n)
+	}
+	return nil
+}
+
+// Common validates the run flags both batch commands take — -jobs,
+// -audit, -crcretries and -retrain — and returns the -retrain latency (0
+// when s is empty: the model default).
+func Common(jobs, audit, crcRetries int, retrain string) (sim.Duration, error) {
+	if err := Jobs(jobs); err != nil {
+		return 0, err
+	}
+	if audit < 0 {
+		return 0, fmt.Errorf("bad -audit: stride must be >= 0 (0 disables), got %d", audit)
+	}
+	if crcRetries < 0 {
+		return 0, fmt.Errorf("bad -crcretries: must be non-negative (0 = model default), got %d", crcRetries)
+	}
+	if retrain == "" {
+		return 0, nil
+	}
+	return PositiveDuration("retrain", retrain)
+}
+
+// MetricsInterval resolves -metrics-interval s: the sampling period when
+// -metrics is on, else 0 — and then neither -metrics-interval nor
+// -metrics-out may be set.
+func MetricsInterval(fs *flag.FlagSet, on bool, s string) (sim.Duration, error) {
+	if !on {
+		return 0, Forbid(fs, "requires -metrics", "metrics-interval", "metrics-out")
+	}
+	return PositiveDuration("metrics-interval", s)
+}
+
+// Lease resolves -lease s: the TTL a coordinator grants its workers,
+// dist.DefaultLeaseTTL when s is empty. It is only meaningful with
+// -coordinator (coordinator non-empty).
+func Lease(s, coordinator string) (time.Duration, error) {
+	if s == "" {
+		return dist.DefaultLeaseTTL, nil
+	}
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return 0, fmt.Errorf("bad -lease: %v", err)
+	}
+	if d <= 0 {
+		return 0, fmt.Errorf("bad -lease: must be positive, got %s", s)
+	}
+	if coordinator == "" {
+		return 0, errors.New("bad -lease: requires -coordinator")
+	}
+	return d, nil
+}
+
+// CheckWorker validates -worker mode. A worker excludes -coordinator and
+// the command's own work flag (-config, -run), whose value is work, and
+// the profilers, which flush only at a clean exit.
+func CheckWorker(fs *flag.FlagSet, coordinator, workFlag, work string) error {
+	if coordinator != "" || work != "" {
+		return fmt.Errorf("bad -worker: mutually exclusive with -coordinator and -%s", workFlag)
+	}
+	return Forbid(fs, "not supported with -worker (profiles flush only at a clean exit)", "cpuprofile", "memprofile")
+}
+
+// WriteMetrics exports sampled metrics to path, picking the format from
+// the extension: .csv gets CSV, anything else JSON lines.
+func WriteMetrics(path string, entries []metrics.Entry) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("bad -metrics-out: %v", err)
+	}
+	if strings.HasSuffix(path, ".csv") {
+		err = metrics.WriteCSV(f, entries)
+	} else {
+		err = metrics.WriteJSONL(f, entries)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("write %s: %v", path, err)
+	}
+	return nil
+}

@@ -1,4 +1,4 @@
-package main
+package cli
 
 import (
 	"fmt"
@@ -7,18 +7,12 @@ import (
 	"runtime/pprof"
 )
 
-// stopProfiles flushes any armed profiles. main swaps in the real stop
-// function once profiling starts; until then it is a no-op so error
-// paths can call it unconditionally. os.Exit skips defers, so exit
-// paths that should still produce usable profiles call this directly.
-var stopProfiles = func() {}
-
-// startProfiles arms CPU and/or heap profiling per -cpuprofile and
+// StartProfiles arms CPU and/or heap profiling per -cpuprofile and
 // -memprofile. Both files are created up front so a bad path fails fast,
 // before any simulation runs. The returned stop function flushes the
-// profiles; it is idempotent, and exit paths that bypass defers
-// (os.Exit) must call it explicitly or the files come out truncated.
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+// profiles; it is idempotent, so a command can defer it and still call
+// it early.
+func StartProfiles(cpuPath, memPath string) (stop func(), err error) {
 	var cpuFile, memFile *os.File
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)

@@ -1,0 +1,188 @@
+package exp
+
+import (
+	"fmt"
+
+	"memnet/internal/audit"
+	"memnet/internal/core"
+	"memnet/internal/fault"
+	"memnet/internal/metrics"
+	"memnet/internal/network"
+	"memnet/internal/power"
+	"memnet/internal/sim"
+	"memnet/internal/topology"
+	"memnet/internal/workload"
+)
+
+// Sim is one spec's simulation as Build wires it: a kernel with the
+// network, power manager, front end and every armed observer attached,
+// traffic started and no event run yet. RunBudgeted measures one;
+// memnetsim -trace and memnetviz step one epoch at a time with
+// Kernel.Run, so they show the very run RunBudgeted would measure.
+type Sim struct {
+	Spec     Spec // resolved
+	Kernel   *sim.Kernel
+	Net      *network.Network
+	Manager  *core.Manager
+	FrontEnd *workload.FrontEnd
+
+	audit    *audit.Auditor    // nil unless Spec.AuditEvery > 0
+	metrics  *metrics.Registry // nil unless Spec.MetricsInterval > 0
+	faults   *fault.Injector   // nil on fault-free specs
+	watchdog *sim.Watchdog     // nil unless Spec.Watchdog
+}
+
+// BuildNetwork builds spec's topology over the given module count, then
+// its network and power manager on kernel: the part of Build that does
+// not depend on the workload, for callers that bring their own traffic
+// (trace replay).
+func BuildNetwork(kernel *sim.Kernel, spec Spec, modules int) (*network.Network, *core.Manager, error) {
+	spec = spec.resolved()
+	topo, err := topology.Build(spec.Topology, modules)
+	if err != nil {
+		return nil, nil, err
+	}
+	netCfg := network.DefaultConfig()
+	netCfg.Mechanism = spec.Mech.BW
+	netCfg.ROO = spec.Mech.ROO
+	netCfg.Wakeup = spec.Wakeup
+	netCfg.ChunkBytes = uint64(spec.Size.ChunkGB()) << 30
+	netCfg.Interleave = spec.Interleave
+	netCfg.Retrain = spec.RetrainLatency
+	netCfg.MaxCRCRetries = spec.CRCRetryLimit
+	if spec.DRAM != nil {
+		if err := spec.DRAM.Validate(); err != nil {
+			return nil, nil, err
+		}
+		netCfg.DRAM = *spec.DRAM
+	}
+	if spec.PeakWatts > 0 {
+		pm := power.DefaultModel()
+		pm.PeakWatts = spec.PeakWatts
+		netCfg.Power = &pm
+	}
+	net := network.New(kernel, topo, netCfg)
+
+	mcfg := core.DefaultConfig(spec.Policy, spec.Alpha)
+	mcfg.CollectLinkHours = spec.CollectLinkHours
+	return net, core.Attach(kernel, net, mcfg), nil
+}
+
+// Build wires spec's simulation: kernel, topology, network, power
+// manager, auditor, metrics registry, front end (seeded by Spec.seed),
+// fault injector and watchdog, in that order, then starts the watchdog
+// and the traffic. The order fixes event sequence numbers, so every run
+// of a spec — measured, traced or rendered — is the same run.
+func Build(spec Spec) (*Sim, error) {
+	if spec.Workload == nil {
+		return nil, fmt.Errorf("exp: spec needs a workload")
+	}
+	if err := spec.Workload.Validate(); err != nil {
+		return nil, err
+	}
+	spec = spec.resolved()
+	s := &Sim{Spec: spec, Kernel: sim.NewKernel()}
+	kernel := s.Kernel
+	net, mgr, err := BuildNetwork(kernel, spec, spec.Workload.Modules(spec.Size.ChunkGB()))
+	if err != nil {
+		return nil, err
+	}
+	s.Net, s.Manager = net, mgr
+
+	if spec.AuditEvery > 0 {
+		s.audit = audit.New(audit.Config{SampleEvery: uint64(spec.AuditEvery)}, kernel.Now)
+		net.AttachAudit(s.audit)
+		s.audit.RegisterSweep(func(now sim.Time, report func(component, rule, detail string)) {
+			if err := kernel.CheckInvariants(); err != nil {
+				report("kernel", "event-queue", err.Error())
+			}
+		})
+	}
+
+	// The metrics registry attaches before traffic exists but stays
+	// silent until Start at the warmup boundary: a disabled run (nil
+	// registry) registers nothing and schedules nothing, so its event
+	// sequence is byte-identical to builds without metrics.
+	if spec.MetricsInterval > 0 {
+		s.metrics = metrics.New(kernel, metrics.Config{Interval: spec.MetricsInterval})
+		net.AttachMetrics(s.metrics)
+		mgr.AttachMetrics(s.metrics)
+	}
+
+	fcfg := workload.DefaultFrontEndConfig(spec.seed())
+	fcfg.Timeout = spec.RequestTimeout
+	fcfg.MaxRetries = spec.MaxRetries
+	fe, err := workload.NewFrontEnd(kernel, net, spec.Workload, fcfg)
+	if err != nil {
+		return nil, err
+	}
+	s.FrontEnd = fe
+	fe.AttachMetrics(s.metrics)
+	if s.audit != nil {
+		// Flit/request conservation across the front-end boundary: every
+		// injected read is either an original issue or a timeout retry, and
+		// writes map one-to-one. Holds mid-event because both sides update
+		// their counters before anything samplable runs.
+		s.audit.RegisterSweep(func(now sim.Time, report func(component, rule, detail string)) {
+			injR, injW := net.Injected()
+			issR, issW := fe.Issued()
+			if retries := fe.FaultStats().Retries; injR != issR+retries {
+				report("frontend", "read-conservation", fmt.Sprintf(
+					"injected reads %d != issued %d + retries %d", injR, issR, retries))
+			}
+			if injW != issW {
+				report("frontend", "write-conservation", fmt.Sprintf(
+					"injected writes %d != issued %d", injW, issW))
+			}
+			if out := fe.Outstanding(); out < 0 {
+				report("frontend", "outstanding-negative", fmt.Sprintf(
+					"outstanding request count %d", out))
+			}
+		})
+	}
+
+	if len(spec.Faults.Events) > 0 {
+		if s.faults, err = fault.Attach(net, spec.Faults); err != nil {
+			return nil, err
+		}
+	}
+	if spec.Watchdog {
+		s.watchdog = sim.NewWatchdog(kernel, sim.DefaultWatchdogConfig(),
+			fe.Outstanding, fe.Progress, net.DumpState)
+		s.watchdog.Start()
+	}
+	fe.Start()
+	return s, nil
+}
+
+// stalled disarms the watchdog at the end of a run and reports a stall
+// it detected, or nil (always nil when the spec has no watchdog).
+func (s *Sim) stalled() error {
+	if s.watchdog == nil {
+		return nil
+	}
+	s.watchdog.CheckDrained()
+	s.watchdog.Stop()
+	if s.watchdog.Stalled() {
+		return fmt.Errorf("exp: %s run stalled:\n%s", s.Spec.key(), s.watchdog.Report())
+	}
+	return nil
+}
+
+// Finish ends a stepped run: it reports a watchdog stall, then runs the
+// auditor's final full sweep and reports any invariant violation seen
+// over the whole run. RunBudgeted does the same with its interval
+// energy checks added.
+func (s *Sim) Finish() error {
+	if err := s.stalled(); err != nil {
+		return err
+	}
+	if s.audit == nil {
+		return nil
+	}
+	s.audit.RunSweeps()
+	if err := s.audit.Err(); err != nil {
+		return fmt.Errorf("exp: %s: %w", s.Spec.key(), err)
+	}
+	return nil
+}

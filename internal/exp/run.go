@@ -305,19 +305,17 @@ func RunCtx(ctx context.Context, spec Spec) (Result, error) {
 }
 
 // RunBudgeted is RunCtx with a resource budget enforced inside the
-// kernel's run loop. An aborted run returns an error wrapping ctx.Err()
-// or a *BudgetError; errors.Is(err, context.Canceled) therefore
-// identifies cancellations through every layer above.
+// kernel's run loop. It measures the simulation Build wires: warmup,
+// then the measured interval between two snapshots. An aborted run
+// returns an error wrapping ctx.Err() or a *BudgetError;
+// errors.Is(err, context.Canceled) therefore identifies cancellations
+// through every layer above.
 func RunBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) {
-	if spec.Workload == nil {
-		return Result{}, fmt.Errorf("exp: spec needs a workload")
-	}
-	if err := spec.Workload.Validate(); err != nil {
+	s, err := Build(spec)
+	if err != nil {
 		return Result{}, err
 	}
-	spec = spec.resolved()
-
-	kernel := sim.NewKernel()
+	spec, kernel, net, aud, reg := s.Spec, s.Kernel, s.Net, s.audit, s.metrics
 	// Arm the cooperative check only when there is something to enforce:
 	// a cancelable context (ctx.Done() non-nil) or an event budget. The
 	// unarmed hot loop pays a single predictable branch, so plain Run
@@ -334,104 +332,6 @@ func RunBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) 
 			return nil
 		})
 	}
-	nModules := spec.Workload.Modules(spec.Size.ChunkGB())
-	topo, err := topology.Build(spec.Topology, nModules)
-	if err != nil {
-		return Result{}, err
-	}
-
-	netCfg := network.DefaultConfig()
-	netCfg.Mechanism = spec.Mech.BW
-	netCfg.ROO = spec.Mech.ROO
-	netCfg.Wakeup = spec.Wakeup
-	netCfg.ChunkBytes = uint64(spec.Size.ChunkGB()) << 30
-	netCfg.Interleave = spec.Interleave
-	netCfg.Retrain = spec.RetrainLatency
-	netCfg.MaxCRCRetries = spec.CRCRetryLimit
-	if spec.DRAM != nil {
-		if err := spec.DRAM.Validate(); err != nil {
-			return Result{}, err
-		}
-		netCfg.DRAM = *spec.DRAM
-	}
-	if spec.PeakWatts > 0 {
-		pm := power.DefaultModel()
-		pm.PeakWatts = spec.PeakWatts
-		netCfg.Power = &pm
-	}
-	net := network.New(kernel, topo, netCfg)
-
-	mcfg := core.DefaultConfig(spec.Policy, spec.Alpha)
-	mcfg.CollectLinkHours = spec.CollectLinkHours
-	mgr := core.Attach(kernel, net, mcfg)
-
-	var aud *audit.Auditor
-	if spec.AuditEvery > 0 {
-		aud = audit.New(audit.Config{SampleEvery: uint64(spec.AuditEvery)}, kernel.Now)
-		net.AttachAudit(aud)
-		aud.RegisterSweep(func(now sim.Time, report func(component, rule, detail string)) {
-			if err := kernel.CheckInvariants(); err != nil {
-				report("kernel", "event-queue", err.Error())
-			}
-		})
-	}
-
-	// The metrics registry attaches before traffic exists but stays
-	// silent until Start at the warmup boundary: a disabled run (nil
-	// registry) registers nothing and schedules nothing, so its event
-	// sequence is byte-identical to builds without metrics.
-	var reg *metrics.Registry
-	if spec.MetricsInterval > 0 {
-		reg = metrics.New(kernel, metrics.Config{Interval: spec.MetricsInterval})
-		net.AttachMetrics(reg)
-		mgr.AttachMetrics(reg)
-	}
-
-	fcfg := workload.DefaultFrontEndConfig(spec.seed())
-	fcfg.Timeout = spec.RequestTimeout
-	fcfg.MaxRetries = spec.MaxRetries
-	fe, err := workload.NewFrontEnd(kernel, net, spec.Workload, fcfg)
-	if err != nil {
-		return Result{}, err
-	}
-	fe.AttachMetrics(reg)
-	if aud != nil {
-		// Flit/request conservation across the front-end boundary: every
-		// injected read is either an original issue or a timeout retry, and
-		// writes map one-to-one. Holds mid-event because both sides update
-		// their counters before anything samplable runs.
-		aud.RegisterSweep(func(now sim.Time, report func(component, rule, detail string)) {
-			injR, injW := net.Injected()
-			issR, issW := fe.Issued()
-			if retries := fe.FaultStats().Retries; injR != issR+retries {
-				report("frontend", "read-conservation", fmt.Sprintf(
-					"injected reads %d != issued %d + retries %d", injR, issR, retries))
-			}
-			if injW != issW {
-				report("frontend", "write-conservation", fmt.Sprintf(
-					"injected writes %d != issued %d", injW, issW))
-			}
-			if out := fe.Outstanding(); out < 0 {
-				report("frontend", "outstanding-negative", fmt.Sprintf(
-					"outstanding request count %d", out))
-			}
-		})
-	}
-
-	var inj *fault.Injector
-	if len(spec.Faults.Events) > 0 {
-		inj, err = fault.Attach(net, spec.Faults)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	var dog *sim.Watchdog
-	if spec.Watchdog {
-		dog = sim.NewWatchdog(kernel, sim.DefaultWatchdogConfig(),
-			fe.Outstanding, fe.Progress, net.DumpState)
-		dog.Start()
-	}
-	fe.Start()
 
 	kernel.Run(spec.Warmup)
 	if err := kernel.Err(); err != nil {
@@ -448,14 +348,11 @@ func RunBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) 
 		return Result{}, fmt.Errorf("exp: %s: aborted after %d events: %w", spec.key(), kernel.Processed(), err)
 	}
 	snap1 := net.TakeSnapshot()
-	if dog != nil {
-		dog.CheckDrained()
-		dog.Stop()
-		if dog.Stalled() {
-			return Result{}, fmt.Errorf("exp: %s run stalled:\n%s", spec.key(), dog.Report())
-		}
+	if err := s.stalled(); err != nil {
+		return Result{}, err
 	}
 
+	nModules := net.Topo.N()
 	res := Result{
 		Spec:           spec,
 		Modules:        nModules,
@@ -468,19 +365,19 @@ func RunBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) 
 		P50:            net.LatencyHist().Percentile(0.50),
 		P95:            net.LatencyHist().Percentile(0.95),
 		P99:            net.LatencyHist().Percentile(0.99),
-		Hist:           mgr.Hist,
+		Hist:           s.Manager.Hist,
 		Events:         kernel.Processed(),
-		Slots:          fe.Slots(),
+		Slots:          s.FrontEnd.Slots(),
 	}
 	res.PerHMC = res.Power.Scale(1 / float64(nModules))
-	res.Violations, res.Granted = mgr.Violations()
+	res.Violations, res.Granted = s.Manager.Violations()
 	res.Faults = net.FaultStats()
-	res.FrontEndFaults = fe.FaultStats()
+	res.FrontEndFaults = s.FrontEnd.FaultStats()
 	res.Availability = net.AvailabilityReport()
-	res.TimedOutIDs = append([]uint64(nil), fe.TimedOutIDs()...)
+	res.TimedOutIDs = append([]uint64(nil), s.FrontEnd.TimedOutIDs()...)
 	res.Metrics = reg.Dump() // nil when metrics are disabled
-	if inj != nil {
-		res.FaultsInjected = inj.Counts()
+	if s.faults != nil {
+		res.FaultsInjected = s.faults.Counts()
 	}
 	if aud != nil {
 		// End-of-run audit: a final full sweep over every registered
