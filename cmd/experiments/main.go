@@ -144,7 +144,7 @@ func run() error {
 	var journal *exp.Journal
 	var journalLoaded map[string]exp.Result
 	if *journalPath != "" {
-		if journal, journalLoaded, err = exp.OpenJournal(*journalPath); err != nil {
+		if journal, journalLoaded, err = exp.OpenJournal(*journalPath, nil); err != nil {
 			return fmt.Errorf("bad -journal: %v", err)
 		}
 		defer journal.Close()

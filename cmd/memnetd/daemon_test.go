@@ -209,7 +209,7 @@ func TestDaemonSmoke(t *testing.T) {
 
 	// Journal integrity: re-opens cleanly (flock released, no torn tail)
 	// and holds the one fresh result; the canceled job contributed none.
-	j, loaded, err := exp.OpenJournal(journalPath)
+	j, loaded, err := exp.OpenJournal(journalPath, nil)
 	if err != nil {
 		t.Fatalf("journal did not survive the drain: %v", err)
 	}

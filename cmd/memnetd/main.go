@@ -105,7 +105,7 @@ func run() int {
 	}
 	var journal *exp.Journal
 	if *journalPath != "" {
-		j, loaded, err := exp.OpenJournal(*journalPath)
+		j, loaded, err := exp.OpenJournal(*journalPath, nil)
 		if err != nil {
 			log.Printf("memnetd: %v", err)
 			return 2

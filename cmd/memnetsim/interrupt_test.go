@@ -92,7 +92,7 @@ func TestInterruptFlushesJournal(t *testing.T) {
 
 	// The journal survived with the completed run only — it re-opens
 	// cleanly (flock released, no torn tail) and resumes from it.
-	j, loaded, err := exp.OpenJournal(journalPath)
+	j, loaded, err := exp.OpenJournal(journalPath, nil)
 	if err != nil {
 		t.Fatalf("journal did not survive the interrupt: %v", err)
 	}

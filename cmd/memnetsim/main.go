@@ -272,7 +272,7 @@ func runBatch(ctx context.Context, path string, base exp.Spec, jobs int, journal
 	var j *exp.Journal
 	loaded := map[string]exp.Result{}
 	if journalPath != "" {
-		if j, loaded, err = exp.OpenJournal(journalPath); err != nil {
+		if j, loaded, err = exp.OpenJournal(journalPath, nil); err != nil {
 			return err
 		}
 		defer j.Close()

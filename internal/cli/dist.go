@@ -92,7 +92,7 @@ func RunWorker(url, fallbackPath string) error {
 	defer stopSignals()
 	var fb *exp.Journal
 	if fallbackPath != "" {
-		j, loaded, err := exp.OpenJournal(fallbackPath)
+		j, loaded, err := exp.OpenJournal(fallbackPath, nil)
 		if err != nil {
 			return fmt.Errorf("bad -journal: %v", err)
 		}

@@ -71,7 +71,7 @@ func TestChurnSoak(t *testing.T) {
 
 	// Single-process reference journal.
 	refPath := filepath.Join(t.TempDir(), "ref.jsonl")
-	jr, loaded, err := exp.OpenJournal(refPath)
+	jr, loaded, err := exp.OpenJournal(refPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func runChurnSweep(t *testing.T, specs []exp.Spec, refResults []exp.Result, ref 
 	defer cancel()
 
 	distPath := filepath.Join(t.TempDir(), "dist.jsonl")
-	jd, loadedD, err := exp.OpenJournal(distPath)
+	jd, loadedD, err := exp.OpenJournal(distPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestWorkerDrainOnCoordinatorLoss(t *testing.T) {
 	c.Close()
 
 	fbPath := filepath.Join(t.TempDir(), "salvage.jsonl")
-	fb, _, err := exp.OpenJournal(fbPath)
+	fb, _, err := exp.OpenJournal(fbPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestWorkerDrainOnCoordinatorLoss(t *testing.T) {
 	// Close first: the journal flock (held per open handle) would reject
 	// a second opener while the worker's handle is live.
 	fb.Close()
-	_, loaded, err := exp.OpenJournal(fbPath)
+	_, loaded, err := exp.OpenJournal(fbPath, nil)
 	if err != nil {
 		t.Fatalf("re-opening salvage journal: %v", err)
 	}
@@ -271,7 +271,7 @@ func TestWorkerEndToEnd(t *testing.T) {
 	specs := testSpecs(t, 3)
 
 	refPath := filepath.Join(t.TempDir(), "ref.jsonl")
-	jr, loaded, err := exp.OpenJournal(refPath)
+	jr, loaded, err := exp.OpenJournal(refPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestWorkerEndToEnd(t *testing.T) {
 	jr.Close()
 
 	distPath := filepath.Join(t.TempDir(), "dist.jsonl")
-	jd, loadedD, err := exp.OpenJournal(distPath)
+	jd, loadedD, err := exp.OpenJournal(distPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

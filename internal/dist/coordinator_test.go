@@ -207,7 +207,7 @@ func TestJournalSweepOrder(t *testing.T) {
 	// Sequential reference.
 	dir := t.TempDir()
 	refPath := filepath.Join(dir, "ref.jsonl")
-	jr, loaded, err := exp.OpenJournal(refPath)
+	jr, loaded, err := exp.OpenJournal(refPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestJournalSweepOrder(t *testing.T) {
 
 	// Distributed: claim all three, complete in order 2, 0, 1.
 	distPath := filepath.Join(dir, "dist.jsonl")
-	jd, loadedD, err := exp.OpenJournal(distPath)
+	jd, loadedD, err := exp.OpenJournal(distPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestDuplicateKeySlots(t *testing.T) {
 
 	dir := t.TempDir()
 	refPath := filepath.Join(dir, "ref.jsonl")
-	jr, loaded, err := exp.OpenJournal(refPath)
+	jr, loaded, err := exp.OpenJournal(refPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestDuplicateKeySlots(t *testing.T) {
 	jr.Close()
 
 	distPath := filepath.Join(dir, "dist.jsonl")
-	jd, loadedD, err := exp.OpenJournal(distPath)
+	jd, loadedD, err := exp.OpenJournal(distPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestDuplicateKeySlots(t *testing.T) {
 func TestRemoteCellError(t *testing.T) {
 	specs := testSpecs(t, 2)
 	dir := t.TempDir()
-	jd, loaded, err := exp.OpenJournal(filepath.Join(dir, "j.jsonl"))
+	jd, loaded, err := exp.OpenJournal(filepath.Join(dir, "j.jsonl"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

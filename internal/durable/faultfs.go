@@ -1,14 +1,11 @@
 // FaultFS is the injectable-fault half of the fs seam: it wraps a real
 // FS and fails selected operations on demand — a persistent ENOSPC, a
 // one-shot read error, a torn write that persists only a prefix before
-// failing (the on-disk signature of a crash mid-append). Rules are
-// matched deterministically (first added, first matched), so soak tests
-// replay byte-identically under a fixed seed.
-//
-// It lives in the package proper rather than a _test file so the chaos
-// soak, the unit tests, and any future fault-injection CLI share one
-// implementation; production binaries never construct one.
-package serve
+// failing (the on-disk signature of a crash mid-append). Rules match
+// deterministically (first added, first matched), so soak tests replay
+// byte-identically under a fixed seed. It is not a _test file so every
+// package's fault tests share it; production binaries never build one.
+package durable
 
 import (
 	"io/fs"
@@ -31,6 +28,7 @@ const (
 	OpStat    FaultOp = "stat"
 	OpWrite   FaultOp = "write"
 	OpSync    FaultOp = "sync"
+	OpTrunc   FaultOp = "truncate"
 	OpChtimes FaultOp = "chtimes"
 )
 
@@ -71,8 +69,7 @@ func NewFaultFS(inner FS) *FaultFS {
 func (f *FaultFS) Fail(r FaultRule) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	rule := r
-	f.rules = append(f.rules, &rule)
+	f.rules = append(f.rules, &r)
 }
 
 // Clear disarms every rule.
@@ -95,13 +92,7 @@ func (f *FaultFS) match(op FaultOp, path string) *FaultRule {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, r := range f.rules {
-		if r.Count == 0 {
-			continue
-		}
-		if r.Op != "" && r.Op != op {
-			continue
-		}
-		if r.Path != "" && !strings.Contains(path, r.Path) {
+		if r.Count == 0 || (r.Op != "" && r.Op != op) || (r.Path != "" && !strings.Contains(path, r.Path)) {
 			continue
 		}
 		if r.Count > 0 {
@@ -124,22 +115,21 @@ func (f *FaultFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error
 	if r := f.match(OpOpen, name); r != nil {
 		return nil, r.Err
 	}
-	file, err := f.inner.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{fs: f, inner: file}, nil
+	return f.wrap(f.inner.OpenFile(name, flag, perm))
 }
 
 func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
 	if r := f.match(OpCreate, dir); r != nil {
 		return nil, r.Err
 	}
-	file, err := f.inner.CreateTemp(dir, pattern)
+	return f.wrap(f.inner.CreateTemp(dir, pattern))
+}
+
+func (f *FaultFS) wrap(file File, err error) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{fs: f, inner: file}, nil
+	return &faultFile{File: file, fs: f}, nil
 }
 
 func (f *FaultFS) ReadFile(name string) ([]byte, error) {
@@ -184,48 +174,47 @@ func (f *FaultFS) Chtimes(name string, atime, mtime time.Time) error {
 	return f.inner.Chtimes(name, atime, mtime)
 }
 
-// faultFile applies write/sync/read rules to one open file.
+// faultFile applies read/write/sync/truncate rules to one open file.
 type faultFile struct {
-	fs    *FaultFS
-	inner File
+	File
+	fs *FaultFS
 }
 
 func (ff *faultFile) Read(p []byte) (int, error) {
-	if r := ff.fs.match(OpRead, ff.inner.Name()); r != nil {
+	if r := ff.fs.match(OpRead, ff.Name()); r != nil {
 		return 0, r.Err
 	}
-	return ff.inner.Read(p)
+	return ff.File.Read(p)
 }
 
 // Write applies torn-write rules: a rule with Short > 0 persists that
 // prefix through the real file before failing, leaving the partial
 // bytes on disk exactly as an interrupted kernel write would.
 func (ff *faultFile) Write(p []byte) (int, error) {
-	if r := ff.fs.match(OpWrite, ff.inner.Name()); r != nil {
+	if r := ff.fs.match(OpWrite, ff.Name()); r != nil {
 		n := 0
 		if r.Short > 0 {
 			short := r.Short
 			if short > len(p) {
 				short = len(p)
 			}
-			n, _ = ff.inner.Write(p[:short])
+			n, _ = ff.File.Write(p[:short])
 		}
 		return n, r.Err
 	}
-	return ff.inner.Write(p)
+	return ff.File.Write(p)
 }
 
 func (ff *faultFile) Sync() error {
-	if r := ff.fs.match(OpSync, ff.inner.Name()); r != nil {
+	if r := ff.fs.match(OpSync, ff.Name()); r != nil {
 		return r.Err
 	}
-	return ff.inner.Sync()
+	return ff.File.Sync()
 }
 
-func (ff *faultFile) Close() error              { return ff.inner.Close() }
-func (ff *faultFile) Name() string              { return ff.inner.Name() }
-func (ff *faultFile) Truncate(size int64) error { return ff.inner.Truncate(size) }
-func (ff *faultFile) Fd() uintptr               { return ff.inner.Fd() }
-func (ff *faultFile) Seek(off int64, whence int) (int64, error) {
-	return ff.inner.Seek(off, whence)
+func (ff *faultFile) Truncate(size int64) error {
+	if r := ff.fs.match(OpTrunc, ff.Name()); r != nil {
+		return r.Err
+	}
+	return ff.File.Truncate(size)
 }

@@ -1,11 +1,10 @@
-// Filesystem seam for the daemon's durable state. The store and the
-// accept journal perform every disk operation through FS/File instead
-// of calling the os package directly, so tests can inject the failures
-// a long-lived deployment actually meets — ENOSPC mid-append, a torn
-// write under a crash, an unreadable entry — deterministically and
-// without root or loop devices. Production code always runs on OSFS,
-// which delegates 1:1 to the os package.
-package serve
+// Package durable owns the disk-facing code crash safety rests on: Log,
+// the one append-only JSON-lines file behind the sweep journal and the
+// accept WAL, its flock, and the FS/File seam every durable path does
+// its disk operations through — OSFS (1:1 with package os) in
+// production, FaultFS in tests, which injects ENOSPC mid-append, torn
+// writes and unreadable entries deterministically.
+package durable
 
 import (
 	"io"
@@ -14,7 +13,7 @@ import (
 	"time"
 )
 
-// FS is the set of filesystem operations the store and accept journal
+// FS is the set of filesystem operations the logs and the result store
 // need. Implementations must be safe for concurrent use.
 type FS interface {
 	MkdirAll(path string, perm fs.FileMode) error
@@ -46,15 +45,15 @@ type OSFS struct{}
 func (OSFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
 
 func (OSFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
-	f, err := os.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
+	return file(os.OpenFile(name, flag, perm))
 }
 
 func (OSFS) CreateTemp(dir, pattern string) (File, error) {
-	f, err := os.CreateTemp(dir, pattern)
+	return file(os.CreateTemp(dir, pattern))
+}
+
+// file keeps a failed open a nil File rather than a typed-nil *os.File.
+func file(f *os.File, err error) (File, error) {
 	if err != nil {
 		return nil, err
 	}

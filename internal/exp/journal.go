@@ -1,27 +1,19 @@
-// Crash-safe sweep journaling. A Journal is an append-only JSON-lines
-// file mapping Spec.key() to its Result. Sweeps append every fresh cell
-// as it completes; a killed run restarted with the same journal path
-// restores the completed cells and simulates only the remainder, so the
-// combined output is byte-identical to an uninterrupted run (results are
-// always committed and rendered in sweep order, never in completion
-// order).
-//
-// Robustness over the file format: a crash mid-write leaves at most one
-// partial final line. OpenJournal detects the corrupt tail, truncates the
-// file back to the last complete entry, and re-runs only the lost cell.
-// Restored results do not keep their marshaled Spec — JSON does not
-// round-trip every Spec field bit-exactly — the caller's canonical
-// normalized spec replaces it (see Runner.fromJournal and
-// RunSpecsJournaled).
+// Crash-safe sweep journaling. A Journal is a durable.Log of
+// {Spec.key(), Result} records. Sweeps append every fresh cell as it
+// completes; a killed run restarted with the same journal restores the
+// completed cells and simulates only the remainder, so the combined
+// output is byte-identical to an uninterrupted run (results are always
+// committed and rendered in sweep order). Restored results do not keep
+// their marshaled Spec — JSON does not round-trip every Spec field
+// bit-exactly — the caller's canonical spec replaces it (see
+// Runner.fromJournal and RunSpecsJournaled).
 package exp
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"sync"
+
+	"memnet/internal/durable"
 )
 
 // journalEntry is one line of the file.
@@ -32,93 +24,35 @@ type journalEntry struct {
 
 // Journal appends completed sweep cells to a JSON-lines file.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	log *durable.Log
 }
 
-// OpenJournal opens (creating if needed) the journal at path and returns
-// it together with every result recoverable from previous runs, keyed by
-// Spec.key(). A trailing partial or corrupt line — the signature of a
-// crash mid-append — is truncated away so the file stays valid for
-// appending.
-func OpenJournal(path string) (*Journal, map[string]Result, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := lockJournal(f.Fd()); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal %s: already locked by another process (flock: %w); "+
-			"two writers interleaving appends would corrupt the journal — "+
-			"stop the other process or use a different journal path", path, err)
-	}
+// OpenJournal opens (creating if needed) the journal at path on fsys
+// (nil = the real filesystem) and returns it together with every result
+// recoverable from previous runs, keyed by Spec.key(). A trailing
+// partial or corrupt line — the signature of a crash mid-append — is
+// truncated away so the file stays valid for appending.
+func OpenJournal(path string, fsys durable.FS) (*Journal, map[string]Result, error) {
 	loaded := map[string]Result{}
-	var good int64 // offset just past the last fully parsed line
-	rd := bufio.NewReader(f)
-	var off int64
-	for {
-		line, err := rd.ReadBytes('\n')
-		off += int64(len(line))
-		complete := err == nil // a line without trailing \n is a torn write
-		if len(line) > 0 && complete {
-			var e journalEntry
-			if jerr := json.Unmarshal(line, &e); jerr != nil || e.Key == "" {
-				// Corrupt interior line: everything after it is suspect
-				// too, so stop here and truncate.
-				break
-			}
-			loaded[e.Key] = e.Result
-			good = off
+	log, err := durable.Open(path, fsys, func(line []byte) bool {
+		var e journalEntry
+		if json.Unmarshal(line, &e) != nil || e.Key == "" {
+			return false
 		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal %s: %w", path, err)
-		}
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal %s: truncate torn tail: %w", path, err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
+		loaded[e.Key] = e.Result
+		return true
+	})
+	if err != nil {
 		return nil, nil, fmt.Errorf("journal %s: %w", path, err)
 	}
-	return &Journal{f: f, path: path}, loaded, nil
+	return &Journal{log: log}, loaded, nil
 }
 
 // Append writes one completed cell and syncs it to stable storage.
 // Safe for concurrent use.
 func (j *Journal) Append(key string, res Result) error {
-	b, err := json.Marshal(journalEntry{Key: key, Result: res})
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(b); err != nil {
-		return err
-	}
-	return j.f.Sync()
+	return j.log.Append(journalEntry{Key: key, Result: res})
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// LockFile takes the journal subsystem's advisory single-writer lock on
-// an open file descriptor (non-blocking flock on unix, no-op elsewhere).
-// Exported so other append-only durable files — the daemon's accept
-// journal — share exactly this protocol: the lock dies with the process,
-// so a crashed holder never wedges the path.
-func LockFile(fd uintptr) error { return lockJournal(fd) }
 
 // Close releases the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
+func (j *Journal) Close() error { return j.log.Close() }

@@ -1,22 +1,25 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 
 	"memnet/internal/core"
+	"memnet/internal/durable"
 )
 
 // TestJournalRoundTrip appends results and reloads them through
 // OpenJournal.
 func TestJournalRoundTrip(t *testing.T) {
 	path := t.TempDir() + "/sweep.jsonl"
-	j, loaded, err := OpenJournal(path)
+	j, loaded, err := OpenJournal(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +38,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, loaded, err = OpenJournal(path)
+	_, loaded, err = OpenJournal(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +58,7 @@ func TestJournalRoundTrip(t *testing.T) {
 // appendable file.
 func TestJournalTornTailRecovery(t *testing.T) {
 	path := t.TempDir() + "/sweep.jsonl"
-	j, _, err := OpenJournal(path)
+	j, _, err := OpenJournal(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +78,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	f.WriteString(`{"key":"torn-mid-wr`)
 	f.Close()
 
-	j2, loaded, err := OpenJournal(path)
+	j2, loaded, err := OpenJournal(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Close()
-	_, loaded, err = OpenJournal(path)
+	_, loaded, err = OpenJournal(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +128,7 @@ func TestJournalTornTailReopenCycle(t *testing.T) {
 		f.Close()
 	}
 	for round := 0; round < 3; round++ {
-		j, loaded, err := OpenJournal(path)
+		j, loaded, err := OpenJournal(path, nil)
 		if err != nil {
 			t.Fatalf("round %d: re-open after tear: %v", round, err)
 		}
@@ -140,7 +143,7 @@ func TestJournalTornTailReopenCycle(t *testing.T) {
 		j.Close()
 		tear(fmt.Sprintf(`{"key":"torn-%d","result":{"Spe`, round))
 	}
-	_, loaded, err := OpenJournal(path)
+	_, loaded, err := OpenJournal(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +153,77 @@ func TestJournalTornTailReopenCycle(t *testing.T) {
 	data, _ := os.ReadFile(path)
 	if strings.Contains(string(data), "torn-") {
 		t.Fatalf("a torn tail survived the re-open cycle:\n%s", data)
+	}
+}
+
+// TestJournalAppendAfterTornWrite pins the append-failure repair on the
+// sweep journal: after a torn append (a short write under ENOSPC) the
+// runner keeps appending, and every append that reported success must
+// restore — none may be glued to the fragment and truncated on reopen.
+func TestJournalAppendAfterTornWrite(t *testing.T) {
+	path := t.TempDir() + "/sweep.jsonl"
+	ffs := durable.NewFaultFS(nil)
+	j, _, err := OpenJournal(path, ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(tinySpec(core.PolicyNone, MechFP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acked []string
+	for i := 0; i < 4; i++ {
+		if i == 1 {
+			ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: "sweep.jsonl", Err: syscall.ENOSPC, Count: 1, Short: 9})
+		}
+		key := fmt.Sprintf("key-%d", i)
+		if err := j.Append(key, res); err == nil {
+			acked = append(acked, key)
+		}
+	}
+	j.Close()
+	if ffs.Trips() != 1 || len(acked) != 3 {
+		t.Fatalf("fault trips = %d, acked = %v; want 1 trip and 3 acked appends", ffs.Trips(), acked)
+	}
+	_, loaded, err := OpenJournal(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range acked {
+		if _, ok := loaded[key]; !ok {
+			t.Errorf("acked entry %s did not restore (restored %d entries)", key, len(loaded))
+		}
+	}
+}
+
+// TestJournalReadsGoldenFormat pins the on-disk format from the read
+// side: the committed fault+metrics sweep journal (written by the CLI,
+// pinned byte for byte by its golden test) must restore one entry per
+// line, and opening it must not rewrite a byte.
+func TestJournalReadsGoldenFormat(t *testing.T) {
+	golden, err := os.ReadFile("../../cmd/experiments/testdata/fault_metrics_journal.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/sweep.jsonl"
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, loaded, err := OpenJournal(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if lines := strings.Count(string(golden), "\n"); lines == 0 || len(loaded) != lines {
+		t.Fatalf("restored %d entries from a %d-line journal", len(loaded), lines)
+	}
+	for key, res := range loaded {
+		if !strings.Contains(key, res.Spec.Workload.Name) {
+			t.Errorf("entry %s restored a result for workload %q", key, res.Spec.Workload.Name)
+		}
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, golden) {
+		t.Fatal("opening the journal rewrote it")
 	}
 }
 
@@ -186,7 +260,7 @@ func testResume(t *testing.T, faults bool) {
 
 	// Uninterrupted reference run, journaling as it goes.
 	r1 := mk()
-	j1, loaded, err := OpenJournal(dir + "/ref.jsonl")
+	j1, loaded, err := OpenJournal(dir+"/ref.jsonl", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +300,7 @@ func testResume(t *testing.T, faults bool) {
 			restored++
 		}
 	}
-	j2, loaded, err := OpenJournal(dir + "/resume.jsonl")
+	j2, loaded, err := OpenJournal(dir+"/resume.jsonl", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +331,7 @@ func testResume(t *testing.T, faults bool) {
 			fresh3++
 		}
 	}
-	j3, loaded, err := OpenJournal(dir + "/resume.jsonl")
+	j3, loaded, err := OpenJournal(dir+"/resume.jsonl", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +355,7 @@ func TestRunSpecsJournaled(t *testing.T) {
 		s.SeedSalt = salt
 		specs = append(specs, s)
 	}
-	j, loaded, err := OpenJournal(path)
+	j, loaded, err := OpenJournal(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +367,7 @@ func TestRunSpecsJournaled(t *testing.T) {
 	}
 	j.Close()
 
-	j, loaded, err = OpenJournal(path)
+	j, loaded, err = OpenJournal(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,12 +464,12 @@ func TestPrefetchSurvivesPanickingCell(t *testing.T) {
 // fail with a clear message instead of interleaving appends.
 func TestOpenJournalFlockConflict(t *testing.T) {
 	path := t.TempDir() + "/locked.jsonl"
-	j, _, err := OpenJournal(path)
+	j, _, err := OpenJournal(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if _, _, err := OpenJournal(path); err == nil {
+	if _, _, err := OpenJournal(path, nil); err == nil {
 		t.Fatal("second OpenJournal succeeded; want flock conflict")
 	} else if !strings.Contains(err.Error(), "already locked") {
 		t.Fatalf("conflict error should name the lock: %v", err)
@@ -405,7 +479,7 @@ func TestOpenJournalFlockConflict(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j2, _, err := OpenJournal(path)
+	j2, _, err := OpenJournal(path, nil)
 	if err != nil {
 		t.Fatalf("reopen after Close: %v", err)
 	}

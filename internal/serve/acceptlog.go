@@ -7,33 +7,28 @@
 // reached the store come back as cache hits, so a crash loses at most
 // in-flight compute, never a submission.
 //
-// Format notes, in the style of exp.Journal (whose flock protocol this
-// file reuses via exp.LockFile):
+// The file is a durable.Log, the sweep journal's log type: flock,
+// torn-tail truncation and failed-append repair live there. This file
+// owns the records and their replay:
 //
-//   - A crash mid-append leaves at most one partial final line;
-//     OpenAcceptLog truncates the torn tail and keeps everything before
-//     it. Accept/tombstone pairs may appear in either order (the runner
+//   - Accept/tombstone pairs may appear in either order (the runner
 //     can finish a job before its accept record hits the disk), so
 //     replay resolves the whole file before deciding what is pending.
-//   - The file is compacted only when it is fully drained (no pending
-//     jobs): then a truncate-to-zero is trivially crash-safe. A file
-//     with pending records is never rewritten in place — the journal
-//     grows until its jobs finish, then resets on the next open.
+//   - The file is compacted (truncated to zero) only when it is fully
+//     drained, which is trivially crash-safe; a file with pending
+//     records grows until its jobs finish, then resets on the next open.
 //   - Jobs whose tombstone append failed (full disk) are replayed and
 //     re-enqueued; re-running a finished job is all cache hits, so the
 //     degradation costs a store read per cell, not a simulation.
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"strconv"
 	"strings"
-	"sync"
 
+	"memnet/internal/durable"
 	"memnet/internal/exp"
 )
 
@@ -56,10 +51,7 @@ type acceptRecord struct {
 
 // AcceptLog appends accept records and tombstones to a JSON-lines file.
 type AcceptLog struct {
-	mu      sync.Mutex
-	f       File
-	fs      FS
-	path    string
+	log     *durable.Log
 	maxSeen uint64
 }
 
@@ -80,26 +72,11 @@ func jobIDNum(id string) (uint64, bool) {
 // the jobs accepted but not yet finished — in acceptance order, ready
 // for Server.Recover. When the file holds no pending work it is
 // compacted to empty. fsys nil means the real filesystem.
-func OpenAcceptLog(path string, fsys FS) (*AcceptLog, []AcceptedJob, error) {
-	if fsys == nil {
-		fsys = OSFS{}
-	}
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("accept journal %s: %w", path, err)
-	}
-	if err := exp.LockFile(f.Fd()); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("accept journal %s: already locked by another process (flock: %w); "+
-			"two daemons appending to one accept journal would corrupt it — "+
-			"stop the other daemon or use a different path", path, err)
-	}
+func OpenAcceptLog(path string, fsys durable.FS) (*AcceptLog, []AcceptedJob, error) {
 	var (
 		order   []string
 		jobs    = map[string]AcceptedJob{}
 		done    = map[string]bool{}
-		good    int64 // offset just past the last fully parsed line
-		off     int64
 		maxSeen uint64
 	)
 	// Every id in the file raises the floor for fresh ids — tombstones
@@ -112,38 +89,26 @@ func OpenAcceptLog(path string, fsys FS) (*AcceptLog, []AcceptedJob, error) {
 			maxSeen = n
 		}
 	}
-	rd := bufio.NewReader(f)
-	for {
-		line, err := rd.ReadBytes('\n')
-		off += int64(len(line))
-		complete := err == nil // a line without trailing \n is a torn write
-		if len(line) > 0 && complete {
-			var rec acceptRecord
-			if jerr := json.Unmarshal(line, &rec); jerr != nil || (rec.Job == nil && rec.Done == "") {
-				// Corrupt interior line: everything after it is suspect
-				// too, so stop here and truncate.
-				break
+	log, err := durable.Open(path, fsys, func(line []byte) bool {
+		var rec acceptRecord
+		if json.Unmarshal(line, &rec) != nil || (rec.Job == nil && rec.Done == "") {
+			return false
+		}
+		switch {
+		case rec.Job != nil && rec.Job.ID != "":
+			if _, seen := jobs[rec.Job.ID]; !seen {
+				order = append(order, rec.Job.ID)
 			}
-			switch {
-			case rec.Job != nil && rec.Job.ID != "":
-				if _, seen := jobs[rec.Job.ID]; !seen {
-					order = append(order, rec.Job.ID)
-				}
-				jobs[rec.Job.ID] = *rec.Job
-				seeID(rec.Job.ID)
-			case rec.Done != "":
-				done[rec.Done] = true
-				seeID(rec.Done)
-			}
-			good = off
+			jobs[rec.Job.ID] = *rec.Job
+			seeID(rec.Job.ID)
+		case rec.Done != "":
+			done[rec.Done] = true
+			seeID(rec.Done)
 		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("accept journal %s: %w", path, err)
-		}
+		return true
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("accept journal %s: %w", path, err)
 	}
 	var pending []AcceptedJob
 	for _, id := range order {
@@ -151,19 +116,14 @@ func OpenAcceptLog(path string, fsys FS) (*AcceptLog, []AcceptedJob, error) {
 			pending = append(pending, jobs[id])
 		}
 	}
-	end := good
 	if len(pending) == 0 {
-		end = 0 // fully drained: compact (safe — nothing to lose)
+		// Fully drained: compact (safe — nothing to lose).
+		if err := log.Reset(); err != nil {
+			log.Close()
+			return nil, nil, fmt.Errorf("accept journal %s: compact: %w", path, err)
+		}
 	}
-	if err := f.Truncate(end); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("accept journal %s: truncate: %w", path, err)
-	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("accept journal %s: %w", path, err)
-	}
-	return &AcceptLog{f: f, fs: fsys, path: path, maxSeen: maxSeen}, pending, nil
+	return &AcceptLog{log: log, maxSeen: maxSeen}, pending, nil
 }
 
 // MaxSeenID reports the highest numeric job id across every record the
@@ -172,39 +132,17 @@ func OpenAcceptLog(path string, fsys FS) (*AcceptLog, []AcceptedJob, error) {
 // whose stale tombstone still sits in a non-compacted journal.
 func (a *AcceptLog) MaxSeenID() uint64 { return a.maxSeen }
 
-// append marshals one record, writes it and syncs it to stable storage.
-func (a *AcceptLog) append(rec acceptRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, err := a.f.Write(b); err != nil {
-		return err
-	}
-	return a.f.Sync()
-}
-
 // Accept records one admitted job. It must complete before the client
 // is acked — it is the write-ahead half of the durability contract.
 func (a *AcceptLog) Accept(job AcceptedJob) error {
-	return a.append(acceptRecord{Job: &job})
+	return a.log.Append(acceptRecord{Job: &job})
 }
 
 // Finish records that a job reached a terminal state and owes no more
 // work. Skipped for drain-canceled jobs, which must be recovered.
 func (a *AcceptLog) Finish(id string) error {
-	return a.append(acceptRecord{Done: id})
+	return a.log.Append(acceptRecord{Done: id})
 }
-
-// Path returns the journal's file path.
-func (a *AcceptLog) Path() string { return a.path }
 
 // Close releases the file (and with it the flock).
-func (a *AcceptLog) Close() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.f.Close()
-}
+func (a *AcceptLog) Close() error { return a.log.Close() }

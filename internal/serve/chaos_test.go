@@ -41,7 +41,7 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal, _, err := exp.OpenJournal(dir + "/journal.jsonl")
+	journal, _, err := exp.OpenJournal(dir+"/journal.jsonl", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestChaosSoak(t *testing.T) {
 
 	// The journal survived: re-opens with no error (flock released, no
 	// torn tail) and every loaded entry re-marshals.
-	j2, loaded, err := exp.OpenJournal(dir + "/journal.jsonl")
+	j2, loaded, err := exp.OpenJournal(dir+"/journal.jsonl", nil)
 	if err != nil {
 		t.Fatalf("journal did not survive the soak: %v", err)
 	}

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"memnet/internal/durable"
 )
 
 // TestCrashRestartSoak is the durability acceptance test: several
@@ -25,7 +27,7 @@ func TestCrashRestartSoak(t *testing.T) {
 	dir := t.TempDir()
 	storeDir := filepath.Join(dir, "store")
 	walPath := filepath.Join(storeDir, "accept.wal") // daemon default location
-	ffs := NewFaultFS(nil)
+	ffs := durable.NewFaultFS(nil)
 
 	// A small spec pool: duplicates become cache hits across lives, the
 	// slow spec keeps work genuinely in flight at each crash.
@@ -57,9 +59,9 @@ func TestCrashRestartSoak(t *testing.T) {
 
 		// Transient faults mid-life: full disk for store puts, a failing
 		// journal append, one torn temp write. All must degrade, not 500.
-		ffs.Fail(FaultRule{Op: OpWrite, Path: ".put-", Err: errENOSPC, Count: 2})
-		ffs.Fail(FaultRule{Op: OpWrite, Path: ".put-", Err: errENOSPC, Count: 1, Short: 7})
-		ffs.Fail(FaultRule{Op: OpSync, Path: "accept.wal", Err: errENOSPC, Count: 1})
+		ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: ".put-", Err: errENOSPC, Count: 2})
+		ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: ".put-", Err: errENOSPC, Count: 1, Short: 7})
+		ffs.Fail(durable.FaultRule{Op: durable.OpSync, Path: "accept.wal", Err: errENOSPC, Count: 1})
 
 		for i := 0; i < 4; i++ {
 			resp, err := http.Post(hs.URL+"/jobs", "application/json",

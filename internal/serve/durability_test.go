@@ -6,22 +6,25 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"memnet/internal/durable"
 	"memnet/internal/exp"
 )
 
 // errENOSPC is the canonical full-disk error the fault tests inject.
 var errENOSPC = syscall.ENOSPC
 
-func openAcceptLog(t *testing.T, path string, fsys FS) (*AcceptLog, []AcceptedJob) {
+func openAcceptLog(t *testing.T, path string, fsys durable.FS) (*AcceptLog, []AcceptedJob) {
 	t.Helper()
 	a, pending, err := OpenAcceptLog(path, fsys)
 	if err != nil {
@@ -109,13 +112,13 @@ func TestAcceptLogTombstoneBeforeAccept(t *testing.T) {
 // truncated away and everything before it replays intact.
 func TestAcceptLogTornTailReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "accept.wal")
-	ffs := NewFaultFS(nil)
+	ffs := durable.NewFaultFS(nil)
 	a, _ := openAcceptLog(t, path, ffs)
 	if err := a.Accept(acceptedJob("j1", 0)); err != nil {
 		t.Fatal(err)
 	}
 	// The next append persists 9 bytes and then "crashes".
-	ffs.Fail(FaultRule{Op: OpWrite, Path: "accept.wal", Err: errENOSPC, Count: 1, Short: 9})
+	ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: "accept.wal", Err: errENOSPC, Count: 1, Short: 9})
 	if err := a.Accept(acceptedJob("j2", 1)); err == nil {
 		t.Fatal("torn append reported success")
 	}
@@ -141,6 +144,77 @@ func TestAcceptLogTornTailReplay(t *testing.T) {
 	defer a3.Close()
 	if len(pending) != 2 || pending[1].ID != "j3" {
 		t.Fatalf("pending after repair = %+v, want j1 then j3", pending)
+	}
+}
+
+// TestAcceptLogAckAfterTornAppendSurvives pins the append-failure
+// repair: a torn accept (short write under ENOSPC) must not glue the
+// next, successful — and therefore acked — accept to its fragment,
+// where the next open would truncate it away.
+func TestAcceptLogAckAfterTornAppendSurvives(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "accept.wal")
+	ffs := durable.NewFaultFS(nil)
+	a, _ := openAcceptLog(t, path, ffs)
+	if err := a.Accept(acceptedJob("j1", 0)); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: "accept.wal", Err: errENOSPC, Count: 1, Short: 9})
+	if err := a.Accept(acceptedJob("j2", 1)); err == nil {
+		t.Fatal("torn append reported success")
+	}
+	if err := a.Accept(acceptedJob("j3", 2)); err != nil {
+		t.Fatalf("append after a repaired torn write: %v", err)
+	}
+	a.Close()
+	a2, pending := openAcceptLog(t, path, nil)
+	defer a2.Close()
+	if len(pending) != 2 || pending[0].ID != "j1" || pending[1].ID != "j3" {
+		t.Fatalf("pending = %+v, want j1 then j3 (j3 was acked durable)", pending)
+	}
+}
+
+// TestAcceptLogReadsV1Format pins the on-disk format: testdata/
+// accept_v1.wal was written by the pre-durable.Log accept journal. The
+// same appends must produce those exact bytes, and opening the file
+// must replay the same pending set without rewriting a byte.
+func TestAcceptLogReadsV1Format(t *testing.T) {
+	golden, err := os.ReadFile("testdata/accept_v1.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1 := AcceptedJob{ID: "j1", WallBudgetMS: 60000, EventBudget: 5000000, MetricsInterval: "10us",
+		Runs: []exp.SpecJSON{{Workload: "mixA", Topology: "daisychain", Size: "small", SimTime: "100us", Warmup: "20us"}}}
+	j3 := acceptedJob("j3", 1)
+	j3.Runs = append(j3.Runs, exp.SpecJSON{Workload: "sp.D", Topology: "tree", Size: "big", SimTime: "50us", Warmup: "10us"})
+	j4 := AcceptedJob{ID: "j4", Runs: []exp.SpecJSON{{Workload: "mixB", Topology: "star", SimTime: "30us", Warmup: "5us"}}}
+
+	fresh := filepath.Join(t.TempDir(), "fresh.wal")
+	a, _ := openAcceptLog(t, fresh, nil)
+	for _, err := range []error{a.Accept(j1), a.Finish("j2"), a.Accept(acceptedJob("j2", 0)),
+		a.Accept(j3), a.Finish("j1"), a.Accept(j4)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Close()
+	if got, _ := os.ReadFile(fresh); !bytes.Equal(got, golden) {
+		t.Fatalf("accept journal bytes drifted from the v1 format:\n got %s\nwant %s", got, golden)
+	}
+
+	path := filepath.Join(t.TempDir(), "accept.wal")
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a2, pending := openAcceptLog(t, path, nil)
+	a2.Close()
+	if want := []AcceptedJob{j3, j4}; !reflect.DeepEqual(pending, want) {
+		t.Fatalf("pending = %+v, want %+v", pending, want)
+	}
+	if a2.MaxSeenID() != 4 {
+		t.Fatalf("MaxSeenID = %d, want 4", a2.MaxSeenID())
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, golden) {
+		t.Fatal("opening a v1 accept journal rewrote it")
 	}
 }
 
@@ -420,7 +494,7 @@ func TestDrainCancelStaysPending(t *testing.T) {
 // and the same spec resubmitted simulates again — cache-miss behavior,
 // not an error.
 func TestPutENOSPCDegrades(t *testing.T) {
-	ffs := NewFaultFS(nil)
+	ffs := durable.NewFaultFS(nil)
 	store, err := NewStoreFS(t.TempDir(), ffs)
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +502,7 @@ func TestPutENOSPCDegrades(t *testing.T) {
 	s := New(Config{Store: store, QueueDepth: 4, Runners: 1, Logf: t.Logf})
 	hs := newHTTPServer(t, s)
 	drainServer(t, s)
-	ffs.Fail(FaultRule{Op: OpWrite, Path: ".put-", Err: errENOSPC, Count: -1})
+	ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: ".put-", Err: errENOSPC, Count: -1})
 
 	sr := submit(t, hs, tinyBody("20us", 0))
 	st := waitTerminal(t, hs, sr.ID, 2*time.Minute)
@@ -462,13 +536,13 @@ func TestAcceptAppendFailureDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ffs := NewFaultFS(nil)
+	ffs := durable.NewFaultFS(nil)
 	a, _ := openAcceptLog(t, filepath.Join(dir, "accept.wal"), ffs)
 	defer a.Close()
 	s := New(Config{Store: store, Accepts: a, QueueDepth: 4, Runners: 1, Logf: t.Logf})
 	hs := newHTTPServer(t, s)
 	drainServer(t, s)
-	ffs.Fail(FaultRule{Op: OpWrite, Path: "accept.wal", Err: errENOSPC, Count: -1})
+	ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: "accept.wal", Err: errENOSPC, Count: -1})
 
 	sr := submit(t, hs, tinyBody("20us", 0))
 	// The degradation is visible to the client, not just a counter: the
@@ -500,6 +574,35 @@ func TestAcceptAppendFailureDegrades(t *testing.T) {
 		t.Fatalf("healed submission not durable: durable=%v header=%q", sr2.Durable, resp.Header.Get(DurableHeader))
 	}
 	waitTerminal(t, hs, sr2.ID, 2*time.Minute)
+}
+
+// TestJournalAppendFailureCounted pins the -journal degradation: a
+// failing result-journal append still delivers the job, and the failure
+// shows on /statusz and /metricsz instead of only in the log.
+func TestJournalAppendFailureCounted(t *testing.T) {
+	ffs := durable.NewFaultFS(nil)
+	jnl, _, err := exp.OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"), ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: "journal.jsonl", Err: errENOSPC, Count: -1})
+	s, hs := newTestServer(t, func(c *Config) { c.Journal = jnl })
+	sr := submit(t, hs.URL, tinyBody("20us", 0))
+	if st := waitTerminal(t, hs.URL, sr.ID, time.Minute); st.State != StateDone {
+		t.Fatalf("job ended %s with a failing journal", st.State)
+	}
+	if got := s.Stats().JournalErrors; got != 1 {
+		t.Fatalf("journal_errors = %d, want 1", got)
+	}
+	resp, err := http.Get(hs.URL + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if data, _ := io.ReadAll(resp.Body); !strings.Contains(string(data), "serve.journal.errors") {
+		t.Fatalf("metricsz lacks serve.journal.errors:\n%s", data)
+	}
 }
 
 // TestQuarantinedEntryResimulates pins the bit-rot path end to end: a
@@ -565,7 +668,7 @@ func TestQuarantinedEntryResimulates(t *testing.T) {
 // surface: when the store directory is unreadable, /statusz reports the
 // scan error instead of a phantom empty store.
 func TestStatuszSurfacesScanError(t *testing.T) {
-	ffs := NewFaultFS(nil)
+	ffs := durable.NewFaultFS(nil)
 	store, err := NewStoreFS(t.TempDir(), ffs)
 	if err != nil {
 		t.Fatal(err)
@@ -573,7 +676,7 @@ func TestStatuszSurfacesScanError(t *testing.T) {
 	s := New(Config{Store: store, QueueDepth: 1, Runners: 1, Logf: t.Logf})
 	hs := newHTTPServer(t, s)
 	drainServer(t, s)
-	ffs.Fail(FaultRule{Op: OpReadDir, Err: errors.New("injected EIO"), Count: -1})
+	ffs.Fail(durable.FaultRule{Op: durable.OpReadDir, Err: errors.New("injected EIO"), Count: -1})
 	// Dirty the store so the scan cache (warmed by the metrics baseline
 	// pull at New) cannot mask the injected fault.
 	if err := store.Put("k", json.RawMessage(`{"Events":1}`)); err != nil {

@@ -125,6 +125,7 @@ type Server struct {
 	unauth    atomic.Uint64 // 401s issued
 	putErrors atomic.Uint64 // store writes that failed (disk full, ...)
 	walErrors atomic.Uint64 // accept-journal appends that failed
+	jnlErrors atomic.Uint64 // result-journal appends that failed
 
 	regMu sync.Mutex
 	reg   *metrics.Registry
@@ -185,6 +186,7 @@ func (s *Server) initMetrics() {
 	s.reg.Counter("serve.jobs.unauthorized", func() float64 { return float64(s.unauth.Load()) })
 	s.reg.Counter("serve.store.put_errors", func() float64 { return float64(s.putErrors.Load()) })
 	s.reg.Counter("serve.accept_journal.errors", func() float64 { return float64(s.walErrors.Load()) })
+	s.reg.Counter("serve.journal.errors", func() float64 { return float64(s.jnlErrors.Load()) })
 	if s.cfg.Store != nil {
 		st := s.cfg.Store
 		s.reg.Counter("serve.store.quarantined", func() float64 { return float64(st.Quarantined()) })
@@ -225,6 +227,7 @@ type Stats struct {
 	Quarantined    uint64 `json:"quarantined"`
 	Evictions      uint64 `json:"evictions"`
 	AcceptErrors   uint64 `json:"accept_journal_errors"`
+	JournalErrors  uint64 `json:"journal_errors"`
 	StoreScanError string `json:"store_scan_error,omitempty"`
 }
 
@@ -243,6 +246,7 @@ func (s *Server) Stats() Stats {
 		Draining:       s.draining.Load(),
 		StorePutErrors: s.putErrors.Load(),
 		AcceptErrors:   s.walErrors.Load(),
+		JournalErrors:  s.jnlErrors.Load(),
 	}
 	if s.cfg.Store != nil {
 		entries, bytes, err := s.cfg.Store.CachedScan()
@@ -793,6 +797,7 @@ func (s *Server) runJob(j *job) {
 		}
 		if s.cfg.Journal != nil {
 			if err := s.cfg.Journal.Append(key, res); err != nil {
+				s.jnlErrors.Add(1)
 				s.cfg.Logf("serve: %s: journal append for %s: %v", j.id, key, err)
 			}
 		}

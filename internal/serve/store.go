@@ -34,6 +34,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"memnet/internal/durable"
 )
 
 // QuarantineDir is the subdirectory of the store root that corrupt or
@@ -55,7 +57,7 @@ const ScanCacheTTL = 500 * time.Millisecond
 // Store is a directory of content-addressed simulation results.
 type Store struct {
 	dir string
-	fs  FS
+	fs  durable.FS
 
 	quarantined atomic.Uint64 // entries moved to quarantine/ (Get + Fsck)
 	evictions   atomic.Uint64 // entries removed by GC
@@ -91,9 +93,9 @@ type storeEntry struct {
 func NewStore(dir string) (*Store, error) { return NewStoreFS(dir, nil) }
 
 // NewStoreFS opens a store on an injectable filesystem (nil = real).
-func NewStoreFS(dir string, fsys FS) (*Store, error) {
+func NewStoreFS(dir string, fsys durable.FS) (*Store, error) {
 	if fsys == nil {
-		fsys = OSFS{}
+		fsys = durable.OSFS{}
 	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: store dir: %w", err)

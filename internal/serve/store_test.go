@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"memnet/internal/durable"
 )
 
 func mustLen(t *testing.T, s *Store) int {
@@ -55,12 +57,12 @@ func TestStoreRoundTrip(t *testing.T) {
 // TestStoreLenSurfacesScanError pins the fixed contract: an unreadable
 // store directory is an error, not a phantom empty store.
 func TestStoreLenSurfacesScanError(t *testing.T) {
-	ffs := NewFaultFS(nil)
+	ffs := durable.NewFaultFS(nil)
 	s, err := NewStoreFS(t.TempDir(), ffs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ffs.Fail(FaultRule{Op: OpReadDir, Err: errors.New("injected EIO"), Count: -1})
+	ffs.Fail(durable.FaultRule{Op: durable.OpReadDir, Err: errors.New("injected EIO"), Count: -1})
 	if _, err := s.Len(); err == nil {
 		t.Fatal("Len swallowed the ReadDir error")
 	}
@@ -272,7 +274,7 @@ func TestStorePutNonCompactPayload(t *testing.T) {
 // Put dirties the store, at which point the next CachedScan really
 // scans and surfaces the error.
 func TestStoreCachedScan(t *testing.T) {
-	ffs := NewFaultFS(nil)
+	ffs := durable.NewFaultFS(nil)
 	s, err := NewStoreFS(t.TempDir(), ffs)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +287,7 @@ func TestStoreCachedScan(t *testing.T) {
 		t.Fatalf("CachedScan = %d, %d, %v", n, bytes1, err)
 	}
 	// Warm cache: a ReadDir fault is not even reached.
-	ffs.Fail(FaultRule{Op: OpReadDir, Err: errors.New("injected EIO"), Count: -1})
+	ffs.Fail(durable.FaultRule{Op: durable.OpReadDir, Err: errors.New("injected EIO"), Count: -1})
 	if n, _, err := s.CachedScan(); err != nil || n != 1 {
 		t.Fatalf("warm CachedScan hit the filesystem: %d, %v", n, err)
 	}
@@ -514,14 +516,14 @@ func TestStoreAtomicWriteLeavesNoTemp(t *testing.T) {
 // torn entry becomes visible at the final address, and the store keeps
 // working once the fault clears.
 func TestStorePutFaults(t *testing.T) {
-	for _, op := range []FaultOp{OpCreate, OpWrite, OpSync, OpRename} {
+	for _, op := range []durable.FaultOp{durable.OpCreate, durable.OpWrite, durable.OpSync, durable.OpRename} {
 		t.Run(string(op), func(t *testing.T) {
-			ffs := NewFaultFS(nil)
+			ffs := durable.NewFaultFS(nil)
 			s, err := NewStoreFS(t.TempDir(), ffs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ffs.Fail(FaultRule{Op: op, Err: errENOSPC, Count: 1})
+			ffs.Fail(durable.FaultRule{Op: op, Err: errENOSPC, Count: 1})
 			if err := s.Put("k", json.RawMessage(`{"Events":7}`)); err == nil {
 				t.Fatalf("Put survived injected %s failure", op)
 			}
