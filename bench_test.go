@@ -12,6 +12,7 @@
 package memnet_test
 
 import (
+	"context"
 	"testing"
 
 	"memnet/internal/core"
@@ -557,8 +558,8 @@ func benchSweep(b *testing.B, jobs int) {
 	var events uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := exp.RunSpecs(specs, jobs)
-		if err != nil {
+		results, errs := exp.RunSpecs(context.Background(), specs, jobs, nil, nil)
+		if err := exp.FirstErr(specs, errs); err != nil {
 			b.Fatal(err)
 		}
 		for _, res := range results {

@@ -59,7 +59,7 @@ func run() error {
 	crcRetries := flag.Int("crcretries", 0, "consecutive CRC retries per packet before escalation (0 = model default)")
 	watchdog := flag.Bool("watchdog", false, "arm the no-progress watchdog")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0),
-		"parallel workers for -config batches and -sweepbench (1 = legacy sequential)")
+		"parallel workers for -config batches and -sweepbench (1 = one cell at a time)")
 	sweepbench := flag.String("sweepbench", "",
 		"run the standard benchmark sweep at -jobs 1 and -jobs N and write the comparison JSON to this path")
 	auditEvery := flag.Int("audit", audit.DefaultSampleEvery,
@@ -294,7 +294,7 @@ func runBatch(ctx context.Context, path string, base exp.Spec, jobs int, journal
 			return err
 		}
 	} else {
-		results, errs = exp.RunSpecsJournaledCtx(ctx, specs, jobs, j, loaded)
+		results, errs = exp.RunSpecs(ctx, specs, jobs, j, loaded)
 	}
 	if ctx.Err() != nil {
 		completed := 0

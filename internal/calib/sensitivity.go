@@ -8,6 +8,7 @@
 package calib
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -140,8 +141,8 @@ func runSensitivity(bands []Band, m *model, jobs int, simTime, warmup sim.Durati
 			specs = append(specs, s)
 		}
 	}
-	results, err := exp.RunSpecs(specs, jobs)
-	if err != nil {
+	results, errs := exp.RunSpecs(context.Background(), specs, jobs, nil, nil)
+	if err := exp.FirstErr(specs, errs); err != nil {
 		return nil, "", fmt.Errorf("calib: sensitivity sweep: %w", err)
 	}
 	out := make([]BandResult, len(bands))

@@ -75,7 +75,7 @@ func TestChurnSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refResults, refErrs := exp.RunSpecsJournaled(specs, 1, jr, loaded)
+	refResults, refErrs := exp.RunSpecs(context.Background(), specs, 1, jr, loaded)
 	for i, e := range refErrs {
 		if e != nil {
 			t.Fatalf("reference cell %d: %v", i, e)
@@ -139,7 +139,7 @@ func runChurnSweep(t *testing.T, specs []exp.Spec, refResults []exp.Result, ref 
 				wctx, die := context.WithCancel(ctx)
 				ran := 0
 				run := func(ctx context.Context, s exp.Spec) (exp.Result, error) {
-					res, err := exp.RunCell(s)
+					res, err := exp.Run(s)
 					ran++
 					if ran >= quota && kills.Add(-1) >= 0 {
 						// Die between finishing the simulation and
@@ -227,7 +227,7 @@ func TestWorkerDrainOnCoordinatorLoss(t *testing.T) {
 	}
 	defer fb.Close()
 
-	res0, err := exp.RunCell(specs[0])
+	res0, err := exp.Run(specs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestWorkerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, errs := exp.RunSpecsJournaled(specs, 1, jr, loaded); errs[0] != nil || errs[1] != nil || errs[2] != nil {
+	if _, errs := exp.RunSpecs(context.Background(), specs, 1, jr, loaded); errs[0] != nil || errs[1] != nil || errs[2] != nil {
 		t.Fatalf("reference errors: %v", errs)
 	}
 	jr.Close()

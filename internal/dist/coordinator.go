@@ -30,9 +30,9 @@ type Config struct {
 	// available (0 = LeaseTTL/4).
 	Poll time.Duration
 	// Journal, when non-nil, receives every fresh successful cell in
-	// sweep order behind the completion watermark; Loaded seeds the
-	// coordinator with results restored from a previous run (consumed by
-	// key on Submit, exactly like RunSpecsJournaled).
+	// sweep order behind the completion watermark (exp.Frontier); Loaded
+	// seeds the coordinator with results restored from a previous run
+	// (consumed by key on Submit, exactly like exp.RunSpecs).
 	Journal *exp.Journal
 	Loaded  map[string]exp.Result
 	// Logf, when non-nil, receives progress lines (lease grants,
@@ -53,7 +53,7 @@ const (
 )
 
 // cell is one sweep slot. Slots with duplicate keys are distinct cells
-// (mirroring RunSpecsJournaled, which journals each slot), but only the
+// (mirroring exp.RunSpecs, which journals each slot), but only the
 // first executes remotely — completions copy to same-key siblings.
 type cell struct {
 	spec   exp.Spec
@@ -63,10 +63,7 @@ type cell struct {
 	expiry time.Time
 	res    exp.Result
 	err    error
-	// fresh cells (not journal-restored) are appended to the journal
-	// when the watermark passes them.
-	fresh bool
-	batch *Batch
+	batch  *Batch
 }
 
 // Stats is a consistent snapshot of the coordinator's gauges, exposed on
@@ -101,8 +98,11 @@ type Coordinator struct {
 	poll   time.Duration
 	clock  func() time.Time
 	logf   func(string, ...any)
-	jnl    *exp.Journal
 	loaded map[string]exp.Result
+	// front journals settled cells in slot order; flushErr is its first
+	// append failure.
+	front    *exp.Frontier
+	flushErr error
 
 	cells    []*cell
 	byKey    map[string][]int // slots per key, in submit order
@@ -110,10 +110,6 @@ type Coordinator struct {
 	done     int
 	failed   int
 	closed   bool
-	// watermark is the journal flush frontier: cells[:watermark] are done
-	// and, when fresh and successful, appended in slot order.
-	watermark int
-	flushErr  error
 
 	lastSeen map[string]time.Time
 	granted  uint64
@@ -143,12 +139,18 @@ func NewCoordinator(cfg Config) *Coordinator {
 		poll:     cfg.Poll,
 		clock:    cfg.Clock,
 		logf:     cfg.Logf,
-		jnl:      cfg.Journal,
 		loaded:   cfg.Loaded,
 		byKey:    map[string][]int{},
 		lastSeen: map[string]time.Time{},
 	}
 	c.cond = sync.NewCond(&c.mu)
+	// Settle is only called under c.mu, so onErr runs under it too.
+	c.front = exp.NewFrontier(cfg.Journal, func(i int, err error) {
+		c.logf("dist: journal append for %s failed: %v", c.cells[i].key, err)
+		if c.flushErr == nil {
+			c.flushErr = fmt.Errorf("dist: journal: %w", err)
+		}
+	})
 	return c
 }
 
@@ -174,9 +176,9 @@ type Batch struct {
 }
 
 // Submit appends specs to the sweep as new cells, in order, consuming
-// journal restores by key (first undone slot wins, like
-// RunSpecsJournaled). Panics after Close — the shutdown handshake with
-// workers depends on "closed" being final.
+// journal restores by key (first undone slot wins, like exp.RunSpecs).
+// Panics after Close — the shutdown handshake with workers depends on
+// "closed" being final.
 func (c *Coordinator) Submit(specs []exp.Spec) *Batch {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -192,12 +194,12 @@ func (c *Coordinator) Submit(specs []exp.Spec) *Batch {
 			cl.res = exp.CanonicalResult(res, s)
 			c.restored++
 			c.done++
+			c.front.Settle(len(c.cells), "", nil)
 		}
 		c.byKey[cl.key] = append(c.byKey[cl.key], len(c.cells))
 		c.cells = append(c.cells, cl)
 		b.cells = append(b.cells, cl)
 	}
-	c.flushLocked()
 	c.observeLocked()
 	c.cond.Broadcast()
 	return b
@@ -324,40 +326,17 @@ func (c *Coordinator) completeLocked(i int, res exp.Result, err error) {
 		sib.state = cellDone
 		sib.owner = ""
 		sib.err = err
-		sib.fresh = true
-		if err == nil {
-			sib.res = exp.CanonicalResult(res, sib.spec)
-		}
 		c.done++
 		if err != nil {
 			c.failed++
+			c.front.Settle(j, "", nil)
+			continue
 		}
+		sib.res = exp.CanonicalResult(res, sib.spec)
+		c.front.Settle(j, sib.key, &sib.res)
 	}
-	c.flushLocked()
 	c.observeLocked()
 	c.cond.Broadcast()
-}
-
-// flushLocked advances the journal watermark: a completed cell is
-// appended only once every earlier slot is done, so the journal grows in
-// sweep order and matches a `-jobs 1` run byte for byte. Failed cells
-// and journal-restored cells advance the watermark without appending.
-func (c *Coordinator) flushLocked() {
-	for c.watermark < len(c.cells) {
-		cl := c.cells[c.watermark]
-		if cl.state != cellDone {
-			return
-		}
-		if cl.fresh && cl.err == nil && c.jnl != nil {
-			if err := c.jnl.Append(cl.key, cl.res); err != nil {
-				c.logf("dist: journal append for %s failed: %v", cl.key, err)
-				if c.flushErr == nil {
-					c.flushErr = fmt.Errorf("dist: journal: %w", err)
-				}
-			}
-		}
-		c.watermark++
-	}
 }
 
 // doneLocked reports whether every cell of b is finished.
@@ -372,7 +351,7 @@ func (b *Batch) doneLocked() bool {
 
 // Wait blocks until every cell of the batch is done and returns results
 // and errors aligned with the submitted specs (the same contract as
-// RunSpecsJournaled). A worker-reported cell failure is a
+// exp.RunSpecs). A worker-reported cell failure is a
 // *RemoteCellError; Wait itself only fails when ctx does.
 func (b *Batch) Wait(ctx context.Context) ([]exp.Result, []error, error) {
 	stop := context.AfterFunc(ctx, func() {

@@ -211,7 +211,7 @@ func TestJournalSweepOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refResults, refErrs := exp.RunSpecsJournaled(specs, 1, jr, loaded)
+	refResults, refErrs := exp.RunSpecs(context.Background(), specs, 1, jr, loaded)
 	for i, e := range refErrs {
 		if e != nil {
 			t.Fatalf("reference cell %d: %v", i, e)
@@ -241,7 +241,7 @@ func TestJournalSweepOrder(t *testing.T) {
 		}
 	}
 	for _, i := range []int{2, 0, 1} {
-		res, err := exp.RunCell(specs[i])
+		res, err := exp.Run(specs[i])
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
@@ -289,7 +289,7 @@ func TestJournalSweepOrder(t *testing.T) {
 // resume in the sequential path.
 func TestJournalRestore(t *testing.T) {
 	specs := testSpecs(t, 2)
-	res0, err := exp.RunCell(specs[0])
+	res0, err := exp.Run(specs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestDuplicateKeySlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, errs := exp.RunSpecsJournaled(specs, 1, jr, loaded); errs[0] != nil || errs[1] != nil {
+	if _, errs := exp.RunSpecs(context.Background(), specs, 1, jr, loaded); errs[0] != nil || errs[1] != nil {
 		t.Fatalf("reference: %v %v", errs[0], errs[1])
 	}
 	jr.Close()
@@ -359,7 +359,7 @@ func TestDuplicateKeySlots(t *testing.T) {
 	if cl.Status != StatusCell {
 		t.Fatalf("claim: %+v", cl)
 	}
-	res, err := exp.RunCell(specs[0])
+	res, err := exp.Run(specs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func TestWorkerHeartbeatsUnderShortLease(t *testing.T) {
 	b := c.Submit(specs)
 	c.Close()
 
-	res0, err := exp.RunCell(specs[0])
+	res0, err := exp.Run(specs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ type WorkerConfig struct {
 	// could not deliver before exiting — the local salvage journal. It
 	// may be shared by several workers (Journal.Append locks).
 	Fallback *exp.Journal
-	// Run executes one cell (default exp.RunCellCtx; tests substitute
+	// Run executes one cell (default exp.RunCtx; tests substitute
 	// instrumented runners). The context is the worker's own: when the
 	// worker is killed mid-cell the simulation aborts within one kernel
 	// check interval instead of burning CPU on a lease nobody holds.
@@ -161,7 +161,7 @@ func newWorker(cfg WorkerConfig) (*worker, error) {
 		w.backoff = DefaultBackoff
 	}
 	if w.run == nil {
-		w.run = exp.RunCellCtx
+		w.run = exp.RunCtx
 	}
 	if w.logf == nil {
 		w.logf = func(string, ...any) {}

@@ -121,14 +121,14 @@ func TestAuditViolationFailsCellGracefully(t *testing.T) {
 	bad := tinySpec(core.PolicyNone, MechFP)
 	badKey := bad.key()
 	orig := runImpl
-	runImpl = func(_ context.Context, s Spec, _ Budget) (Result, error) {
+	runImpl = func(ctx context.Context, s Spec, b Budget) (Result, error) {
 		if s.key() == badKey && s.Mech == MechFP && s.Policy == core.PolicyNone {
 			e := &audit.Error{Total: 1, Violations: []audit.Violation{
 				{Component: "link[0]", Rule: "buffer-bound", Time: 5 * sim.Microsecond, Detail: "synthetic"},
 			}}
 			return Result{}, e
 		}
-		return Run(s)
+		return runBudgeted(ctx, s, b)
 	}
 	defer func() { runImpl = orig }()
 

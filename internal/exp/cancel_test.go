@@ -63,10 +63,10 @@ func TestRunCtxBackgroundUnarmed(t *testing.T) {
 	}
 }
 
-// TestRunSpecsAllCtxCanceled pins the pool-level contract: with a
-// canceled context every unstarted cell fails fast with ctx.Err() and
-// nothing simulates.
-func TestRunSpecsAllCtxCanceled(t *testing.T) {
+// TestRunSpecsCanceled pins the pool-level contract: with a canceled
+// context every unstarted cell fails fast with ctx.Err() and nothing
+// simulates.
+func TestRunSpecsCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	specs := []Spec{
@@ -74,7 +74,7 @@ func TestRunSpecsAllCtxCanceled(t *testing.T) {
 		tinySpec(core.PolicyNone, MechVWL),
 		tinySpec(core.PolicyUnaware, MechFP),
 	}
-	_, errs := RunSpecsAllCtx(ctx, specs, 2)
+	_, errs := RunSpecs(ctx, specs, 2, nil, nil)
 	for i, err := range errs {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cell %d: err = %v, want context.Canceled", i, err)

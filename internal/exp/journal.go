@@ -1,17 +1,19 @@
 // Crash-safe sweep journaling. A Journal is a durable.Log of
-// {Spec.key(), Result} records. Sweeps append every fresh cell as it
-// completes; a killed run restarted with the same journal restores the
-// completed cells and simulates only the remainder, so the combined
-// output is byte-identical to an uninterrupted run (results are always
-// committed and rendered in sweep order). Restored results do not keep
-// their marshaled Spec — JSON does not round-trip every Spec field
-// bit-exactly — the caller's canonical spec replaces it (see
-// Runner.fromJournal and RunSpecsJournaled).
+// {Spec.key(), Result} records. Every sweep appends through a Frontier:
+// a fresh cell is written as soon as every earlier cell has settled, so
+// the file grows in sweep order at any job count. A killed run restarted
+// with the same journal restores the completed cells and simulates only
+// the remainder, so the combined output is byte-identical to an
+// uninterrupted run (results are always committed and rendered in sweep
+// order). Restored results do not keep their marshaled Spec — JSON does
+// not round-trip every Spec field bit-exactly — the caller's canonical
+// spec replaces it (see CanonicalResult).
 package exp
 
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"memnet/internal/durable"
 )
@@ -56,3 +58,56 @@ func (j *Journal) Append(key string, res Result) error {
 
 // Close releases the journal file.
 func (j *Journal) Close() error { return j.log.Close() }
+
+// Frontier is the sweep's one journaling rule, shared by the local pool
+// and the distributed coordinator: slots settle in any order, but slot
+// i's record is appended only once slots 0..i-1 have all settled, so the
+// journal grows in sweep order and matches a one-worker run byte for
+// byte. Failed and journal-restored slots advance the watermark without
+// appending. A crash therefore loses the cells still running plus the
+// ones that finished after the oldest running cell.
+type Frontier struct {
+	mu    sync.Mutex
+	j     *Journal
+	onErr func(slot int, err error)
+	// mark is the watermark: slots [0, mark) are settled and flushed.
+	// settled holds the slots at or past it; a nil entry has nothing to
+	// append.
+	mark    int
+	settled map[int]*journalEntry
+}
+
+// NewFrontier returns a watermark over j (nil = no journal; Settle is a
+// no-op). onErr receives each failed append with its slot, under the
+// frontier's lock.
+func NewFrontier(j *Journal, onErr func(slot int, err error)) *Frontier {
+	return &Frontier{j: j, onErr: onErr, settled: map[int]*journalEntry{}}
+}
+
+// Settle marks slot finished and appends every record the watermark now
+// passes. res is a fresh success to journal under key; nil settles a
+// failed or restored slot. Safe for concurrent use.
+func (f *Frontier) Settle(slot int, key string, res *Result) {
+	if f.j == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.settled[slot] = nil
+	if res != nil {
+		f.settled[slot] = &journalEntry{Key: key, Result: *res}
+	}
+	for {
+		e, ok := f.settled[f.mark]
+		if !ok {
+			return
+		}
+		delete(f.settled, f.mark)
+		if e != nil {
+			if err := f.j.log.Append(*e); err != nil {
+				f.onErr(f.mark, err)
+			}
+		}
+		f.mark++
+	}
+}

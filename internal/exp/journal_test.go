@@ -3,13 +3,16 @@ package exp
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"memnet/internal/core"
 	"memnet/internal/durable"
@@ -359,7 +362,7 @@ func TestRunSpecsJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, errs := RunSpecsJournaled(specs, 2, j, loaded)
+	first, errs := RunSpecs(context.Background(), specs, 2, j, loaded)
 	for i, e := range errs {
 		if e != nil {
 			t.Fatalf("cell %d: %v", i, e)
@@ -374,7 +377,7 @@ func TestRunSpecsJournaled(t *testing.T) {
 	if len(loaded) != len(specs) {
 		t.Fatalf("journal holds %d cells, want %d", len(loaded), len(specs))
 	}
-	second, errs := RunSpecsJournaled(specs, 2, j, loaded)
+	second, errs := RunSpecs(context.Background(), specs, 2, j, loaded)
 	j.Close()
 	for i := range specs {
 		if errs[i] != nil {
@@ -387,16 +390,16 @@ func TestRunSpecsJournaled(t *testing.T) {
 	}
 }
 
-// TestRunSpecsAllContainsPanics injects a panicking cell through the test
+// TestRunSpecsContainsPanics injects a panicking cell through the test
 // seam and checks it fails alone: aligned error slot, structured
 // *PanicError with a stack, and untouched neighbors.
-func TestRunSpecsAllContainsPanics(t *testing.T) {
+func TestRunSpecsContainsPanics(t *testing.T) {
 	orig := runImpl
-	runImpl = func(_ context.Context, s Spec, _ Budget) (Result, error) {
+	runImpl = func(ctx context.Context, s Spec, b Budget) (Result, error) {
 		if s.SeedSalt == 1 {
 			panic("injected cell corruption")
 		}
-		return Run(s)
+		return runBudgeted(ctx, s, b)
 	}
 	defer func() { runImpl = orig }()
 
@@ -406,7 +409,7 @@ func TestRunSpecsAllContainsPanics(t *testing.T) {
 		s.SeedSalt = salt
 		specs = append(specs, s)
 	}
-	results, errs := RunSpecsAll(specs, 3)
+	results, errs := RunSpecs(context.Background(), specs, 3, nil, nil)
 	if errs[0] != nil || errs[2] != nil {
 		t.Fatalf("healthy cells failed: %v / %v", errs[0], errs[2])
 	}
@@ -417,8 +420,155 @@ func TestRunSpecsAllContainsPanics(t *testing.T) {
 	if !errors.As(errs[1], &pe) {
 		t.Fatalf("errs[1] = %v, want *PanicError", errs[1])
 	}
-	if pe.Value != "injected cell corruption" || !strings.Contains(pe.Stack, "runCell") {
-		t.Fatalf("panic not preserved: value=%v stack has runCell=%v", pe.Value, strings.Contains(pe.Stack, "runCell"))
+	if pe.Value != "injected cell corruption" || !strings.Contains(pe.Stack, "RunBudgeted") {
+		t.Fatalf("panic not preserved: value=%v stack has RunBudgeted=%v", pe.Value, strings.Contains(pe.Stack, "RunBudgeted"))
+	}
+}
+
+// TestRunCtxContainsPanics pins panic containment on the single-cell
+// path the daemon, the distributed worker and memnetsim's single run
+// use: a panic under RunCtx comes back as a *PanicError with its stack.
+func TestRunCtxContainsPanics(t *testing.T) {
+	orig := runImpl
+	runImpl = func(context.Context, Spec, Budget) (Result, error) { panic("injected single-cell corruption") }
+	defer func() { runImpl = orig }()
+	_, err := RunCtx(context.Background(), tinySpec(core.PolicyNone, MechFP))
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	if pe.Value != "injected single-cell corruption" || !strings.Contains(pe.Stack, "RunBudgeted") {
+		t.Fatalf("panic not preserved: value=%v stack:\n%s", pe.Value, pe.Stack)
+	}
+}
+
+// journalKeys reads the keys of every complete line of the journal file
+// at path without opening it as a Journal (which would take its lock).
+func journalKeys(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		var e journalEntry
+		if strings.HasSuffix(line, "\n") && json.Unmarshal([]byte(line), &e) == nil {
+			keys = append(keys, e.Key)
+		}
+	}
+	return keys
+}
+
+// TestPrefetchJournalsCellsAsTheyComplete is the crash-window regression
+// test for the pooled sweep: with the last of three cells held mid-run,
+// the two finished cells must already be on disk — a SIGKILL at that
+// moment must not lose them — and releasing the cell completes the
+// journal in sweep order.
+func TestPrefetchJournalsCellsAsTheyComplete(t *testing.T) {
+	var specs []Spec
+	for salt := uint64(0); salt < 3; salt++ {
+		s := tinySpec(core.PolicyNone, MechFP)
+		s.SeedSalt = salt
+		specs = append(specs, s)
+	}
+	r := tinyRunner()
+	r.Jobs = 2
+	for i := range specs {
+		specs[i] = r.normalize(specs[i]) // so keys match the journal's
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	orig := runImpl
+	runImpl = func(ctx context.Context, s Spec, b Budget) (Result, error) {
+		if s.key() == specs[2].key() {
+			close(held)
+			<-release
+		}
+		return runBudgeted(ctx, s, b)
+	}
+	defer func() { runImpl = orig }()
+
+	path := t.TempDir() + "/sweep.jsonl"
+	j, loaded, err := OpenJournal(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	r.AttachJournal(j, loaded)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.Prefetch(specs)
+	}()
+	<-held
+	want := []string{specs[0].key(), specs[1].key()}
+	deadline := time.Now().Add(20 * time.Second)
+	for got := journalKeys(t, path); !reflect.DeepEqual(got, want); got = journalKeys(t, path) {
+		if time.Now().After(deadline) {
+			close(release)
+			<-done
+			t.Fatalf("with the last cell still running, the journal holds %q; want the finished cells %q", got, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(release)
+	<-done
+	if got := journalKeys(t, path); !reflect.DeepEqual(got, append(want, specs[2].key())) {
+		t.Fatalf("journal after the sweep holds %q", got)
+	}
+	if len(r.Failures()) != 0 {
+		t.Fatalf("failures: %v", r.Failures())
+	}
+}
+
+// TestRunSpecsJournalMatchesOneWorker is the ordering regression test
+// for the batch path: with cell 0 finishing last, a three-worker batch
+// must write exactly the journal bytes a one-worker batch writes.
+func TestRunSpecsJournalMatchesOneWorker(t *testing.T) {
+	var specs []Spec
+	for salt := uint64(0); salt < 4; salt++ {
+		s := tinySpec(core.PolicyAware, MechVWLROO)
+		s.SeedSalt = salt
+		specs = append(specs, s)
+	}
+	dir := t.TempDir()
+	write := func(name string, jobs int) []byte {
+		path := dir + "/" + name
+		j, loaded, err := OpenJournal(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, errs := RunSpecs(context.Background(), specs, jobs, j, loaded)
+		j.Close()
+		if err := FirstErr(specs, errs); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	want := write("jobs1.jsonl", 1)
+
+	// Cell 0 starts simulating only after every other cell has returned.
+	var others atomic.Int32
+	othersDone := make(chan struct{})
+	orig := runImpl
+	runImpl = func(ctx context.Context, s Spec, b Budget) (Result, error) {
+		if s.SeedSalt == 0 {
+			<-othersDone
+			return runBudgeted(ctx, s, b)
+		}
+		res, err := runBudgeted(ctx, s, b)
+		if others.Add(1) == int32(len(specs)-1) {
+			close(othersDone)
+		}
+		return res, err
+	}
+	defer func() { runImpl = orig }()
+	if got := write("jobs3.jsonl", 3); !bytes.Equal(got, want) {
+		t.Fatalf("-jobs 3 journal differs from -jobs 1 (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
@@ -428,11 +578,11 @@ func TestRunSpecsAllContainsPanics(t *testing.T) {
 func TestPrefetchSurvivesPanickingCell(t *testing.T) {
 	orig := runImpl
 	var poisoned string
-	runImpl = func(_ context.Context, s Spec, _ Budget) (Result, error) {
+	runImpl = func(ctx context.Context, s Spec, b Budget) (Result, error) {
 		if s.key() == poisoned {
 			panic("poisoned cell")
 		}
-		return Run(s)
+		return runBudgeted(ctx, s, b)
 	}
 	defer func() { runImpl = orig }()
 

@@ -8,6 +8,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 
 	"memnet/internal/audit"
 	"memnet/internal/core"
@@ -309,8 +310,36 @@ func RunCtx(ctx context.Context, spec Spec) (Result, error) {
 // then the measured interval between two snapshots. An aborted run
 // returns an error wrapping ctx.Err() or a *BudgetError;
 // errors.Is(err, context.Canceled) therefore identifies cancellations
-// through every layer above.
-func RunBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) {
+// through every layer above. A panic anywhere under the run comes back
+// as a *PanicError, so a corrupted cell fails alone instead of crashing
+// the sweep, the daemon or a distributed worker.
+func RunBudgeted(ctx context.Context, spec Spec, budget Budget) (res Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: string(debug.Stack())}
+		}
+	}()
+	return runImpl(ctx, spec, budget)
+}
+
+// PanicError is a panic recovered by RunBudgeted, preserving the panic
+// value and the goroutine stack at the point of recovery.
+type PanicError struct {
+	Value any
+	Stack string
+}
+
+// Error implements error.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("cell panicked: %v\n%s", e.Value, e.Stack)
+}
+
+// runImpl is swapped by tests to inject panicking or slow cells; a
+// replacement that simulates must call runBudgeted, not Run.
+var runImpl = runBudgeted
+
+// runBudgeted is RunBudgeted without the panic containment.
+func runBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) {
 	s, err := Build(spec)
 	if err != nil {
 		return Result{}, err
@@ -411,16 +440,16 @@ type Runner struct {
 	// cell the runner executes (locally or via the pool): canceling it
 	// aborts in-flight simulations within one kernel check interval and
 	// fails the remaining cells with the context's error. Nil means
-	// context.Background() — the legacy run-to-completion behavior.
+	// context.Background(): every cell runs to completion.
 	Ctx context.Context
 	// Watchdog arms the no-progress detector on every run, so a hung
 	// sweep (or benchmark) fails fast with a diagnostic instead of
 	// spinning until an external timeout.
 	Watchdog bool
 	// Jobs is the sweep executor's worker count: 0 means
-	// runtime.GOMAXPROCS(0), 1 is the legacy fully sequential path. Any
-	// value produces byte-identical figure output (see sweep_test.go);
-	// only wall-clock time changes.
+	// runtime.GOMAXPROCS(0), 1 runs one cell at a time. Any value
+	// produces byte-identical figure output and journal (see
+	// sweep_test.go); only wall-clock time changes.
 	Jobs int
 	// Faults, when non-empty, attaches the scenario to every spec that
 	// does not carry its own — the whole figure sweep re-run under fault
@@ -516,9 +545,9 @@ func (r *Runner) normalize(spec Spec) Spec {
 }
 
 // recordMetrics logs a committed cell's time-series for MetricsEntries.
-// Both commit paths — the sequential Run and the pooled Prefetch — call
-// it exactly once per distinct cell, in the generator's first-use order,
-// which is what makes the exported metrics identical at any Jobs value.
+// Journal restores (Uncached) and fresh results (commit) call it exactly
+// once per distinct cell, in the generator's first-use order, which is
+// what makes the exported metrics identical at any Jobs value.
 func (r *Runner) recordMetrics(key string, res Result) {
 	if res.Metrics != nil {
 		r.metricsLog = append(r.metricsLog, metrics.Entry{Key: key, Dump: res.Metrics})
@@ -529,7 +558,9 @@ func (r *Runner) recordMetrics(key string, res Result) {
 // cell committed so far, in deterministic first-use order.
 func (r *Runner) MetricsEntries() []metrics.Entry { return r.metricsLog }
 
-// Run executes (or recalls) a spec with the runner's time settings.
+// Run executes (or recalls) a spec with the runner's time settings. A
+// miss outside the collect pass is a one-cell Prefetch, so restore,
+// journaling and failure recording have a single code path.
 func (r *Runner) Run(spec Spec) Result {
 	spec = r.normalize(spec)
 	k := spec.key()
@@ -545,38 +576,8 @@ func (r *Runner) Run(spec Spec) Result {
 		// while rendering; the collect pass's output is discarded.
 		return Result{Spec: spec, Hist: &stats.LinkHourHist{}}
 	}
-	if res, ok := r.fromJournal(k, spec); ok {
-		if r.Progress != nil {
-			r.Progress(fmt.Sprintf("restored %s from journal", k))
-		}
-		r.cache[k] = res
-		r.recordMetrics(k, res)
-		return res
-	}
-	res, err := runCellCtx(r.ctx(), spec, Budget{})
-	if err != nil {
-		// A failed cell (audit violation, stall, or recovered panic) fails
-		// gracefully: record it, cache a placeholder so rendering
-		// completes, and let the caller inspect Failures().
-		r.failures = append(r.failures, CellFailure{Key: k, Err: err})
-		if r.Progress != nil {
-			r.Progress(fmt.Sprintf("FAILED %s: %v", k, err))
-		}
-		res = Result{Spec: spec, Hist: &stats.LinkHourHist{}}
-		r.cache[k] = res
-		return res
-	}
-	if r.Progress != nil {
-		r.Progress(fmt.Sprintf("ran %s (%.1fM events)", k, float64(res.Events)/1e6))
-	}
-	if r.journal != nil {
-		if err := r.journal.Append(k, res); err != nil {
-			r.failures = append(r.failures, CellFailure{Key: k, Err: fmt.Errorf("journal: %w", err)})
-		}
-	}
-	r.cache[k] = res
-	r.recordMetrics(k, res)
-	return res
+	r.Prefetch([]Spec{spec})
+	return r.cache[k]
 }
 
 // ctx resolves the runner's context.
@@ -598,20 +599,11 @@ type CellFailure struct {
 func (r *Runner) Failures() []CellFailure { return r.failures }
 
 // AttachJournal directs the runner to restore results from loaded (keyed
-// by Spec.key) and to append every fresh result to j.
+// by Spec.key) and to append every fresh result to j as its cell
+// completes, in sweep order (see Frontier).
 func (r *Runner) AttachJournal(j *Journal, loaded map[string]Result) {
 	r.journal = j
 	r.journaled = loaded
-}
-
-// fromJournal consumes a restored result for k, if present.
-func (r *Runner) fromJournal(k string, spec Spec) (Result, bool) {
-	res, ok := r.journaled[k]
-	if !ok {
-		return Result{}, false
-	}
-	delete(r.journaled, k)
-	return CanonicalResult(res, spec), true
 }
 
 // CanonicalResult aligns a result that crossed a serialization boundary
@@ -619,9 +611,9 @@ func (r *Runner) fromJournal(k string, spec Spec) (Result, bool) {
 // canonical spec. The marshaled Spec is always replaced: JSON does not
 // round-trip every Spec field bit-exactly, and downstream baseline
 // lookups re-derive keys from res.Spec. It is the single merge entry
-// point shared by journal resume (fromJournal, RunSpecsJournaled) and
-// the distributed coordinator (internal/dist), which is what makes a
-// merged distributed journal byte-identical to a single-process one.
+// point shared by journal resume (Runner.Uncached, RunSpecs) and the
+// distributed coordinator (internal/dist), which is what makes a merged
+// distributed journal byte-identical to a single-process one.
 func CanonicalResult(res Result, spec Spec) Result {
 	res.Spec = spec.resolved()
 	if res.Hist == nil {

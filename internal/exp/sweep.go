@@ -9,17 +9,20 @@
 // enqueues its cell instead of simulating, so the generator's own control
 // flow enumerates the sweep — there is no second copy of the cell lists
 // to drift out of sync. The execute pass fans the recorded cells across
-// the worker pool and commits results to the memo cache in sweep order.
-// The final render replays the generator against the warm cache, so
-// output is byte-identical to the sequential path regardless of job count
-// or completion order.
+// the worker pool, journals each one as it completes (in sweep order, see
+// Frontier) and commits results to the memo cache in sweep order. The
+// final render replays the generator against the warm cache, so output
+// is byte-identical to the sequential path regardless of job count or
+// completion order.
+//
+// Every local sweep — Runner.Prefetch, Runner.Run on a miss, and the
+// RunSpecs batch — goes through one pool, execute.
 package exp
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -58,9 +61,10 @@ func (r *Runner) Collect(gen func(*Runner) string) []Spec {
 }
 
 // Prefetch executes specs across the worker pool and memoizes the
-// results. Progress lines and cache commits happen in sweep order after
-// the pool drains, independent of completion order. Journaled cells are
-// restored without simulating; failed cells (errors and recovered
+// results. Journaled cells are restored without simulating, and each
+// fresh success reaches the attached journal as soon as every earlier
+// cell has settled; progress lines and cache commits happen in sweep
+// order after the pool drains. Failed cells (errors and recovered
 // panics) get placeholder results and are recorded in Failures, so one
 // bad cell cannot take down the rest of the sweep.
 func (r *Runner) Prefetch(specs []Spec) {
@@ -68,14 +72,15 @@ func (r *Runner) Prefetch(specs []Spec) {
 	if len(todo) == 0 {
 		return
 	}
-	results, errs := RunSpecsAllCtx(r.ctx(), todo, r.jobs())
-	r.commit(todo, results, errs, true)
+	results, errs, jerrs := execute(r.ctx(), todo, r.jobs(), r.journal)
+	r.commit(todo, results, errs, jerrs)
 }
 
 // Uncached normalizes specs and filters them against the memo cache and
-// the attached journal (restored cells are committed on the spot),
-// returning only the cells that still need simulating — the work list
-// the local pool or the distributed coordinator must actually run.
+// the attached journal (restored cells are consumed by key, re-keyed to
+// the canonical spec and committed on the spot), returning only the
+// cells that still need simulating — the work list the local pool or the
+// distributed coordinator must actually run.
 func (r *Runner) Uncached(specs []Spec) []Spec {
 	var todo []Spec
 	for _, s := range specs {
@@ -84,7 +89,9 @@ func (r *Runner) Uncached(specs []Spec) []Spec {
 		if _, ok := r.cache[k]; ok {
 			continue
 		}
-		if res, ok := r.fromJournal(k, s); ok {
+		if res, ok := r.journaled[k]; ok {
+			delete(r.journaled, k)
+			res = CanonicalResult(res, s)
 			if r.Progress != nil {
 				r.Progress(fmt.Sprintf("restored %s from journal", k))
 			}
@@ -100,15 +107,16 @@ func (r *Runner) Uncached(specs []Spec) []Spec {
 // Commit stores externally computed sweep results — the distributed
 // coordinator's merge — in the memo cache, in sweep order, recording
 // failures exactly like the local pool. specs must be the Uncached work
-// list the results were computed from. The journal is deliberately not
-// appended to: in a distributed run the coordinator owns journaling.
+// list the results were computed from. In a distributed run the
+// coordinator owns the journal, so the runner has none attached.
 func (r *Runner) Commit(specs []Spec, results []Result, errs []error) {
-	r.commit(specs, results, errs, false)
+	r.commit(specs, results, errs, nil)
 }
 
 // commit is the shared cache-commit loop: sweep order, placeholder
-// results for failed cells, optional journal appends for fresh results.
-func (r *Runner) commit(specs []Spec, results []Result, errs []error, journal bool) {
+// results for failed cells. jerrs, when non-nil, holds each cell's
+// journal-append failure, recorded right after the cell it belongs to.
+func (r *Runner) commit(specs []Spec, results []Result, errs, jerrs []error) {
 	for i, res := range results {
 		k := specs[i].key()
 		if err := errs[i]; err != nil {
@@ -124,192 +132,110 @@ func (r *Runner) commit(specs []Spec, results []Result, errs []error, journal bo
 		if r.Progress != nil {
 			r.Progress(fmt.Sprintf("ran %s (%.1fM events)", k, float64(res.Events)/1e6))
 		}
-		if journal && r.journal != nil {
-			if err := r.journal.Append(k, res); err != nil {
-				r.failures = append(r.failures, CellFailure{Key: k, Err: fmt.Errorf("journal: %w", err)})
-			}
+		if jerrs != nil && jerrs[i] != nil {
+			r.failures = append(r.failures, CellFailure{Key: k, Err: fmt.Errorf("journal: %w", jerrs[i])})
 		}
 	}
 }
 
-// PanicError wraps a panic recovered inside a sweep worker, preserving
-// the panic value and the goroutine stack at the point of recovery.
-type PanicError struct {
-	Value any
-	Stack string
-}
-
-// Error implements error.
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("cell panicked: %v\n%s", e.Value, e.Stack)
-}
-
-// runImpl is swapped by tests to inject panicking/failing cells.
-var runImpl = RunBudgeted
-
-// RunCell executes one sweep cell with the standard panic containment:
-// a panic anywhere under Run comes back as a structured *PanicError
-// instead of crashing the process. It is the execution entry point for
-// distributed workers (internal/dist), which must fail one cell — never
-// the whole worker — on a corrupted simulation.
-func RunCell(spec Spec) (Result, error) { return runCell(spec) }
-
-// RunCellCtx is RunCell under a context: cancellation aborts the cell
-// within one kernel check interval. It is the entry point the daemon
-// (internal/serve) and the distributed worker use, so a dead client or
-// a dismissed worker stops consuming CPU promptly.
-func RunCellCtx(ctx context.Context, spec Spec) (Result, error) {
-	return runCellCtx(ctx, spec, Budget{})
-}
-
-// RunCellBudgeted is RunCellCtx with a resource budget (see RunBudgeted).
-func RunCellBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) {
-	return runCellCtx(ctx, spec, budget)
-}
-
-// runCell executes one sweep cell, converting a panic anywhere under Run
-// into a structured *PanicError so a corrupted cell fails alone instead
-// of crashing the process (and, in the pool, the whole sweep).
-func runCell(spec Spec) (res Result, err error) {
-	return runCellCtx(context.Background(), spec, Budget{})
-}
-
-// runCellCtx is runCell's context/budget-threading core.
-func runCellCtx(ctx context.Context, spec Spec, budget Budget) (res Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: string(debug.Stack())}
-		}
-	}()
-	return runImpl(ctx, spec, budget)
-}
-
-// RunSpecsAll executes specs with jobs parallel workers (<= 0 means
+// RunSpecs executes a batch across jobs workers (<= 0 means
 // runtime.GOMAXPROCS(0)) and returns results and errors aligned with the
-// input. Each job is hermetic — own kernel, network, workload, RNG — so
-// the only shared state is the output slot each worker owns. Panics are
-// contained per cell (see runCell).
-func RunSpecsAll(specs []Spec, jobs int) ([]Result, []error) {
-	return RunSpecsAllCtx(context.Background(), specs, jobs)
-}
-
-// RunSpecsAllCtx is RunSpecsAll under a context: in-flight cells abort
-// within one kernel check interval of cancellation, and cells the pool
-// has not started yet fail immediately with ctx's error instead of
-// simulating — so an interrupted sweep hands back promptly with every
-// completed cell intact and every unfinished slot marked.
-func RunSpecsAllCtx(ctx context.Context, specs []Spec, jobs int) ([]Result, []error) {
-	return runSpecsAll(ctx, specs, jobs, nil)
-}
-
-// runSpecsAll is the shared sweep executor. onDone, when non-nil, is
-// called from the worker that ran cell i immediately after it settles —
-// the journaled path uses it to persist each result at completion time
-// rather than at sweep end, so a crash mid-sweep loses at most the
-// in-flight cells. It may rewrite the cell's error (journal failures).
-func runSpecsAll(ctx context.Context, specs []Spec, jobs int,
-	onDone func(i int, res Result, err error) error) ([]Result, []error) {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(specs) {
-		jobs = len(specs)
-	}
+// input; errs[i] is nil where cell i succeeded. Panics are contained per
+// cell (see RunBudgeted). With a journal j, cells whose keys appear in
+// loaded are restored (consumed by key, first slot wins, with the
+// caller's canonical spec) instead of simulated, and each fresh success
+// is appended in input order as soon as every earlier cell has settled;
+// an append failure becomes that cell's error. Canceling ctx aborts
+// in-flight cells within one kernel check interval and fails unstarted
+// ones with ctx's error, so an interrupted batch hands back promptly with
+// every completed cell intact — and, behind the watermark, journaled.
+func RunSpecs(ctx context.Context, specs []Spec, jobs int, j *Journal, loaded map[string]Result) ([]Result, []error) {
 	results := make([]Result, len(specs))
 	errs := make([]error, len(specs))
-	runOne := func(i int) {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			return
+	var todo []Spec
+	var todoIdx []int
+	for i, s := range specs {
+		if len(loaded) > 0 {
+			k := s.key()
+			if res, ok := loaded[k]; ok {
+				delete(loaded, k)
+				results[i] = CanonicalResult(res, s)
+				continue
+			}
 		}
-		results[i], errs[i] = runCellCtx(ctx, specs[i], Budget{})
-		if onDone != nil {
-			errs[i] = onDone(i, results[i], errs[i])
-		}
+		todo = append(todo, s)
+		todoIdx = append(todoIdx, i)
 	}
-	if jobs <= 1 {
-		for i := range specs {
-			runOne(i)
+	fresh, ferrs, jerrs := execute(ctx, todo, jobs, j)
+	for t, i := range todoIdx {
+		results[i], errs[i] = fresh[t], ferrs[t]
+		if jerrs[t] != nil {
+			errs[i] = fmt.Errorf("journal: %w", jerrs[t])
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < jobs; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(specs) {
-						return
-					}
-					runOne(i)
-				}
-			}()
-		}
-		wg.Wait()
 	}
 	return results, errs
 }
 
-// RunSpecs executes specs and returns their results in input order. A
-// non-nil error is the input-order-first failure; the other results are
-// still returned.
-func RunSpecs(specs []Spec, jobs int) ([]Result, error) {
-	results, errs := RunSpecsAll(specs, jobs)
+// FirstErr folds RunSpecs' per-cell errors into the input-order-first
+// failure, labeled with its index and key (nil when every cell
+// succeeded).
+func FirstErr(specs []Spec, errs []error) error {
 	for i, err := range errs {
 		if err != nil {
 			desc := "invalid spec"
 			if specs[i].Workload != nil {
 				desc = specs[i].key()
 			}
-			return results, fmt.Errorf("run %d (%s): %w", i, desc, err)
+			return fmt.Errorf("run %d (%s): %w", i, desc, err)
 		}
 	}
-	return results, nil
+	return nil
 }
 
-// RunSpecsJournaled is RunSpecs with crash-safe resume: cells whose keys
-// appear in loaded are restored (with spec replaced by the caller's
-// canonical copy) instead of simulated, and every fresh success is
-// appended to j before the function returns. Results stay in input
-// order; errs aligns with the input and is nil where the cell succeeded.
-func RunSpecsJournaled(specs []Spec, jobs int, j *Journal, loaded map[string]Result) ([]Result, []error) {
-	return RunSpecsJournaledCtx(context.Background(), specs, jobs, j, loaded)
-}
-
-// RunSpecsJournaledCtx is RunSpecsJournaled under a context. Each fresh
-// success is appended (and fsynced) the moment its cell completes, not
-// at sweep end, so a crash or interrupt loses at most the cells that
-// were still in flight. Canceled cells are not journaled — a resumed
-// sweep picks up exactly at the completion frontier.
-func RunSpecsJournaledCtx(ctx context.Context, specs []Spec, jobs int, j *Journal, loaded map[string]Result) ([]Result, []error) {
-	results := make([]Result, len(specs))
-	errs := make([]error, len(specs))
-	var todo []Spec
-	var todoIdx []int
-	for i, s := range specs {
-		k := s.key()
-		if res, ok := loaded[k]; ok {
-			delete(loaded, k)
-			results[i] = CanonicalResult(res, s)
-			continue
-		}
-		todo = append(todo, s)
-		todoIdx = append(todoIdx, i)
+// execute is the one cell pool behind RunSpecs and Runner.Prefetch. It
+// runs specs across jobs workers (<= 0 means runtime.GOMAXPROCS(0)) and
+// returns results and errors aligned with the input. Each cell is
+// hermetic — own kernel, network, workload, RNG — so the only shared
+// state is the output slot each worker owns. Cells not yet started when
+// ctx is canceled fail with ctx's error instead of simulating. Every
+// cell settles on a Frontier over j the moment it finishes; jerrs[i] is
+// cell i's journal-append failure.
+func execute(ctx context.Context, specs []Spec, jobs int, j *Journal) (results []Result, errs, jerrs []error) {
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
 	}
-	appendDone := func(t int, res Result, err error) error {
-		if err != nil || j == nil {
-			return err
-		}
-		if err := j.Append(todo[t].key(), res); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-		return nil
+	if jobs > len(specs) {
+		jobs = len(specs)
 	}
-	fresh, ferrs := runSpecsAll(ctx, todo, jobs, appendDone)
-	for t, i := range todoIdx {
-		results[i], errs[i] = fresh[t], ferrs[t]
+	results = make([]Result, len(specs))
+	errs = make([]error, len(specs))
+	jerrs = make([]error, len(specs))
+	front := NewFrontier(j, func(i int, err error) { jerrs[i] = err })
+	runOne := func(i int) {
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			results[i], errs[i] = RunBudgeted(ctx, specs[i], Budget{})
+		}
+		if errs[i] != nil {
+			front.Settle(i, "", nil)
+		} else {
+			front.Settle(i, specs[i].key(), &results[i])
+		}
 	}
-	return results, errs
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < jobs; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(specs) {
+					return
+				}
+				runOne(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return results, errs, jerrs
 }

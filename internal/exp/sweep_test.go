@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -98,12 +99,12 @@ func TestRunSpecsFaultDeterminism(t *testing.T) {
 		spec.MaxRetries = 1
 		specs = append(specs, spec)
 	}
-	seq, err := RunSpecs(specs, 1)
-	if err != nil {
+	seq, errs := RunSpecs(context.Background(), specs, 1, nil, nil)
+	if err := FirstErr(specs, errs); err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSpecs(specs, 8)
-	if err != nil {
+	par, errs := RunSpecs(context.Background(), specs, 8, nil, nil)
+	if err := FirstErr(specs, errs); err != nil {
 		t.Fatal(err)
 	}
 	for i := range specs {
@@ -122,8 +123,8 @@ func TestRunSpecsPreservesOrder(t *testing.T) {
 		spec.SeedSalt = salt
 		specs = append(specs, spec)
 	}
-	results, err := RunSpecs(specs, 3)
-	if err != nil {
+	results, errs := RunSpecs(context.Background(), specs, 3, nil, nil)
+	if err := FirstErr(specs, errs); err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != len(specs) {
@@ -141,8 +142,8 @@ func TestRunSpecsPreservesOrder(t *testing.T) {
 func TestRunSpecsReportsFirstErrorInOrder(t *testing.T) {
 	good := tinySpec(core.PolicyNone, MechFP)
 	specs := []Spec{good, {}, {}} // nil workloads fail validation
-	_, err := RunSpecs(specs, 4)
-	if err == nil || !strings.Contains(err.Error(), "run 1") {
+	_, errs := RunSpecs(context.Background(), specs, 4, nil, nil)
+	if err := FirstErr(specs, errs); err == nil || !strings.Contains(err.Error(), "run 1") {
 		t.Fatalf("err = %v, want first failure at run 1", err)
 	}
 }

@@ -158,11 +158,11 @@ func MeasureSweep(specs []Spec, jobs int) (SweepBench, error) {
 	var wallPar float64
 	timeCell := func(sp []Spec, i int, res []Result) (float64, error) {
 		start := time.Now()
-		r, err := RunSpecs(sp[i:i+1], 1)
+		r, err := Run(sp[i])
 		if err != nil {
 			return 0, err
 		}
-		res[i] = r[0]
+		res[i] = r
 		return time.Since(start).Seconds(), nil
 	}
 	timeCellArmed := func(i int, res []Result) (float64, error) {
@@ -214,8 +214,8 @@ func MeasureSweep(specs []Spec, jobs int) (SweepBench, error) {
 			}
 		}
 		start := time.Now()
-		p, err := RunSpecs(specs, jobs)
-		if err != nil {
+		p, errs := RunSpecs(context.Background(), specs, jobs, nil, nil)
+		if err := FirstErr(specs, errs); err != nil {
 			return SweepBench{}, err
 		}
 		if w := time.Since(start).Seconds(); round == 0 || w < wallPar {

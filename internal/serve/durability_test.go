@@ -251,7 +251,7 @@ func TestRecoverReenqueues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exp.RunCell(specs[0])
+	res, err := exp.Run(specs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

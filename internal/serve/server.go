@@ -746,7 +746,7 @@ func (s *Server) runJob(j *job) {
 			}
 			budget.MaxEvents = remaining
 		}
-		res, err := exp.RunCellBudgeted(j.ctx, spec, budget)
+		res, err := exp.RunBudgeted(j.ctx, spec, budget)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				why := "canceled"
