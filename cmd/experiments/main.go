@@ -114,28 +114,22 @@ func run() error {
 
 	r := exp.NewRunner()
 	r.Ctx = ctx
+	if r.Settings, err = cli.Common(*jobs, *auditEvery, *crcRetries, *retrainF); err != nil {
+		return err
+	}
 	if r.SimTime, err = cli.PositiveDuration("simtime", *simtime); err != nil {
 		return err
 	}
 	if r.Warmup, err = cli.NonNegativeDuration("warmup", *warmup); err != nil {
 		return err
 	}
-	if r.Retrain, err = cli.Common(*jobs, *auditEvery, *crcRetries, *retrainF); err != nil {
-		return err
-	}
 	if r.Metrics, err = cli.MetricsInterval(flag.CommandLine, *metricsOn, *metricsIntervalF); err != nil {
 		return err
 	}
-	r.CRCRetries = *crcRetries
 	if *verbose {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
 	r.Jobs = *jobs
-	if *auditEvery == 0 {
-		r.Audit = -1
-	} else {
-		r.Audit = *auditEvery
-	}
 	if *faultsFile != "" {
 		if r.Faults, err = fault.LoadScenario(*faultsFile); err != nil {
 			return fmt.Errorf("bad -faults: %v", err)

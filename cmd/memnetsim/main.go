@@ -24,9 +24,7 @@ import (
 	"memnet/internal/metrics"
 	"memnet/internal/network"
 	"memnet/internal/sim"
-	"memnet/internal/topology"
 	"memnet/internal/viz"
-	"memnet/internal/workload"
 )
 
 func main() {
@@ -51,7 +49,7 @@ func run() error {
 	warmupF := flag.String("warmup", "100us", "simulated warmup")
 	wakeup := flag.Int("wakeup", 14, "ROO wakeup latency (ns)")
 	trace := flag.Bool("trace", false, "print per-epoch management trace")
-	config := flag.String("config", "", "JSON batch config (overrides the single-run flags)")
+	config := flag.String("config", "", "JSON batch config (the single-run flags are rejected with it)")
 	faultsFile := flag.String("faults", "", "JSON fault scenario file (see EXPERIMENTS.md)")
 	timeoutF := flag.String("timeout", "", "per-request timeout, e.g. 2us (empty = wait forever)")
 	retries := flag.Int("retries", 2, "timeout-driven read retries (with -timeout)")
@@ -93,21 +91,20 @@ func run() error {
 	if *coordAddr != "" && *config == "" {
 		return errors.New("bad -coordinator: requires -config (it serves a batch)")
 	}
-	retrain, err := cli.Common(*jobs, *auditEvery, *crcRetries, *retrainF)
+	if *config != "" {
+		if err := cli.Forbid(flag.CommandLine, "not supported with -config (each run's fields come from the file)",
+			"wl", "topo", "size", "mech", "policy", "alpha", "simtime", "warmup", "wakeup",
+			"faults", "timeout", "retries", "watchdog", "trace"); err != nil {
+			return err
+		}
+	}
+	// st carries the run settings every spec shares: the audit stride,
+	// the recovery knobs and the metrics interval.
+	st, err := cli.Common(*jobs, *auditEvery, *crcRetries, *retrainF)
 	if err != nil {
 		return err
 	}
-	if *retries < 0 {
-		return fmt.Errorf("bad -retries: must be non-negative, got %d", *retries)
-	}
-	if *wakeup <= 0 {
-		return fmt.Errorf("bad -wakeup: must be a positive nanosecond count, got %d", *wakeup)
-	}
-	if *alpha < 0 {
-		return fmt.Errorf("bad -alpha: slowdown factor must be non-negative, got %g", *alpha)
-	}
-	metricsIv, err := cli.MetricsInterval(flag.CommandLine, *metricsOn, *metricsIntervalF)
-	if err != nil {
+	if st.Metrics, err = cli.MetricsInterval(flag.CommandLine, *metricsOn, *metricsIntervalF); err != nil {
 		return err
 	}
 
@@ -130,70 +127,43 @@ func run() error {
 	ctx, stopSignals := cli.InterruptContext()
 	defer stopSignals()
 
-	// base carries the run settings every spec shares; batch specs take
-	// them where their config leaves a field unset.
-	base := exp.Spec{
-		AuditEvery:      -1,
-		RetrainLatency:  retrain,
-		CRCRetryLimit:   *crcRetries,
-		MetricsInterval: metricsIv,
-	}
-	if *auditEvery > 0 {
-		base.AuditEvery = *auditEvery
-	}
 	if *config != "" {
-		return runBatch(ctx, *config, base, *jobs, *journalPath, *metricsOut, *coordAddr, lease)
+		return runBatch(ctx, *config, st, *jobs, *journalPath, *metricsOut, *coordAddr, lease)
 	}
 
-	spec := base
-	if spec.Workload, err = workload.ByName(*wlName); err != nil {
-		return err
-	}
-	if spec.Topology, err = topology.ParseKind(*topoName); err != nil {
-		return err
-	}
-	if spec.Mech, err = exp.ParseMech(*mechName); err != nil {
-		return err
-	}
-	if spec.Policy, err = exp.ParsePolicy(*policyName); err != nil {
-		return err
-	}
-	switch *sizeName {
-	case "small":
-		spec.Size = exp.Small
-	case "big":
-		spec.Size = exp.Big
-	default:
-		return fmt.Errorf("unknown size %q", *sizeName)
-	}
-	if spec.SimTime, err = exp.ParseSimDuration(*simtime); err != nil {
-		return err
-	}
-	if spec.SimTime <= 0 {
-		return fmt.Errorf("bad -simtime: must be positive, got %s", *simtime)
-	}
-	if spec.Warmup, err = exp.ParseSimDuration(*warmupF); err != nil {
-		return err
-	}
-	if spec.Warmup < 0 {
-		return fmt.Errorf("bad -warmup: must be non-negative, got %s", *warmupF)
+	spec, err := exp.Axes{Workload: *wlName, Topology: *topoName, Size: *sizeName,
+		Mechanism: *mechName, Policy: *policyName}.Parse()
+	if err != nil {
+		return cli.FlagError(err)
 	}
 	spec.Alpha = *alpha
 	spec.Wakeup = sim.Duration(*wakeup) * sim.Nanosecond
 	spec.Watchdog = *watchdog
-	if *faultsFile != "" {
-		if spec.Faults, err = fault.LoadScenario(*faultsFile); err != nil {
+	spec.MaxRetries = *retries
+	if spec.SimTime, err = cli.PositiveDuration("simtime", *simtime); err != nil {
+		return err
+	}
+	if spec.Warmup, err = cli.NonNegativeDuration("warmup", *warmupF); err != nil {
+		return err
+	}
+	if *timeoutF != "" {
+		if spec.RequestTimeout, err = cli.PositiveDuration("timeout", *timeoutF); err != nil {
 			return err
 		}
 	}
-	if *timeoutF != "" {
-		if spec.RequestTimeout, err = exp.ParseSimDuration(*timeoutF); err != nil {
-			return err
+	if *faultsFile != "" {
+		if spec.Faults, err = fault.LoadScenario(*faultsFile); err != nil {
+			return fmt.Errorf("bad -faults: %v", err)
 		}
-		if spec.RequestTimeout <= 0 {
-			return fmt.Errorf("bad -timeout: must be positive, got %s", *timeoutF)
-		}
-		spec.MaxRetries = *retries
+	}
+	spec = st.Apply(spec)
+	if err := spec.Validate(); err != nil {
+		return cli.FlagError(err)
+	}
+	if *timeoutF == "" {
+		// -retries counts timeout re-issues: without -timeout it is
+		// inert, and kept out of the spec (and so out of its key).
+		spec.MaxRetries = 0
 	}
 
 	if *trace {
@@ -235,8 +205,8 @@ func exportMetrics(path string, entries []metrics.Entry) error {
 
 // runBatch executes every run in a JSON config file across jobs workers;
 // reports print in config order regardless of completion order. Runs
-// take base's audit stride, recovery knobs and metrics interval where
-// the config leaves them unset. A failed run (audit violation, stall,
+// take st's audit stride, recovery knobs and metrics interval where the
+// config leaves them unset. A failed run (audit violation, stall,
 // recovered panic) is reported in place and fails the batch without
 // aborting the remaining runs; with -journal, completed runs are
 // restored on restart instead of re-run. With coordAddr the cells are
@@ -244,7 +214,7 @@ func exportMetrics(path string, entries []metrics.Entry) error {
 // and journal stay byte-identical. SIGINT or SIGTERM cancels ctx:
 // in-flight cells abort at the next kernel check, completed runs stay
 // journaled, and the command exits 130 after a partial-results summary.
-func runBatch(ctx context.Context, path string, base exp.Spec, jobs int, journalPath, metricsOut, coordAddr string,
+func runBatch(ctx context.Context, path string, st exp.Settings, jobs int, journalPath, metricsOut, coordAddr string,
 	lease time.Duration) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -256,18 +226,7 @@ func runBatch(ctx context.Context, path string, base exp.Spec, jobs int, journal
 		return err
 	}
 	for i := range specs {
-		if specs[i].AuditEvery == 0 {
-			specs[i].AuditEvery = base.AuditEvery
-		}
-		if specs[i].RetrainLatency <= 0 {
-			specs[i].RetrainLatency = base.RetrainLatency
-		}
-		if specs[i].CRCRetryLimit <= 0 {
-			specs[i].CRCRetryLimit = base.CRCRetryLimit
-		}
-		if specs[i].MetricsInterval <= 0 {
-			specs[i].MetricsInterval = base.MetricsInterval
-		}
+		specs[i] = st.Apply(specs[i])
 	}
 	var j *exp.Journal
 	loaded := map[string]exp.Result{}

@@ -81,3 +81,47 @@ func TestTraceShowsFaultedRun(t *testing.T) {
 			e[1], m[1], tr, rep)
 	}
 }
+
+// TestAlphaRangeRejected: a managed policy needs a positive slowdown
+// budget and no policy takes a negative one; both fail before any
+// simulation starts, naming -alpha.
+func TestAlphaRangeRejected(t *testing.T) {
+	bin := buildCLI(t)
+	for _, args := range [][]string{
+		{"-policy", "aware", "-alpha", "0"},
+		{"-alpha", "-0.5"},
+	} {
+		out, err := exec.Command(bin, append(args, "-simtime", "5us", "-warmup", "1us")...).CombinedOutput()
+		if err == nil {
+			t.Errorf("%v: accepted\n%s", args, out)
+			continue
+		}
+		if !strings.Contains(string(out), "bad -alpha") {
+			t.Errorf("%v: error does not name -alpha:\n%s", args, out)
+		}
+	}
+}
+
+// TestConfigRejectsSingleRunFlags: a -config batch takes every run's
+// fields from the file, so a single-run flag next to it would be
+// silently ignored (a -faults scenario never injected); each one is
+// rejected by name instead.
+func TestConfigRejectsSingleRunFlags(t *testing.T) {
+	bin := buildCLI(t)
+	cfg := filepath.Join("testdata", "batch_config.json")
+	for _, args := range [][]string{
+		{"-wl", "sp.D"}, {"-topo", "daisychain"}, {"-size", "big"}, {"-mech", "VWL"},
+		{"-policy", "none"}, {"-alpha", "0.1"}, {"-simtime", "5us"}, {"-warmup", "1us"},
+		{"-wakeup", "20"}, {"-faults", filepath.Join("testdata", "faults_metrics.json")},
+		{"-timeout", "2us"}, {"-retries", "3"}, {"-watchdog"}, {"-trace"},
+	} {
+		out, err := exec.Command(bin, append([]string{"-config", cfg}, args...)...).CombinedOutput()
+		if err == nil {
+			t.Errorf("-config with %v: accepted\n%s", args, out)
+			continue
+		}
+		if want := "bad " + args[0] + ":"; !strings.Contains(string(out), want) {
+			t.Errorf("-config with %v: error does not name the flag (want %q):\n%s", args, want, out)
+		}
+	}
+}

@@ -18,9 +18,7 @@ import (
 	"memnet/internal/exp"
 	"memnet/internal/network"
 	"memnet/internal/sim"
-	"memnet/internal/topology"
 	"memnet/internal/trace"
-	"memnet/internal/workload"
 )
 
 var errUsage = &cli.Exit{Code: 2, Msg: `usage:
@@ -45,25 +43,6 @@ func run(args []string) error {
 	return errUsage
 }
 
-// netSpec parses the network flags record and replay share into a spec.
-func netSpec(topo, size, mech, policy string, alpha float64) (exp.Spec, error) {
-	spec := exp.Spec{Alpha: alpha}
-	var err error
-	if spec.Topology, err = topology.ParseKind(topo); err != nil {
-		return spec, fmt.Errorf("bad -topo: %v", err)
-	}
-	if spec.Size, err = exp.ParseSize(size); err != nil {
-		return spec, fmt.Errorf("bad -size: %v", err)
-	}
-	if spec.Mech, err = exp.ParseMech(mech); err != nil {
-		return spec, fmt.Errorf("bad -mech: %v", err)
-	}
-	if spec.Policy, err = exp.ParsePolicy(policy); err != nil {
-		return spec, fmt.Errorf("bad -policy: %v", err)
-	}
-	return spec, nil
-}
-
 // record runs the workload on a full-power network — the spec's own
 // seeded traffic, as memnetsim would run it — and writes every access
 // it injects.
@@ -78,19 +57,16 @@ func record(args []string) error {
 	if *out == "" {
 		return errors.New("record: -o is required")
 	}
-	spec, err := netSpec(*topoName, *sizeName, "FP", "none", 0)
+	spec, err := exp.Axes{Workload: *wlName, Topology: *topoName, Size: *sizeName}.Parse()
 	if err != nil {
-		return err
-	}
-	if spec.Workload, err = workload.ByName(*wlName); err != nil {
-		return fmt.Errorf("bad -wl: %v", err)
+		return cli.FlagError(err)
 	}
 	if spec.SimTime, err = cli.PositiveDuration("simtime", *simtime); err != nil {
 		return err
 	}
 	s, err := exp.Build(spec)
 	if err != nil {
-		return err
+		return cli.FlagError(err)
 	}
 	f, err := os.Create(*out)
 	if err != nil {
@@ -147,10 +123,11 @@ func replay(args []string) error {
 	if fs.NArg() != 1 {
 		return errUsage
 	}
-	spec, err := netSpec(*topoName, *sizeName, *mechName, *policyName, *alpha)
+	spec, err := exp.Axes{Topology: *topoName, Size: *sizeName, Mechanism: *mechName, Policy: *policyName}.Parse()
 	if err != nil {
-		return err
+		return cli.FlagError(err)
 	}
+	spec.Alpha = *alpha
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		return err
@@ -178,7 +155,7 @@ func replay(args []string) error {
 	k := sim.NewKernel()
 	net, _, err := exp.BuildNetwork(k, spec, modules)
 	if err != nil {
-		return err
+		return cli.FlagError(err)
 	}
 	player, err := trace.NewPlayer(k, net, records, *scale)
 	if err != nil {

@@ -84,6 +84,30 @@ func TestBadSizeRejected(t *testing.T) {
 	}
 }
 
+// TestReplayAlphaRangeRejected: replay runs the same range check as
+// every other entry path — a managed policy needs a positive slowdown
+// budget and no policy takes a negative one — and names -alpha.
+func TestReplayAlphaRangeRejected(t *testing.T) {
+	bin := buildCLI(t)
+	path := filepath.Join(t.TempDir(), "x.trace")
+	if out, err := exec.Command(bin, "record", "-o", path, "-simtime", "2us").CombinedOutput(); err != nil {
+		t.Fatalf("record: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{
+		{"-policy", "aware", "-alpha", "0"},
+		{"-policy", "aware", "-alpha", "-0.5"},
+	} {
+		out, err := exec.Command(bin, append(append([]string{"replay"}, args...), path)...).CombinedOutput()
+		if err == nil {
+			t.Errorf("replay %v: accepted\n%s", args, out)
+			continue
+		}
+		if !strings.Contains(string(out), "bad -alpha") {
+			t.Errorf("replay %v: error does not name -alpha:\n%s", args, out)
+		}
+	}
+}
+
 // parseLine scans the first line of out that matches format.
 func parseLine(out, format string, args ...any) (int, error) {
 	var err error

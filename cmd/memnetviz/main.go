@@ -17,9 +17,7 @@ import (
 	"memnet/internal/link"
 	"memnet/internal/network"
 	"memnet/internal/sim"
-	"memnet/internal/topology"
 	"memnet/internal/viz"
-	"memnet/internal/workload"
 )
 
 func main() { os.Exit(cli.Status(run())) }
@@ -34,29 +32,18 @@ func run() error {
 	simtime := flag.String("simtime", "500us", "simulated time")
 	flag.Parse()
 
-	spec := exp.Spec{Alpha: *alpha}
-	var err error
-	if spec.Workload, err = workload.ByName(*wlName); err != nil {
-		return fmt.Errorf("bad -wl: %v", err)
+	spec, err := exp.Axes{Workload: *wlName, Topology: *topoName, Size: *sizeName,
+		Mechanism: *mechName, Policy: *policyName}.Parse()
+	if err != nil {
+		return cli.FlagError(err)
 	}
-	if spec.Topology, err = topology.ParseKind(*topoName); err != nil {
-		return fmt.Errorf("bad -topo: %v", err)
-	}
-	if spec.Mech, err = exp.ParseMech(*mechName); err != nil {
-		return fmt.Errorf("bad -mech: %v", err)
-	}
-	if spec.Policy, err = exp.ParsePolicy(*policyName); err != nil {
-		return fmt.Errorf("bad -policy: %v", err)
-	}
-	if spec.Size, err = exp.ParseSize(*sizeName); err != nil {
-		return fmt.Errorf("bad -size: %v", err)
-	}
+	spec.Alpha = *alpha
 	if spec.SimTime, err = cli.PositiveDuration("simtime", *simtime); err != nil {
 		return err
 	}
 	s, err := exp.Build(spec)
 	if err != nil {
-		return err
+		return cli.FlagError(err)
 	}
 	net, mech := s.Net, s.Spec.Mech
 

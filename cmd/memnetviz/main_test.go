@@ -56,3 +56,22 @@ func TestBadMechRejected(t *testing.T) {
 		t.Errorf("error does not name -mech:\n%s", out)
 	}
 }
+
+// TestAlphaRangeRejected: a managed policy needs a positive slowdown
+// budget and no policy takes a negative one; both fail naming -alpha.
+func TestAlphaRangeRejected(t *testing.T) {
+	bin := buildCLI(t)
+	for _, args := range [][]string{
+		{"-policy", "aware", "-alpha", "0"},
+		{"-alpha", "-0.5"},
+	} {
+		out, err := exec.Command(bin, append(args, "-simtime", "100us")...).CombinedOutput()
+		if err == nil {
+			t.Errorf("%v: accepted\n%s", args, out)
+			continue
+		}
+		if !strings.Contains(string(out), "bad -alpha") {
+			t.Errorf("%v: error does not name -alpha:\n%s", args, out)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"memnet/internal/core"
 	"memnet/internal/dist"
 	"memnet/internal/exp"
 	"memnet/internal/metrics"
@@ -162,11 +163,11 @@ func TestDurations(t *testing.T) {
 }
 
 func TestCommon(t *testing.T) {
-	if d, err := Common(1, 0, 0, ""); err != nil || d != 0 {
-		t.Errorf("defaults: %v, %v", d, err)
+	if st, err := Common(1, 0, 0, ""); err != nil || st.Retrain != 0 || st.CRCRetries != 0 || st.Audit != -1 {
+		t.Errorf("defaults: %+v, %v", st, err)
 	}
-	if d, err := Common(2, 64, 4, "2us"); err != nil || d != 2*sim.Microsecond {
-		t.Errorf("valid: %v, %v", d, err)
+	if st, err := Common(2, 64, 4, "2us"); err != nil || st.Retrain != 2*sim.Microsecond || st.CRCRetries != 4 || st.Audit != 64 {
+		t.Errorf("valid: %+v, %v", st, err)
 	}
 	for _, tc := range []struct {
 		jobs, audit, crc int
@@ -180,6 +181,27 @@ func TestCommon(t *testing.T) {
 		if _, err := Common(tc.jobs, tc.audit, tc.crc, tc.retrain); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: err = %v, want %q", tc, err, tc.want)
 		}
+	}
+}
+
+// TestFlagError: a spec rejected by the parse or the range check is
+// reported under the flag that set the field; other errors pass through.
+func TestFlagError(t *testing.T) {
+	_, err := exp.Axes{Workload: "mixB", Mechanism: "XXL"}.Parse()
+	if got := FlagError(err).Error(); !strings.HasPrefix(got, "bad -mech: ") {
+		t.Errorf("parse error = %q, want it to name -mech", got)
+	}
+	spec := exp.Spec{Workload: workload.Profiles[0], Policy: core.PolicyAware}
+	if got := FlagError(spec.Validate()).Error(); !strings.HasPrefix(got, "bad -alpha: ") {
+		t.Errorf("range error = %q, want it to name -alpha", got)
+	}
+	spec.Alpha, spec.Wakeup = 0.05, -sim.Nanosecond
+	if got := FlagError(spec.Validate()).Error(); !strings.HasPrefix(got, "bad -wakeup: ") {
+		t.Errorf("range error = %q, want it to name -wakeup", got)
+	}
+	other := errors.New("disk on fire")
+	if FlagError(other) != other || FlagError(nil) != nil {
+		t.Error("FlagError rewrote an error that is not a spec field's")
 	}
 }
 

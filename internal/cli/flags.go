@@ -58,22 +58,47 @@ func Jobs(n int) error {
 }
 
 // Common validates the run flags both batch commands take — -jobs,
-// -audit, -crcretries and -retrain — and returns the -retrain latency (0
-// when s is empty: the model default).
-func Common(jobs, audit, crcRetries int, retrain string) (sim.Duration, error) {
+// -audit, -crcretries and -retrain — and returns them as run-wide
+// settings, -audit in Settings.Audit's encoding (0 = off, N = stride)
+// and an empty -retrain as 0, the model default.
+func Common(jobs, audit, crcRetries int, retrain string) (st exp.Settings, err error) {
+	st = exp.Settings{Audit: audit, CRCRetries: crcRetries}
 	if err := Jobs(jobs); err != nil {
-		return 0, err
+		return st, err
 	}
 	if audit < 0 {
-		return 0, fmt.Errorf("bad -audit: stride must be >= 0 (0 disables), got %d", audit)
+		return st, fmt.Errorf("bad -audit: stride must be >= 0 (0 disables), got %d", audit)
+	}
+	if audit == 0 {
+		st.Audit = -1
 	}
 	if crcRetries < 0 {
-		return 0, fmt.Errorf("bad -crcretries: must be non-negative (0 = model default), got %d", crcRetries)
+		return st, fmt.Errorf("bad -crcretries: must be non-negative (0 = model default), got %d", crcRetries)
 	}
-	if retrain == "" {
-		return 0, nil
+	if retrain != "" {
+		st.Retrain, err = PositiveDuration("retrain", retrain)
 	}
-	return PositiveDuration("retrain", retrain)
+	return st, err
+}
+
+// flagNames maps an exp.FieldError's field to its flag where the names
+// differ.
+var flagNames = map[string]string{"workload": "wl", "topology": "topo", "mechanism": "mech",
+	"wakeup_ns": "wakeup", "metrics_interval": "metrics-interval"}
+
+// FlagError names the flag behind a field exp.Axes.Parse or
+// exp.Spec.Validate rejected ("bad -alpha: …"); other errors pass
+// through.
+func FlagError(err error) error {
+	var fe *exp.FieldError
+	if !errors.As(err, &fe) {
+		return err
+	}
+	name := fe.Field
+	if f, ok := flagNames[name]; ok {
+		name = f
+	}
+	return fmt.Errorf("bad -%s: %v", name, fe.Err)
 }
 
 // MetricsInterval resolves -metrics-interval s: the sampling period when

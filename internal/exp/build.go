@@ -35,9 +35,17 @@ type Sim struct {
 // BuildNetwork builds spec's topology over the given module count, then
 // its network and power manager on kernel: the part of Build that does
 // not depend on the workload, for callers that bring their own traffic
-// (trace replay).
+// (trace replay). It runs the spec range check with the workload
+// optional.
 func BuildNetwork(kernel *sim.Kernel, spec Spec, modules int) (*network.Network, *core.Manager, error) {
-	spec = spec.resolved()
+	if err := spec.validate(); err != nil {
+		return nil, nil, err
+	}
+	return buildNetwork(kernel, spec.resolved(), modules)
+}
+
+// buildNetwork is BuildNetwork on a checked, resolved spec.
+func buildNetwork(kernel *sim.Kernel, spec Spec, modules int) (*network.Network, *core.Manager, error) {
 	topo, err := topology.Build(spec.Topology, modules)
 	if err != nil {
 		return nil, nil, err
@@ -51,9 +59,6 @@ func BuildNetwork(kernel *sim.Kernel, spec Spec, modules int) (*network.Network,
 	netCfg.Retrain = spec.RetrainLatency
 	netCfg.MaxCRCRetries = spec.CRCRetryLimit
 	if spec.DRAM != nil {
-		if err := spec.DRAM.Validate(); err != nil {
-			return nil, nil, err
-		}
 		netCfg.DRAM = *spec.DRAM
 	}
 	if spec.PeakWatts > 0 {
@@ -72,18 +77,16 @@ func BuildNetwork(kernel *sim.Kernel, spec Spec, modules int) (*network.Network,
 // manager, auditor, metrics registry, front end (seeded by Spec.seed),
 // fault injector and watchdog, in that order, then starts the watchdog
 // and the traffic. The order fixes event sequence numbers, so every run
-// of a spec — measured, traced or rendered — is the same run.
+// of a spec — measured, traced or rendered — is the same run. A spec
+// that fails Validate builds nothing.
 func Build(spec Spec) (*Sim, error) {
-	if spec.Workload == nil {
-		return nil, fmt.Errorf("exp: spec needs a workload")
-	}
-	if err := spec.Workload.Validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	spec = spec.resolved()
 	s := &Sim{Spec: spec, Kernel: sim.NewKernel()}
 	kernel := s.Kernel
-	net, mgr, err := BuildNetwork(kernel, spec, spec.Workload.Modules(spec.Size.ChunkGB()))
+	net, mgr, err := buildNetwork(kernel, spec, spec.Workload.Modules(spec.Size.ChunkGB()))
 	if err != nil {
 		return nil, err
 	}

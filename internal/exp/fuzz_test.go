@@ -6,10 +6,11 @@ import (
 )
 
 // FuzzLoadBatch: any byte string either fails to parse with an error
-// (never a panic), or yields specs whose identity keys are stable — the
-// same bytes parsed twice produce the same runnable sweep. Key() touches
-// every resolved field, so it doubles as a nil-safety probe on the
-// parsed specs.
+// (never a panic), or yields specs that pass the range check Build runs
+// — so memnetd never admits a run that fails on a range rule — and
+// whose identity keys are stable: the same bytes parsed twice produce
+// the same runnable sweep. Key() touches every resolved field, so it
+// doubles as a nil-safety probe on the parsed specs.
 func FuzzLoadBatch(f *testing.F) {
 	for _, seed := range []string{
 		`{"runs":[{"workload":"mixB"}]}`,
@@ -37,6 +38,9 @@ func FuzzLoadBatch(f *testing.F) {
 		}
 		keys := make([]string, len(specs))
 		for i, s := range specs {
+			if err := s.Validate(); err != nil {
+				t.Fatalf("run %d: LoadBatch accepted a spec Build rejects: %v", i, err)
+			}
 			keys[i] = s.Key()
 		}
 		again, err := LoadBatch(bytes.NewReader(data))

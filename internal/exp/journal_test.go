@@ -475,7 +475,7 @@ func TestPrefetchJournalsCellsAsTheyComplete(t *testing.T) {
 	r := tinyRunner()
 	r.Jobs = 2
 	for i := range specs {
-		specs[i] = r.normalize(specs[i]) // so keys match the journal's
+		specs[i] = r.Apply(specs[i]) // so keys match the journal's
 	}
 	held, release := make(chan struct{}), make(chan struct{})
 	orig := runImpl

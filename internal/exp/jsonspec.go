@@ -2,6 +2,7 @@ package exp
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -41,40 +42,64 @@ type BatchJSON struct {
 	Runs []SpecJSON `json:"runs"`
 }
 
-// ParseMech resolves the paper's mechanism labels.
-func ParseMech(s string) (Mech, error) {
-	for _, m := range []Mech{MechFP, MechVWL, MechROO, MechVWLROO, MechDVFS, MechDVFSROO} {
-		if m.String() == s {
-			return m, nil
+// FieldError is a spec that Axes.Parse or Spec.Validate rejected. Field
+// names the field as a config file or memnetd submission spells it
+// ("alpha", "simtime", "wakeup_ns"); cli.FlagError maps it to a flag.
+type FieldError struct {
+	Field string
+	Err   error
+}
+
+// Error implements error.
+func (e *FieldError) Error() string { return "exp: bad " + e.Field + ": " + e.Err.Error() }
+
+// Axes is the text form of the five model axes that name a run. An
+// empty axis takes its default (star, small, FP, none), except that an
+// empty Workload parses to no workload: trace replay brings its own
+// traffic.
+type Axes struct {
+	Workload, Topology, Size, Mechanism, Policy string
+}
+
+// The labels Axes.Parse accepts, "" being the default.
+var (
+	sizes = map[string]NetworkSize{"": Small, "small": Small, "big": Big}
+	mechs = map[string]Mech{"": MechFP, "FP": MechFP, "VWL": MechVWL, "ROO": MechROO,
+		"VWL+ROO": MechVWLROO, "DVFS": MechDVFS, "DVFS+ROO": MechDVFSROO}
+	policies = map[string]core.PolicyKind{"": core.PolicyNone, "none": core.PolicyNone,
+		"fp": core.PolicyNone, "full-power": core.PolicyNone, "unaware": core.PolicyUnaware,
+		"network-unaware": core.PolicyUnaware, "aware": core.PolicyAware,
+		"network-aware": core.PolicyAware, "static": core.PolicyStatic}
+)
+
+// Parse is the one parse of the model axes, called by ToSpec and by the
+// flags of memnetsim, memnetviz and memnettrace, so a name means the
+// same run on every path. A failure is a *FieldError naming the axis.
+func (a Axes) Parse() (Spec, error) {
+	spec := Spec{Topology: topology.Star}
+	var err error
+	if a.Workload != "" {
+		if spec.Workload, err = workload.ByName(a.Workload); err != nil {
+			return spec, &FieldError{"workload", err}
 		}
 	}
-	return Mech{}, fmt.Errorf("exp: unknown mechanism %q (FP, VWL, ROO, VWL+ROO, DVFS, DVFS+ROO)", s)
-}
-
-// ParsePolicy resolves policy labels (short and long forms).
-func ParsePolicy(s string) (core.PolicyKind, error) {
-	switch s {
-	case "none", "fp", "full-power":
-		return core.PolicyNone, nil
-	case "unaware", "network-unaware":
-		return core.PolicyUnaware, nil
-	case "aware", "network-aware":
-		return core.PolicyAware, nil
-	case "static":
-		return core.PolicyStatic, nil
+	if a.Topology != "" {
+		if spec.Topology, err = topology.ParseKind(a.Topology); err != nil {
+			return spec, &FieldError{"topology", err}
+		}
 	}
-	return 0, fmt.Errorf("exp: unknown policy %q (none, unaware, aware, static)", s)
-}
-
-// ParseSize resolves the study size.
-func ParseSize(s string) (NetworkSize, error) {
-	switch s {
-	case "small", "":
-		return Small, nil
-	case "big":
-		return Big, nil
+	var ok bool
+	if spec.Size, ok = sizes[a.Size]; !ok {
+		return spec, &FieldError{"size", fmt.Errorf("unknown size %q (small, big)", a.Size)}
 	}
-	return 0, fmt.Errorf("exp: unknown size %q (small, big)", s)
+	if spec.Mech, ok = mechs[a.Mechanism]; !ok {
+		return spec, &FieldError{"mechanism", fmt.Errorf(
+			"unknown mechanism %q (FP, VWL, ROO, VWL+ROO, DVFS, DVFS+ROO)", a.Mechanism)}
+	}
+	if spec.Policy, ok = policies[a.Policy]; !ok {
+		return spec, &FieldError{"policy", fmt.Errorf("unknown policy %q (none, unaware, aware, static)", a.Policy)}
+	}
+	return spec, nil
 }
 
 // ParseSimDuration converts "400us"-style strings to simulated time.
@@ -89,48 +114,69 @@ func ParseSimDuration(s string) (sim.Duration, error) {
 	return sim.Duration(d.Nanoseconds()) * sim.Nanosecond, nil
 }
 
-// ToSpec resolves the declarative form.
+// Validate is the one range check of a spec, however it came in. ToSpec
+// runs it (memnetsim -config, memnetd) and so does Build (exp.Run, the
+// sweep pool, the dist worker, memnetsim, memnetviz, memnettrace
+// record). Zero keeps its meaning of "default" or "off". A failure is a
+// *FieldError.
+func (s Spec) Validate() error {
+	if s.Workload == nil {
+		return &FieldError{"workload", errors.New("missing")}
+	}
+	return s.validate()
+}
+
+// validate is Validate with the workload optional, for BuildNetwork.
+func (s Spec) validate() error {
+	if s.Workload != nil {
+		if err := s.Workload.Validate(); err != nil {
+			return &FieldError{"workload", err}
+		}
+	}
+	if !(s.Alpha >= 0) {
+		return &FieldError{"alpha", fmt.Errorf("slowdown factor must be non-negative, got %g", s.Alpha)}
+	}
+	if s.Alpha == 0 && s.Policy != core.PolicyNone && s.Policy != core.PolicyStatic {
+		return &FieldError{"alpha", fmt.Errorf("policy %v needs a positive alpha", s.Policy)}
+	}
+	for _, f := range []struct {
+		field string
+		v     int64
+	}{
+		{"wakeup_ns", int64(s.Wakeup)}, {"simtime", int64(s.SimTime)}, {"warmup", int64(s.Warmup)},
+		{"timeout", int64(s.RequestTimeout)}, {"retrain", int64(s.RetrainLatency)},
+		{"metrics_interval", int64(s.MetricsInterval)}, {"retries", int64(s.MaxRetries)},
+		{"crcretries", int64(s.CRCRetryLimit)},
+	} {
+		if f.v < 0 {
+			return &FieldError{f.field, errors.New("must be non-negative")}
+		}
+	}
+	if s.DRAM != nil {
+		if err := s.DRAM.Validate(); err != nil {
+			return &FieldError{"dram", err}
+		}
+	}
+	return nil
+}
+
+// ToSpec resolves the declarative form: the one parse of its axes, then
+// the one range check.
 func (sj SpecJSON) ToSpec() (Spec, error) {
-	var spec Spec
-	wl, err := workload.ByName(sj.Workload)
+	spec, err := Axes{sj.Workload, sj.Topology, sj.Size, sj.Mechanism, sj.Policy}.Parse()
 	if err != nil {
-		return spec, err
-	}
-	spec.Workload = wl
-	if sj.Topology == "" {
-		sj.Topology = "star"
-	}
-	if spec.Topology, err = topology.ParseKind(sj.Topology); err != nil {
-		return spec, err
-	}
-	if spec.Size, err = ParseSize(sj.Size); err != nil {
-		return spec, err
-	}
-	if sj.Mechanism == "" {
-		sj.Mechanism = "FP"
-	}
-	if spec.Mech, err = ParseMech(sj.Mechanism); err != nil {
-		return spec, err
-	}
-	if sj.Policy == "" {
-		sj.Policy = "none"
-	}
-	if spec.Policy, err = ParsePolicy(sj.Policy); err != nil {
 		return spec, err
 	}
 	spec.Alpha = sj.Alpha
 	spec.Wakeup = sim.Duration(sj.WakeupNS) * sim.Nanosecond
 	if spec.SimTime, err = ParseSimDuration(sj.SimTime); err != nil {
-		return spec, fmt.Errorf("exp: bad simtime: %w", err)
+		return spec, &FieldError{"simtime", err}
 	}
 	if spec.Warmup, err = ParseSimDuration(sj.Warmup); err != nil {
-		return spec, fmt.Errorf("exp: bad warmup: %w", err)
+		return spec, &FieldError{"warmup", err}
 	}
 	spec.Interleave = sj.Interleave
-	if spec.Policy != core.PolicyNone && spec.Policy != core.PolicyStatic && spec.Alpha <= 0 {
-		return spec, fmt.Errorf("exp: policy %v needs a positive alpha", spec.Policy)
-	}
-	return spec, nil
+	return spec, spec.Validate()
 }
 
 // LoadBatch parses a JSON config stream into runnable specs.

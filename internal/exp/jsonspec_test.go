@@ -63,6 +63,10 @@ func TestLoadBatchErrors(t *testing.T) {
 		`{"runs": [{"workload": "mixB", "size": "huge"}]}`,
 		`{"runs": [{"workload": "mixB", "simtime": "fast"}]}`,
 		`{"runs": [{"workload": "mixB", "unknown_field": 1}]}`,
+		// Out of range: once admitted, these ran the defaults instead.
+		`{"runs": [{"workload": "mixB", "simtime": "-1us"}]}`,
+		`{"runs": [{"workload": "mixB", "warmup": "-3us"}]}`,
+		`{"runs": [{"workload": "mixB", "wakeup_ns": -5}]}`,
 	}
 	for i, c := range cases {
 		if _, err := LoadBatch(strings.NewReader(c)); err == nil {
@@ -72,11 +76,13 @@ func TestLoadBatchErrors(t *testing.T) {
 }
 
 func TestParseHelpers(t *testing.T) {
-	if _, err := ParseMech("DVFS+ROO"); err != nil {
-		t.Error(err)
+	if s, err := (Axes{Mechanism: "DVFS+ROO", Policy: "network-aware"}).Parse(); err != nil ||
+		s.Mech != MechDVFSROO || s.Policy != core.PolicyAware {
+		t.Errorf("Axes.Parse long forms: %+v %v", s, err)
 	}
-	if p, err := ParsePolicy("network-aware"); err != nil || p != core.PolicyAware {
-		t.Errorf("ParsePolicy long form: %v %v", p, err)
+	if s, err := (Axes{}).Parse(); err != nil || s.Workload != nil || s.Topology != topology.Star ||
+		s.Size != Small || s.Mech != MechFP || s.Policy != core.PolicyNone {
+		t.Errorf("Axes.Parse defaults: %+v %v", s, err)
 	}
 	if d, err := ParseSimDuration(""); err != nil || d != 0 {
 		t.Errorf("empty duration: %v %v", d, err)

@@ -120,12 +120,12 @@ type Spec struct {
 	Watchdog bool
 	// AuditEvery arms the runtime invariant auditor with this sampling
 	// stride (1 = check every observation, the full-rate property-test
-	// mode). Zero and negative leave the run unaudited; Runner.normalize
-	// resolves zero to the runner's default. Detected violations fail the
+	// mode). Zero and negative leave the run unaudited; Settings.Apply
+	// fills zero from the run-wide stride. Detected violations fail the
 	// run with a structured *audit.Error. The auditor is observational —
-	// it cannot change a result — so AuditEvery is deliberately excluded
-	// from key(): audited and unaudited runs share cache and journal
-	// entries.
+	// it cannot change a result — so AuditEvery is the one field key()
+	// leaves out (TestKeyCoversEveryField holds it to that): audited and
+	// unaudited runs share cache and journal entries.
 	AuditEvery int
 	// DRAM overrides every module's DRAM configuration (nil = Table I via
 	// network.DefaultConfig). The calibration sensitivity sweep perturbs
@@ -179,17 +179,14 @@ func (s Spec) key() string {
 // journal key — for labeling exported artifacts (metrics dumps).
 func (s Spec) Key() string { return s.key() }
 
-// resolved applies Run's time/wakeup defaults. Fresh results carry the
-// resolved spec, so journal restores resolve too — otherwise a restored
-// Result.Spec would differ from a recomputed one.
+// resolved applies Run's time/wakeup defaults to a checked spec. Fresh
+// results carry the resolved spec, so journal restores resolve too —
+// otherwise a restored Result.Spec would differ from a recomputed one.
 func (s Spec) resolved() Spec {
-	if s.SimTime <= 0 {
+	if s.SimTime == 0 {
 		s.SimTime = DefaultSimTime
 	}
-	if s.Warmup < 0 {
-		s.Warmup = DefaultWarmup
-	}
-	if s.Wakeup <= 0 {
+	if s.Wakeup == 0 {
 		s.Wakeup = link.WakeupDefault
 	}
 	return s
@@ -431,54 +428,84 @@ func runBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) 
 	return res, nil
 }
 
+// Settings are the run-wide settings laid over every spec of a sweep or
+// batch. Runner embeds them; memnetsim and memnetd call Apply directly,
+// so every entry path fills a spec the same way.
+type Settings struct {
+	SimTime, Warmup sim.Duration
+	// Watchdog arms the no-progress detector, so a hung sweep fails fast
+	// with a diagnostic instead of spinning until an external timeout.
+	Watchdog bool
+	// Faults, when non-empty, re-runs the whole sweep under injection.
+	Faults fault.Scenario
+	// Retrain and CRCRetries are the recovery knobs (lane-training
+	// latency, CRC retry cap).
+	Retrain    sim.Duration
+	CRCRetries int
+	// Audit is the auditor's stride in Spec.AuditEvery's encoding: 0
+	// leaves the spec alone (unaudited under Run), negative is off,
+	// positive the stride. NewRunner sets audit.DefaultSampleEvery.
+	Audit int
+	// Metrics is the epoch-resolution sampling interval (0 = off).
+	Metrics sim.Duration
+}
+
+// Apply fills every field spec leaves unset (zero) from the settings;
+// the range check then judges the result. Keys are computed on the
+// filled spec, so every path that keys a runner's cells — live runs,
+// the collect pass and Prefetch — goes through Apply.
+func (st Settings) Apply(spec Spec) Spec {
+	if spec.SimTime == 0 {
+		spec.SimTime = st.SimTime
+	}
+	if spec.Warmup == 0 {
+		spec.Warmup = st.Warmup
+	}
+	spec.Watchdog = spec.Watchdog || st.Watchdog
+	if len(spec.Faults.Events) == 0 && len(st.Faults.Events) > 0 {
+		spec.Faults = st.Faults
+	}
+	if spec.RetrainLatency == 0 {
+		spec.RetrainLatency = st.Retrain
+	}
+	if spec.CRCRetryLimit == 0 {
+		spec.CRCRetryLimit = st.CRCRetries
+	}
+	if spec.AuditEvery == 0 {
+		spec.AuditEvery = st.Audit
+	}
+	if spec.MetricsInterval == 0 {
+		spec.MetricsInterval = st.Metrics
+	}
+	return spec
+}
+
 // Runner memoizes runs so figure generators can share FP baselines, and
-// centralizes sim-time overrides.
+// lays its Settings over every spec it runs.
 type Runner struct {
-	SimTime sim.Duration
-	Warmup  sim.Duration
+	Settings
 	// Ctx, when non-nil, threads end-to-end cancellation through every
 	// cell the runner executes (locally or via the pool): canceling it
 	// aborts in-flight simulations within one kernel check interval and
 	// fails the remaining cells with the context's error. Nil means
 	// context.Background(): every cell runs to completion.
 	Ctx context.Context
-	// Watchdog arms the no-progress detector on every run, so a hung
-	// sweep (or benchmark) fails fast with a diagnostic instead of
-	// spinning until an external timeout.
-	Watchdog bool
 	// Jobs is the sweep executor's worker count: 0 means
 	// runtime.GOMAXPROCS(0), 1 runs one cell at a time. Any value
 	// produces byte-identical figure output and journal (see
 	// sweep_test.go); only wall-clock time changes.
 	Jobs int
-	// Faults, when non-empty, attaches the scenario to every spec that
-	// does not carry its own — the whole figure sweep re-run under fault
-	// injection.
-	Faults fault.Scenario
-	// Retrain and CRCRetries apply the recovery knobs (lane-training
-	// latency, CRC retry cap) to every spec that does not carry its own.
-	Retrain    sim.Duration
-	CRCRetries int
 	// Workloads restricts figure sweeps to a subset (nil = all 14 paper
 	// workloads). Tests use it to exercise the generators cheaply.
 	Workloads []*workload.Profile
 	// Progress, if non-nil, receives one line per fresh (non-cached) run,
 	// always in deterministic sweep order.
 	Progress func(string)
-	// Audit sets the invariant auditor's sampling stride for every run
-	// that does not carry its own: 0 means the default stride
-	// (audit.DefaultSampleEvery), negative disables auditing, positive is
-	// an explicit stride (1 = full rate).
-	Audit int
-	// Metrics arms the epoch-resolution sampler on every spec that does
-	// not carry its own interval (0 = off). Dumps of metrics-armed cells
-	// accumulate in first-use order — identical at any Jobs value — and
-	// are read back with MetricsEntries.
-	Metrics sim.Duration
-	cache   map[string]Result
+	cache    map[string]Result
 
 	// metricsLog collects each metrics-armed cell's frozen time-series,
-	// exactly once per distinct cell, in deterministic first-use order.
+	// exactly once per distinct cell, in deterministic first-use order
+	// (identical at any Jobs value); MetricsEntries reads it back.
 	metricsLog []metrics.Entry
 
 	// journal, when attached, persists every fresh result as one JSON
@@ -501,47 +528,13 @@ type Runner struct {
 	pendingKey map[string]bool
 }
 
-// NewRunner returns a runner with the package defaults.
+// NewRunner returns a runner with the package defaults: the default
+// measured interval and warmup, audited at audit.DefaultSampleEvery.
 func NewRunner() *Runner {
-	return &Runner{SimTime: DefaultSimTime, Warmup: DefaultWarmup, cache: map[string]Result{}}
-}
-
-// normalize applies the runner's settings to spec. Every path that
-// computes a cache key — live runs, the collect pass, and Prefetch — goes
-// through it so keys always agree.
-func (r *Runner) normalize(spec Spec) Spec {
-	if spec.SimTime <= 0 {
-		spec.SimTime = r.SimTime
+	return &Runner{
+		Settings: Settings{SimTime: DefaultSimTime, Warmup: DefaultWarmup, Audit: audit.DefaultSampleEvery},
+		cache:    map[string]Result{},
 	}
-	if spec.Warmup <= 0 {
-		spec.Warmup = r.Warmup
-	}
-	if r.Watchdog {
-		spec.Watchdog = true
-	}
-	if len(spec.Faults.Events) == 0 && len(r.Faults.Events) > 0 {
-		spec.Faults = r.Faults
-	}
-	if spec.RetrainLatency <= 0 && r.Retrain > 0 {
-		spec.RetrainLatency = r.Retrain
-	}
-	if spec.CRCRetryLimit <= 0 && r.CRCRetries > 0 {
-		spec.CRCRetryLimit = r.CRCRetries
-	}
-	if spec.AuditEvery == 0 {
-		switch {
-		case r.Audit < 0:
-			spec.AuditEvery = -1
-		case r.Audit == 0:
-			spec.AuditEvery = audit.DefaultSampleEvery
-		default:
-			spec.AuditEvery = r.Audit
-		}
-	}
-	if spec.MetricsInterval <= 0 && r.Metrics > 0 {
-		spec.MetricsInterval = r.Metrics
-	}
-	return spec
 }
 
 // recordMetrics logs a committed cell's time-series for MetricsEntries.
@@ -562,7 +555,7 @@ func (r *Runner) MetricsEntries() []metrics.Entry { return r.metricsLog }
 // miss outside the collect pass is a one-cell Prefetch, so restore,
 // journaling and failure recording have a single code path.
 func (r *Runner) Run(spec Spec) Result {
-	spec = r.normalize(spec)
+	spec = r.Apply(spec)
 	k := spec.key()
 	if res, ok := r.cache[k]; ok {
 		return res

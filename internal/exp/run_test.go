@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -125,6 +126,21 @@ func TestRunValidation(t *testing.T) {
 	bad.Workload = &workload.Profile{Name: "broken"}
 	if _, err := Run(bad); err == nil {
 		t.Fatal("invalid workload accepted")
+	}
+	// A negative warmup fails the range check; it used to run the
+	// default warmup.
+	bad = tinySpec(core.PolicyNone, MechFP)
+	bad.Warmup = -sim.Microsecond
+	var fe *FieldError
+	if _, err := Run(bad); !errors.As(err, &fe) || fe.Field != "warmup" {
+		t.Fatalf("warmup -1us: err = %v, want a FieldError naming warmup", err)
+	}
+	// BuildNetwork, trace replay's builder, runs the same check with no
+	// workload.
+	bad = tinySpec(core.PolicyAware, MechVWLROO)
+	bad.Workload, bad.Alpha = nil, 0
+	if _, _, err := BuildNetwork(sim.NewKernel(), bad, 2); !errors.As(err, &fe) || fe.Field != "alpha" {
+		t.Fatalf("BuildNetwork with aware alpha 0: err = %v, want a FieldError naming alpha", err)
 	}
 }
 

@@ -76,15 +76,15 @@ func (r *Runner) Prefetch(specs []Spec) {
 	r.commit(todo, results, errs, jerrs)
 }
 
-// Uncached normalizes specs and filters them against the memo cache and
-// the attached journal (restored cells are consumed by key, re-keyed to
-// the canonical spec and committed on the spot), returning only the
-// cells that still need simulating — the work list the local pool or the
-// distributed coordinator must actually run.
+// Uncached fills specs with the runner's Settings and filters them
+// against the memo cache and the attached journal (restored cells are
+// consumed by key, re-keyed to the canonical spec and committed on the
+// spot), returning only the cells that still need simulating — the work
+// list the local pool or the distributed coordinator must actually run.
 func (r *Runner) Uncached(specs []Spec) []Spec {
 	var todo []Spec
 	for _, s := range specs {
-		s = r.normalize(s)
+		s = r.Apply(s)
 		k := s.key()
 		if _, ok := r.cache[k]; ok {
 			continue

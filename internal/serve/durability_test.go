@@ -450,6 +450,50 @@ func TestRecoverTombstonesUnreplayable(t *testing.T) {
 	}
 }
 
+// TestRecoverTombstonesNowInvalidRecord is the upgrade path for the one
+// range check: an accept log written by a release that admitted
+// negative durations holds records that no longer pass it. Recover must
+// tombstone them as unreplayable — never re-queue them to run the
+// defaults — while a valid record in the same log still replays.
+func TestRecoverTombstonesNowInvalidRecord(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewStore(dir + "/store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, "accept.wal")
+	a, _ := openAcceptLog(t, walPath, nil)
+	for _, aj := range []AcceptedJob{
+		{ID: "j1", Runs: []exp.SpecJSON{{Workload: "mixG", SimTime: "-1us"}}},
+		{ID: "j2", Runs: []exp.SpecJSON{{Workload: "mixG", Warmup: "-3us"}}},
+		{ID: "j3", Runs: []exp.SpecJSON{{Workload: "mixG", WakeupNS: -5}}},
+		{ID: "j4", Runs: []exp.SpecJSON{{Workload: "mixG", SimTime: "10us"}}, MetricsInterval: "-5us"},
+		acceptedJob("j5", 0),
+	} {
+		if err := a.Accept(aj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Close()
+
+	a2, pending := openAcceptLog(t, walPath, nil)
+	s := New(Config{Store: store, Accepts: a2, QueueDepth: 1, Runners: 1, Logf: t.Logf})
+	if n := s.Recover(pending); n != 1 {
+		t.Fatalf("Recover re-queued %d job(s), want only the valid j5", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	a2.Close()
+	a3, pending := openAcceptLog(t, walPath, nil)
+	defer a3.Close()
+	if len(pending) != 0 {
+		t.Fatalf("now-invalid records still pending: %+v", pending)
+	}
+}
+
 // TestDrainCancelStaysPending pins the tombstone split: a job canceled
 // by the drain deadline stays in the accept journal (the next life must
 // resume it), while a client DELETE tombstones its job for good.

@@ -352,10 +352,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad submission: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	specs, keys, err := specsFromAccepted(AcceptedJob{
+	rec := AcceptedJob{
 		Runs:            req.Runs,
+		WallBudgetMS:    req.WallBudgetMS,
+		EventBudget:     req.EventBudget,
 		MetricsInterval: req.MetricsInterval,
-	})
+	}
+	specs, keys, err := specsFromAccepted(rec)
 	if err != nil {
 		http.Error(w, "bad submission: "+err.Error(), http.StatusBadRequest)
 		return
@@ -402,13 +405,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// of trusting a 202 that only looks durable.
 	durable := false
 	if s.cfg.Accepts != nil {
-		rec := AcceptedJob{
-			ID:              id,
-			Runs:            req.Runs,
-			WallBudgetMS:    req.WallBudgetMS,
-			EventBudget:     req.EventBudget,
-			MetricsInterval: req.MetricsInterval,
-		}
+		rec.ID = id
 		if err := s.cfg.Accepts.Accept(rec); err != nil {
 			s.walErrors.Add(1)
 			s.cfg.Logf("serve: accept journal append for %s: %v", id, err)
@@ -434,23 +431,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // specsFromAccepted rebuilds runnable specs and their cache keys from a
 // submission's durable form — the one parse path both fresh submissions
 // and crash recovery go through, so a recovered job is bit-identical to
-// its original admission.
+// its original admission and a record the range check now rejects is
+// unreplayable. The metrics interval is the job's only run-wide
+// setting: cells run unaudited (README explains why).
 func specsFromAccepted(aj AcceptedJob) ([]exp.Spec, []string, error) {
 	if len(aj.Runs) == 0 {
 		return nil, nil, errors.New("no runs")
 	}
-	metricsInterval, err := exp.ParseSimDuration(aj.MetricsInterval)
-	if err != nil {
+	var st exp.Settings
+	var err error
+	if st.Metrics, err = exp.ParseSimDuration(aj.MetricsInterval); err != nil {
 		return nil, nil, fmt.Errorf("metrics_interval: %w", err)
 	}
 	specs := make([]exp.Spec, len(aj.Runs))
 	keys := make([]string, len(aj.Runs))
 	for i, sj := range aj.Runs {
 		spec, err := sj.ToSpec()
+		if err == nil {
+			spec = st.Apply(spec)
+			err = spec.Validate()
+		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("run %d: %w", i, err)
 		}
-		spec.MetricsInterval = metricsInterval
 		specs[i] = spec
 		keys[i] = spec.Key()
 	}

@@ -142,7 +142,8 @@ func TestSubmitRunCacheHit(t *testing.T) {
 }
 
 // TestSubmitValidation pins the 400 paths: malformed JSON, unknown
-// fields, empty batches, bad specs — all rejected before admission.
+// fields, empty batches, bad specs, out-of-range fields — all rejected
+// before admission.
 func TestSubmitValidation(t *testing.T) {
 	_, hs := newTestServer(t, nil)
 	for name, body := range map[string]string{
@@ -151,6 +152,12 @@ func TestSubmitValidation(t *testing.T) {
 		"no-runs":       `{"runs":[]}`,
 		"bad-workload":  `{"runs":[{"workload":"no-such-workload"}]}`,
 		"bad-interval":  `{"runs":[{"workload":"mixG"}],"metrics_interval":"not-a-duration"}`,
+		// Range-check failures: each of these was admitted and then ran
+		// the defaults (or sampled nothing) before the one range check.
+		"neg-simtime":  `{"runs":[{"workload":"mixG","simtime":"-1us"}]}`,
+		"neg-warmup":   `{"runs":[{"workload":"mixG","warmup":"-3us"}]}`,
+		"neg-wakeup":   `{"runs":[{"workload":"mixG","wakeup_ns":-5}]}`,
+		"neg-interval": `{"runs":[{"workload":"mixG"}],"metrics_interval":"-5us"}`,
 	} {
 		resp, err := http.Post(hs.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
