@@ -96,13 +96,14 @@ calib:
 # then fuzzes each target briefly. Lengthen with FUZZTIME=30s.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run Fuzz ./internal/exp ./internal/fault ./internal/dist ./internal/calib ./internal/durable
+	$(GO) test -run Fuzz ./internal/exp ./internal/fault ./internal/dist ./internal/calib ./internal/durable ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzLoadBatch -fuzztime=$(FUZZTIME) ./internal/exp
 	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run='^$$' -fuzz='FuzzWire$$' -fuzztime=$(FUZZTIME) ./internal/dist
 	$(GO) test -run='^$$' -fuzz=FuzzWireRequests -fuzztime=$(FUZZTIME) ./internal/dist
 	$(GO) test -run='^$$' -fuzz=FuzzCalibReference -fuzztime=$(FUZZTIME) ./internal/calib
 	$(GO) test -run='^$$' -fuzz=FuzzLogReplay -fuzztime=$(FUZZTIME) ./internal/durable
+	$(GO) test -run='^$$' -fuzz=FuzzISP -fuzztime=$(FUZZTIME) ./internal/core
 
 # profile runs the standard benchmark sweep under the CPU and heap
 # profilers and prints the top CPU consumers. Inspect interactively with

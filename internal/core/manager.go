@@ -128,6 +128,10 @@ type EpochData struct {
 	EpochLen sim.Duration
 }
 
+// unlimitedAMS is a budget no link's overhead can exceed; a link holding it
+// is exempt from violation monitoring.
+const unlimitedAMS = sim.Duration(1) << 60
+
 // Manager drives epochs, maintains Eq. 1's cumulative sums, runs violation
 // sweeps, and carries the shared state both policies use.
 type Manager struct {
@@ -196,7 +200,7 @@ func Attach(k *sim.Kernel, net *network.Network, cfg Config) *Manager {
 
 	// Unlimited AMS until the first epoch completes (no counters yet).
 	for i := range m.linkAMS {
-		m.linkAMS[i] = sim.Duration(1) << 60
+		m.linkAMS[i] = unlimitedAMS
 	}
 	m.scheduleEpoch()
 	m.scheduleViolationSweeps()
@@ -275,6 +279,8 @@ func (m *Manager) endEpoch() {
 		resp := &e.Counters[2*i+1]
 		e.ModuleFEL[i] = dramLat + req.VirtualReadLatency[0] + resp.VirtualReadLatency[0]
 		e.ModuleAEL[i] = dramLat + req.ActualReadLatency + resp.ActualReadLatency
+		m.CumFEL[i] += e.ModuleFEL[i]
+		m.CumOver[i] += e.ModuleAEL[i] - e.ModuleFEL[i]
 	}
 
 	m.epochs++
@@ -289,30 +295,30 @@ func (m *Manager) endEpoch() {
 // latency overhead against its AMS ([23]); violators either receive a
 // grant from the leftover pool (network-aware) or go to full power.
 func (m *Manager) scheduleViolationSweeps() {
-	interval := m.Cfg.Epoch / sim.Duration(m.Cfg.ViolationChecksPerEpoch)
-	var sweep func()
-	sweep = func() {
-		for i, l := range m.Net.Links {
-			// Failed links are out of the management domain: no traffic,
-			// no modes to force, no claim on violation grants.
-			if l.Forced() || l.Failed() {
-				continue
-			}
-			ec := l.Mon().Peek()
-			over := ec.ActualReadLatency - ec.VirtualReadLatency[0]
-			if over <= m.linkAMS[i] {
-				continue
-			}
-			m.violations++
-			if m.tryGrant(i, l) {
-				m.granted++
-				continue
-			}
-			l.ForceFullPower()
+	m.Kernel.After(m.Cfg.Epoch/sim.Duration(m.Cfg.ViolationChecksPerEpoch), m.violationSweep)
+}
+
+// violationSweep runs one sweep and schedules the next.
+func (m *Manager) violationSweep() {
+	for i, l := range m.Net.Links {
+		// Failed links are out of the management domain: no traffic,
+		// no modes to force, no claim on violation grants.
+		if l.Forced() || l.Failed() {
+			continue
 		}
-		m.Kernel.After(interval, sweep)
+		ec := l.Mon().Peek()
+		over := ec.ActualReadLatency - ec.VirtualReadLatency[0]
+		if over <= m.linkAMS[i] {
+			continue
+		}
+		m.violations++
+		if m.tryGrant(i, l) {
+			m.granted++
+			continue
+		}
+		l.ForceFullPower()
 	}
-	m.Kernel.After(interval, sweep)
+	m.scheduleViolationSweeps()
 }
 
 // tryGrant implements §VI-A3: a violating link asks the head module for a

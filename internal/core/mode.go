@@ -167,12 +167,6 @@ func (t *floTable) nextCheaper(m Mode) (Mode, bool) {
 	return best, found
 }
 
-// isLowest reports whether no cheaper mode exists.
-func (t *floTable) isLowest(m Mode) bool {
-	_, ok := t.nextCheaper(m)
-	return !ok
-}
-
 // apply programs the link with mode m.
 func applyMode(l *link.Link, m Mode) {
 	l.SetBWMode(m.BW)

@@ -146,11 +146,8 @@ func TestNextCheaperAndIsLowest(t *testing.T) {
 	if !ok || nc.BW != 1 {
 		t.Fatalf("nextCheaper(full) = %+v, %v", nc, ok)
 	}
-	if tab.isLowest(Mode{BW: 0, ROO: link.ROOFullMode}) {
-		t.Fatal("full mode reported lowest")
-	}
-	if !tab.isLowest(Mode{BW: 3, ROO: link.ROOFullMode}) {
-		t.Fatal("1-lane mode not lowest")
+	if _, ok := tab.nextCheaper(Mode{BW: 3, ROO: link.ROOFullMode}); ok {
+		t.Fatal("1-lane mode has a cheaper mode; want it lowest")
 	}
 }
 

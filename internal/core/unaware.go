@@ -25,8 +25,6 @@ func (*UnawarePolicy) Reconfigure(m *Manager, e *EpochData) []sim.Duration {
 	n := m.Net.Topo.N()
 	ams := make([]sim.Duration, 2*n)
 	for i := 0; i < n; i++ {
-		m.CumFEL[i] += e.ModuleFEL[i]
-		m.CumOver[i] += e.ModuleAEL[i] - e.ModuleFEL[i]
 		amsM := sim.Duration(m.Cfg.Alpha*float64(m.CumFEL[i])) - m.CumOver[i]
 		if amsM < 0 {
 			amsM = 0
@@ -46,7 +44,7 @@ func (*UnawarePolicy) Reconfigure(m *Manager, e *EpochData) []sim.Duration {
 			if m.Net.Links[li].Failed() {
 				// Dead links leave the management domain: no mode to
 				// program, and exempt from violation monitoring.
-				ams[li] = sim.Duration(1) << 60
+				ams[li] = unlimitedAMS
 				continue
 			}
 			mode := e.FLO[li].selectMode(shares[j])
