@@ -111,6 +111,51 @@ func TestGoldenFaultMetricsSweep(t *testing.T) {
 	checkGolden(t, "fault_metrics_export", []byte(digest))
 }
 
+// TestGoldenJournalV1Resumes resumes the fault+metrics sweep from a
+// journal written when every line still carried its key (a copy of
+// internal/exp/testdata/journal_v1.jsonl): each line is keyed by its own
+// result on read, so all 4 cells restore, none re-simulates, and the
+// figure is the golden one.
+func TestGoldenJournalV1Resumes(t *testing.T) {
+	bin := buildCLI(t)
+	v1, err := os.ReadFile("../../internal/exp/testdata/journal_v1.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	journalPath := filepath.Join(dir, "j.jsonl")
+	if err := os.WriteFile(journalPath, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	outDir := filepath.Join(dir, "out")
+	var stderr strings.Builder
+	cmd := exec.Command(bin, "-run", "avail",
+		"-simtime", "220us", "-warmup", "20us", "-jobs", "2",
+		"-metrics", "-metrics-interval", "20us",
+		"-metrics-out", filepath.Join(dir, "m.csv"), "-journal", journalPath, "-outdir", outDir, "-v")
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("resume from v1 journal: %v\n%s", err, stderr.String())
+	}
+	restored, ran := 0, 0
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		switch {
+		case strings.HasPrefix(line, "restored "):
+			restored++
+		case strings.HasPrefix(line, "ran "):
+			ran++
+		}
+	}
+	if restored != 4 || ran != 0 {
+		t.Fatalf("v1 journal resume: %d restored, %d ran; want 4 and 0\n%s", restored, ran, stderr.String())
+	}
+	fig, err := os.ReadFile(filepath.Join(outDir, "avail.txt"))
+	if err != nil {
+		t.Fatalf("read -outdir figure: %v", err)
+	}
+	checkGolden(t, "fault_metrics_figure", fig)
+}
+
 // TestGoldenCalibrate pins the model-calibration report byte for byte.
 // The report carries no wall time and its sweep is order-preserving, so
 // the same bytes must come back at any -jobs value, and the -outdir copy

@@ -91,8 +91,8 @@ func run() int {
 		log.Printf("memnetd: store fsck: %v", err)
 		return 2
 	}
-	log.Printf("memnetd: fsck: %d entries (%d bytes) ok, %d migrated, %d quarantined, %d stale temp file(s) removed",
-		rep.Entries, rep.Bytes, rep.Migrated, rep.Quarantined, rep.TempsRemoved)
+	log.Printf("memnetd: fsck: %d entries (%d bytes) ok, %d quarantined, %d stale temp file(s) removed",
+		rep.Entries, rep.Bytes, rep.Quarantined, rep.TempsRemoved)
 	if *storeMaxBytes > 0 || *storeMaxAge > 0 {
 		evicted, err := store.GC(serve.GCConfig{MaxBytes: *storeMaxBytes, MaxAge: *storeMaxAge})
 		if err != nil {

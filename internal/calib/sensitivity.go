@@ -14,11 +14,9 @@ import (
 	"strings"
 
 	"memnet/internal/core"
-	"memnet/internal/dram"
 	"memnet/internal/exp"
 	"memnet/internal/link"
 	"memnet/internal/metrics"
-	"memnet/internal/power"
 	"memnet/internal/sim"
 	"memnet/internal/topology"
 	"memnet/internal/viz"
@@ -54,8 +52,8 @@ var sensProfile = &workload.Profile{
 }
 
 // sweepFactors are the perturbation steps applied to each parameter. The
-// center cell (×1.00) carries no override at all, so every axis shares
-// one cached run of the unperturbed operating point.
+// center cell (×1.00) is the unperturbed base spec, so every axis shares
+// one run of the operating point.
 var sweepFactors = [5]float64{0.90, 0.95, 1.00, 1.05, 1.10}
 
 // baseSpec is the unperturbed operating point under the model under test.
@@ -72,15 +70,11 @@ func baseSpec(m *model, simTime, warmup sim.Duration) (exp.Spec, error) {
 		SimTime:  simTime,
 		Warmup:   warmup,
 	}
-	// A non-default model under test rides along on every cell, so the
-	// sweep perturbs around *its* operating point, not the published one.
-	if m.dram.Fingerprint() != dram.DefaultConfig().Fingerprint() {
-		cfg := m.dram
-		s.DRAM = &cfg
-	}
-	if def := power.DefaultModel(); m.pm.PeakWatts != def.PeakWatts {
-		s.PeakWatts = m.pm.PeakWatts
-	}
+	// The model under test rides along on every cell, so the sweep
+	// perturbs around *its* operating point, not the published one.
+	cfg := m.dram
+	s.DRAM = &cfg
+	s.PeakWatts = m.pm.PeakWatts
 	return s, nil
 }
 

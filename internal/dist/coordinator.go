@@ -194,7 +194,7 @@ func (c *Coordinator) Submit(specs []exp.Spec) *Batch {
 			cl.res = exp.CanonicalResult(res, s)
 			c.restored++
 			c.done++
-			c.front.Settle(len(c.cells), "", nil)
+			c.front.Settle(len(c.cells), nil)
 		}
 		c.byKey[cl.key] = append(c.byKey[cl.key], len(c.cells))
 		c.cells = append(c.cells, cl)
@@ -329,11 +329,11 @@ func (c *Coordinator) completeLocked(i int, res exp.Result, err error) {
 		c.done++
 		if err != nil {
 			c.failed++
-			c.front.Settle(j, "", nil)
+			c.front.Settle(j, nil)
 			continue
 		}
 		sib.res = exp.CanonicalResult(res, sib.spec)
-		c.front.Settle(j, sib.key, &sib.res)
+		c.front.Settle(j, &sib.res)
 	}
 	c.observeLocked()
 	c.cond.Broadcast()

@@ -1,6 +1,6 @@
 // Package dist fans sweep execution out across processes and machines.
 // A coordinator publishes the cell set of a sweep — keyed by the same
-// canonical Spec.key() the memo cache and journal use — and hands out
+// canonical Spec.Key() the memo cache and journal use — and hands out
 // lease-based claims over plain HTTP+JSON; workers run cells with the
 // standard panic containment and stream results back. The coordinator
 // merges completions into the append-only journal in sweep order, so the
@@ -76,7 +76,7 @@ type ClaimResponse struct {
 	// ID is the cell's slot in the coordinator's sweep-ordered list;
 	// heartbeats and results echo it (status "cell" only).
 	ID int `json:"id,omitempty"`
-	// Key is the cell's canonical Spec.key().
+	// Key is the cell's canonical Spec.Key().
 	Key string `json:"key,omitempty"`
 	// Spec is the JSON-marshaled exp.Spec to execute.
 	Spec json.RawMessage `json:"spec,omitempty"`

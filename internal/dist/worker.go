@@ -213,7 +213,7 @@ func (w *worker) deliver(ctx context.Context, claim ClaimResponse, res exp.Resul
 	var ack ResultResponse
 	if err := w.post(ctx, PathResult, req, &ack); err != nil {
 		if runErr == nil && w.fb != nil {
-			if jerr := w.fb.Append(claim.Key, res); jerr != nil {
+			if jerr := w.fb.Append(res); jerr != nil {
 				w.logf("dist: %s: salvage of %s failed: %v", w.name, claim.Key, jerr)
 			} else {
 				w.stats.Salvaged++

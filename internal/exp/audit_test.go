@@ -51,8 +51,8 @@ func TestAuditKeyInsensitive(t *testing.T) {
 	a := tinySpec(core.PolicyNone, MechFP)
 	b := a
 	b.AuditEvery = 1
-	if a.key() != b.key() {
-		t.Fatalf("AuditEvery leaked into the spec key:\n%s\n%s", a.key(), b.key())
+	if a.Key() != b.Key() {
+		t.Fatalf("AuditEvery leaked into the spec key:\n%s\n%s", a.Key(), b.Key())
 	}
 }
 
@@ -119,10 +119,10 @@ func TestAuditedFiguresByteIdentical(t *testing.T) {
 // cell only, while the sweep completes.
 func TestAuditViolationFailsCellGracefully(t *testing.T) {
 	bad := tinySpec(core.PolicyNone, MechFP)
-	badKey := bad.key()
+	badKey := bad.Key()
 	orig := runImpl
 	runImpl = func(ctx context.Context, s Spec, b Budget) (Result, error) {
-		if s.key() == badKey && s.Mech == MechFP && s.Policy == core.PolicyNone {
+		if s.Key() == badKey && s.Mech == MechFP && s.Policy == core.PolicyNone {
 			e := &audit.Error{Total: 1, Violations: []audit.Violation{
 				{Component: "link[0]", Rule: "buffer-bound", Time: 5 * sim.Microsecond, Detail: "synthetic"},
 			}}

@@ -58,14 +58,10 @@ func buildNetwork(kernel *sim.Kernel, spec Spec, modules int) (*network.Network,
 	netCfg.Interleave = spec.Interleave
 	netCfg.Retrain = spec.RetrainLatency
 	netCfg.MaxCRCRetries = spec.CRCRetryLimit
-	if spec.DRAM != nil {
-		netCfg.DRAM = *spec.DRAM
-	}
-	if spec.PeakWatts > 0 {
-		pm := power.DefaultModel()
-		pm.PeakWatts = spec.PeakWatts
-		netCfg.Power = &pm
-	}
+	netCfg.DRAM = *spec.DRAM
+	pm := power.DefaultModel()
+	pm.PeakWatts = spec.PeakWatts
+	netCfg.Power = &pm
 	net := network.New(kernel, topo, netCfg)
 
 	mcfg := core.DefaultConfig(spec.Policy, spec.Alpha)
@@ -167,7 +163,7 @@ func (s *Sim) stalled() error {
 	s.watchdog.CheckDrained()
 	s.watchdog.Stop()
 	if s.watchdog.Stalled() {
-		return fmt.Errorf("exp: %s run stalled:\n%s", s.Spec.key(), s.watchdog.Report())
+		return fmt.Errorf("exp: %s run stalled:\n%s", s.Spec.Key(), s.watchdog.Report())
 	}
 	return nil
 }
@@ -185,7 +181,7 @@ func (s *Sim) Finish() error {
 	}
 	s.audit.RunSweeps()
 	if err := s.audit.Err(); err != nil {
-		return fmt.Errorf("exp: %s: %w", s.Spec.key(), err)
+		return fmt.Errorf("exp: %s: %w", s.Spec.Key(), err)
 	}
 	return nil
 }

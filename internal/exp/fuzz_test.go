@@ -9,8 +9,10 @@ import (
 // (never a panic), or yields specs that pass the range check Build runs
 // — so memnetd never admits a run that fails on a range rule — and
 // whose identity keys are stable: the same bytes parsed twice produce
-// the same runnable sweep. Key() touches every resolved field, so it
-// doubles as a nil-safety probe on the parsed specs.
+// the same runnable sweep, resolving a spec keeps its key, and so does
+// the JSON round trip a journal line puts its result through. Key()
+// touches every resolved field, so it doubles as a nil-safety probe on
+// the parsed specs.
 func FuzzLoadBatch(f *testing.F) {
 	for _, seed := range []string{
 		`{"runs":[{"workload":"mixB"}]}`,
@@ -42,6 +44,12 @@ func FuzzLoadBatch(f *testing.F) {
 				t.Fatalf("run %d: LoadBatch accepted a spec Build rejects: %v", i, err)
 			}
 			keys[i] = s.Key()
+			if k := s.resolved().Key(); k != keys[i] {
+				t.Errorf("run %d: resolving changed the key: %q vs %q", i, keys[i], k)
+			}
+			if k := journalRoundTrip(t, s).Key(); k != keys[i] {
+				t.Errorf("run %d: key changed across the journal round trip: %q vs %q", i, keys[i], k)
+			}
 		}
 		again, err := LoadBatch(bytes.NewReader(data))
 		if err != nil {

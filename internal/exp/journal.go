@@ -1,9 +1,11 @@
-// Crash-safe sweep journaling. A Journal is a durable.Log of
-// {Spec.key(), Result} records. Every sweep appends through a Frontier:
-// a fresh cell is written as soon as every earlier cell has settled, so
-// the file grows in sweep order at any job count. A killed run restarted
-// with the same journal restores the completed cells and simulates only
-// the remainder, so the combined output is byte-identical to an
+// Crash-safe sweep journaling. A Journal is a durable.Log of results,
+// one JSON line each; a line is keyed on read by its own result's
+// Spec.Key(), so a journal written under an older key format resumes
+// under the current one. Every sweep appends through a Frontier: a fresh
+// cell is written as soon as every earlier cell has settled, so the file
+// grows in sweep order at any job count. A killed run restarted with the
+// same journal restores the completed cells and simulates only the
+// remainder, so the combined output is byte-identical to an
 // uninterrupted run (results are always committed and rendered in sweep
 // order). Restored results do not keep their marshaled Spec — JSON does
 // not round-trip every Spec field bit-exactly — the caller's canonical
@@ -18,9 +20,10 @@ import (
 	"memnet/internal/durable"
 )
 
-// journalEntry is one line of the file.
+// journalEntry is one line of the file. Older lines also carry a "key"
+// field, which decoding ignores; the "result" wrapper must stay, or such
+// a line would decode as an empty Result and truncate the journal.
 type journalEntry struct {
-	Key    string `json:"key"`
 	Result Result `json:"result"`
 }
 
@@ -31,17 +34,17 @@ type Journal struct {
 
 // OpenJournal opens (creating if needed) the journal at path on fsys
 // (nil = the real filesystem) and returns it together with every result
-// recoverable from previous runs, keyed by Spec.key(). A trailing
+// recoverable from previous runs, keyed by their Spec.Key(). A trailing
 // partial or corrupt line — the signature of a crash mid-append — is
 // truncated away so the file stays valid for appending.
 func OpenJournal(path string, fsys durable.FS) (*Journal, map[string]Result, error) {
 	loaded := map[string]Result{}
 	log, err := durable.Open(path, fsys, func(line []byte) bool {
 		var e journalEntry
-		if json.Unmarshal(line, &e) != nil || e.Key == "" {
+		if json.Unmarshal(line, &e) != nil || e.Result.Spec.Workload == nil {
 			return false
 		}
-		loaded[e.Key] = e.Result
+		loaded[e.Result.Spec.Key()] = e.Result
 		return true
 	})
 	if err != nil {
@@ -52,8 +55,8 @@ func OpenJournal(path string, fsys durable.FS) (*Journal, map[string]Result, err
 
 // Append writes one completed cell and syncs it to stable storage.
 // Safe for concurrent use.
-func (j *Journal) Append(key string, res Result) error {
-	return j.log.Append(journalEntry{Key: key, Result: res})
+func (j *Journal) Append(res Result) error {
+	return j.log.Append(journalEntry{Result: res})
 }
 
 // Close releases the journal file.
@@ -74,37 +77,34 @@ type Frontier struct {
 	// settled holds the slots at or past it; a nil entry has nothing to
 	// append.
 	mark    int
-	settled map[int]*journalEntry
+	settled map[int]*Result
 }
 
 // NewFrontier returns a watermark over j (nil = no journal; Settle is a
 // no-op). onErr receives each failed append with its slot, under the
 // frontier's lock.
 func NewFrontier(j *Journal, onErr func(slot int, err error)) *Frontier {
-	return &Frontier{j: j, onErr: onErr, settled: map[int]*journalEntry{}}
+	return &Frontier{j: j, onErr: onErr, settled: map[int]*Result{}}
 }
 
 // Settle marks slot finished and appends every record the watermark now
-// passes. res is a fresh success to journal under key; nil settles a
-// failed or restored slot. Safe for concurrent use.
-func (f *Frontier) Settle(slot int, key string, res *Result) {
+// passes. res is a fresh success to journal; nil settles a failed or
+// restored slot. Safe for concurrent use.
+func (f *Frontier) Settle(slot int, res *Result) {
 	if f.j == nil {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.settled[slot] = nil
-	if res != nil {
-		f.settled[slot] = &journalEntry{Key: key, Result: *res}
-	}
+	f.settled[slot] = res
 	for {
-		e, ok := f.settled[f.mark]
+		next, ok := f.settled[f.mark]
 		if !ok {
 			return
 		}
 		delete(f.settled, f.mark)
-		if e != nil {
-			if err := f.j.log.Append(*e); err != nil {
+		if next != nil {
+			if err := f.j.Append(*next); err != nil {
 				f.onErr(f.mark, err)
 			}
 		}

@@ -34,7 +34,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(spec.key(), res); err != nil {
+	if err := j.Append(res); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -45,7 +45,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := loaded[spec.key()]
+	got, ok := loaded[spec.Key()]
 	if !ok {
 		t.Fatalf("journal lost the entry; loaded keys: %v", loaded)
 	}
@@ -54,6 +54,13 @@ func TestJournalRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, res) {
 		t.Fatalf("journal round trip diverged:\nwrote: %+v\nread:  %+v", res, got)
 	}
+}
+
+// salted returns res as the record of a distinct run: its spec's seed
+// salt is i.
+func salted(res Result, i int) Result {
+	res.Spec.SeedSalt = uint64(i)
+	return res
 }
 
 // TestJournalTornTailRecovery simulates a crash mid-append: a partial
@@ -65,12 +72,11 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := tinySpec(core.PolicyNone, MechFP)
-	res, err := Run(spec)
+	res, err := Run(tinySpec(core.PolicyNone, MechFP))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(spec.key(), res); err != nil {
+	if err := j.Append(salted(res, 0)); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -90,8 +96,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	}
 	// The file must be appendable again: a new entry after recovery must
 	// survive the next load.
-	spec2 := tinySpec(core.PolicyAware, MechVWLROO)
-	if err := j2.Append(spec2.key(), res); err != nil {
+	if err := j2.Append(salted(res, 1)); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
@@ -99,8 +104,10 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded) != 2 {
-		t.Fatalf("post-recovery append lost data: %d entries, want 2", len(loaded))
+	for i := 0; i < 2; i++ {
+		if _, ok := loaded[salted(res, i).Spec.Key()]; !ok {
+			t.Fatalf("post-recovery append lost record %d (%d entries)", i, len(loaded))
+		}
 	}
 	data, _ := os.ReadFile(path)
 	if strings.Contains(string(data), "torn-mid-wr") {
@@ -140,7 +147,7 @@ func TestJournalTornTailReopenCycle(t *testing.T) {
 		}
 		// The power comes back mid-resume: append immediately after the
 		// torn-tail truncation, then lose the next write too.
-		if err := j.Append(fmt.Sprintf("cycle-key-%d", round), res); err != nil {
+		if err := j.Append(salted(res, round)); err != nil {
 			t.Fatalf("round %d: append after recovery: %v", round, err)
 		}
 		j.Close()
@@ -150,8 +157,10 @@ func TestJournalTornTailReopenCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded) != 3 {
-		t.Fatalf("final load recovered %d entries, want 3", len(loaded))
+	for round := 0; round < 3; round++ {
+		if _, ok := loaded[salted(res, round).Spec.Key()]; !ok {
+			t.Fatalf("final load lost round %d's record (%d entries)", round, len(loaded))
+		}
 	}
 	data, _ := os.ReadFile(path)
 	if strings.Contains(string(data), "torn-") {
@@ -179,9 +188,9 @@ func TestJournalAppendAfterTornWrite(t *testing.T) {
 		if i == 1 {
 			ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: "sweep.jsonl", Err: syscall.ENOSPC, Count: 1, Short: 9})
 		}
-		key := fmt.Sprintf("key-%d", i)
-		if err := j.Append(key, res); err == nil {
-			acked = append(acked, key)
+		rec := salted(res, i)
+		if err := j.Append(rec); err == nil {
+			acked = append(acked, rec.Spec.Key())
 		}
 	}
 	j.Close()
@@ -200,11 +209,12 @@ func TestJournalAppendAfterTornWrite(t *testing.T) {
 }
 
 // TestJournalReadsGoldenFormat pins the on-disk format from the read
-// side: the committed fault+metrics sweep journal (written by the CLI,
-// pinned byte for byte by its golden test) must restore one entry per
-// line, and opening it must not rewrite a byte.
+// side: journal_v1.jsonl, a fault+metrics sweep journal written when
+// every line still carried its key, must restore one entry per line,
+// each under its own result's Key(), and opening it must not rewrite a
+// byte.
 func TestJournalReadsGoldenFormat(t *testing.T) {
-	golden, err := os.ReadFile("../../cmd/experiments/testdata/fault_metrics_journal.golden")
+	golden, err := os.ReadFile("testdata/journal_v1.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +231,9 @@ func TestJournalReadsGoldenFormat(t *testing.T) {
 		t.Fatalf("restored %d entries from a %d-line journal", len(loaded), lines)
 	}
 	for key, res := range loaded {
-		if !strings.Contains(key, res.Spec.Workload.Name) {
-			t.Errorf("entry %s restored a result for workload %q", key, res.Spec.Workload.Name)
+		if key != res.Spec.Key() {
+			t.Errorf("entry for workload %q restored under %s, want its result's key %s",
+				res.Spec.Workload.Name, key, res.Spec.Key())
 		}
 	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, golden) {
@@ -454,7 +465,7 @@ func journalKeys(t *testing.T, path string) []string {
 	for _, line := range strings.SplitAfter(string(data), "\n") {
 		var e journalEntry
 		if strings.HasSuffix(line, "\n") && json.Unmarshal([]byte(line), &e) == nil {
-			keys = append(keys, e.Key)
+			keys = append(keys, e.Result.Spec.Key())
 		}
 	}
 	return keys
@@ -480,7 +491,7 @@ func TestPrefetchJournalsCellsAsTheyComplete(t *testing.T) {
 	held, release := make(chan struct{}), make(chan struct{})
 	orig := runImpl
 	runImpl = func(ctx context.Context, s Spec, b Budget) (Result, error) {
-		if s.key() == specs[2].key() {
+		if s.Key() == specs[2].Key() {
 			close(held)
 			<-release
 		}
@@ -501,7 +512,7 @@ func TestPrefetchJournalsCellsAsTheyComplete(t *testing.T) {
 		r.Prefetch(specs)
 	}()
 	<-held
-	want := []string{specs[0].key(), specs[1].key()}
+	want := []string{specs[0].Key(), specs[1].Key()}
 	deadline := time.Now().Add(20 * time.Second)
 	for got := journalKeys(t, path); !reflect.DeepEqual(got, want); got = journalKeys(t, path) {
 		if time.Now().After(deadline) {
@@ -513,7 +524,7 @@ func TestPrefetchJournalsCellsAsTheyComplete(t *testing.T) {
 	}
 	close(release)
 	<-done
-	if got := journalKeys(t, path); !reflect.DeepEqual(got, append(want, specs[2].key())) {
+	if got := journalKeys(t, path); !reflect.DeepEqual(got, append(want, specs[2].Key())) {
 		t.Fatalf("journal after the sweep holds %q", got)
 	}
 	if len(r.Failures()) != 0 {
@@ -579,7 +590,7 @@ func TestPrefetchSurvivesPanickingCell(t *testing.T) {
 	orig := runImpl
 	var poisoned string
 	runImpl = func(ctx context.Context, s Spec, b Budget) (Result, error) {
-		if s.key() == poisoned {
+		if s.Key() == poisoned {
 			panic("poisoned cell")
 		}
 		return runBudgeted(ctx, s, b)
@@ -593,7 +604,7 @@ func TestPrefetchSurvivesPanickingCell(t *testing.T) {
 	if len(specs) == 0 {
 		t.Fatal("no cells collected")
 	}
-	poisoned = specs[len(specs)/2].key()
+	poisoned = specs[len(specs)/2].Key()
 	out := r.Generate(e)
 	if len(out) < 40 {
 		t.Fatalf("render did not complete: %q", out)

@@ -157,6 +157,9 @@ func (s Spec) validate() error {
 			return &FieldError{"dram", err}
 		}
 	}
+	if !(s.PeakWatts >= 0) {
+		return &FieldError{"peak_watts", fmt.Errorf("must be non-negative, got %g", s.PeakWatts)}
+	}
 	return nil
 }
 

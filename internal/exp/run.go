@@ -123,71 +123,64 @@ type Spec struct {
 	// mode). Zero and negative leave the run unaudited; Settings.Apply
 	// fills zero from the run-wide stride. Detected violations fail the
 	// run with a structured *audit.Error. The auditor is observational —
-	// it cannot change a result — so AuditEvery is the one field key()
+	// it cannot change a result — so AuditEvery is the one field Key()
 	// leaves out (TestKeyCoversEveryField holds it to that): audited and
 	// unaudited runs share cache and journal entries.
 	AuditEvery int
-	// DRAM overrides every module's DRAM configuration (nil = Table I via
-	// network.DefaultConfig). The calibration sensitivity sweep perturbs
-	// one timing parameter at a time through it. omitempty keeps journal
-	// records byte-identical to pre-override ones when unset, matching
-	// key()'s only-when-set suffix.
-	DRAM *dram.Config `json:",omitempty"`
+	// DRAM overrides every module's DRAM configuration (nil = Table I,
+	// dram.DefaultConfig). The calibration sensitivity sweep perturbs one
+	// timing parameter at a time through it.
+	DRAM *dram.Config
 	// PeakWatts overrides the [12] high-radix peak power (0 = the
 	// published 13.4 W; low radix stays half the high-radix value).
-	PeakWatts float64 `json:",omitempty"`
+	PeakWatts float64
 	// MetricsInterval arms the epoch-resolution metrics sampler over the
 	// measured interval with this sampling period (0 = disabled). The
 	// sampler only reads state, so every measured quantity is unchanged,
 	// but its ticker schedules kernel events — Result.Events grows — so
-	// unlike AuditEvery it participates in key() (appended only when set,
-	// keeping old keys and journals intact).
+	// unlike AuditEvery it is part of Key().
 	MetricsInterval sim.Duration
 }
 
-// key identifies a spec for memoization. The footprint rides along with
-// the workload name because studies that perturb a named profile (e.g. the
-// scaling study's truncated is.D) must not collide with the original.
-func (s Spec) key() string {
-	k := fmt.Sprintf("%s/%dGB|%s|%s|%s|%s|%g|%d|%d|%d|%v|%v|%d",
+// Key is the spec's one identity: the memo cache, sweep journals,
+// memnetd's store and dist leases all name a cell by it. It formats the
+// resolved spec with every field but AuditEvery, so two spellings of
+// one run (a zero default and its value) share a key and any two
+// different runs do not. The footprint rides along with the workload
+// name because studies that perturb a named profile (e.g. the scaling
+// study's truncated is.D) must not collide with the original.
+func (s Spec) Key() string {
+	s = s.resolved()
+	return fmt.Sprintf("%s/%dGB|%s|%s|%s|%s|%g|%d|%d|%d|%v|%v|%d|f=%s|t=%d|r=%d|w=%v|rt=%d|crc=%d|m=%d|dram=%s|pw=%g",
 		s.Workload.Name, s.Workload.FootprintGB, s.Topology, s.Size, s.Mech, s.Policy, s.Alpha,
-		s.Wakeup, s.SimTime, s.Warmup, s.Interleave, s.CollectLinkHours, s.SeedSalt)
-	if len(s.Faults.Events) > 0 || s.RequestTimeout > 0 || s.Watchdog {
-		k += fmt.Sprintf("|f=%s|t=%d|r=%d|w=%v",
-			s.Faults.Key(), s.RequestTimeout, s.MaxRetries, s.Watchdog)
-	}
-	// Recovery knobs append their own block so fault-free keys are
-	// unchanged from previous releases (journal compatibility).
-	if s.RetrainLatency > 0 || s.CRCRetryLimit > 0 {
-		k += fmt.Sprintf("|rt=%d|crc=%d", s.RetrainLatency, s.CRCRetryLimit)
-	}
-	if s.MetricsInterval > 0 {
-		k += fmt.Sprintf("|m=%d", s.MetricsInterval)
-	}
-	// Model-calibration overrides append last, again only when set, so
-	// every key minted before they existed is reproduced verbatim.
-	if s.DRAM != nil {
-		k += "|dram=" + s.DRAM.Fingerprint()
-	}
-	if s.PeakWatts > 0 {
-		k += fmt.Sprintf("|pw=%g", s.PeakWatts)
-	}
-	return k
+		s.Wakeup, s.SimTime, s.Warmup, s.Interleave, s.CollectLinkHours, s.SeedSalt,
+		s.Faults.Key(), s.RequestTimeout, s.MaxRetries, s.Watchdog,
+		s.RetrainLatency, s.CRCRetryLimit, s.MetricsInterval, s.DRAM.Fingerprint(), s.PeakWatts)
 }
 
-// Key returns the spec's stable identity string — the memoization and
-// journal key — for labeling exported artifacts (metrics dumps).
-func (s Spec) Key() string { return s.key() }
-
-// resolved applies Run's time/wakeup defaults to a checked spec. Fresh
-// results carry the resolved spec, so journal restores resolve too —
-// otherwise a restored Result.Spec would differ from a recomputed one.
+// resolved fills every field whose zero value stands for a default the
+// build applies, and nothing else: a field the model ignores (α under
+// PolicyNone, Wakeup without ROO) keeps its value. Build, Key and
+// CanonicalResult all resolve, so Result.Spec states exactly what ran.
 func (s Spec) resolved() Spec {
 	if s.SimTime == 0 {
 		s.SimTime = DefaultSimTime
 	}
 	if s.Wakeup == 0 {
 		s.Wakeup = link.WakeupDefault
+	}
+	if s.RetrainLatency == 0 {
+		s.RetrainLatency = link.RetrainDefault
+	}
+	if s.CRCRetryLimit == 0 {
+		s.CRCRetryLimit = link.DefaultMaxCRCRetries
+	}
+	if s.DRAM == nil {
+		cfg := dram.DefaultConfig()
+		s.DRAM = &cfg
+	}
+	if s.PeakWatts == 0 {
+		s.PeakWatts = power.HighRadixPeakWatts
 	}
 	return s
 }
@@ -361,7 +354,7 @@ func runBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) 
 
 	kernel.Run(spec.Warmup)
 	if err := kernel.Err(); err != nil {
-		return Result{}, fmt.Errorf("exp: %s: aborted after %d events: %w", spec.key(), kernel.Processed(), err)
+		return Result{}, fmt.Errorf("exp: %s: aborted after %d events: %w", spec.Key(), kernel.Processed(), err)
 	}
 	snap0 := net.TakeSnapshot()
 	net.LatencyHist().Reset()
@@ -371,7 +364,7 @@ func runBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) 
 	reg.Start(spec.Warmup + spec.SimTime)
 	kernel.Run(spec.Warmup + spec.SimTime)
 	if err := kernel.Err(); err != nil {
-		return Result{}, fmt.Errorf("exp: %s: aborted after %d events: %w", spec.key(), kernel.Processed(), err)
+		return Result{}, fmt.Errorf("exp: %s: aborted after %d events: %w", spec.Key(), kernel.Processed(), err)
 	}
 	snap1 := net.TakeSnapshot()
 	if err := s.stalled(); err != nil {
@@ -422,7 +415,7 @@ func runBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) 
 			aud.Reportf("power", "interval-power", "%v", err)
 		}
 		if err := aud.Err(); err != nil {
-			return Result{}, fmt.Errorf("exp: %s: %w", spec.key(), err)
+			return Result{}, fmt.Errorf("exp: %s: %w", spec.Key(), err)
 		}
 	}
 	return res, nil
@@ -556,7 +549,7 @@ func (r *Runner) MetricsEntries() []metrics.Entry { return r.metricsLog }
 // journaling and failure recording have a single code path.
 func (r *Runner) Run(spec Spec) Result {
 	spec = r.Apply(spec)
-	k := spec.key()
+	k := spec.Key()
 	if res, ok := r.cache[k]; ok {
 		return res
 	}
@@ -592,7 +585,7 @@ type CellFailure struct {
 func (r *Runner) Failures() []CellFailure { return r.failures }
 
 // AttachJournal directs the runner to restore results from loaded (keyed
-// by Spec.key) and to append every fresh result to j as its cell
+// by Spec.Key) and to append every fresh result to j as its cell
 // completes, in sweep order (see Frontier).
 func (r *Runner) AttachJournal(j *Journal, loaded map[string]Result) {
 	r.journal = j

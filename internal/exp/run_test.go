@@ -135,6 +135,12 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(bad); !errors.As(err, &fe) || fe.Field != "warmup" {
 		t.Fatalf("warmup -1us: err = %v, want a FieldError naming warmup", err)
 	}
+	// The build applies PeakWatts as given, so a negative one is refused.
+	bad = tinySpec(core.PolicyNone, MechFP)
+	bad.PeakWatts = -1
+	if _, err := Run(bad); !errors.As(err, &fe) || fe.Field != "peak_watts" {
+		t.Fatalf("PeakWatts -1: err = %v, want a FieldError naming peak_watts", err)
+	}
 	// BuildNetwork, trace replay's builder, runs the same check with no
 	// workload.
 	bad = tinySpec(core.PolicyAware, MechVWLROO)

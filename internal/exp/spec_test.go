@@ -1,17 +1,19 @@
 package exp
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
 	"memnet/internal/core"
 	"memnet/internal/dram"
 	"memnet/internal/fault"
+	"memnet/internal/link"
 	"memnet/internal/sim"
 	"memnet/internal/workload"
 )
 
-// keyObservational lists the Spec fields key() leaves out on purpose,
+// keyObservational lists the Spec fields Key() leaves out on purpose,
 // each with its reason. Every other field must change the key.
 var keyObservational = map[string]string{
 	"AuditEvery": "the auditor only reads state, so audited and unaudited runs are one run and share cache and journal entries",
@@ -26,7 +28,8 @@ var keyPartners = map[string]func(*Spec){
 // TestKeyCoversEveryField walks Spec's fields and perturbs each one: it
 // must change Key(), or sit on keyObservational. A field added later
 // without either fails here, so two different runs can never share a
-// cache entry or a journal line by accident.
+// cache entry or a journal line by accident. Every perturbed spec must
+// also keep its key through a journal line's JSON round trip.
 func TestKeyCoversEveryField(t *testing.T) {
 	typ := reflect.TypeOf(Spec{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -44,10 +47,56 @@ func TestKeyCoversEveryField(t *testing.T) {
 		_, observational := keyObservational[f.Name]
 		switch {
 		case !changed && !observational:
-			t.Errorf("Spec.%s does not reach Key(): add it to key() or to keyObservational with a reason", f.Name)
+			t.Errorf("Spec.%s does not reach Key(): add it to Key() or to keyObservational with a reason", f.Name)
 		case changed && observational:
 			t.Errorf("Spec.%s is listed as observational but changes Key()", f.Name)
 		}
+		if got := journalRoundTrip(t, moved).Key(); got != moved.Key() {
+			t.Errorf("Spec.%s: key changed across the journal round trip:\n%s\n%s", f.Name, moved.Key(), got)
+		}
+	}
+}
+
+// journalRoundTrip returns s as a journal line carries it: the resolved
+// spec of a result, marshaled and decoded.
+func journalRoundTrip(t testing.TB, s Spec) Spec {
+	t.Helper()
+	raw, err := json.Marshal(Result{Spec: s.resolved()})
+	if err != nil {
+		t.Fatalf("marshal %s: %v", s.Key(), err)
+	}
+	var back Result
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatalf("unmarshal %s: %v", s.Key(), err)
+	}
+	return back.Spec
+}
+
+// TestKeyOneSpellingOneKey: a zero field that stands for a default and
+// the default itself are one run, so they share a key. A field the model
+// ignores is not erased: α under PolicyNone still separates keys.
+func TestKeyOneSpellingOneKey(t *testing.T) {
+	defDRAM := dram.DefaultConfig()
+	for name, set := range map[string]func(*Spec){
+		"SimTime":        func(s *Spec) { s.SimTime = DefaultSimTime },
+		"Wakeup":         func(s *Spec) { s.Wakeup = link.WakeupDefault },
+		"RetrainLatency": func(s *Spec) { s.RetrainLatency = link.RetrainDefault },
+		"CRCRetryLimit":  func(s *Spec) { s.CRCRetryLimit = link.DefaultMaxCRCRetries },
+		"DRAM":           func(s *Spec) { s.DRAM = &defDRAM },
+		"PeakWatts":      func(s *Spec) { s.PeakWatts = 13.4 },
+	} {
+		zero := tinySpec(core.PolicyAware, MechVWLROO)
+		zero.SimTime = 0
+		spelled := zero
+		set(&spelled)
+		if zero.Key() != spelled.Key() {
+			t.Errorf("%s: zero and default spellings got two keys:\n%s\n%s", name, zero.Key(), spelled.Key())
+		}
+	}
+	a, b := tinySpec(core.PolicyNone, MechFP), tinySpec(core.PolicyNone, MechFP)
+	a.Alpha, b.Alpha = 0.01, 0.02
+	if a.Key() == b.Key() {
+		t.Errorf("alpha 0.01 and 0.02 under PolicyNone share key %s", a.Key())
 	}
 }
 
@@ -64,7 +113,8 @@ func perturb(v reflect.Value) bool {
 	case *fault.Scenario:
 		*x = sweepScenario()
 	case **dram.Config:
-		c := dram.DefaultConfig()
+		c := dram.DefaultConfig() // nil and the default are one run
+		c.TCL *= 2
 		*x = &c
 	default:
 		switch v.Kind() {

@@ -85,7 +85,7 @@ func (r *Runner) Uncached(specs []Spec) []Spec {
 	var todo []Spec
 	for _, s := range specs {
 		s = r.Apply(s)
-		k := s.key()
+		k := s.Key()
 		if _, ok := r.cache[k]; ok {
 			continue
 		}
@@ -118,7 +118,7 @@ func (r *Runner) Commit(specs []Spec, results []Result, errs []error) {
 // journal-append failure, recorded right after the cell it belongs to.
 func (r *Runner) commit(specs []Spec, results []Result, errs, jerrs []error) {
 	for i, res := range results {
-		k := specs[i].key()
+		k := specs[i].Key()
 		if err := errs[i]; err != nil {
 			r.failures = append(r.failures, CellFailure{Key: k, Err: err})
 			if r.Progress != nil {
@@ -156,7 +156,7 @@ func RunSpecs(ctx context.Context, specs []Spec, jobs int, j *Journal, loaded ma
 	var todoIdx []int
 	for i, s := range specs {
 		if len(loaded) > 0 {
-			k := s.key()
+			k := s.Key()
 			if res, ok := loaded[k]; ok {
 				delete(loaded, k)
 				results[i] = CanonicalResult(res, s)
@@ -184,7 +184,7 @@ func FirstErr(specs []Spec, errs []error) error {
 		if err != nil {
 			desc := "invalid spec"
 			if specs[i].Workload != nil {
-				desc = specs[i].key()
+				desc = specs[i].Key()
 			}
 			return fmt.Errorf("run %d (%s): %w", i, desc, err)
 		}
@@ -216,9 +216,9 @@ func execute(ctx context.Context, specs []Spec, jobs int, j *Journal) (results [
 			results[i], errs[i] = RunBudgeted(ctx, specs[i], Budget{})
 		}
 		if errs[i] != nil {
-			front.Settle(i, "", nil)
+			front.Settle(i, nil)
 		} else {
-			front.Settle(i, specs[i].key(), &results[i])
+			front.Settle(i, &results[i])
 		}
 	}
 	var next atomic.Int64

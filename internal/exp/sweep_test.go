@@ -165,10 +165,10 @@ func TestCollectEnumeratesWithoutSimulating(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, s := range specs {
-		if seen[s.key()] {
-			t.Fatalf("duplicate cell %s", s.key())
+		if seen[s.Key()] {
+			t.Fatalf("duplicate cell %s", s.Key())
 		}
-		seen[s.key()] = true
+		seen[s.Key()] = true
 		if s.SimTime != r.SimTime || s.Warmup != r.Warmup {
 			t.Fatalf("collected cell not normalized: %+v", s)
 		}
@@ -190,8 +190,8 @@ func TestPrefetchWarmsCacheInSweepOrder(t *testing.T) {
 		t.Fatalf("progress reported %d runs, want %d", len(lines), len(specs))
 	}
 	for i, s := range specs {
-		if !strings.Contains(lines[i], s.key()) {
-			t.Fatalf("progress line %d = %q, want spec %s", i, lines[i], s.key())
+		if !strings.Contains(lines[i], s.Key()) {
+			t.Fatalf("progress line %d = %q, want spec %s", i, lines[i], s.Key())
 		}
 	}
 	lines = nil
@@ -283,7 +283,7 @@ func TestBenchSweepSpecs(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, s := range specs {
-		k := s.key()
+		k := s.Key()
 		if seen[k] {
 			t.Fatalf("duplicate cell %s", k)
 		}

@@ -799,7 +799,7 @@ func (s *Server) runJob(j *job) {
 			}
 		}
 		if s.cfg.Journal != nil {
-			if err := s.cfg.Journal.Append(key, res); err != nil {
+			if err := s.cfg.Journal.Append(res); err != nil {
 				s.jnlErrors.Add(1)
 				s.cfg.Logf("serve: %s: journal append for %s: %v", j.id, key, err)
 			}

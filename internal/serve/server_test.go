@@ -141,6 +141,27 @@ func TestSubmitRunCacheHit(t *testing.T) {
 	}
 }
 
+// TestSubmitDefaultSpellingIsCacheHit: "wakeup_ns":0 means the 14 ns
+// default, so a run spelled either way is one run with one key — the
+// second submission is served from the store without simulating.
+func TestSubmitDefaultSpellingIsCacheHit(t *testing.T) {
+	s, hs := newTestServer(t, nil)
+	sr1 := submit(t, hs.URL, tinyBody("20us", -14)) // "wakeup_ns":0
+	if st := waitTerminal(t, hs.URL, sr1.ID, 60*time.Second); st.State != StateDone {
+		t.Fatalf("wakeup 0 run: %+v", st)
+	}
+	sr2 := submit(t, hs.URL, tinyBody("20us", 0)) // "wakeup_ns":14
+	if st := waitTerminal(t, hs.URL, sr2.ID, 10*time.Second); st.State != StateDone || st.CacheHits != 1 {
+		t.Fatalf("wakeup 14 run should be a cache hit: %+v", st)
+	}
+	if sr1.Keys[0] != sr2.Keys[0] {
+		t.Errorf("one run, two keys:\n%s\n%s", sr1.Keys[0], sr2.Keys[0])
+	}
+	if stats := s.Stats(); stats.CellsRun != 1 {
+		t.Fatalf("cells_run = %d, want 1: %+v", stats.CellsRun, stats)
+	}
+}
+
 // TestSubmitValidation pins the 400 paths: malformed JSON, unknown
 // fields, empty batches, bad specs, out-of-range fields — all rejected
 // before admission.

@@ -10,10 +10,7 @@
 // Get re-verifies both, and an entry that fails — bit-rot, a torn
 // envelope, a hand-edited payload, a hash collision — is moved to the
 // quarantine/ subdirectory and reported as a cache miss, never served
-// and never a 500. Entries written by a pre-checksum daemon (intact
-// envelope and key, no Sum field) are not failures: Get and Fsck
-// migrate them by backfilling the checksum through Put, so an upgrade
-// keeps the existing cache instead of quarantining all of it. Fsck
+// and never a 500; an entry with no Sum fails like any other. Fsck
 // runs the same verification over the whole store at startup and
 // sweeps the stale .put-* temp files a crash mid-Put can leak; GC
 // bounds the store by total bytes and by entry age (last hit, tracked
@@ -134,30 +131,21 @@ func payloadSum(result json.RawMessage) string {
 
 // verifyEntry parses and verifies one on-disk entry against the key it
 // is filed under. wantKey == "" skips the key comparison (Fsck trusts
-// the embedded key and checks the filename instead). legacy reports an
-// entry written by a pre-checksum daemon: envelope and key intact but
-// no Sum field to verify the payload against. Such entries are valid
-// (err == nil) — quarantining them would throw away the whole cache on
-// the first post-upgrade startup — and callers backfill the checksum by
-// rewriting them through Put.
-func verifyEntry(data []byte, wantKey string) (e storeEntry, legacy bool, err error) {
+// the embedded key and checks the filename instead).
+func verifyEntry(data []byte, wantKey string) (e storeEntry, err error) {
 	if err := json.Unmarshal(data, &e); err != nil {
-		return e, false, fmt.Errorf("undecodable envelope: %w", err)
+		return e, fmt.Errorf("undecodable envelope: %w", err)
 	}
 	if wantKey != "" && e.Key != wantKey {
-		return e, false, fmt.Errorf("key mismatch: have %q, want %q", e.Key, wantKey)
+		return e, fmt.Errorf("key mismatch: have %q, want %q", e.Key, wantKey)
 	}
 	if e.Sum == "" {
-		if e.Key == "" || len(e.Result) == 0 {
-			// Not a plausible pre-checksum entry: nothing to migrate.
-			return e, false, errors.New("no payload checksum and no payload (truncated envelope)")
-		}
-		return e, true, nil
+		return e, errors.New("no payload checksum")
 	}
 	if got := payloadSum(e.Result); got != e.Sum {
-		return e, false, fmt.Errorf("payload checksum mismatch: have %s, want %s", got, e.Sum)
+		return e, fmt.Errorf("payload checksum mismatch: have %s, want %s", got, e.Sum)
 	}
-	return e, false, nil
+	return e, nil
 }
 
 // quarantine moves path into the quarantine subdirectory (same
@@ -190,18 +178,10 @@ func (s *Store) Get(key string) (json.RawMessage, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	e, legacy, verr := verifyEntry(data, key)
+	e, verr := verifyEntry(data, key)
 	if verr != nil {
 		s.quarantine(p)
 		return nil, false, fmt.Errorf("%w: %s: %v", ErrCorrupt, key, verr)
-	}
-	if legacy {
-		// Pre-checksum entry: serve it and backfill the checksum by
-		// rewriting in place (Put's tmp+rename atomically replaces the
-		// old envelope). Best-effort — a full disk leaves the entry
-		// legacy, retried on the next hit or fsck.
-		s.Put(key, e.Result)
-		return e.Result, true, nil
 	}
 	now := time.Now()
 	s.fs.Chtimes(p, now, now) // best-effort last-hit bump
@@ -307,11 +287,10 @@ func (s *Store) Len() (int, error) {
 
 // FsckReport summarizes a startup verification pass.
 type FsckReport struct {
-	Entries      int   // entries that verified clean (migrated ones included)
+	Entries      int   // entries that verified clean
 	Bytes        int64 // their total size
 	Quarantined  int   // entries moved to quarantine/ this pass
 	TempsRemoved int   // stale .put-* files swept
-	Migrated     int   // pre-checksum entries rewritten with a backfilled Sum
 }
 
 // Fsck verifies every entry in the store — envelope decodes, filename
@@ -345,7 +324,7 @@ func (s *Store) Fsck() (FsckReport, error) {
 		if err != nil {
 			return rep, fmt.Errorf("serve: fsck: %s: %w", name, err)
 		}
-		e, legacy, verr := verifyEntry(data, "")
+		e, verr := verifyEntry(data, "")
 		if verr == nil && s.fileName(e.Key) != name {
 			verr = fmt.Errorf("filed under %s but key hashes to %s", name, s.fileName(e.Key))
 		}
@@ -353,15 +332,6 @@ func (s *Store) Fsck() (FsckReport, error) {
 			s.quarantine(p)
 			rep.Quarantined++
 			continue
-		}
-		if legacy {
-			// Pre-checksum entry in the right slot: backfill the checksum
-			// via Put instead of losing the whole pre-upgrade cache to
-			// quarantine. On a write failure the entry stays legacy and
-			// the next fsck retries.
-			if err := s.Put(e.Key, e.Result); err == nil {
-				rep.Migrated++
-			}
 		}
 		rep.Entries++
 		rep.Bytes += int64(len(data))

@@ -124,11 +124,10 @@ func TestStoreCorruptEntryQuarantines(t *testing.T) {
 			// 42 → 43 defeats the checksum, not the decoder.
 			return bytes.Replace(data, []byte(`42`), []byte(`43`), 1)
 		},
-		"no-sum-no-payload": func(data []byte) []byte {
-			// No checksum AND no payload: not a plausible pre-checksum
-			// entry (those always carry a result), so no migration —
-			// quarantine.
-			return []byte(`{"key":"k"}`)
+		"no-sum": func(data []byte) []byte {
+			// Key and payload intact, no checksum: nothing to verify the
+			// payload against, so it fails like any other entry.
+			return []byte(`{"key":"k","result":{"Events":42}}`)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -157,92 +156,11 @@ func TestStoreCorruptEntryQuarantines(t *testing.T) {
 	}
 }
 
-// TestStoreLegacyEntryMigratesOnGet pins the upgrade path: an entry
-// written by a pre-checksum daemon (intact envelope and key, no Sum) is
-// served as a hit — not quarantined, which would throw away the whole
-// pre-upgrade cache — and the read backfills the checksum in place so
-// the entry verifies fully from then on.
-func TestStoreLegacyEntryMigratesOnGet(t *testing.T) {
-	s, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := json.RawMessage(`{"Events":42}`)
-	legacy := fmt.Sprintf(`{"key":%q,"result":%s}`, "k", payload)
-	if err := os.WriteFile(s.path("k"), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := s.Get("k")
-	if err != nil || !ok {
-		t.Fatalf("legacy Get: ok=%v err=%v, want served hit", ok, err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("legacy payload diverged: %s", got)
-	}
-	if s.Quarantined() != 0 {
-		t.Fatalf("legacy entry quarantined (%d), want migrated", s.Quarantined())
-	}
-	// The rewrite backfilled the checksum.
-	data, err := os.ReadFile(s.path("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(data, []byte(`"sum":"`)) || bytes.Contains(data, []byte(`"sum":""`)) {
-		t.Fatalf("checksum not backfilled:\n%s", data)
-	}
-	if _, ok, err := s.Get("k"); err != nil || !ok {
-		t.Fatalf("Get after migration: ok=%v err=%v", ok, err)
-	}
-	// A legacy entry under the wrong key is still a mismatch, never a
-	// migration target.
-	if err := os.WriteFile(s.path("other"), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := s.Get("other"); ok || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("mismatched legacy entry: ok=%v err=%v, want quarantine", ok, err)
-	}
-}
-
-// TestStoreFsckMigratesLegacyEntries pins the same upgrade path at
-// startup: fsck rewrites pre-checksum entries instead of quarantining
-// them, counts them, and is idempotent afterwards.
-func TestStoreFsckMigratesLegacyEntries(t *testing.T) {
-	s, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("modern", json.RawMessage(`{"Events":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	legacy := []byte(`{"key":"old","result":{"Events":2}}`)
-	if err := os.WriteFile(s.path("old"), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Fsck()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Entries != 2 || rep.Migrated != 1 || rep.Quarantined != 0 {
-		t.Fatalf("fsck report %+v, want 2 entries / 1 migrated / 0 quarantined", rep)
-	}
-	got, ok, err := s.Get("old")
-	if err != nil || !ok || !bytes.Equal(got, []byte(`{"Events":2}`)) {
-		t.Fatalf("migrated entry: ok=%v err=%v got=%s", ok, err, got)
-	}
-	rep2, err := s.Fsck()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Migrated != 0 || rep2.Entries != 2 {
-		t.Fatalf("second fsck not idempotent: %+v", rep2)
-	}
-}
-
 // TestStorePutNonCompactPayload pins checksum/storage consistency:
 // marshaling the envelope compacts the payload, so Put must checksum
-// the compacted form. A spaced-but-valid JSON payload (e.g. a migrated
-// legacy entry written by another tool) must round-trip as a hit, not
-// produce an entry that quarantines itself on the first Get.
+// the compacted form. A spaced-but-valid JSON payload (e.g. one another
+// tool wrote) must round-trip as a hit, not produce an entry that
+// quarantines itself on the first Get.
 func TestStorePutNonCompactPayload(t *testing.T) {
 	s, err := NewStore(t.TempDir())
 	if err != nil {
