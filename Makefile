@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet build test race bench soak cover fuzz benchdiff distsmoke daemonsmoke daemonrestartsmoke profile calib
+.PHONY: all check vet build test race bench soak cover fuzz benchdiff killresumesmoke daemonsmoke daemonrestartsmoke profile calib
 
 all: check
 
@@ -25,22 +25,20 @@ race:
 
 # soak runs the deterministic chaos campaigns under the race detector:
 # seeded random fail/burst/wake-fault/stall + repair schedules across all
-# four topologies (byte-identical replays required per seed), the
-# distributed churn soak (seeded worker kills mid-sweep, byte-identical
-# merged journal required), and the daemon lifecycle soak (concurrent
-# submissions, mid-stream disconnects, drain under load; no goroutine
-# leaks, byte-identical cache hits). Widen with MEMNET_SOAK_SEEDS=1,...,N.
+# four topologies (byte-identical replays required per seed) and the
+# daemon lifecycle soak (concurrent submissions, mid-stream disconnects,
+# drain under load; no goroutine leaks, byte-identical cache hits).
+# Widen with MEMNET_SOAK_SEEDS=1,...,N.
 soak:
 	$(GO) test -race -count=1 -run TestChaosSoak ./internal/fault/
-	$(GO) test -race -count=1 -run TestChurnSoak ./internal/dist/
 	$(GO) test -race -count=1 -run 'TestChaosSoak|TestCrashRestartSoak' ./internal/serve/
 
-# distsmoke runs the real-process distributed sweep check: a coordinator,
-# two workers, one SIGKILLed mid-sweep and replaced, requiring the merged
-# journal, stdout, and figure files to match a single-process run byte
-# for byte.
-distsmoke:
-	$(GO) test -count=1 -run TestDistributedSmoke ./cmd/experiments/
+# killresumesmoke runs the real-process crash-resume check: a -jobs 2
+# sweep SIGKILLed once its journal holds a cell, rerun on the same
+# journal, requiring stdout, the journal and the figure file to match an
+# uninterrupted -jobs 1 run byte for byte.
+killresumesmoke:
+	$(GO) test -count=1 -run TestKillResumeSmoke ./cmd/experiments/
 
 # daemonsmoke runs the real-process memnetd lifecycle check: start the
 # daemon, submit and stream a sweep, verify the duplicate submission is
@@ -96,11 +94,9 @@ calib:
 # then fuzzes each target briefly. Lengthen with FUZZTIME=30s.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run Fuzz ./internal/exp ./internal/fault ./internal/dist ./internal/calib ./internal/durable ./internal/core
+	$(GO) test -run Fuzz ./internal/exp ./internal/fault ./internal/calib ./internal/durable ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzLoadBatch -fuzztime=$(FUZZTIME) ./internal/exp
 	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/fault
-	$(GO) test -run='^$$' -fuzz='FuzzWire$$' -fuzztime=$(FUZZTIME) ./internal/dist
-	$(GO) test -run='^$$' -fuzz=FuzzWireRequests -fuzztime=$(FUZZTIME) ./internal/dist
 	$(GO) test -run='^$$' -fuzz=FuzzCalibReference -fuzztime=$(FUZZTIME) ./internal/calib
 	$(GO) test -run='^$$' -fuzz=FuzzLogReplay -fuzztime=$(FUZZTIME) ./internal/durable
 	$(GO) test -run='^$$' -fuzz=FuzzISP -fuzztime=$(FUZZTIME) ./internal/core

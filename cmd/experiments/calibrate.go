@@ -30,7 +30,7 @@ func runCalibrate(jobs int, simtimeF, warmupF, outDir string) error {
 			opts.SimTime, err = cli.PositiveDuration("simtime", simtimeF)
 		case "warmup":
 			opts.Warmup, err = cli.NonNegativeDuration("warmup", warmupF)
-		case "run", "coordinator", "worker", "list":
+		case "run", "list":
 			err = fmt.Errorf("bad -calibrate: mutually exclusive with -%s", f.Name)
 		}
 	})

@@ -188,18 +188,16 @@ func TestGoldenCalibrate(t *testing.T) {
 }
 
 // TestCalibrateFlagValidation: -calibrate owns the process, so it must
-// reject the run/distribution flags loudly rather than ignore them.
+// reject the run flags loudly rather than ignore them.
 func TestCalibrateFlagValidation(t *testing.T) {
 	bin := buildCLI(t)
 	for name, args := range map[string][]string{
-		"with -run":         {"-calibrate", "-run", "tableI"},
-		"with -list":        {"-calibrate", "-list"},
-		"with -coordinator": {"-calibrate", "-coordinator", ":0"},
-		"with -worker":      {"-calibrate", "-worker", "http://x"},
-		"bad simtime":       {"-calibrate", "-simtime", "bogus"},
-		"zero simtime":      {"-calibrate", "-simtime", "0s"},
-		"negative warmup":   {"-calibrate", "-warmup", "-1us"},
-		"zero jobs":         {"-calibrate", "-jobs", "0"},
+		"with -run":       {"-calibrate", "-run", "tableI"},
+		"with -list":      {"-calibrate", "-list"},
+		"bad simtime":     {"-calibrate", "-simtime", "bogus"},
+		"zero simtime":    {"-calibrate", "-simtime", "0s"},
+		"negative warmup": {"-calibrate", "-warmup", "-1us"},
+		"zero jobs":       {"-calibrate", "-jobs", "0"},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		if err == nil {

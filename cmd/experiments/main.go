@@ -62,30 +62,12 @@ func run() error {
 	metricsIntervalF := flag.String("metrics-interval", "10us", "metrics sampling period (with -metrics)")
 	metricsOut := flag.String("metrics-out", "",
 		"write per-cell metrics to this file; .csv gets CSV, anything else JSON lines (with -metrics)")
-	coordAddr := flag.String("coordinator", "",
-		"serve every experiment's sweep to distributed workers on this address (e.g. :9731) instead of running locally")
-	workerURL := flag.String("worker", "",
-		"run as a sweep worker against this coordinator URL (e.g. http://host:9731); -journal becomes the local salvage journal")
-	leaseF := flag.String("lease", "", "coordinator lease TTL granted to workers (default 10s)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken at exit, after a final GC) to this file")
 	flag.Parse()
 
-	lease, err := cli.Lease(*leaseF, *coordAddr)
-	if err != nil {
-		return err
-	}
 	if *calibrate {
 		return runCalibrate(*jobs, *simtime, *warmup, *outDir)
-	}
-	if *workerURL != "" {
-		if err := cli.CheckWorker(flag.CommandLine, *coordAddr, "run", *runName); err != nil {
-			return err
-		}
-		return cli.RunWorker(*workerURL, *journalPath)
-	}
-	if *coordAddr != "" && *runName == "" {
-		return errors.New("bad -coordinator: requires -run (it serves a sweep)")
 	}
 
 	if *list || *runName == "" {
@@ -135,42 +117,16 @@ func run() error {
 			return fmt.Errorf("bad -faults: %v", err)
 		}
 	}
-	var journal *exp.Journal
-	var journalLoaded map[string]exp.Result
 	if *journalPath != "" {
-		if journal, journalLoaded, err = exp.OpenJournal(*journalPath, nil); err != nil {
+		journal, loaded, err := exp.OpenJournal(*journalPath, nil)
+		if err != nil {
 			return fmt.Errorf("bad -journal: %v", err)
 		}
 		defer journal.Close()
-		if len(journalLoaded) > 0 {
-			fmt.Fprintf(os.Stderr, "journal: resuming with %d completed cell(s) from %s\n", len(journalLoaded), *journalPath)
+		if len(loaded) > 0 {
+			fmt.Fprintf(os.Stderr, "journal: resuming with %d completed cell(s) from %s\n", len(loaded), *journalPath)
 		}
-	}
-	// In coordinator mode the coordinator owns the journal (cells are
-	// restored and appended at the merge point); locally the runner does.
-	var dc *cli.Coordinator
-	if *coordAddr != "" {
-		if dc, err = cli.StartCoordinator(*coordAddr, lease, journal, journalLoaded); err != nil {
-			return err
-		}
-		defer dc.Close()
-	} else if journal != nil {
-		r.AttachJournal(journal, journalLoaded)
-	}
-	// generate renders one experiment, fanning its cells across the local
-	// pool or, in coordinator mode, the connected workers.
-	generate := func(e exp.Experiment) (string, error) {
-		if dc == nil {
-			return r.Generate(e), nil
-		}
-		if todo := r.Uncached(r.Collect(e.Run)); len(todo) > 0 {
-			results, errs, err := dc.Sweep(todo)
-			if err != nil {
-				return "", err
-			}
-			r.Commit(todo, results, errs)
-		}
-		return e.Run(r), nil
+		r.AttachJournal(journal, loaded)
 	}
 
 	// metricsFigure renders the sweep-aggregate time series for the
@@ -208,10 +164,7 @@ func run() error {
 	}
 	for _, e := range experiments {
 		start := time.Now()
-		out, err := generate(e)
-		if err != nil {
-			return err
-		}
+		out := r.Generate(e)
 		if *runName == "all" {
 			fmt.Printf("\n%s\n(%s in %.1fs)\n", out, e.Name, time.Since(start).Seconds())
 		} else {

@@ -265,17 +265,16 @@ func TestDaemonEarlySIGTERMDrains(t *testing.T) {
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	waitErr := make(chan error, 1)
-	go func() { waitErr <- d.cmd.Wait() }()
+	// Wait closes the stderr pipe, so it must come after the scanner's
+	// EOF or it races the scanner for the drained line.
 	select {
-	case err := <-waitErr:
-		if err != nil {
-			t.Fatalf("daemon did not exit 0 after an early SIGTERM: %v\n%s", err, d.logText())
-		}
+	case <-d.logDone:
 	case <-time.After(30 * time.Second):
 		t.Fatalf("daemon did not exit after SIGTERM:\n%s", d.logText())
 	}
-	<-d.logDone
+	if err := d.cmd.Wait(); err != nil {
+		t.Fatalf("daemon did not exit 0 after an early SIGTERM: %v\n%s", err, d.logText())
+	}
 	if !strings.Contains(d.logText(), "drained:") {
 		t.Errorf("daemon exited without draining:\n%s", d.logText())
 	}

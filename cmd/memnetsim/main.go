@@ -69,28 +69,10 @@ func run() error {
 	metricsIntervalF := flag.String("metrics-interval", "10us", "metrics sampling period (with -metrics)")
 	metricsOut := flag.String("metrics-out", "",
 		"write sampled metrics to this file; .csv gets CSV, anything else JSON lines (with -metrics)")
-	coordAddr := flag.String("coordinator", "",
-		"with -config: serve the batch to distributed workers on this address (e.g. :9731) instead of running locally")
-	workerURL := flag.String("worker", "",
-		"run as a sweep worker against this coordinator URL (e.g. http://host:9731); -journal becomes the local salvage journal")
-	leaseF := flag.String("lease", "", "coordinator lease TTL granted to workers (default 10s)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken at exit, after a final GC) to this file")
 	flag.Parse()
 
-	lease, err := cli.Lease(*leaseF, *coordAddr)
-	if err != nil {
-		return err
-	}
-	if *workerURL != "" {
-		if err := cli.CheckWorker(flag.CommandLine, *coordAddr, "config", *config); err != nil {
-			return err
-		}
-		return cli.RunWorker(*workerURL, *journalPath)
-	}
-	if *coordAddr != "" && *config == "" {
-		return errors.New("bad -coordinator: requires -config (it serves a batch)")
-	}
 	if *config != "" {
 		if err := cli.Forbid(flag.CommandLine, "not supported with -config (each run's fields come from the file)",
 			"wl", "topo", "size", "mech", "policy", "alpha", "simtime", "warmup", "wakeup",
@@ -128,7 +110,7 @@ func run() error {
 	defer stopSignals()
 
 	if *config != "" {
-		return runBatch(ctx, *config, st, *jobs, *journalPath, *metricsOut, *coordAddr, lease)
+		return runBatch(ctx, *config, st, *jobs, *journalPath, *metricsOut)
 	}
 
 	spec, err := exp.Axes{Workload: *wlName, Topology: *topoName, Size: *sizeName,
@@ -209,13 +191,10 @@ func exportMetrics(path string, entries []metrics.Entry) error {
 // config leaves them unset. A failed run (audit violation, stall,
 // recovered panic) is reported in place and fails the batch without
 // aborting the remaining runs; with -journal, completed runs are
-// restored on restart instead of re-run. With coordAddr the cells are
-// served to distributed workers instead of the local pool; the report
-// and journal stay byte-identical. SIGINT or SIGTERM cancels ctx:
+// restored on restart instead of re-run. SIGINT or SIGTERM cancels ctx:
 // in-flight cells abort at the next kernel check, completed runs stay
 // journaled, and the command exits 130 after a partial-results summary.
-func runBatch(ctx context.Context, path string, st exp.Settings, jobs int, journalPath, metricsOut, coordAddr string,
-	lease time.Duration) error {
+func runBatch(ctx context.Context, path string, st exp.Settings, jobs int, journalPath, metricsOut string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -240,21 +219,7 @@ func runBatch(ctx context.Context, path string, st exp.Settings, jobs int, journ
 		}
 	}
 	start := time.Now()
-	var results []exp.Result
-	var errs []error
-	if coordAddr != "" {
-		dc, err := cli.StartCoordinator(coordAddr, lease, j, loaded)
-		if err != nil {
-			return err
-		}
-		results, errs, err = dc.Sweep(specs)
-		dc.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		results, errs = exp.RunSpecs(ctx, specs, jobs, j, loaded)
-	}
+	results, errs := exp.RunSpecs(ctx, specs, jobs, j, loaded)
 	if ctx.Err() != nil {
 		completed := 0
 		for _, e := range errs {

@@ -1,8 +1,8 @@
 // Package cli is the plumbing the batch commands (memnetsim and
 // experiments) share: interrupt handling and exit status, CPU and heap
-// profiles, distributed coordinator and worker modes, metrics export,
-// and the validators for the flags they have in common. Its functions
-// return errors; only a command's main exits, through Status.
+// profiles, metrics export, and the validators for the flags they have
+// in common. Its functions return errors; only a command's main exits,
+// through Status.
 package cli
 
 import (
@@ -12,6 +12,8 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+
+	"memnet/internal/exp"
 )
 
 // Exit is an error that ends a command with a chosen exit status. Msg,
@@ -32,7 +34,7 @@ func Interrupted(summary string) error { return &Exit{Code: 130, Msg: summary} }
 // Status prints err to stderr and returns the process exit status for
 // it: 0 for nil, the code of an *Exit, 1 for anything else. A command's
 // main is `os.Exit(cli.Status(run()))`, so every defer in run — profile
-// flushes, journal closes, coordinator drains — has run before the exit.
+// flushes, journal closes — has run before the exit.
 func Status(err error) int {
 	if err == nil {
 		return 0
@@ -46,6 +48,18 @@ func Status(err error) int {
 		fmt.Fprintln(os.Stderr, msg)
 	}
 	return code
+}
+
+// Panics counts the errors that wrap a recovered cell panic.
+func Panics(errs []error) int {
+	n := 0
+	for _, err := range errs {
+		var pe *exp.PanicError
+		if errors.As(err, &pe) {
+			n++
+		}
+	}
+	return n
 }
 
 // InterruptContext returns a context canceled on the first SIGINT or

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"memnet/internal/core"
-	"memnet/internal/dist"
 	"memnet/internal/exp"
 	"memnet/internal/metrics"
 	"memnet/internal/sim"
@@ -118,25 +117,6 @@ func TestWriteMetricsFormatByExtension(t *testing.T) {
 	}
 }
 
-func TestLease(t *testing.T) {
-	if d, err := Lease("", ""); err != nil || d != dist.DefaultLeaseTTL {
-		t.Errorf(`Lease("") = %v, %v; want the default`, d, err)
-	}
-	if d, err := Lease("3s", ":0"); err != nil || d != 3*time.Second {
-		t.Errorf(`Lease("3s") = %v, %v`, d, err)
-	}
-	for _, tc := range []struct{ lease, coord, want string }{
-		{"bogus", ":0", "bad -lease: time: invalid duration"},
-		{"0s", ":0", "bad -lease: must be positive, got 0s"},
-		{"-1s", ":0", "bad -lease: must be positive"},
-		{"3s", "", "bad -lease: requires -coordinator"},
-	} {
-		if _, err := Lease(tc.lease, tc.coord); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Lease(%q, %q): err = %v, want %q", tc.lease, tc.coord, err, tc.want)
-		}
-	}
-}
-
 func TestDurations(t *testing.T) {
 	if d, err := PositiveDuration("retrain", "1us"); err != nil || d != sim.Microsecond {
 		t.Errorf("PositiveDuration(1us) = %v, %v", d, err)
@@ -239,72 +219,6 @@ func TestMetricsInterval(t *testing.T) {
 			!strings.HasPrefix(err.Error(), tc.want) {
 			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
 		}
-	}
-}
-
-func TestCheckWorker(t *testing.T) {
-	if err := CheckWorker(flags(t), "", "config", ""); err != nil {
-		t.Errorf("plain worker rejected: %v", err)
-	}
-	for _, tc := range []struct {
-		args              []string
-		coord, work, want string
-	}{
-		{nil, ":0", "", "bad -worker: mutually exclusive with -coordinator and -config"},
-		{nil, "", "batch.json", "bad -worker: mutually exclusive with -coordinator and -config"},
-		{[]string{"-memprofile", "m"}, "", "", "bad -memprofile: not supported with -worker"},
-	} {
-		if err := CheckWorker(flags(t, tc.args...), tc.coord, "config", tc.work); err == nil ||
-			!strings.HasPrefix(err.Error(), tc.want) {
-			t.Errorf("%+v: err = %v, want %q", tc, err, tc.want)
-		}
-	}
-}
-
-// TestCoordinatorAndWorker runs one cell through a real coordinator and
-// an in-process worker: the worker exits cleanly once Close declares the
-// session over, and the coordinator's result is the local one.
-func TestCoordinatorAndWorker(t *testing.T) {
-	if _, err := StartCoordinator("256.0.0.1:0", time.Second, nil, nil); err == nil ||
-		!strings.Contains(err.Error(), "bad -coordinator") {
-		t.Errorf("bad address: err = %v", err)
-	}
-	wl, err := workload.ByName("mixG")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := exp.Spec{Workload: wl, Mech: exp.MechFP, SimTime: 10 * sim.Microsecond, Warmup: 2 * sim.Microsecond, AuditEvery: -1}
-	want, err := exp.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dc, err := StartCoordinator("127.0.0.1:0", 400*time.Millisecond, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- RunWorker("http://"+dc.Addr(), filepath.Join(t.TempDir(), "salvage.jsonl")) }()
-	results, errs, err := dc.Sweep([]exp.Spec{spec})
-	dc.Close()
-	if err != nil || errs[0] != nil {
-		t.Fatalf("sweep: %v, cell: %v", err, errs[0])
-	}
-	if results[0].Events != want.Events || results[0].Throughput != want.Throughput {
-		t.Errorf("distributed cell differs from the local run: %d events vs %d", results[0].Events, want.Events)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("worker: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("worker did not exit after the session closed")
-	}
-
-	if err := RunWorker("http://127.0.0.1:1", filepath.Join(t.TempDir(), "missing", "j")); err == nil ||
-		!strings.Contains(err.Error(), "bad -journal") {
-		t.Errorf("bad fallback journal: err = %v", err)
 	}
 }
 

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
-	"memnet/internal/dist"
 	"memnet/internal/exp"
 	"memnet/internal/metrics"
 	"memnet/internal/sim"
@@ -109,36 +107,6 @@ func MetricsInterval(fs *flag.FlagSet, on bool, s string) (sim.Duration, error) 
 		return 0, Forbid(fs, "requires -metrics", "metrics-interval", "metrics-out")
 	}
 	return PositiveDuration("metrics-interval", s)
-}
-
-// Lease resolves -lease s: the TTL a coordinator grants its workers,
-// dist.DefaultLeaseTTL when s is empty. It is only meaningful with
-// -coordinator (coordinator non-empty).
-func Lease(s, coordinator string) (time.Duration, error) {
-	if s == "" {
-		return dist.DefaultLeaseTTL, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad -lease: %v", err)
-	}
-	if d <= 0 {
-		return 0, fmt.Errorf("bad -lease: must be positive, got %s", s)
-	}
-	if coordinator == "" {
-		return 0, errors.New("bad -lease: requires -coordinator")
-	}
-	return d, nil
-}
-
-// CheckWorker validates -worker mode. A worker excludes -coordinator and
-// the command's own work flag (-config, -run), whose value is work, and
-// the profilers, which flush only at a clean exit.
-func CheckWorker(fs *flag.FlagSet, coordinator, workFlag, work string) error {
-	if coordinator != "" || work != "" {
-		return fmt.Errorf("bad -worker: mutually exclusive with -coordinator and -%s", workFlag)
-	}
-	return Forbid(fs, "not supported with -worker (profiles flush only at a clean exit)", "cpuprofile", "memprofile")
 }
 
 // WriteMetrics exports sampled metrics to path, picking the format from

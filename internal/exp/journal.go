@@ -1,7 +1,7 @@
 // Crash-safe sweep journaling. A Journal is a durable.Log of results,
 // one JSON line each; a line is keyed on read by its own result's
 // Spec.Key(), so a journal written under an older key format resumes
-// under the current one. Every sweep appends through a Frontier: a fresh
+// under the current one. Every sweep appends through a frontier: a fresh
 // cell is written as soon as every earlier cell has settled, so the file
 // grows in sweep order at any job count. A killed run restarted with the
 // same journal restores the completed cells and simulates only the
@@ -9,7 +9,7 @@
 // uninterrupted run (results are always committed and rendered in sweep
 // order). Restored results do not keep their marshaled Spec — JSON does
 // not round-trip every Spec field bit-exactly — the caller's canonical
-// spec replaces it (see CanonicalResult).
+// spec replaces it (see canonicalResult).
 package exp
 
 import (
@@ -62,14 +62,15 @@ func (j *Journal) Append(res Result) error {
 // Close releases the journal file.
 func (j *Journal) Close() error { return j.log.Close() }
 
-// Frontier is the sweep's one journaling rule, shared by the local pool
-// and the distributed coordinator: slots settle in any order, but slot
-// i's record is appended only once slots 0..i-1 have all settled, so the
-// journal grows in sweep order and matches a one-worker run byte for
-// byte. Failed and journal-restored slots advance the watermark without
-// appending. A crash therefore loses the cells still running plus the
-// ones that finished after the oldest running cell.
-type Frontier struct {
+// frontier is the pool's one journaling rule: slots settle in any order,
+// but slot i's record is appended only once slots 0..i-1 have all
+// settled, so the journal grows in sweep order and matches a one-worker
+// run byte for byte. A failed slot settles nil and advances the
+// watermark without appending; journal-restored cells never reach the
+// frontier, because they are filtered out before the pool runs. A crash
+// therefore loses the cells still running plus the ones that finished
+// after the oldest running cell.
+type frontier struct {
 	mu    sync.Mutex
 	j     *Journal
 	onErr func(slot int, err error)
@@ -80,17 +81,17 @@ type Frontier struct {
 	settled map[int]*Result
 }
 
-// NewFrontier returns a watermark over j (nil = no journal; Settle is a
+// newFrontier returns a watermark over j (nil = no journal; Settle is a
 // no-op). onErr receives each failed append with its slot, under the
 // frontier's lock.
-func NewFrontier(j *Journal, onErr func(slot int, err error)) *Frontier {
-	return &Frontier{j: j, onErr: onErr, settled: map[int]*Result{}}
+func newFrontier(j *Journal, onErr func(slot int, err error)) *frontier {
+	return &frontier{j: j, onErr: onErr, settled: map[int]*Result{}}
 }
 
 // Settle marks slot finished and appends every record the watermark now
-// passes. res is a fresh success to journal; nil settles a failed or
-// restored slot. Safe for concurrent use.
-func (f *Frontier) Settle(slot int, res *Result) {
+// passes. res is a fresh success to journal; nil settles a failed
+// slot. Safe for concurrent use.
+func (f *frontier) Settle(slot int, res *Result) {
 	if f.j == nil {
 		return
 	}

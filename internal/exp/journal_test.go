@@ -437,8 +437,7 @@ func TestRunSpecsContainsPanics(t *testing.T) {
 }
 
 // TestRunCtxContainsPanics pins panic containment on the single-cell
-// path the daemon, the distributed worker and memnetsim's single run
-// use: a panic under RunCtx comes back as a *PanicError with its stack.
+// path the daemon and memnetsim's single run use: a panic under RunCtx comes back as a *PanicError with its stack.
 func TestRunCtxContainsPanics(t *testing.T) {
 	orig := runImpl
 	runImpl = func(context.Context, Spec, Budget) (Result, error) { panic("injected single-cell corruption") }
@@ -600,7 +599,7 @@ func TestPrefetchSurvivesPanickingCell(t *testing.T) {
 	r := tinyRunner()
 	r.Jobs = 4
 	e, _ := Lookup("fig5")
-	specs := r.Collect(e.Run)
+	specs := r.collect(e.Run)
 	if len(specs) == 0 {
 		t.Fatal("no cells collected")
 	}

@@ -116,8 +116,7 @@ func ParseSimDuration(s string) (sim.Duration, error) {
 
 // Validate is the one range check of a spec, however it came in. ToSpec
 // runs it (memnetsim -config, memnetd) and so does Build (exp.Run, the
-// sweep pool, the dist worker, memnetsim, memnetviz, memnettrace
-// record). Zero keeps its meaning of "default" or "off". A failure is a
+// sweep pool, memnetsim, memnetviz, memnettrace record). Zero keeps its meaning of "default" or "off". A failure is a
 // *FieldError.
 func (s Spec) Validate() error {
 	if s.Workload == nil {

@@ -142,8 +142,8 @@ type Spec struct {
 	MetricsInterval sim.Duration
 }
 
-// Key is the spec's one identity: the memo cache, sweep journals,
-// memnetd's store and dist leases all name a cell by it. It formats the
+// Key is the spec's one identity: the memo cache, sweep journals and
+// memnetd's store all name a cell by it. It formats the
 // resolved spec with every field but AuditEvery, so two spellings of
 // one run (a zero default and its value) share a key and any two
 // different runs do not. The footprint rides along with the workload
@@ -161,7 +161,7 @@ func (s Spec) Key() string {
 // resolved fills every field whose zero value stands for a default the
 // build applies, and nothing else: a field the model ignores (α under
 // PolicyNone, Wakeup without ROO) keeps its value. Build, Key and
-// CanonicalResult all resolve, so Result.Spec states exactly what ran.
+// canonicalResult all resolve, so Result.Spec states exactly what ran.
 func (s Spec) resolved() Spec {
 	if s.SimTime == 0 {
 		s.SimTime = DefaultSimTime
@@ -302,7 +302,7 @@ func RunCtx(ctx context.Context, spec Spec) (Result, error) {
 // errors.Is(err, context.Canceled) therefore identifies cancellations
 // through every layer above. A panic anywhere under the run comes back
 // as a *PanicError, so a corrupted cell fails alone instead of crashing
-// the sweep, the daemon or a distributed worker.
+// the sweep or the daemon.
 func RunBudgeted(ctx context.Context, spec Spec, budget Budget) (res Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -531,7 +531,7 @@ func NewRunner() *Runner {
 }
 
 // recordMetrics logs a committed cell's time-series for MetricsEntries.
-// Journal restores (Uncached) and fresh results (commit) call it exactly
+// Journal restores (uncached) and fresh results (commit) call it exactly
 // once per distinct cell, in the generator's first-use order, which is
 // what makes the exported metrics identical at any Jobs value.
 func (r *Runner) recordMetrics(key string, res Result) {
@@ -586,21 +586,19 @@ func (r *Runner) Failures() []CellFailure { return r.failures }
 
 // AttachJournal directs the runner to restore results from loaded (keyed
 // by Spec.Key) and to append every fresh result to j as its cell
-// completes, in sweep order (see Frontier).
+// completes, in sweep order (see frontier).
 func (r *Runner) AttachJournal(j *Journal, loaded map[string]Result) {
 	r.journal = j
 	r.journaled = loaded
 }
 
-// CanonicalResult aligns a result that crossed a serialization boundary
-// — a journal restore or the distributed wire — with the caller's
-// canonical spec. The marshaled Spec is always replaced: JSON does not
-// round-trip every Spec field bit-exactly, and downstream baseline
-// lookups re-derive keys from res.Spec. It is the single merge entry
-// point shared by journal resume (Runner.Uncached, RunSpecs) and the
-// distributed coordinator (internal/dist), which is what makes a merged
-// distributed journal byte-identical to a single-process one.
-func CanonicalResult(res Result, spec Spec) Result {
+// canonicalResult aligns a result restored from a journal with the
+// caller's canonical spec. The marshaled Spec is always replaced: JSON
+// does not round-trip every Spec field bit-exactly, and downstream
+// baseline lookups re-derive keys from res.Spec. Both journal resume
+// paths (Runner.uncached and RunSpecs) restore through it, so a resumed
+// sweep renders byte-identically to an uninterrupted one.
+func canonicalResult(res Result, spec Spec) Result {
 	res.Spec = spec.resolved()
 	if res.Hist == nil {
 		res.Hist = &stats.LinkHourHist{}

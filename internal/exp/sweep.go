@@ -10,7 +10,7 @@
 // flow enumerates the sweep — there is no second copy of the cell lists
 // to drift out of sync. The execute pass fans the recorded cells across
 // the worker pool, journals each one as it completes (in sweep order, see
-// Frontier) and commits results to the memo cache in sweep order. The
+// frontier) and commits results to the memo cache in sweep order. The
 // final render replays the generator against the warm cache, so output
 // is byte-identical to the sequential path regardless of job count or
 // completion order.
@@ -41,14 +41,14 @@ func (r *Runner) jobs() int {
 // the runner's worker pool. With Jobs == 1 it is exactly e.Run(r).
 func (r *Runner) Generate(e Experiment) string {
 	if r.jobs() > 1 {
-		r.Prefetch(r.Collect(e.Run))
+		r.Prefetch(r.collect(e.Run))
 	}
 	return e.Run(r)
 }
 
-// Collect dry-runs gen and returns every cell it would simulate, in
+// collect dry-runs gen and returns every cell it would simulate, in
 // first-use order, deduplicated against each other and the memo cache.
-func (r *Runner) Collect(gen func(*Runner) string) []Spec {
+func (r *Runner) collect(gen func(*Runner) string) []Spec {
 	r.collecting = true
 	r.pendingKey = map[string]bool{}
 	defer func() {
@@ -68,7 +68,7 @@ func (r *Runner) Collect(gen func(*Runner) string) []Spec {
 // panics) get placeholder results and are recorded in Failures, so one
 // bad cell cannot take down the rest of the sweep.
 func (r *Runner) Prefetch(specs []Spec) {
-	todo := r.Uncached(specs)
+	todo := r.uncached(specs)
 	if len(todo) == 0 {
 		return
 	}
@@ -76,12 +76,12 @@ func (r *Runner) Prefetch(specs []Spec) {
 	r.commit(todo, results, errs, jerrs)
 }
 
-// Uncached fills specs with the runner's Settings and filters them
+// uncached fills specs with the runner's Settings and filters them
 // against the memo cache and the attached journal (restored cells are
 // consumed by key, re-keyed to the canonical spec and committed on the
 // spot), returning only the cells that still need simulating — the work
-// list the local pool or the distributed coordinator must actually run.
-func (r *Runner) Uncached(specs []Spec) []Spec {
+// list for the pool.
+func (r *Runner) uncached(specs []Spec) []Spec {
 	var todo []Spec
 	for _, s := range specs {
 		s = r.Apply(s)
@@ -91,7 +91,7 @@ func (r *Runner) Uncached(specs []Spec) []Spec {
 		}
 		if res, ok := r.journaled[k]; ok {
 			delete(r.journaled, k)
-			res = CanonicalResult(res, s)
+			res = canonicalResult(res, s)
 			if r.Progress != nil {
 				r.Progress(fmt.Sprintf("restored %s from journal", k))
 			}
@@ -104,17 +104,8 @@ func (r *Runner) Uncached(specs []Spec) []Spec {
 	return todo
 }
 
-// Commit stores externally computed sweep results — the distributed
-// coordinator's merge — in the memo cache, in sweep order, recording
-// failures exactly like the local pool. specs must be the Uncached work
-// list the results were computed from. In a distributed run the
-// coordinator owns the journal, so the runner has none attached.
-func (r *Runner) Commit(specs []Spec, results []Result, errs []error) {
-	r.commit(specs, results, errs, nil)
-}
-
-// commit is the shared cache-commit loop: sweep order, placeholder
-// results for failed cells. jerrs, when non-nil, holds each cell's
+// commit stores a pool's results in the memo cache in sweep order,
+// with placeholder results for failed cells. jerrs holds each cell's
 // journal-append failure, recorded right after the cell it belongs to.
 func (r *Runner) commit(specs []Spec, results []Result, errs, jerrs []error) {
 	for i, res := range results {
@@ -132,7 +123,7 @@ func (r *Runner) commit(specs []Spec, results []Result, errs, jerrs []error) {
 		if r.Progress != nil {
 			r.Progress(fmt.Sprintf("ran %s (%.1fM events)", k, float64(res.Events)/1e6))
 		}
-		if jerrs != nil && jerrs[i] != nil {
+		if jerrs[i] != nil {
 			r.failures = append(r.failures, CellFailure{Key: k, Err: fmt.Errorf("journal: %w", jerrs[i])})
 		}
 	}
@@ -159,7 +150,7 @@ func RunSpecs(ctx context.Context, specs []Spec, jobs int, j *Journal, loaded ma
 			k := s.Key()
 			if res, ok := loaded[k]; ok {
 				delete(loaded, k)
-				results[i] = CanonicalResult(res, s)
+				results[i] = canonicalResult(res, s)
 				continue
 			}
 		}
@@ -198,7 +189,7 @@ func FirstErr(specs []Spec, errs []error) error {
 // hermetic — own kernel, network, workload, RNG — so the only shared
 // state is the output slot each worker owns. Cells not yet started when
 // ctx is canceled fail with ctx's error instead of simulating. Every
-// cell settles on a Frontier over j the moment it finishes; jerrs[i] is
+// cell settles on a frontier over j the moment it finishes; jerrs[i] is
 // cell i's journal-append failure.
 func execute(ctx context.Context, specs []Spec, jobs int, j *Journal) (results []Result, errs, jerrs []error) {
 	if jobs <= 0 {
@@ -210,7 +201,7 @@ func execute(ctx context.Context, specs []Spec, jobs int, j *Journal) (results [
 	results = make([]Result, len(specs))
 	errs = make([]error, len(specs))
 	jerrs = make([]error, len(specs))
-	front := NewFrontier(j, func(i int, err error) { jerrs[i] = err })
+	front := newFrontier(j, func(i int, err error) { jerrs[i] = err })
 	runOne := func(i int) {
 		if errs[i] = ctx.Err(); errs[i] == nil {
 			results[i], errs[i] = RunBudgeted(ctx, specs[i], Budget{})

@@ -155,7 +155,7 @@ func TestCollectEnumeratesWithoutSimulating(t *testing.T) {
 	fresh := 0
 	r.Progress = func(string) { fresh++ }
 	e, _ := Lookup("fig5")
-	specs := r.Collect(e.Run)
+	specs := r.collect(e.Run)
 	if fresh != 0 {
 		t.Fatalf("collect pass ran %d simulations", fresh)
 	}
@@ -184,7 +184,7 @@ func TestPrefetchWarmsCacheInSweepOrder(t *testing.T) {
 	var lines []string
 	r.Progress = func(s string) { lines = append(lines, s) }
 	e, _ := Lookup("fig5")
-	specs := r.Collect(e.Run)
+	specs := r.collect(e.Run)
 	r.Prefetch(specs)
 	if len(lines) != len(specs) {
 		t.Fatalf("progress reported %d runs, want %d", len(lines), len(specs))

@@ -121,10 +121,9 @@ func New(k *sim.Kernel, cfg Config) *Registry {
 
 // NewManual builds a registry with no kernel and no ticker: the owner
 // calls Observe explicitly after StartManual. This is the wall-clock
-// variant used outside a simulation — the distributed sweep coordinator
-// samples its lease/completion gauges this way — so Dump.Interval is a
-// nominal label, not a sampling guarantee: samples land whenever the
-// owner observes. The owner must also serialize Observe/Dump calls; the
+// variant used outside a simulation — memnetd's server samples its job
+// and admission gauges this way — so Dump.Interval is a nominal label,
+// not a sampling guarantee: samples land whenever the owner observes. The owner must also serialize Observe/Dump calls; the
 // registry itself is not goroutine-safe.
 func NewManual(cfg Config) *Registry {
 	return New(nil, cfg)

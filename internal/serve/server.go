@@ -172,7 +172,7 @@ func New(cfg Config) *Server {
 }
 
 // initMetrics registers the daemon gauges on a manual (wall-clock)
-// registry, mirroring the dist coordinator's style.
+// registry.
 func (s *Server) initMetrics() {
 	s.reg = metrics.NewManual(metrics.Config{})
 	s.reg.Counter("serve.jobs.submitted", func() float64 { return float64(s.submitted.Load()) })
