@@ -12,7 +12,6 @@
 package memnet_test
 
 import (
-	"context"
 	"testing"
 
 	"memnet/internal/core"
@@ -525,48 +524,6 @@ func BenchmarkKernelScheduleStep(b *testing.B) {
 		k.Schedule(k.Now()+100, func() {})
 		k.Step()
 	}
-}
-
-// sweepBenchCells is the multi-cell sweep the executor benchmarks run:
-// the four representative workloads on big star networks, FP and managed.
-func sweepBenchCells(b *testing.B) []exp.Spec {
-	var specs []exp.Spec
-	for _, name := range benchWorkloads {
-		for _, mech := range []exp.Mech{exp.MechFP, exp.MechVWLROO} {
-			pol := core.PolicyNone
-			if mech != exp.MechFP {
-				pol = core.PolicyAware
-			}
-			spec := benchSpec(b, name, topology.Star, exp.Big, mech, pol, 0.05)
-			spec.SimTime = 100 * sim.Microsecond
-			spec.Warmup = 25 * sim.Microsecond
-			specs = append(specs, spec)
-		}
-	}
-	return specs
-}
-
-// BenchmarkSweepJobs1 / BenchmarkSweepJobs4 compare the sweep executor's
-// sequential and 4-worker wall clock over the same cells; on a 4+ core
-// machine Jobs4 should run the sweep at least 2x faster (cells are
-// hermetic, so scaling is limited only by cores — see TestSweepSpeedup).
-func BenchmarkSweepJobs1(b *testing.B) { benchSweep(b, 1) }
-func BenchmarkSweepJobs4(b *testing.B) { benchSweep(b, 4) }
-
-func benchSweep(b *testing.B, jobs int) {
-	specs := sweepBenchCells(b)
-	var events uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, errs := exp.RunSpecs(context.Background(), specs, jobs, nil, nil)
-		if err := exp.FirstErr(specs, errs); err != nil {
-			b.Fatal(err)
-		}
-		for _, res := range results {
-			events += res.Events
-		}
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds()/1e6, "Mevents/s")
 }
 
 // BenchmarkLinkTransmit measures the per-packet cost of the link model.

@@ -57,9 +57,7 @@ func run() error {
 	crcRetries := flag.Int("crcretries", 0, "consecutive CRC retries per packet before escalation (0 = model default)")
 	watchdog := flag.Bool("watchdog", false, "arm the no-progress watchdog")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0),
-		"parallel workers for -config batches and -sweepbench (1 = one cell at a time)")
-	sweepbench := flag.String("sweepbench", "",
-		"run the standard benchmark sweep at -jobs 1 and -jobs N and write the comparison JSON to this path")
+		"parallel workers for -config batches (1 = one cell at a time)")
 	auditEvery := flag.Int("audit", audit.DefaultSampleEvery,
 		"invariant auditor sampling stride (1 = check every observation, 0 = disable)")
 	journalPath := flag.String("journal", "",
@@ -95,16 +93,6 @@ func run() error {
 		return err
 	}
 	defer stopProfiles()
-
-	if *sweepbench != "" {
-		if *metricsOn {
-			return errors.New("bad -metrics: not supported with -sweepbench (it times its own metrics pass)")
-		}
-		// No interrupt context here on purpose: arming a cancelable
-		// kernel check is exactly the overhead the bench measures in a
-		// separate pass, so the timed runs stay unarmed.
-		return runSweepBench(*sweepbench, *jobs)
-	}
 
 	ctx, stopSignals := cli.InterruptContext()
 	defer stopSignals()
@@ -260,30 +248,6 @@ func runBatch(ctx context.Context, path string, st exp.Settings, jobs int, journ
 		return fmt.Errorf("%d of %d runs failed (%d panicked)", failed, len(specs), panicked)
 	}
 	return fmt.Errorf("%d of %d runs failed", failed, len(specs))
-}
-
-// runSweepBench measures the sweep executor against the sequential path
-// and writes the machine-readable record tracked across PRs. 150 µs
-// cells keep each timed pass a couple of seconds long — the event queue
-// got fast enough that 100 µs passes finished inside one clock phase of
-// a noisy shared box — and MeasureSweep's interleaved min-of-N rounds
-// keep the overhead ratios (held to an absolute budget by benchdiff)
-// from comparing walls across a phase boundary.
-func runSweepBench(path string, jobs int) error {
-	specs, err := exp.BenchSweepSpecs(150*sim.Microsecond, 25*sim.Microsecond)
-	if err != nil {
-		return err
-	}
-	bench, err := exp.MeasureSweep(specs, jobs)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteJSON(path); err != nil {
-		return err
-	}
-	fmt.Println(bench)
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }
 
 // report prints one run's results.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"memnet/internal/core"
+	"memnet/internal/sim"
 )
 
 // TestRunCtxCanceledAborts pins the end-to-end cancellation path: a
@@ -60,6 +61,32 @@ func TestRunCtxBackgroundUnarmed(t *testing.T) {
 	if plain.Events != ctxed.Events || plain.Throughput != ctxed.Throughput {
 		t.Fatalf("RunCtx(Background) diverged from Run: %d/%v vs %d/%v",
 			plain.Events, plain.Throughput, ctxed.Events, ctxed.Throughput)
+	}
+}
+
+// TestRunCtxArmedChangesNothing pins that the armed cancellation check
+// is pure observation: under a cancelable context that is never
+// canceled — the state every memnetd job and interruptible CLI batch
+// simulates in — a managed cell long enough to cross many check slices
+// reproduces a plain Run exactly.
+func TestRunCtxArmedChangesNothing(t *testing.T) {
+	spec := tinySpec(core.PolicyAware, MechVWLROO)
+	plain, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Events < 4*sim.DefaultCheckEvery {
+		t.Fatalf("cell processed %d events, want several %d-event check slices", plain.Events, sim.DefaultCheckEvery)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	armed, err := RunCtx(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Events != armed.Events || plain.Throughput != armed.Throughput {
+		t.Fatalf("armed RunCtx diverged from Run: %d/%v vs %d/%v",
+			plain.Events, plain.Throughput, armed.Events, armed.Throughput)
 	}
 }
 

@@ -338,8 +338,8 @@ func runBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) 
 	// Arm the cooperative check only when there is something to enforce:
 	// a cancelable context (ctx.Done() non-nil) or an event budget. The
 	// unarmed hot loop pays a single predictable branch, so plain Run
-	// callers are unaffected (CancelOverhead in BENCH_sweep.json prices
-	// the armed case).
+	// callers are unaffected (bench/'s sim.cancel_overhead row prices the
+	// armed case, and make overhead holds it to 1%).
 	if ctx.Done() != nil || budget.MaxEvents > 0 {
 		kernel.SetCheck(budget.CheckEvery, func() error {
 			if err := ctx.Err(); err != nil {

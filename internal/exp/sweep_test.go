@@ -7,10 +7,13 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"memnet/internal/core"
 	"memnet/internal/fault"
 	"memnet/internal/sim"
+	"memnet/internal/topology"
+	"memnet/internal/workload"
 )
 
 // sweepFigures is the generator subset the determinism tests render: it
@@ -219,38 +222,13 @@ func TestGenerateMatchesSequentialExperimentRun(t *testing.T) {
 	}
 }
 
-// TestMeasureSweep smoke-tests the BENCH_sweep.json pipeline on a
-// miniature sweep and checks the JSON round-trips.
-func TestMeasureSweep(t *testing.T) {
-	var specs []Spec
-	for salt := uint64(0); salt < 3; salt++ {
-		spec := tinySpec(core.PolicyNone, MechFP)
-		spec.SimTime = 40 * sim.Microsecond
-		spec.Warmup = 10 * sim.Microsecond
-		spec.SeedSalt = salt
-		specs = append(specs, spec)
-	}
-	b, err := MeasureSweep(specs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Cells != 3 || b.Events == 0 || b.WallSeqSec <= 0 || b.WallParSec <= 0 {
-		t.Fatalf("incomplete measurement: %+v", b)
-	}
-	path := t.TempDir() + "/BENCH_sweep.json"
-	if err := b.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "speedup") {
-		t.Fatalf("summary missing speedup: %s", b)
-	}
-}
-
-// TestSweepSpeedup is the wall-clock acceptance criterion: the standard
-// sweep at -jobs 4 must run at least 2x faster than -jobs 1. Cells are
-// hermetic and equal-weight, so anything below 2x on four real cores
-// means the executor is serializing somewhere. Skipped on smaller
-// machines, where the criterion is unmeasurable.
+// TestSweepSpeedup is the wall-clock acceptance criterion: a 32-cell
+// sweep (four representative workloads × every topology × the FP and
+// VWL+ROO extremes) at -jobs 4 must run at least 2x faster than at
+// -jobs 1. Cells are hermetic and equal-weight, so anything below 2x on
+// four real cores means the executor is serializing somewhere. Each
+// width keeps its fastest of two rounds. Skipped on smaller machines,
+// where the criterion is unmeasurable.
 func TestSweepSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second wall-clock measurement")
@@ -258,36 +236,39 @@ func TestSweepSpeedup(t *testing.T) {
 	if runtime.NumCPU() < 4 {
 		t.Skipf("need >= 4 CPUs for the speedup criterion, have %d", runtime.NumCPU())
 	}
-	specs, err := BenchSweepSpecs(100*sim.Microsecond, 25*sim.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MeasureSweep(specs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log(b)
-	if b.Speedup < 2 {
-		t.Errorf("-jobs 4 speedup = %.2fx, want >= 2x", b.Speedup)
-	}
-}
-
-// TestBenchSweepSpecs pins the standard benchmark sweep's shape.
-func TestBenchSweepSpecs(t *testing.T) {
-	specs, err := BenchSweepSpecs(100*sim.Microsecond, 25*sim.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 32 {
-		t.Fatalf("standard sweep has %d cells, want 32 (4 wl x 4 topo x 2 mech)", len(specs))
-	}
-	seen := map[string]bool{}
-	for _, s := range specs {
-		k := s.Key()
-		if seen[k] {
-			t.Fatalf("duplicate cell %s", k)
+	var specs []Spec
+	for _, name := range []string{"sp.D", "mixB", "mg.D", "mixC"} {
+		wl, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[k] = true
+		for _, topo := range topology.Kinds {
+			specs = append(specs,
+				Spec{Workload: wl, Topology: topo, Size: Big, Mech: MechFP, Policy: core.PolicyNone,
+					Alpha: 0.05, SimTime: 100 * sim.Microsecond, Warmup: 25 * sim.Microsecond},
+				Spec{Workload: wl, Topology: topo, Size: Big, Mech: MechVWLROO, Policy: core.PolicyAware,
+					Alpha: 0.05, SimTime: 100 * sim.Microsecond, Warmup: 25 * sim.Microsecond})
+		}
+	}
+	wall := func(jobs int) time.Duration {
+		var best time.Duration
+		for round := 0; round < 2; round++ {
+			start := time.Now()
+			_, errs := RunSpecs(context.Background(), specs, jobs, nil, nil)
+			if err := FirstErr(specs, errs); err != nil {
+				t.Fatal(err)
+			}
+			if w := time.Since(start); round == 0 || w < best {
+				best = w
+			}
+		}
+		return best
+	}
+	seq, par := wall(1), wall(4)
+	speedup := seq.Seconds() / par.Seconds()
+	t.Logf("%d cells: -jobs 1 %v, -jobs 4 %v, speedup %.2fx", len(specs), seq, par, speedup)
+	if speedup < 2 {
+		t.Errorf("-jobs 4 speedup = %.2fx, want >= 2x", speedup)
 	}
 }
 

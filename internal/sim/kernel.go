@@ -171,8 +171,8 @@ type Kernel struct {
 	// the error in stopErr — the moment it returns non-nil. Run slices
 	// its loop on the stride (see runSlice), so arming costs the hot
 	// path nothing per event; the amortized check cost is well under 1%
-	// of event throughput (CancelOverhead in BENCH_sweep.json, budgeted
-	// by cmd/benchdiff).
+	// of event throughput (bench/'s sim.cancel_overhead row, budgeted by
+	// make overhead).
 	checkMask uint64
 	check     func() error
 	stopErr   error
@@ -453,9 +453,9 @@ func (k *Kernel) Step() bool {
 // An armed check (SetCheck) runs at slice boundaries: the loop processes
 // up to one stride of events between polls, so the per-event cost of
 // being cancelable is a register countdown, not loads of the check
-// state — measured within noise of the unarmed loop (CancelOverhead in
-// BENCH_sweep.json; an earlier per-event `count&mask` probe cost ~4% on
-// the benchmark sweep).
+// state — measured within noise of the unarmed loop (bench/'s
+// sim.cancel_overhead row, budgeted by make overhead; an earlier
+// per-event `count&mask` probe cost ~4% on the benchmark sweep).
 func (k *Kernel) Run(until Time) {
 	if k.check != nil {
 		for {
