@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"memnet/internal/exp"
+	"memnet/internal/serve"
 )
 
 func buildDaemon(t *testing.T) string {
@@ -28,9 +30,9 @@ func buildDaemon(t *testing.T) string {
 // TestDaemonSmoke is the real-process lifecycle check behind the
 // `make daemonsmoke` CI step: start memnetd on an ephemeral port, submit
 // a sweep, stream its events, verify the duplicate submission is a
-// cache hit, then SIGTERM the daemon while a long job is in flight and
-// assert it drains — exits cleanly, cancels the live job, and leaves a
-// valid journal.
+// cache hit and /statusz counts both, then SIGTERM the daemon while a
+// long job is in flight and assert it drains — exits cleanly, cancels
+// the live job, and leaves a valid journal.
 func TestDaemonSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("daemon smoke skipped in -short mode")
@@ -83,6 +85,22 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 	if hits != 1 {
 		t.Fatalf("duplicate was not a cache hit:\n%s", d.logText())
+	}
+
+	// The daemon counters: two admissions, one simulated cell, one hit.
+	resp, err = http.Get(d.base + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st serve.Stats
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Submitted != 2 || st.CellsRun != 1 || st.CacheHits != 1 {
+		t.Fatalf("statusz submitted=%d cells_run=%d cache_hits=%d, want 2, 1, 1",
+			st.Submitted, st.CellsRun, st.CacheHits)
 	}
 
 	// SIGTERM with a long job in flight: the daemon must drain — cancel

@@ -61,7 +61,6 @@ func run() int {
 	runners := flag.Int("runners", serve.DefaultRunners, "concurrent job executors")
 	wallBudget := flag.Duration("wall-budget", 0, "per-job wall-clock budget (0 = unlimited)")
 	eventBudget := flag.Uint64("event-budget", 0, "per-job simulated-event budget (0 = unlimited)")
-	checkEvery := flag.Uint64("check-every", 0, "kernel cancellation-check stride in events (0 = default)")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second,
 		"how long in-flight jobs may run after SIGTERM before they are canceled")
 	verbose := flag.Bool("v", false, "log admissions and cell completions")
@@ -147,7 +146,6 @@ func run() int {
 		Runners:       *runners,
 		WallBudget:    *wallBudget,
 		EventBudget:   *eventBudget,
-		CheckEvery:    *checkEvery,
 		Logf:          logf,
 	})
 	// Replay accepted-but-unfinished jobs before taking traffic: stored

@@ -13,5 +13,5 @@
 //	cmd/experiments   regenerate every paper table and figure
 //	cmd/memnettrace   record / inspect / replay access traces
 //	cmd/memnetviz     annotated topology tree
-//	examples/         five runnable walkthroughs
+//	examples/         four runnable walkthroughs
 package memnet

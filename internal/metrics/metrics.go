@@ -119,16 +119,6 @@ func New(k *sim.Kernel, cfg Config) *Registry {
 	return &Registry{kernel: k, interval: cfg.Interval, capacity: cfg.Capacity}
 }
 
-// NewManual builds a registry with no kernel and no ticker: the owner
-// calls Observe explicitly after StartManual. This is the wall-clock
-// variant used outside a simulation — memnetd's server samples its job
-// and admission gauges this way — so Dump.Interval is a nominal label,
-// not a sampling guarantee: samples land whenever the owner observes. The owner must also serialize Observe/Dump calls; the
-// registry itself is not goroutine-safe.
-func NewManual(cfg Config) *Registry {
-	return New(nil, cfg)
-}
-
 // Interval returns the sampling period (0 on a nil registry).
 func (r *Registry) Interval() sim.Duration {
 	if r == nil {
@@ -188,36 +178,15 @@ func (r *Registry) add(s *series) {
 // Start preallocates every ring and schedules sampling ticks at fixed
 // kernel times now+i, now+2i, … up to and including until. Nil-safe.
 // Without Start no events are scheduled and the registry stays silent.
-// On a manual (kernel-less) registry it is StartManual.
+// It takes the baseline pull, so the first sample's counter deltas
+// cover exactly one interval even when counters advanced before Start
+// (e.g. warmup).
 func (r *Registry) Start(until sim.Time) {
 	if r == nil || r.started {
 		return
 	}
-	r.begin()
-	if r.kernel != nil {
-		r.scheduleTick(until)
-	}
-}
-
-// StartManual preallocates every ring and takes the baseline pull
-// without scheduling any ticker: subsequent samples come from explicit
-// Observe calls. Nil-safe. Use with NewManual.
-func (r *Registry) StartManual() {
-	if r == nil || r.started {
-		return
-	}
-	r.begin()
-}
-
-// begin is the shared arming path: mark started, record the start time,
-// preallocate rings, and take the baseline pull so the first sample's
-// counter deltas cover exactly one interval even when counters advanced
-// before Start (e.g. warmup).
-func (r *Registry) begin() {
 	r.started = true
-	if r.kernel != nil {
-		r.start = r.kernel.Now()
-	}
+	r.start = r.kernel.Now()
 	for _, s := range r.series {
 		if s.kind == Histogram {
 			s.ringH = make([]uint64, r.capacity*len(s.bounds))
@@ -234,6 +203,7 @@ func (r *Registry) begin() {
 			copy(s.curH, s.prevH)
 		}
 	}
+	r.scheduleTick(until)
 }
 
 func (r *Registry) scheduleTick(until sim.Time) {

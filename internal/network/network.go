@@ -832,13 +832,6 @@ func (n *Network) Outstanding() int {
 	return int(n.injReads + n.injWrites - done)
 }
 
-// ProgressCount is a monotone counter of terminal request outcomes — the
-// watchdog's progress probe.
-func (n *Network) ProgressCount() uint64 {
-	return n.readsDone + n.readsFailed + n.lostReads +
-		n.writesDone + n.writesFailed + n.lostWrites
-}
-
 // DumpState renders a deterministic diagnostic snapshot — link states
 // and queue depths, outstanding counts, vault backlogs — for watchdog
 // reports and post-mortem logs.

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -622,7 +621,7 @@ func TestAcceptAppendFailureDegrades(t *testing.T) {
 
 // TestJournalAppendFailureCounted pins the -journal degradation: a
 // failing result-journal append still delivers the job, and the failure
-// shows on /statusz and /metricsz instead of only in the log.
+// shows on /statusz instead of only in the log.
 func TestJournalAppendFailureCounted(t *testing.T) {
 	ffs := durable.NewFaultFS(nil)
 	jnl, _, err := exp.OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"), ffs)
@@ -631,21 +630,22 @@ func TestJournalAppendFailureCounted(t *testing.T) {
 	}
 	defer jnl.Close()
 	ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: "journal.jsonl", Err: errENOSPC, Count: -1})
-	s, hs := newTestServer(t, func(c *Config) { c.Journal = jnl })
+	_, hs := newTestServer(t, func(c *Config) { c.Journal = jnl })
 	sr := submit(t, hs.URL, tinyBody("20us", 0))
 	if st := waitTerminal(t, hs.URL, sr.ID, time.Minute); st.State != StateDone {
 		t.Fatalf("job ended %s with a failing journal", st.State)
 	}
-	if got := s.Stats().JournalErrors; got != 1 {
-		t.Fatalf("journal_errors = %d, want 1", got)
-	}
-	resp, err := http.Get(hs.URL + "/metricsz")
+	resp, err := http.Get(hs.URL + "/statusz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if data, _ := io.ReadAll(resp.Body); !strings.Contains(string(data), "serve.journal.errors") {
-		t.Fatalf("metricsz lacks serve.journal.errors:\n%s", data)
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.JournalErrors != 1 {
+		t.Fatalf("statusz journal_errors = %d, want 1", st.JournalErrors)
 	}
 }
 
@@ -721,8 +721,8 @@ func TestStatuszSurfacesScanError(t *testing.T) {
 	hs := newHTTPServer(t, s)
 	drainServer(t, s)
 	ffs.Fail(durable.FaultRule{Op: durable.OpReadDir, Err: errors.New("injected EIO"), Count: -1})
-	// Dirty the store so the scan cache (warmed by the metrics baseline
-	// pull at New) cannot mask the injected fault.
+	// Dirty the store so a warm scan cache cannot mask the injected
+	// fault.
 	if err := store.Put("k", json.RawMessage(`{"Events":1}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -799,7 +799,7 @@ func TestAuthToken(t *testing.T) {
 		t.Fatalf("unauthenticated DELETE: %d, want 401", c)
 	}
 	// Reads stay open.
-	for _, path := range []string{"/healthz", "/readyz", "/statusz", "/metricsz"} {
+	for _, path := range []string{"/healthz", "/readyz", "/statusz"} {
 		if c := do(http.MethodGet, path, ""); c != http.StatusOK {
 			t.Fatalf("GET %s without token: %d, want 200", path, c)
 		}

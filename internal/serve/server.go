@@ -37,10 +37,10 @@ import (
 	"time"
 
 	"memnet/internal/exp"
-	"memnet/internal/metrics"
 )
 
-// Defaults.
+// Defaults. DefaultMaxBody bounds a submission body and
+// DefaultRetryAfter is the backpressure hint on 429 responses.
 const (
 	DefaultQueueDepth = 16
 	DefaultRunners    = 1
@@ -85,14 +85,6 @@ type Config struct {
 	// EventBudget caps a job's total simulated events across its cells
 	// (0 = unlimited); exceeding it fails the job with a BudgetError.
 	EventBudget uint64
-	// CheckEvery is the kernel cancellation-check stride in events
-	// (0 = sim.DefaultCheckEvery).
-	CheckEvery uint64
-	// MaxBodyBytes bounds a submission body (0 = DefaultMaxBody).
-	MaxBodyBytes int64
-	// RetryAfter is the backpressure hint on 429 responses
-	// (0 = DefaultRetryAfter).
-	RetryAfter time.Duration
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -113,8 +105,7 @@ type Server struct {
 	jobs   map[string]*job
 	nextID atomic.Uint64
 
-	// Daemon-level gauges/counters, sampled by the manual metrics
-	// registry and reported raw on /statusz.
+	// Daemon-level gauges/counters, reported on /statusz.
 	submitted atomic.Uint64 // jobs admitted
 	rejected  atomic.Uint64 // 429s issued
 	cacheHits atomic.Uint64 // cells served from the store
@@ -126,9 +117,6 @@ type Server struct {
 	putErrors atomic.Uint64 // store writes that failed (disk full, ...)
 	walErrors atomic.Uint64 // accept-journal appends that failed
 	jnlErrors atomic.Uint64 // result-journal appends that failed
-
-	regMu sync.Mutex
-	reg   *metrics.Registry
 }
 
 // New builds a server and starts its runner pool. Callers must Drain
@@ -139,12 +127,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Runners <= 0 {
 		cfg.Runners = DefaultRunners
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBody
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -162,47 +144,12 @@ func New(cfg Config) *Server {
 		// acked submission.
 		s.nextID.Store(cfg.Accepts.MaxSeenID())
 	}
-	s.initMetrics()
 	s.initMux()
 	for i := 0; i < cfg.Runners; i++ {
 		s.runWG.Add(1)
 		go s.runner()
 	}
 	return s
-}
-
-// initMetrics registers the daemon gauges on a manual (wall-clock)
-// registry.
-func (s *Server) initMetrics() {
-	s.reg = metrics.NewManual(metrics.Config{})
-	s.reg.Counter("serve.jobs.submitted", func() float64 { return float64(s.submitted.Load()) })
-	s.reg.Counter("serve.jobs.rejected", func() float64 { return float64(s.rejected.Load()) })
-	s.reg.Counter("serve.jobs.canceled", func() float64 { return float64(s.canceled.Load()) })
-	s.reg.Counter("serve.cells.cache_hits", func() float64 { return float64(s.cacheHits.Load()) })
-	s.reg.Counter("serve.cells.run", func() float64 { return float64(s.cellsRun.Load()) })
-	s.reg.Gauge("serve.queue.depth", func() float64 { return float64(len(s.queue)) })
-	s.reg.Gauge("serve.jobs.in_flight", func() float64 { return float64(s.inFlight.Load()) })
-	s.reg.Counter("serve.jobs.recovered", func() float64 { return float64(s.recovered.Load()) })
-	s.reg.Counter("serve.jobs.unauthorized", func() float64 { return float64(s.unauth.Load()) })
-	s.reg.Counter("serve.store.put_errors", func() float64 { return float64(s.putErrors.Load()) })
-	s.reg.Counter("serve.accept_journal.errors", func() float64 { return float64(s.walErrors.Load()) })
-	s.reg.Counter("serve.journal.errors", func() float64 { return float64(s.jnlErrors.Load()) })
-	if s.cfg.Store != nil {
-		st := s.cfg.Store
-		s.reg.Counter("serve.store.quarantined", func() float64 { return float64(st.Quarantined()) })
-		s.reg.Counter("serve.store.evictions", func() float64 { return float64(st.Evictions()) })
-		// Cached directory scan: frequent scrapes cost O(1) filesystem
-		// work (the cache invalidates on every store mutation and after
-		// ScanCacheTTL). A scan failure reports -1, never a phantom 0.
-		s.reg.Gauge("serve.store.bytes", func() float64 {
-			_, bytes, err := st.CachedScan()
-			if err != nil {
-				return -1
-			}
-			return float64(bytes)
-		})
-	}
-	s.reg.StartManual()
 }
 
 // Stats is the /statusz payload. The store block reports a cached scan
@@ -279,7 +226,6 @@ func (s *Server) initMux() {
 	s.mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
-	s.mux.HandleFunc("GET /metricsz", s.handleMetrics)
 	s.mux.HandleFunc("POST /jobs", s.authed(s.handleSubmit))
 	s.mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
@@ -345,7 +291,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining: not admitting jobs", http.StatusServiceUnavailable)
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, DefaultMaxBody))
 	dec.DisallowUnknownFields()
 	var req SubmitRequest
 	if err := dec.Decode(&req); err != nil {
@@ -393,7 +339,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter/time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int(DefaultRetryAfter/time.Second)))
 		http.Error(w, "queue full: retry later", http.StatusTooManyRequests)
 		return
 	}
@@ -674,16 +620,6 @@ func writeSSE(w http.ResponseWriter, ev Event) {
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, ev.Data)
 }
 
-// handleMetrics dumps the daemon registry as JSON after taking one
-// fresh observation (manual registries sample on demand).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.regMu.Lock()
-	s.reg.Observe()
-	d := s.reg.Dump()
-	s.regMu.Unlock()
-	writeJSON(w, http.StatusOK, d)
-}
-
 // runner drains the admission queue until Drain closes it.
 func (s *Server) runner() {
 	defer s.runWG.Done()
@@ -740,7 +676,7 @@ func (s *Server) runJob(j *job) {
 				continue
 			}
 		}
-		budget := exp.Budget{CheckEvery: s.cfg.CheckEvery}
+		var budget exp.Budget
 		if j.eventBudget > 0 {
 			if remaining == 0 {
 				j.completeCell(i, nil, "event budget exhausted", false)

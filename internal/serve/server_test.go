@@ -380,23 +380,24 @@ func TestReadyzDrainTransitions(t *testing.T) {
 	}
 }
 
-// TestMetricsz pins the daemon gauges endpoint.
+// TestMetricsz pins the daemon counters on /statusz, their one
+// endpoint, by their JSON field names.
 func TestMetricsz(t *testing.T) {
-	s, hs := newTestServer(t, nil)
+	_, hs := newTestServer(t, nil)
 	sr := submit(t, hs.URL, tinyBody("20us", 0))
 	waitTerminal(t, hs.URL, sr.ID, 60*time.Second)
-	resp, err := http.Get(hs.URL + "/metricsz")
+	resp, err := http.Get(hs.URL + "/statusz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	for _, want := range []string{"serve.jobs.submitted", "serve.cells.run", "serve.queue.depth"} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("metricsz missing series %q", want)
-		}
+	var fields map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&fields); err != nil {
+		t.Fatal(err)
 	}
-	if s.Stats().Submitted != 1 {
-		t.Fatalf("stats: %+v", s.Stats())
+	for name, want := range map[string]float64{"submitted": 1, "cells_run": 1, "queue_len": 0} {
+		if got, ok := fields[name].(float64); !ok || got != want {
+			t.Errorf("statusz %s = %v, want %v", name, fields[name], want)
+		}
 	}
 }

@@ -100,9 +100,6 @@ func NewStoreFS(dir string, fsys durable.FS) (*Store, error) {
 	return &Store{dir: dir, fs: fsys}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Quarantined reports how many entries this store has quarantined.
 func (s *Store) Quarantined() uint64 { return s.quarantined.Load() }
 

@@ -33,8 +33,7 @@ type FrontEndConfig struct {
 	// dropped packet) is retried up to MaxRetries times with doubling
 	// backoff, then completed as a timeout error so its slot keeps
 	// working. Zero disables the table entirely and preserves the legacy
-	// wait-forever behavior byte for byte. Requires an injection target
-	// implementing TrackedInjector.
+	// wait-forever behavior byte for byte.
 	Timeout sim.Duration
 	// MaxRetries bounds timeout-driven re-issues per read (0 = no retry:
 	// first timeout abandons the access).
@@ -44,22 +43,6 @@ type FrontEndConfig struct {
 // DefaultFrontEndConfig mirrors Table II's 16-core processor.
 func DefaultFrontEndConfig(seed uint64) FrontEndConfig {
 	return FrontEndConfig{Cores: 16, Seed: seed}
-}
-
-// Injector is where the front end sends accesses: a single network or a
-// multi-channel system.
-type Injector interface {
-	InjectRead(addr uint64, core int)
-	InjectWrite(addr uint64, core int)
-}
-
-// TrackedInjector is an injection target that reports request packet IDs,
-// which the timeout machinery needs to match completions (Packet.Req) to
-// table entries and discard late or duplicate responses.
-type TrackedInjector interface {
-	Injector
-	InjectReadID(addr uint64, core int) uint64
-	InjectWriteID(addr uint64, core int) uint64
 }
 
 // pendingRead is one slot's outstanding-read table entry.
@@ -93,10 +76,10 @@ type FrontEndFaultStats struct {
 	RecoveredReads uint64
 }
 
-// FrontEnd drives one injection target with one workload profile.
+// FrontEnd drives one network with one workload profile.
 type FrontEnd struct {
 	kernel  *sim.Kernel
-	target  Injector
+	net     *network.Network
 	profile *Profile
 	rng     *sim.RNG
 	sampler *Sampler
@@ -126,10 +109,11 @@ type FrontEnd struct {
 	completedReads  uint64
 	completedWrites uint64
 
-	// Outstanding-request table (active only when timeout > 0).
+	// Outstanding-request table (active only when timeout > 0). Request
+	// packet IDs match completions (Packet.Req) to table entries, so late
+	// or duplicate responses are discarded.
 	timeout       sim.Duration
 	maxRetries    int
-	tracked       TrackedInjector
 	reads         []pendingRead
 	pendingWrites map[uint64]struct{} // keyed access only — never iterated
 	timedOutIDs   []uint64
@@ -190,8 +174,8 @@ func (a *writeTimeoutAction) Act() {
 	fe.writeTimeout(id)
 }
 
-// ChannelBandwidthBytesPerSec is one direction of a full-width link.
-func ChannelBandwidthBytesPerSec() float64 {
+// channelBandwidthBytesPerSec is one direction of a full-width link.
+func channelBandwidthBytesPerSec() float64 {
 	return float64(link.LanesPerLink) * link.LaneRateGbps * 1e9 / 8
 }
 
@@ -205,10 +189,9 @@ func bytesPerAccess(readFrac float64) (down, up float64) {
 	return down, up
 }
 
-// EstimateReadLatency returns the unloaded end-to-end read latency for p
+// estimateReadLatency returns the unloaded end-to-end read latency for p
 // on net: DRAM nominal latency plus the module-fraction-weighted hop cost.
-// The workload calibration and the multichannel wrapper both use it.
-func EstimateReadLatency(net *network.Network, p *Profile) sim.Duration {
+func estimateReadLatency(net *network.Network, p *Profile) sim.Duration {
 	chunkGB := int(net.Cfg.ChunkBytes >> 30)
 	if chunkGB < 1 {
 		chunkGB = 1
@@ -231,34 +214,12 @@ func EstimateReadLatency(net *network.Network, p *Profile) sim.Duration {
 // NewFrontEnd builds and calibrates a front end for p over net, wiring the
 // network's completion callbacks.
 func NewFrontEnd(k *sim.Kernel, net *network.Network, p *Profile, cfg FrontEndConfig) (*FrontEnd, error) {
-	fe, err := NewFrontEndOver(k, net, p, cfg,
-		EstimateReadLatency(net, p), ChannelBandwidthBytesPerSec())
-	if err != nil {
-		return nil, err
-	}
-	net.OnReadComplete = fe.HandleReadComplete
-	net.OnWriteComplete = fe.HandleWriteComplete
-	return fe, nil
-}
-
-// NewFrontEndOver builds a front end over any injection target. The caller
-// supplies the unloaded read-latency estimate and the aggregate channel
-// bandwidth (per direction) for calibration, and must route read/write
-// completions to HandleReadComplete/HandleWriteComplete.
-func NewFrontEndOver(k *sim.Kernel, target Injector, p *Profile, cfg FrontEndConfig,
-	estLatency sim.Duration, bandwidthBytesPerSec float64) (*FrontEnd, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if estLatency <= 0 {
-		return nil, fmt.Errorf("workload: latency estimate must be positive")
-	}
-	if cfg.Cores <= 0 {
-		cfg.Cores = 16
-	}
 	fe := &FrontEnd{
 		kernel:     k,
-		target:     target,
+		net:        net,
 		profile:    p,
 		rng:        sim.NewRNG(cfg.Seed),
 		sampler:    NewSampler(p, packet.LineBytes),
@@ -267,11 +228,6 @@ func NewFrontEndOver(k *sim.Kernel, target Injector, p *Profile, cfg FrontEndCon
 		maxRetries: cfg.MaxRetries,
 	}
 	if cfg.Timeout > 0 {
-		ti, ok := target.(TrackedInjector)
-		if !ok {
-			return nil, fmt.Errorf("workload: request timeouts need a TrackedInjector target, got %T", target)
-		}
-		fe.tracked = ti
 		fe.pendingWrites = make(map[uint64]struct{})
 	}
 
@@ -281,11 +237,12 @@ func NewFrontEndOver(k *sim.Kernel, target Injector, p *Profile, cfg FrontEndCon
 	if up > busier {
 		busier = up
 	}
-	fe.targetRate = p.TargetChannelUtil * bandwidthBytesPerSec / busier
+	fe.targetRate = p.TargetChannelUtil * channelBandwidthBytesPerSec() / busier
 
 	// Queueing/management margin. Kept small: the closed loop divides
 	// slots by *actual* latency, so overestimating the latency here
 	// overshoots the utilization target by the same factor.
+	estLatency := estimateReadLatency(net, p)
 	fe.estLatency = estLatency + estLatency/10
 
 	fe.jitterMean = 0.05 * fe.estLatency.Nanoseconds()
@@ -312,6 +269,8 @@ func NewFrontEndOver(k *sim.Kernel, target Injector, p *Profile, cfg FrontEndCon
 		fe.issueActs[s] = slotIssueAction{fe: fe, slot: s}
 	}
 	fe.cycleAct.fe, fe.offAct.fe = fe, fe
+	net.OnReadComplete = fe.HandleReadComplete
+	net.OnWriteComplete = fe.HandleWriteComplete
 	return fe, nil
 }
 
@@ -320,10 +279,6 @@ func (fe *FrontEnd) Slots() int { return fe.slots }
 
 // TargetRate returns the calibrated access rate (accesses/s).
 func (fe *FrontEnd) TargetRate() float64 { return fe.targetRate }
-
-// EstimatedLatency returns the unloaded latency estimate used for
-// calibration.
-func (fe *FrontEnd) EstimatedLatency() sim.Duration { return fe.estLatency }
 
 // Issued returns issued reads and writes so far.
 func (fe *FrontEnd) Issued() (reads, writes uint64) {
@@ -380,7 +335,7 @@ func (fe *FrontEnd) issue(slot int) {
 		if fe.timeout > 0 {
 			fe.startRead(slot, addr)
 		} else {
-			fe.target.InjectRead(addr, slot)
+			fe.net.InjectRead(addr, slot)
 		}
 		return // resumed by HandleReadComplete (or a timeout)
 	}
@@ -393,7 +348,7 @@ func (fe *FrontEnd) issue(slot int) {
 	if fe.timeout > 0 {
 		fe.startWrite(addr)
 	} else {
-		fe.target.InjectWrite(addr, -1)
+		fe.net.InjectWrite(addr, -1)
 	}
 	// Writes are posted — the slot continues after its think jitter.
 	fe.resume(slot)
@@ -406,7 +361,7 @@ func (fe *FrontEnd) startRead(slot int, addr uint64) {
 	pr.active = true
 	pr.addr = addr
 	pr.retries = 0
-	pr.id = fe.tracked.InjectReadID(addr, slot)
+	pr.id = fe.net.InjectReadID(addr, slot)
 	fe.armReadTimeout(slot, fe.timeout)
 }
 
@@ -437,7 +392,7 @@ func (fe *FrontEnd) readTimeout(slot int, seq uint64) {
 		pr.retries++
 		fe.faults.Retries++
 		pr.seq++
-		pr.id = fe.tracked.InjectReadID(pr.addr, slot)
+		pr.id = fe.net.InjectReadID(pr.addr, slot)
 		fe.armReadTimeout(slot, fe.timeout<<uint(pr.retries))
 		return
 	}
@@ -452,7 +407,7 @@ func (fe *FrontEnd) readTimeout(slot int, seq uint64) {
 // credit if no completion (retire or WriteErr) ever arrives, so a lost
 // write cannot leak write-cap credits and starve the writers.
 func (fe *FrontEnd) startWrite(addr uint64) {
-	id := fe.tracked.InjectWriteID(addr, -1)
+	id := fe.net.InjectWriteID(addr, -1)
 	fe.pendingWrites[id] = struct{}{}
 	var a *writeTimeoutAction
 	if n := len(fe.wtoFree); n > 0 {
