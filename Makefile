@@ -106,11 +106,15 @@ cover:
 # byte for byte so model drift cannot land silently. Regenerate the
 # golden deliberately with:
 #   go run ./cmd/experiments -calibrate > results/calibration.txt
+# The report goes to a private temp file, removed on exit, so concurrent
+# runs cannot overwrite each other's report before the cmp.
 calib:
-	$(GO) run ./cmd/experiments -calibrate > /tmp/calibration_check.txt
-	@cmp /tmp/calibration_check.txt results/calibration.txt || \
-	  { echo "results/calibration.txt drifted from the live model; regenerate deliberately (see Makefile)"; exit 1; }
-	@echo "calibration report matches results/calibration.txt"
+	@f=$$(mktemp) && trap 'rm -f "$$f"' EXIT && \
+	echo "$(GO) run ./cmd/experiments -calibrate > $$f" && \
+	$(GO) run ./cmd/experiments -calibrate > "$$f" && \
+	{ cmp "$$f" results/calibration.txt || \
+	  { echo "results/calibration.txt drifted from the live model; regenerate deliberately (see Makefile)"; exit 1; }; } && \
+	echo "calibration report matches results/calibration.txt"
 
 # fuzz smoke-runs the committed seed corpora (no fuzzing engine; CI-safe)
 # then fuzzes each target briefly. Lengthen with FUZZTIME=30s.

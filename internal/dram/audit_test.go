@@ -53,6 +53,31 @@ func TestAuditCatchesNegativeOutstandingReads(t *testing.T) {
 	}
 }
 
+// TestAuditCatchesReadCountOutOfRange corrupts a vault's queued-read
+// count past its queue length — serviceNext would then treat a queued
+// write as a read — and checks the sweep reports it.
+func TestAuditCatchesReadCountOutOfRange(t *testing.T) {
+	k, d := newDRAM(t)
+	a := audit.New(audit.Config{}, k.Now)
+	d.AttachAudit(a, 2)
+	d.Access(0, false, nil) // enters service
+	d.Access(0, false, nil) // queued
+	a.RunSweeps()
+	if a.Count() != 0 {
+		t.Fatalf("clean state reported %v", a.Violations())
+	}
+	d.vaults[0].reads = 2
+	a.RunSweeps()
+	if a.Count() != 1 {
+		t.Fatalf("read count past the queue: %d violations, want 1: %v", a.Count(), a.Violations())
+	}
+	if v := a.Violations()[0]; v.Component != "dram[2]" || v.Rule != "vault-read-count" {
+		t.Fatalf("violation = %+v", v)
+	}
+	d.vaults[0].reads = 0
+	k.RunAll()
+}
+
 // TestAuditCatchesStatsRegression rewinds a statistics counter between
 // sweeps.
 func TestAuditCatchesStatsRegression(t *testing.T) {

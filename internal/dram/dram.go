@@ -174,22 +174,25 @@ type funcDone func()
 
 func (f funcDone) AccessDone() { f() }
 
-// request is one queued vault access.
+// request is one queued vault access. Whether it is a read follows from
+// its place in the queue (see vault.reads).
 type request struct {
-	addr   uint64
-	isRead bool
-	done   Completion
+	addr uint64
+	done Completion
 }
 
 // vault serializes accesses through a bank pool and a shared data bus.
 type vault struct {
 	idx          int
 	bankFree     []sim.Time // next time each bank can start an activate
-	openRow      []int64    // per bank; -1 = precharged (OpenPage only)
+	openRow      []int64    // per bank; -1 = precharged (nil unless OpenPage)
 	lastActivate sim.Time
 	busFree      sim.Time
-	queue        []request // reads kept ahead of writes
-	inService    bool
+	// queue keeps reads ahead of writes, so queue[:reads] are the queued
+	// reads and the rest are writes.
+	queue     []request
+	reads     int
+	inService bool
 	// issue is the vault's reusable next-issue event; the service chain
 	// is strictly sequential, so at most one is ever pending.
 	issue issueAction
@@ -278,9 +281,14 @@ func (d *HMCDRAM) AttachAudit(a *audit.Auditor, module int) {
 // invariants of the accumulated statistics.
 func (d *HMCDRAM) auditSweep(now sim.Time, report func(component, rule, detail string)) {
 	for i := range d.vaults {
-		if q := len(d.vaults[i].queue); q > d.cfg.QueueDepth {
+		v := &d.vaults[i]
+		if q := len(v.queue); q > d.cfg.QueueDepth {
 			report(d.auditName, "vault-queue-bound",
 				fmt.Sprintf("vault %d holds %d requests, depth %d", i, q, d.cfg.QueueDepth))
+		}
+		if v.reads < 0 || v.reads > len(v.queue) {
+			report(d.auditName, "vault-read-count",
+				fmt.Sprintf("vault %d counts %d queued reads among %d requests", i, v.reads, len(v.queue)))
 		}
 	}
 	if d.outstandingReads < 0 {
@@ -324,21 +332,33 @@ func New(k *sim.Kernel, cfg Config) *HMCDRAM {
 		panic(err)
 	}
 	d := &HMCDRAM{cfg: cfg, kernel: k, vaults: make([]vault, cfg.Vaults)}
+	// Every vault's queue and bank arrays are cut from one slab each, so
+	// a module costs a handful of allocations, not a few per vault. The
+	// queue never exceeds QueueDepth (AccessAction rejects past it), so
+	// its full capacity up front means no vault ever grows its queue
+	// mid-run.
+	queues := make([]request, cfg.Vaults*cfg.QueueDepth)
+	bankFree := make([]sim.Time, cfg.Vaults*cfg.Banks)
+	var openRow []int64
+	if cfg.Page == OpenPage {
+		openRow = make([]int64, cfg.Vaults*cfg.Banks)
+		for i := range openRow {
+			openRow[i] = -1
+		}
+	}
 	for i := range d.vaults {
-		d.vaults[i].idx = i
-		// The queue never exceeds QueueDepth (AccessAction rejects past
-		// it), so full capacity up front means no vault ever grows its
-		// queue mid-run.
-		d.vaults[i].queue = make([]request, 0, cfg.QueueDepth)
-		d.vaults[i].bankFree = make([]sim.Time, cfg.Banks)
-		d.vaults[i].openRow = make([]int64, cfg.Banks)
-		for b := range d.vaults[i].openRow {
-			d.vaults[i].openRow[b] = -1
+		v := &d.vaults[i]
+		q, b := i*cfg.QueueDepth, i*cfg.Banks
+		v.idx = i
+		v.queue = queues[q : q : q+cfg.QueueDepth]
+		v.bankFree = bankFree[b : b+cfg.Banks]
+		if openRow != nil {
+			v.openRow = openRow[b : b+cfg.Banks]
 		}
 		// No activate has happened yet; far enough in the past that the
 		// tRRD window never binds the first access.
-		d.vaults[i].lastActivate = -(sim.Time(1) << 60)
-		d.vaults[i].issue = issueAction{d: d, v: &d.vaults[i]}
+		v.lastActivate = -(sim.Time(1) << 60)
+		v.issue = issueAction{d: d, v: v}
 	}
 	return d
 }
@@ -428,19 +448,14 @@ func (d *HMCDRAM) AccessAction(addr uint64, isRead bool, done Completion) bool {
 	}
 	if isRead {
 		d.outstandingReads++
-		// Reads are prioritized: insert before the first write.
-		idx := len(v.queue)
-		for i, r := range v.queue {
-			if !r.isRead {
-				idx = i
-				break
-			}
-		}
+		// Reads are prioritized: insert after the queued reads, ahead of
+		// the first write.
 		v.queue = append(v.queue, request{})
-		copy(v.queue[idx+1:], v.queue[idx:])
-		v.queue[idx] = request{addr: addr, isRead: true, done: done}
+		copy(v.queue[v.reads+1:], v.queue[v.reads:])
+		v.queue[v.reads] = request{addr: addr, done: done}
+		v.reads++
 	} else {
-		v.queue = append(v.queue, request{addr: addr, isRead: false, done: done})
+		v.queue = append(v.queue, request{addr: addr, done: done})
 	}
 	if d.aud.Sample() && len(v.queue) > d.cfg.QueueDepth {
 		d.aud.Reportf(d.auditName, "vault-queue-bound",
@@ -460,6 +475,10 @@ func (d *HMCDRAM) serviceNext(v *vault) {
 	}
 	v.inService = true
 	req := v.queue[0]
+	isRead := v.reads > 0
+	if isRead {
+		v.reads--
+	}
 	// Copy-down pop keeps the backing array in place, so the queue's
 	// capacity is reused forever instead of re-allocated as the base
 	// pointer walks forward.
@@ -554,7 +573,7 @@ func (d *HMCDRAM) serviceNext(v *vault) {
 		// Close page: the bank is busy for a full tRC.
 		bankBusyUntil = start + d.cfg.TRC()
 	}
-	if !req.isRead {
+	if !isRead {
 		// Writes additionally hold the bank for tWR.
 		bankBusyUntil += d.cfg.TWR
 	}
@@ -563,7 +582,7 @@ func (d *HMCDRAM) serviceNext(v *vault) {
 	d.stats.BusyTime += burst
 	d.stats.BytesTransferred += uint64(d.cfg.LineBytes)
 
-	if req.isRead {
+	if isRead {
 		d.stats.Reads++
 		d.stats.TotalReadLatency += dataEnd - now
 		if d.OnReadStart != nil {
@@ -579,7 +598,7 @@ func (d *HMCDRAM) serviceNext(v *vault) {
 	} else {
 		bd = &burstDoneAction{d: d}
 	}
-	bd.isRead, bd.done = req.isRead, req.done
+	bd.isRead, bd.done = isRead, req.done
 	d.kernel.ScheduleAction(dataEnd, bd)
 	// The vault can issue its next activate tRRD after this one (bank and
 	// bus conflicts are resolved when that access is scheduled), so the

@@ -1,7 +1,9 @@
 package dram
 
 import (
+	"strings"
 	"testing"
+	"unsafe"
 
 	"memnet/internal/sim"
 )
@@ -69,6 +71,32 @@ func TestReadsPrioritizedOverWrites(t *testing.T) {
 	// two queued writes.
 	if len(order) != 4 || order[0] != "w" || order[1] != "r" {
 		t.Fatalf("completion order = %v, want [w r w w]", order)
+	}
+
+	// Interleaved arrivals w1 w2 r1 w3 r2: w1 enters service at once,
+	// then the reads complete in arrival order ahead of the queued
+	// writes, which keep theirs.
+	order = order[:0]
+	for _, name := range []string{"w1", "w2", "r1", "w3", "r2"} {
+		name := name
+		d.Access(0, name[0] == 'r', func() { order = append(order, name) })
+	}
+	k.RunAll()
+	if got, want := strings.Join(order, " "), "w1 r1 r2 w2 w3"; got != want {
+		t.Fatalf("interleaved completion order = %s, want %s", got, want)
+	}
+}
+
+// TestRequestIs24Bytes pins the queued request's size. A module's vault
+// queues are 512 requests cut from one slab per cell build, and bench's
+// setup_s times those builds: when the event queue stopped making
+// run-time garbage, fewer GC cycles left the builds after each cell on
+// heap pages nothing had touched yet, and only a smaller build kept
+// setup_s from rising. A per-request read flag would pad the request to
+// 32 bytes; reads are known from the vault's read count instead.
+func TestRequestIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(request{}); n != 24 {
+		t.Fatalf("request is %d bytes, want 24", n)
 	}
 }
 

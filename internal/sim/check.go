@@ -3,38 +3,51 @@ package sim
 import "fmt"
 
 // CheckInvariants verifies the event queue's structural invariants: every
-// wheel slot's pending keys are in order unless the slot is marked dirty
+// wheel slot holds its pending events in ev[head:n] with head <= n <=
+// slotCap, a drained slot has rewound to head = n = 0, every entry
+// outside ev[head:n] is zero (take and compaction clear what they
+// vacate), pending keys are in order unless the slot is marked dirty
 // (inserts are append-only and a dirty slot is re-sorted when it reaches
 // the head of the wheel), every pending event carries an issued seq and
 // lies after the current position (now, and the seq of the event being
 // dispatched), the occupancy bitmap and event count agree with the slots,
 // and the overflow heap keeps its d-ary ordering. A wheel entry's slot
 // and lap are implied by where it is filed, so it cannot sit in the
-// wrong slot or past the horizon. It is O(pending) and read-only — meant
-// for the audit layer's periodic sweeps, not the hot loop. A violation
-// here means the queue has been corrupted and every later event could run
-// out of order.
+// wrong slot or past the horizon. It is O(numSlots·slotCap + pending)
+// and read-only — meant for the audit layer's periodic sweeps, not the
+// hot loop. A violation here means the queue has been corrupted and
+// every later event could run out of order.
 func (k *Kernel) CheckInvariants() error {
 	resident := 0
 	for idx := range k.wheel {
 		s := &k.wheel[idx]
+		head, n := int(s.head), int(s.n)
+		if head < 0 || head > n || n > slotCap || head == n && n != 0 {
+			return fmt.Errorf("sim: slot %d bounds head=%d n=%d invalid (capacity %d)", idx, head, n, slotCap)
+		}
 		occupied := k.occupied[idx>>6]&(1<<uint(idx&63)) != 0
-		if occupied != (int(s.head) < len(s.ev)) {
+		if occupied != (head < n) {
 			return fmt.Errorf("sim: slot %d occupancy bit %v disagrees with %d pending events",
-				idx, occupied, len(s.ev)-int(s.head))
+				idx, occupied, n-head)
 		}
 		start := k.slotStart(idx)
-		for i := int(s.head); i < len(s.ev); i++ {
-			key := s.ev[i].key
-			if err := k.checkPending(start|Time(key>>seqBits), key&seqMask); err != nil {
+		for i := range s.ev {
+			e := &s.ev[i]
+			if i < head || i >= n {
+				if e.key != 0 || e.act != nil {
+					return fmt.Errorf("sim: slot %d retired entry %d not cleared (key %#x)", idx, i, e.key)
+				}
+				continue
+			}
+			if err := k.checkPending(start|Time(e.key>>seqBits), e.key&seqMask); err != nil {
 				return fmt.Errorf("%w (wheel slot %d)", err, idx)
 			}
-			if !s.dirty && i > int(s.head) && key < s.ev[i-1].key {
+			if !s.dirty && i > head && e.key < s.ev[i-1].key {
 				return fmt.Errorf("sim: slot %d order violated at %d (key %#x after %#x)",
-					idx, i, key, s.ev[i-1].key)
+					idx, i, e.key, s.ev[i-1].key)
 			}
 		}
-		resident += len(s.ev) - int(s.head)
+		resident += n - head
 	}
 	if resident != k.wheelCount {
 		return fmt.Errorf("sim: wheel holds %d events but count says %d", resident, k.wheelCount)

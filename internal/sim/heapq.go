@@ -10,7 +10,7 @@ const heapArity = 4
 // heapQ is a monomorphic heapArity-ary min-heap over events ordered by
 // (at, seq). It was the kernel's whole event queue before the timing
 // wheel; it remains as the wheel's spill-over for events beyond the
-// horizon, as the oracle the wheel's ordering property tests compare
+// horizon and events whose slot is full, as the oracle the wheel's ordering property tests compare
 // against, and as the baseline for the heap-vs-wheel microbenchmarks.
 type heapQ []event
 

@@ -38,46 +38,35 @@ func (e *event) before(o *event) bool {
 
 // Timing-wheel geometry. Most simulation events are short fixed-latency
 // hops — flit times (640 ps), SERDES/router latencies (a few ns), DRAM
-// timings and think jitter (tens of ns), plus the ROO off-check
-// thresholds (32 ns – 2.05 us) — so the wheel's horizon has to cover
-// that whole cluster: 1024 slots of 2048 ps span 2.1 us. Events past the
-// horizon (epoch ticks, burst phases, timeouts, watchdogs) go to a
-// spill-over min-heap; see DESIGN.md §12 for the determinism argument.
+// timings and think jitter (tens of ns) — so 128 slots of 512 ps give a
+// 65.5 ns horizon that covers that cluster. Events past the horizon (ROO
+// off-checks past 65 ns, wakeups, refresh-delayed DRAM timings, epoch
+// ticks, burst phases, timeouts, watchdogs) and events that find their
+// slot full go to a spill-over min-heap; see DESIGN.md §12 for the
+// determinism argument.
 const (
-	// granularityBits sets the slot width to 2^11 = 2048 ps. Wider slots
-	// mean a few distinct instants share a slot (the stable insert loop
-	// shifts them into place), but they shrink the slot-header array to
-	// 1024 entries — small enough to stay cache-resident, which matters
-	// more than shift-free inserts because inserts hash to effectively
-	// random slots.
-	granularityBits = 11
-	// slotBits sets the wheel size to 2^10 = 1024 slots: with 2048 ps
-	// slots the horizon is 2.1 us, wide enough that the longest ROO
-	// off-check (2048 ns) still files into the wheel instead of the
-	// spill-over heap.
-	slotBits = 10
+	// granularityBits sets the slot width to 2^9 = 512 ps, under one
+	// flit time, so the slot being drained rarely receives an insert
+	// that lands behind its last entry and has to be sorted back in.
+	granularityBits = 9
+	// slotBits sets the wheel size to 2^7 = 128 slots: a 65.5 ns
+	// horizon, and a wheel small enough (27 KB) to stay cache-resident
+	// and to cost a kernel build nothing measurable.
+	slotBits = 7
 	numSlots = 1 << slotBits
 	slotMask = numSlots - 1
 	// bitmapWords is the occupancy bitmap size: one bit per slot.
 	bitmapWords = numSlots / 64
-	// slotCap is each slot's inline event capacity. Steady-state
-	// occupancy is a couple of events per occupied slot, so 4 covers
-	// almost every slot for the life of the run.
-	slotCap = 4
-	// spillCap is the capacity a slot jumps to when it outgrows its
-	// inline buffer. Pile-ups past slotCap are routine (a burst of
-	// same-window completions), and letting append ratchet 8 → 16 → 32
-	// as rare coincidences set new per-slot records kept a slow trickle
-	// of allocations going for the whole run; jumping straight to a
-	// depth records essentially never pass makes the spill a one-time
-	// warmup cost per slot (TestRunSteadyStateZeroAllocs holds the
-	// simulation to ~0 mallocs once warmed).
-	spillCap = 64
+	// slotCap is each slot's fixed event capacity. Steady-state
+	// occupancy is a couple of events per occupied slot; an insert into
+	// a full slot compacts away its retired entries, or failing that
+	// goes to the overflow heap, so slots never allocate.
+	slotCap = 8
 	// seqBits is the width of the sequence number in a wheel key. A
 	// key packs an event's offset within its slot (the low
 	// granularityBits bits of at) above its seq, so one uint64 compare
-	// orders two events of a slot by (at, seq). 2^53 sequence numbers
-	// last ~2.8 years of simulation at 10^8 events/s; ScheduleAction
+	// orders two events of a slot by (at, seq). 2^55 sequence numbers
+	// last ~11 years of simulation at 10^8 events/s; ScheduleAction
 	// panics rather than wrap.
 	seqBits = 64 - granularityBits
 	seqMask = 1<<seqBits - 1
@@ -103,40 +92,31 @@ func wheelKey(at Time, seq uint64) uint64 {
 	return uint64(at&offsetMask)<<seqBits | seq
 }
 
-// wheelSlot is one slot's pending events. Inserts are pure appends; the
-// dirty flag records whether an append broke key order, and next sorts
-// ev[head:] the moment the slot becomes the drain candidate. Deferring
-// the sort moves the shifting work from insert time — when the slot is a
-// random, cold cache line — to drain time, when the slot is about to be
-// walked anyway, and slots that fill in key order (the common case)
-// never sort at all. Retired entries before head are zeroed; the slice
-// resets to its start once drained, so steady state reuses each slot's
-// backing array with no allocation.
-//
-// ev initially aliases the inline buf, so the header and the entries an
-// insert touches share adjacent cache lines — inserts hash to
-// effectively random slots, and colocating storage with the header is
-// the difference between one cache miss and two on the hottest write in
-// the simulator. The rare slot that outgrows buf reallocates
-// independently and never returns. head is an int32 so the header packs
-// into the pad before buf, keeping the struct at two entries' worth of
-// header per four entries of storage.
+// wheelSlot is one slot's pending events, ev[head:n], held inline so the
+// header and the entries an insert touches share adjacent cache lines.
+// Inserts are pure appends; the dirty flag records whether an append
+// broke key order, and next sorts ev[head:n] the moment the slot becomes
+// the drain candidate. Deferring the sort moves the shifting work from
+// insert time — when the slot is a random, cold cache line — to drain
+// time, when the slot is about to be walked anyway, and slots that fill
+// in key order (the common case) never sort at all. Every entry outside
+// ev[head:n] is zero, so a retired action is collectable at once; a
+// drained slot rewinds to head = n = 0.
 type wheelSlot struct {
-	ev    []wev
-	head  int32
-	dirty bool
-	buf   [slotCap]wev
+	head, n int32
+	dirty   bool
+	ev      [slotCap]wev
 }
 
 // sortPending restores key — that is (at, seq) — order over the unread
 // tail of the slot with an insertion sort. Keys are unique, so the
 // result does not depend on the order the entries arrived in.
 func (s *wheelSlot) sortPending() {
-	ev := s.ev
-	for i := int(s.head) + 1; i < len(ev); i++ {
+	ev := s.ev[s.head:s.n]
+	for i := 1; i < len(ev); i++ {
 		e := ev[i]
 		j := i
-		for j > int(s.head) && ev[j-1].key > e.key {
+		for j > 0 && ev[j-1].key > e.key {
 			ev[j] = ev[j-1]
 			j--
 		}
@@ -150,13 +130,15 @@ func (s *wheelSlot) sortPending() {
 //
 // The queue is a hierarchical timing wheel: near-future events (within
 // numSlots slot widths of now) hash into wheel[at>>granularityBits &
-// slotMask], far-future events spill into a monomorphic 4-ary min-heap.
-// An event's slot position is unambiguous — the insert window is exactly
-// one revolution, so two resident events can never collide a lap apart —
-// and the next event is the (at, seq) minimum of the first occupied
-// slot's head and the heap head, which is the exact total order the
-// deterministic-replay tests pin. Steady-state Schedule+Step performs
-// zero heap allocations (see TestKernelScheduleStepZeroAllocs and
+// slotMask], far-future events and events whose slot is full go to a
+// monomorphic 4-ary min-heap. An event's slot position is unambiguous —
+// the insert window is exactly one revolution, so two resident events
+// can never collide a lap apart — and the next event is the (at, seq)
+// minimum of the first occupied slot's head and the heap head, which is
+// the exact total order the deterministic-replay tests pin. The wheel is
+// a fixed array, so only the heap ever allocates, and only while it
+// grows to its peak depth: steady-state Schedule+Step performs zero heap
+// allocations (see TestKernelScheduleStepZeroAllocs and
 // BenchmarkKernelScheduleStep).
 type Kernel struct {
 	now   Time
@@ -180,9 +162,10 @@ type Kernel struct {
 	// wheelCount is the number of events resident in the wheel; it
 	// short-circuits the bitmap scan when the wheel is empty.
 	wheelCount int
-	// overflow holds events at or beyond the wheel horizon. They are
-	// popped straight from the heap when their time comes — never
-	// migrated — so ordering needs no cascade step.
+	// overflow holds events at or beyond the wheel horizon and events
+	// that found their slot full. They are popped straight from the heap
+	// when their time comes — never migrated — so ordering needs no
+	// cascade step.
 	overflow heapQ
 	// occupied has one bit per slot, set while the slot holds events, so
 	// finding the next occupied slot is a word scan, not a slot walk.
@@ -190,18 +173,8 @@ type Kernel struct {
 	wheel    [numSlots]wheelSlot
 }
 
-// NewKernel returns a kernel with some overflow capacity preallocated
-// and every wheel slot's ev aliasing its inline buffer — without that,
-// each slot's first events cost a growth chain of small allocations
-// (numSlots of them, per kernel), which dominated warmup in profiles.
-func NewKernel() *Kernel {
-	k := &Kernel{overflow: make(heapQ, 0, 256)}
-	for i := range k.wheel {
-		s := &k.wheel[i]
-		s.ev = s.buf[:0:slotCap]
-	}
-	return k
-}
+// NewKernel returns a ready kernel; it is the same as new(Kernel).
+func NewKernel() *Kernel { return new(Kernel) }
 
 // DefaultCheckEvery is SetCheck's stride when none is given: frequent
 // enough that an abandoned run stops within a few milliseconds of wall
@@ -314,32 +287,29 @@ func (k *Kernel) ScheduleActionSeq(at Time, seq uint64, a Action) {
 // an arrival whose key sorts before the slot's last entry — a later
 // instant was filed first, or a reserved seq is filed late — just marks
 // the slot dirty, and sortPending restores key order when the slot
-// reaches the head of the wheel.
+// reaches the head of the wheel. A full slot first compacts its pending
+// entries down over the retired ones; a full slot with none retired
+// sends the event to the overflow heap, which next orders against the
+// wheel by (at, seq) like any other overflow event.
 func (k *Kernel) wheelInsert(at Time, seq uint64, a Action) {
 	idx := int((at >> granularityBits) & slotMask)
 	s := &k.wheel[idx]
-	n := len(s.ev)
-	if int(s.head) == n {
-		// Fully drained: rewind so the backing array is reused in place.
-		s.ev = s.ev[:0]
-		s.head = 0
-		s.dirty = false
-		n = 0
-	}
-	if n == cap(s.ev) {
-		newCap := 2 * n
-		if newCap < spillCap {
-			newCap = spillCap
+	if s.n == slotCap {
+		if s.head == 0 {
+			k.overflow.push(event{at: at, seq: seq, act: a})
+			return
 		}
-		grown := make([]wev, n, newCap)
-		copy(grown, s.ev)
-		s.ev = grown
+		m := int32(copy(s.ev[:], s.ev[s.head:]))
+		clear(s.ev[m:])
+		s.head, s.n = 0, m
 	}
 	key := wheelKey(at, seq)
-	s.ev = append(s.ev, wev{key: key, act: a})
-	if n > int(s.head) && key < s.ev[n-1].key {
+	n := s.n
+	if n > s.head && key < s.ev[n-1].key {
 		s.dirty = true
 	}
+	s.ev[n] = wev{key: key, act: a}
+	s.n = n + 1
 	k.occupied[idx>>6] |= 1 << uint(idx&63)
 	k.wheelCount++
 }
@@ -377,11 +347,12 @@ func (k *Kernel) slotStart(idx int) Time {
 
 // next locates the earliest pending event without removing it. slot is
 // the wheel slot index, or -1 when the minimum sits in the overflow heap.
-// A wheel/overflow tie at the same instant goes to the smaller seq: a
-// reserved seq filed late can land in the wheel behind an overflow event
-// scheduled after the reservation. Locate and removal are split so Run
-// can bounds-check the next event with a single min-scan instead of a
-// peek-then-pop pair.
+// A wheel/overflow tie at the same instant goes to the smaller seq
+// either way: an event spilled from a full slot sits in the heap ahead
+// of later wheel entries at its instant, and a reserved seq filed late
+// can land in the wheel behind an overflow event scheduled after the
+// reservation. Locate and removal are split so Run can bounds-check the
+// next event with a single min-scan instead of a peek-then-pop pair.
 func (k *Kernel) next() (at Time, slot int, ok bool) {
 	if k.wheelCount == 0 {
 		if len(k.overflow) == 0 {
@@ -420,10 +391,8 @@ func (k *Kernel) take(slot int) Action {
 	k.nowSeq = we.key & seqMask
 	*we = wev{}
 	s.head++
-	if int(s.head) == len(s.ev) {
-		s.ev = s.ev[:0]
-		s.head = 0
-		s.dirty = false
+	if s.head == s.n {
+		s.head, s.n, s.dirty = 0, 0, false
 		k.occupied[slot>>6] &^= 1 << uint(slot&63)
 	}
 	k.wheelCount--

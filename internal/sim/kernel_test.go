@@ -166,11 +166,13 @@ func TestKernelRandomOrderMatchesSort(t *testing.T) {
 // container/heap-era leak where eventHeap.Pop left the popped slot's fn
 // alive in the backing array, pinning every retired closure's captured
 // state for the life of the run. Both queue halves — wheel slots and the
-// overflow heap — must zero vacated entries on pop.
+// overflow heap — must zero vacated entries on pop, and a full slot's
+// compaction must zero the entries it moves its pending events off.
 func TestKernelStepClearsRetiredSlots(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 64; i++ {
 		payload := make([]byte, 1<<10) // captured state the slot would pin
+		// One slot: slotCap fill it, the rest spill to the overflow heap.
 		k.Schedule(Time(i%7), func() { payload[0]++ })
 	}
 	for i := 0; i < 16; i++ {
@@ -178,13 +180,28 @@ func TestKernelStepClearsRetiredSlots(t *testing.T) {
 		// Far past the wheel horizon: exercises the overflow heap.
 		k.Schedule(Time(i)*Microsecond, func() { payload[0]++ })
 	}
+	// Drain part of slot 0, then refill it: the insert that finds it full
+	// compacts the pending entries down over the retired ones.
+	for k.wheel[0].head < 3 {
+		k.Step()
+	}
+	for k.wheel[0].n < slotCap {
+		k.Schedule(100, nop)
+	}
+	k.Schedule(100, nop)
+	if s := &k.wheel[0]; s.head != 0 || s.n != slotCap-2 {
+		t.Fatalf("slot 0 after compaction: head=%d n=%d, want 0 and %d", s.head, s.n, slotCap-2)
+	}
+	if err := k.CheckInvariants(); err != nil {
+		t.Fatalf("after compaction: %v", err)
+	}
 	k.RunAll()
 	for idx := range k.wheel {
-		spare := k.wheel[idx].ev[:cap(k.wheel[idx].ev)]
-		for i := range spare {
-			if spare[i].act != nil || spare[i].key != 0 {
+		s := &k.wheel[idx]
+		for i := range s.ev {
+			if s.ev[i].act != nil || s.ev[i].key != 0 {
 				t.Fatalf("retired wheel slot %d entry %d still populated (key=%#x act=%v)",
-					idx, i, spare[i].key, spare[i].act != nil)
+					idx, i, s.ev[i].key, s.ev[i].act != nil)
 			}
 		}
 	}
@@ -200,7 +217,8 @@ func TestKernelStepClearsRetiredSlots(t *testing.T) {
 func nop() {}
 
 // TestKernelScheduleStepZeroAllocs proves the queue's headline property:
-// once the wheel slots and overflow heap have grown, a schedule+step
+// once the overflow heap has grown (4096 events at one-picosecond
+// spacing fill every slot they reach and spill the rest), a schedule+step
 // cycle allocates nothing — no interface boxing, no container/heap
 // indirection.
 func TestKernelScheduleStepZeroAllocs(t *testing.T) {

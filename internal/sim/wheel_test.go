@@ -11,35 +11,63 @@ import (
 // driven with the same randomized schedule/pop script — deltas straddling
 // slot boundaries, the wheel horizon, and far-future spill-over, plus
 // same-instant ties — and must fire every event in the same (at, seq)
-// order.
+// order. Bursts of more than slotCap events into one slot overflow it to
+// the heap; steps between bursts leave slots part-drained, so a later
+// burst compacts them; and plain schedules reuse a burst's instant, so a
+// full slot's heap spills tie with wheel entries at one instant.
 func TestWheelMatchesHeapOrdering(t *testing.T) {
 	// Deltas are picked to hit the interesting edges: zero (same-instant
 	// tie), sub-slot, exact slot width, hop/DRAM-scale, one slot under
-	// and over the 262 ns horizon, and far-future timers.
-	deltas := []Time{0, 1, 63, 64, 640, 3200, 40_000,
+	// and over the 65 ns horizon, and far-future timers.
+	deltas := []Time{0, 1, 63, 1 << granularityBits, 640, 3200, 40_000,
 		numSlots<<granularityBits - 1, numSlots << granularityBits,
 		numSlots<<granularityBits + 64, 1_000_000, 100_000_000}
+	burstDeltas := []Time{0, 1, 200, 640, 3200}
+	var spills, compactions int
 	for trial := uint64(0); trial < 10; trial++ {
 		rng := NewRNG(100 + trial)
 		k := NewKernel()
 		var h heapQ
-		var hnow Time
+		var hnow, burstAt Time
 		var hseq uint64
 		var got, want []int
 		id := 0
+		schedule := func(at Time) {
+			if at>>granularityBits-k.Now()>>granularityBits < numSlots {
+				if s := &k.wheel[(at>>granularityBits)&slotMask]; s.n == slotCap {
+					if s.head == 0 {
+						spills++
+					} else {
+						compactions++
+					}
+				}
+			}
+			myID := id
+			id++
+			k.Schedule(at, func() { got = append(got, myID) })
+			hseq++
+			h.push(event{at: at, seq: hseq,
+				act: funcAction(func() { want = append(want, myID) })})
+		}
 		for op := 0; op < 5000; op++ {
-			if rng.Intn(3) > 0 {
+			switch r := rng.Intn(30); {
+			case r == 0: // a burst past slotCap, with ties, into one slot
+				burstAt = k.Now() + burstDeltas[rng.Intn(len(burstDeltas))]
+				for n := slotCap + 1 + rng.Intn(slotCap); n > 0; n-- {
+					schedule(burstAt + Time(rng.Intn(3)))
+				}
+				if err := k.CheckInvariants(); err != nil {
+					t.Fatalf("trial %d: after burst: %v", trial, err)
+				}
+			case r < 5 && burstAt >= k.Now(): // tie with the last burst
+				schedule(burstAt)
+			case r < 20:
 				d := deltas[rng.Intn(len(deltas))]
 				if rng.Intn(4) == 0 {
 					d += Time(rng.Intn(1000))
 				}
-				myID := id
-				id++
-				k.Schedule(k.Now()+d, func() { got = append(got, myID) })
-				hseq++
-				h.push(event{at: hnow + d, seq: hseq,
-					act: funcAction(func() { want = append(want, myID) })})
-			} else {
+				schedule(hnow + d)
+			default:
 				k.Step()
 				if len(h) > 0 {
 					e := h.pop()
@@ -66,6 +94,10 @@ func TestWheelMatchesHeapOrdering(t *testing.T) {
 		if k.Now() != hnow {
 			t.Fatalf("trial %d: clocks diverged: wheel %s, heap %s", trial, k.Now(), hnow)
 		}
+	}
+	t.Logf("%d heap spills, %d compactions", spills, compactions)
+	if spills == 0 || compactions == 0 {
+		t.Fatalf("script never exercised the full-slot paths: %d heap spills, %d compactions", spills, compactions)
 	}
 }
 
@@ -130,16 +162,11 @@ func (c *countAction) Act() { c.n++ }
 
 // TestKernelScheduleActionZeroAllocs proves the pooled-action path the
 // simulation layer's hot events use: scheduling a reusable Action value
-// allocates nothing at all, even before the queue has warmed up.
+// allocates nothing at all, even on a fresh kernel — wheel slots are
+// fixed arrays, so there is nothing to warm up.
 func TestKernelScheduleActionZeroAllocs(t *testing.T) {
 	k := NewKernel()
 	act := &countAction{}
-	// Warm every wheel slot's backing array — one event per slot across a
-	// full revolution: steady state begins once every slot has grown.
-	for i := 0; i < numSlots; i++ {
-		k.AfterAction(Duration(i)<<granularityBits, act)
-	}
-	k.RunAll()
 	allocs := testing.AllocsPerRun(1000, func() {
 		k.AfterAction(100, act)
 		k.Step()
@@ -212,13 +239,23 @@ func TestCheckInvariantsOnPopulatedWheel(t *testing.T) {
 	if err := k3.CheckInvariants(); err == nil {
 		t.Error("occupancy desync not detected")
 	}
-	// Corruption 3: overflow heap order broken.
+	// Corruption 3: a retired entry left populated, as a compaction
+	// that forgot to clear what it vacated would leave it.
 	k4 := NewKernel()
-	for i := 1; i <= 8; i++ {
-		k4.Schedule(Time(i)*Millisecond, nop)
+	k4.Schedule(100, nop)
+	k4.Schedule(200, nop)
+	k4.Step()
+	k4.wheel[0].ev[0] = wev{key: 1, act: funcAction(nop)}
+	if err := k4.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "not cleared") {
+		t.Errorf("uncleared retired entry not detected: %v", err)
 	}
-	k4.overflow[0], k4.overflow[len(k4.overflow)-1] = k4.overflow[len(k4.overflow)-1], k4.overflow[0]
-	if err := k4.CheckInvariants(); err == nil {
+	// Corruption 4: overflow heap order broken.
+	k5 := NewKernel()
+	for i := 1; i <= 8; i++ {
+		k5.Schedule(Time(i)*Millisecond, nop)
+	}
+	k5.overflow[0], k5.overflow[len(k5.overflow)-1] = k5.overflow[len(k5.overflow)-1], k5.overflow[0]
+	if err := k5.CheckInvariants(); err == nil {
 		t.Error("overflow heap disorder not detected")
 	}
 }
@@ -232,13 +269,28 @@ func TestWheelEntryIs24Bytes(t *testing.T) {
 	}
 }
 
+// TestKernelFitsIn32KiB pins the kernel's footprint. Every cell builds a
+// kernel, and bench's setup_s times those builds: when the run-time
+// garbage of growable wheel slots went away, fewer GC cycles meant the
+// builds after each cell landed on heap pages nothing had touched yet,
+// and only a smaller build kept setup_s from rising. A kernel that grows
+// back past 32 KiB gives that margin up.
+func TestKernelFitsIn32KiB(t *testing.T) {
+	if n := unsafe.Sizeof(Kernel{}); n > 32<<10 {
+		t.Fatalf("Kernel is %d bytes, want at most %d", n, 32<<10)
+	}
+}
+
 // TestReservedSeqMatchesHeapOrdering is the differential property test
 // for reserved positions: ScheduleAction, ReserveSeq and a later
 // ScheduleActionSeq are interleaved at random, instants are reused so
 // events tie at the same time across the wheel and the overflow heap
 // (a seq reserved while its instant lay past the horizon and filed once
-// it is inside), and some reservations are never filed. Every filed
-// event must dispatch in exactly the heap oracle's (at, seq) order.
+// it is inside), and some reservations are never filed. Bursts past
+// slotCap fill one slot at an instant that reservations are held for,
+// so those seqs are filed late into a full slot and spill to the heap.
+// Every filed event must dispatch in exactly the heap oracle's (at, seq)
+// order.
 func TestReservedSeqMatchesHeapOrdering(t *testing.T) {
 	deltas := []Time{0, 1, 700, 2048, 40_000,
 		numSlots<<granularityBits - 1, numSlots << granularityBits,
@@ -248,6 +300,7 @@ func TestReservedSeqMatchesHeapOrdering(t *testing.T) {
 		at  Time
 		act Action
 	}
+	fullFiles := 0
 	for trial := uint64(0); trial < 10; trial++ {
 		rng := NewRNG(500 + trial)
 		k := NewKernel()
@@ -270,7 +323,27 @@ func TestReservedSeqMatchesHeapOrdering(t *testing.T) {
 			r := unfiled[i]
 			unfiled[i] = unfiled[len(unfiled)-1]
 			unfiled = unfiled[:len(unfiled)-1]
+			if r.at>>granularityBits-k.Now()>>granularityBits < numSlots &&
+				k.wheel[(r.at>>granularityBits)&slotMask].n == slotCap {
+				fullFiles++
+			}
 			k.ScheduleActionSeq(r.at, r.seq, r.act)
+		}
+		schedule := func(at Time) {
+			myID := id
+			id++
+			k.ScheduleAction(at, funcAction(func() { got = append(got, myID) }))
+			h.push(event{at: at, seq: k.seq, act: funcAction(func() { want = append(want, myID) })})
+		}
+		reserve := func(at Time) {
+			seq := k.ReserveSeq()
+			if rng.Intn(4) == 0 {
+				return
+			}
+			myID := id
+			id++
+			unfiled = append(unfiled, reservation{seq, at, funcAction(func() { got = append(got, myID) })})
+			h.push(event{at: at, seq: seq, act: funcAction(func() { want = append(want, myID) })})
 		}
 		// fileSeq files seq's reservation if it is still unfiled.
 		fileSeq := func(seq uint64) {
@@ -282,22 +355,21 @@ func TestReservedSeqMatchesHeapOrdering(t *testing.T) {
 			}
 		}
 		for op := 0; op < 6000; op++ {
-			switch rng.Intn(6) {
-			case 0, 1: // plain schedule
-				at, myID := pickAt(), id
-				id++
-				k.ScheduleAction(at, funcAction(func() { got = append(got, myID) }))
-				h.push(event{at: at, seq: k.seq, act: funcAction(func() { want = append(want, myID) })})
-			case 2: // reserve; one in four is abandoned, like a retired cover
-				at, myID := pickAt(), id
-				seq := k.ReserveSeq()
-				if rng.Intn(4) == 0 {
-					continue
+			switch rng.Intn(13) {
+			case 0, 1, 2, 3: // plain schedule
+				schedule(pickAt())
+			case 4, 5: // reserve; one in four is abandoned, like a retired cover
+				reserve(pickAt())
+			case 6: // reserve at one instant, then fill its slot past slotCap
+				at := k.Now() + Time(rng.Intn(4000))
+				instants = append(instants, at)
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					reserve(at)
 				}
-				id++
-				unfiled = append(unfiled, reservation{seq, at, funcAction(func() { got = append(got, myID) })})
-				h.push(event{at: at, seq: seq, act: funcAction(func() { want = append(want, myID) })})
-			case 3: // file some reservation early
+				for n := slotCap + 1 + rng.Intn(slotCap); n > 0; n-- {
+					schedule(at + Time(rng.Intn(2)))
+				}
+			case 7, 8: // file some reservation early
 				if len(unfiled) > 0 {
 					fileAt(rng.Intn(len(unfiled)))
 				}
@@ -325,6 +397,10 @@ func TestReservedSeqMatchesHeapOrdering(t *testing.T) {
 					trial, i, got[i], want[i])
 			}
 		}
+	}
+	t.Logf("%d reserved seqs filed into a full slot", fullFiles)
+	if fullFiles == 0 {
+		t.Fatal("script never filed a reserved seq into a full slot")
 	}
 }
 

@@ -22,8 +22,6 @@ import (
 // the processor link reaches the profile's target channel utilization
 // under full-power links.
 type FrontEndConfig struct {
-	// Cores documents the substituted core count (Table II).
-	Cores int
 	// SlotsOverride forces the outstanding-access slot count (0 = auto).
 	SlotsOverride int
 	// Seed drives all randomness of this front end.
@@ -40,9 +38,11 @@ type FrontEndConfig struct {
 	MaxRetries int
 }
 
-// DefaultFrontEndConfig mirrors Table II's 16-core processor.
+// DefaultFrontEndConfig is the front end of Table II's 16-core
+// processor: the cores enter the model only through the slot count,
+// which is calibrated from the profile (see FrontEndConfig).
 func DefaultFrontEndConfig(seed uint64) FrontEndConfig {
-	return FrontEndConfig{Cores: 16, Seed: seed}
+	return FrontEndConfig{Seed: seed}
 }
 
 // pendingRead is one slot's outstanding-read table entry.
