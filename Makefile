@@ -23,14 +23,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# soak runs the deterministic chaos campaigns under the race detector:
-# seeded random fail/burst/wake-fault/stall + repair schedules across all
-# four topologies (byte-identical replays required per seed) and the
-# daemon lifecycle soak (concurrent submissions, mid-stream disconnects,
-# drain under load; no goroutine leaks, byte-identical cache hits).
-# Widen with MEMNET_SOAK_SEEDS=1,...,N.
+# soak runs the daemon's deterministic chaos campaigns under the race
+# detector: the lifecycle soak (concurrent submissions, mid-stream
+# disconnects, drain under load; no goroutine leaks, byte-identical cache
+# hits) and the crash-restart soak.
 soak:
-	$(GO) test -race -count=1 -run TestChaosSoak ./internal/fault/
 	$(GO) test -race -count=1 -run 'TestChaosSoak|TestCrashRestartSoak' ./internal/serve/
 
 # killresumesmoke runs the real-process crash-resume check: a -jobs 2
@@ -120,9 +117,8 @@ calib:
 # then fuzzes each target briefly. Lengthen with FUZZTIME=30s.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run Fuzz ./internal/exp ./internal/fault ./internal/calib ./internal/durable ./internal/core
+	$(GO) test -run Fuzz ./internal/exp ./internal/calib ./internal/durable ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzLoadBatch -fuzztime=$(FUZZTIME) ./internal/exp
-	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run='^$$' -fuzz=FuzzCalibReference -fuzztime=$(FUZZTIME) ./internal/calib
 	$(GO) test -run='^$$' -fuzz=FuzzLogReplay -fuzztime=$(FUZZTIME) ./internal/durable
 	$(GO) test -run='^$$' -fuzz=FuzzISP -fuzztime=$(FUZZTIME) ./internal/core

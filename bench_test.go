@@ -35,9 +35,6 @@ func benchRunner() *exp.Runner {
 	r := exp.NewRunner()
 	r.SimTime = 200 * sim.Microsecond
 	r.Warmup = 50 * sim.Microsecond
-	// A hung benchmark should fail fast with a diagnostic dump, not spin
-	// until the test binary's external timeout kills it.
-	r.Watchdog = true
 	return r
 }
 
@@ -472,29 +469,6 @@ func BenchmarkAblationOpenPage(b *testing.B) {
 	}
 	b.ReportMetric(closeLat.Nanoseconds(), "lat-ns-close")
 	b.ReportMetric(openLat.Nanoseconds(), "lat-ns-open")
-}
-
-// BenchmarkAblationBER measures the link-level throughput cost of CRC
-// retry under a lossy channel: back-to-back responses at BER 0 vs 1e-4.
-func BenchmarkAblationBER(b *testing.B) {
-	measure := func(ber float64) float64 {
-		k := sim.NewKernel()
-		cfg := link.Config{FullWatts: 0.586, BER: ber}
-		l := link.New(k, cfg, 0, link.DirResponse, 0, 0, packet.ProcessorID, 1)
-		delivered := 0
-		l.Deliver = func(*packet.Packet) { delivered++ }
-		for i := 0; i < 2000; i++ {
-			l.Enqueue(&packet.Packet{ID: uint64(i), Kind: packet.ReadResp})
-		}
-		k.RunAll()
-		return float64(delivered) / k.Now().Seconds()
-	}
-	var clean, lossy float64
-	for i := 0; i < b.N; i++ {
-		clean = measure(0)
-		lossy = measure(1e-4)
-	}
-	b.ReportMetric(100*(1-lossy/clean), "throughput-loss%-ber1e-4")
 }
 
 // BenchmarkKernel measures raw event throughput of the simulation kernel.

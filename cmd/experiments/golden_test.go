@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -52,7 +53,6 @@ func TestGoldenOutput(t *testing.T) {
 		{"list", []string{"-list"}},
 		{"tableI", []string{"-run", "tableI"}},
 		{"fig4", []string{"-run", "fig4"}},
-		{"avail", []string{"-run", "avail", "-simtime", "220us", "-warmup", "20us", "-jobs", "2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,16 +65,14 @@ func TestGoldenOutput(t *testing.T) {
 	}
 }
 
-// TestGoldenFaultMetricsSweep locks the fault + metrics sweep pipeline
-// byte for byte across every artifact the CLI writes: the avail
-// experiment (a module outage with timeout-retried reads) with the
-// metrics sampler armed must reproduce the stdout report, the -outdir
-// figure file, the resumable journal, and the CSV metrics export
-// exactly. The goldens were captured before the timing-wheel event
-// queue landed, so a pass proves the wheel preserved the (at, seq)
-// event order through a parallel multi-topology sweep. The 427 KB CSV
-// is pinned by hash rather than committed wholesale.
-func TestGoldenFaultMetricsSweep(t *testing.T) {
+// TestGoldenMetricsSweep locks the metrics sweep pipeline byte for byte
+// across every artifact the CLI writes: the seeds experiment (five
+// aware cells and their paired full-power baselines) under the parallel
+// executor with the metrics sampler armed must reproduce the stdout
+// report, the -outdir figure file, the resumable journal, and the CSV
+// metrics export exactly. The 338 KB CSV is pinned by hash rather than
+// committed wholesale.
+func TestGoldenMetricsSweep(t *testing.T) {
 	bin := buildCLI(t)
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "m.csv")
@@ -82,40 +80,42 @@ func TestGoldenFaultMetricsSweep(t *testing.T) {
 	outDir := filepath.Join(dir, "out")
 	// .Output(), not .CombinedOutput(): stderr carries the export and
 	// journal notices, whose paths vary per run.
-	out, err := exec.Command(bin, "-run", "avail",
-		"-simtime", "220us", "-warmup", "20us", "-jobs", "2",
+	out, err := exec.Command(bin, "-run", "seeds",
+		"-simtime", "120us", "-warmup", "20us", "-jobs", "2",
 		"-metrics", "-metrics-interval", "20us",
 		"-metrics-out", csvPath, "-journal", journalPath, "-outdir", outDir).Output()
 	if err != nil {
-		t.Fatalf("fault+metrics sweep: %v", err)
+		t.Fatalf("metrics sweep: %v", err)
 	}
-	checkGolden(t, "fault_metrics_sweep", out)
+	checkGolden(t, "metrics_sweep", out)
 
-	fig, err := os.ReadFile(filepath.Join(outDir, "avail.txt"))
+	fig, err := os.ReadFile(filepath.Join(outDir, "seeds.txt"))
 	if err != nil {
 		t.Fatalf("read -outdir figure: %v", err)
 	}
-	checkGolden(t, "fault_metrics_figure", fig)
+	checkGolden(t, "metrics_figure", fig)
 
 	j, err := os.ReadFile(journalPath)
 	if err != nil {
 		t.Fatalf("read journal: %v", err)
 	}
-	checkGolden(t, "fault_metrics_journal", j)
+	checkGolden(t, "metrics_journal", j)
 
 	csv, err := os.ReadFile(csvPath)
 	if err != nil {
 		t.Fatalf("read metrics export: %v", err)
 	}
 	digest := fmt.Sprintf("sha256:%x bytes:%d\n", sha256.Sum256(csv), len(csv))
-	checkGolden(t, "fault_metrics_export", []byte(digest))
+	checkGolden(t, "metrics_export", []byte(digest))
 }
 
-// TestGoldenJournalV1Resumes resumes the fault+metrics sweep from a
-// journal written when every line still carried its key (a copy of
-// internal/exp/testdata/journal_v1.jsonl): each line is keyed by its own
-// result on read, so all 4 cells restore, none re-simulates, and the
-// figure is the golden one.
+// TestGoldenJournalV1Resumes resumes the metrics sweep from a journal
+// written when every line still carried its key (a copy of
+// internal/exp/testdata/journal_v1.jsonl). Its fault-free line is one of
+// the sweep's cells and restores under its own result's key; its four
+// lines from the retired availability sweep ran under a fault scenario,
+// so they stay in the file but restore nothing. The other nine cells
+// simulate afresh, and the figure is the golden one.
 func TestGoldenJournalV1Resumes(t *testing.T) {
 	bin := buildCLI(t)
 	v1, err := os.ReadFile("../../internal/exp/testdata/journal_v1.jsonl")
@@ -129,8 +129,8 @@ func TestGoldenJournalV1Resumes(t *testing.T) {
 	}
 	outDir := filepath.Join(dir, "out")
 	var stderr strings.Builder
-	cmd := exec.Command(bin, "-run", "avail",
-		"-simtime", "220us", "-warmup", "20us", "-jobs", "2",
+	cmd := exec.Command(bin, "-run", "seeds",
+		"-simtime", "120us", "-warmup", "20us", "-jobs", "2",
 		"-metrics", "-metrics-interval", "20us",
 		"-metrics-out", filepath.Join(dir, "m.csv"), "-journal", journalPath, "-outdir", outDir, "-v")
 	cmd.Stderr = &stderr
@@ -146,14 +146,21 @@ func TestGoldenJournalV1Resumes(t *testing.T) {
 			ran++
 		}
 	}
-	if restored != 4 || ran != 0 {
-		t.Fatalf("v1 journal resume: %d restored, %d ran; want 4 and 0\n%s", restored, ran, stderr.String())
+	if restored != 1 || ran != 9 {
+		t.Fatalf("v1 journal resume: %d restored, %d ran; want 1 and 9\n%s", restored, ran, stderr.String())
 	}
-	fig, err := os.ReadFile(filepath.Join(outDir, "avail.txt"))
+	fig, err := os.ReadFile(filepath.Join(outDir, "seeds.txt"))
 	if err != nil {
 		t.Fatalf("read -outdir figure: %v", err)
 	}
-	checkGolden(t, "fault_metrics_figure", fig)
+	checkGolden(t, "metrics_figure", fig)
+	j, err := os.ReadFile(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(j, v1) {
+		t.Fatal("the resume dropped or rewrote the v1 journal's lines")
+	}
 }
 
 // TestGoldenCalibrate pins the model-calibration report byte for byte.
@@ -215,10 +222,10 @@ func TestCalibrateFlagValidation(t *testing.T) {
 func TestMetricsFlagValidation(t *testing.T) {
 	bin := buildCLI(t)
 	for name, args := range map[string][]string{
-		"out without metrics":      {"-run", "avail", "-metrics-out", "x.jsonl"},
-		"interval without metrics": {"-run", "avail", "-metrics-interval", "5us"},
-		"unparseable interval":     {"-run", "avail", "-metrics", "-metrics-interval", "bogus"},
-		"zero interval":            {"-run", "avail", "-metrics", "-metrics-interval", "0s"},
+		"out without metrics":      {"-run", "seeds", "-metrics-out", "x.jsonl"},
+		"interval without metrics": {"-run", "seeds", "-metrics-interval", "5us"},
+		"unparseable interval":     {"-run", "seeds", "-metrics", "-metrics-interval", "bogus"},
+		"zero interval":            {"-run", "seeds", "-metrics", "-metrics-interval", "0s"},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		if err == nil {
@@ -231,7 +238,7 @@ func TestMetricsFlagValidation(t *testing.T) {
 	}
 
 	outPath := filepath.Join(t.TempDir(), "m.csv")
-	out, err := exec.Command(bin, "-run", "avail", "-simtime", "60us", "-warmup", "20us",
+	out, err := exec.Command(bin, "-run", "seeds", "-simtime", "60us", "-warmup", "20us",
 		"-metrics", "-metrics-interval", "20us", "-metrics-out", outPath).CombinedOutput()
 	if err != nil {
 		t.Fatalf("valid -metrics run failed: %v\n%s", err, out)

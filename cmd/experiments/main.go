@@ -24,7 +24,6 @@ import (
 	"memnet/internal/audit"
 	"memnet/internal/cli"
 	"memnet/internal/exp"
-	"memnet/internal/fault"
 	"memnet/internal/metrics"
 	"memnet/internal/viz"
 )
@@ -50,9 +49,6 @@ func run() error {
 	verbose := flag.Bool("v", false, "print a line per fresh simulation run")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0),
 		"parallel simulation workers per experiment (1 = sequential; output is identical either way)")
-	faultsFile := flag.String("faults", "", "JSON fault scenario applied to every cell of the sweep")
-	retrainF := flag.String("retrain", "", "link retraining latency for repair/escalation, e.g. 1us (empty = model default)")
-	crcRetries := flag.Int("crcretries", 0, "consecutive CRC retries per packet before escalation (0 = model default)")
 	auditEvery := flag.Int("audit", audit.DefaultSampleEvery,
 		"invariant auditor sampling stride (1 = check every observation, 0 = disable)")
 	journalPath := flag.String("journal", "",
@@ -96,7 +92,7 @@ func run() error {
 
 	r := exp.NewRunner()
 	r.Ctx = ctx
-	if r.Settings, err = cli.Common(*jobs, *auditEvery, *crcRetries, *retrainF); err != nil {
+	if r.Settings, err = cli.Common(*jobs, *auditEvery); err != nil {
 		return err
 	}
 	if r.SimTime, err = cli.PositiveDuration("simtime", *simtime); err != nil {
@@ -112,11 +108,6 @@ func run() error {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
 	r.Jobs = *jobs
-	if *faultsFile != "" {
-		if r.Faults, err = fault.LoadScenario(*faultsFile); err != nil {
-			return fmt.Errorf("bad -faults: %v", err)
-		}
-	}
 	if *journalPath != "" {
 		journal, loaded, err := exp.OpenJournal(*journalPath, nil)
 		if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -19,32 +20,27 @@ func buildCLI(t *testing.T) string {
 	return bin
 }
 
-// TestRecoveryFlagValidation: malformed recovery flags must be rejected
-// before any cell runs, each naming the offending flag; a valid
-// combination must still generate output (a static table keeps it cheap).
+// TestRecoveryFlagValidation: the fault-injection and recovery flags are
+// gone with the model paths they drove, so each is an undefined flag
+// (exit 2 from the flag package), and the availability sweep is an
+// unknown experiment.
 func TestRecoveryFlagValidation(t *testing.T) {
 	bin := buildCLI(t)
-	for name, args := range map[string][]string{
-		"negative crcretries": {"-run", "tableI", "-crcretries", "-1"},
-		"unparseable retrain": {"-run", "tableI", "-retrain", "bogus"},
-		"zero retrain":        {"-run", "tableI", "-retrain", "0s"},
-		"negative retrain":    {"-run", "tableI", "-retrain", "-1us"},
+	for _, args := range [][]string{
+		{"-faults", "scenario.json"}, {"-retrain", "1us"}, {"-crcretries", "4"},
 	} {
-		out, err := exec.Command(bin, args...).CombinedOutput()
-		if err == nil {
-			t.Errorf("%s: accepted\n%s", name, out)
+		out, err := exec.Command(bin, append([]string{"-run", "tableI"}, args...)...).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%v: err = %v, want exit status 2\n%s", args, err, out)
 			continue
 		}
-		if !strings.Contains(string(out), "bad -") {
-			t.Errorf("%s: error does not name the flag:\n%s", name, out)
+		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
+			t.Errorf("%v: output lacks %q:\n%s", args, want, out)
 		}
 	}
-
-	out, err := exec.Command(bin, "-run", "tableI", "-retrain", "1us", "-crcretries", "4").CombinedOutput()
-	if err != nil {
-		t.Fatalf("valid recovery flags rejected: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "Table I") {
-		t.Fatalf("run with recovery flags produced no table:\n%s", out)
+	out, err := exec.Command(bin, "-run", "avail").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), `unknown experiment "avail"`) {
+		t.Errorf("-run avail: err = %v, want an unknown-experiment failure\n%s", err, out)
 	}
 }

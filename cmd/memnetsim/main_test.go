@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -20,46 +21,35 @@ func buildCLI(t *testing.T) string {
 	return bin
 }
 
-// TestRecoveryFlagValidation: malformed recovery flags must be rejected
-// before any simulation starts, each naming the offending flag; a valid
-// combination must run to completion.
+// TestRecoveryFlagValidation: the fault-injection and recovery flags are
+// gone with the model paths they drove, so each is an undefined flag:
+// exit 2 from the flag package, before any simulation starts.
 func TestRecoveryFlagValidation(t *testing.T) {
 	bin := buildCLI(t)
-	for name, args := range map[string][]string{
-		"negative crcretries": {"-crcretries", "-1"},
-		"unparseable retrain": {"-retrain", "bogus"},
-		"zero retrain":        {"-retrain", "0s"},
-		"negative retrain":    {"-retrain", "-1us"},
+	for _, args := range [][]string{
+		{"-faults", "scenario.json"}, {"-timeout", "2us"}, {"-retries", "2"},
+		{"-retrain", "1us"}, {"-crcretries", "4"}, {"-watchdog"},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
-		if err == nil {
-			t.Errorf("%s: accepted\n%s", name, out)
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%v: err = %v, want exit status 2\n%s", args, err, out)
 			continue
 		}
-		if !strings.Contains(string(out), "bad -") {
-			t.Errorf("%s: error does not name the flag:\n%s", name, out)
+		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
+			t.Errorf("%v: output lacks %q:\n%s", args, want, out)
 		}
-	}
-
-	out, err := exec.Command(bin, "-retrain", "1us", "-crcretries", "4",
-		"-simtime", "5us", "-warmup", "1us").CombinedOutput()
-	if err != nil {
-		t.Fatalf("valid recovery flags rejected: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "power/HMC") {
-		t.Fatalf("run with recovery flags produced no report:\n%s", out)
 	}
 }
 
-// TestTraceShowsFaultedRun: -trace must step the run the report
+// TestTraceShowsMeasuredRun: -trace must step the run the report
 // measures, every run flag included. With a 100 µs warmup and a 100 µs
 // measured interval, epoch 2 of the trace is exactly the measured
-// interval, so its throughput must print the report's figure; under the
-// scenario's link failure that is a fraction of the fault-free rate.
-func TestTraceShowsFaultedRun(t *testing.T) {
+// interval, so its throughput must print the report's figure.
+func TestTraceShowsMeasuredRun(t *testing.T) {
 	bin := buildCLI(t)
-	args := []string{"-wl", "mixB", "-topo", "daisychain", "-simtime", "100us", "-warmup", "100us",
-		"-faults", filepath.Join("testdata", "faults_metrics.json"), "-timeout", "2us"}
+	args := []string{"-wl", "mixB", "-topo", "daisychain", "-mech", "DVFS+ROO", "-wakeup", "20",
+		"-simtime", "100us", "-warmup", "100us"}
 	rep, err := exec.Command(bin, args...).CombinedOutput()
 	if err != nil {
 		t.Fatalf("report run: %v\n%s", err, rep)
@@ -104,7 +94,7 @@ func TestAlphaRangeRejected(t *testing.T) {
 
 // TestConfigRejectsSingleRunFlags: a -config batch takes every run's
 // fields from the file, so a single-run flag next to it would be
-// silently ignored (a -faults scenario never injected); each one is
+// silently ignored (a -wakeup latency never applied); each one is
 // rejected by name instead.
 func TestConfigRejectsSingleRunFlags(t *testing.T) {
 	bin := buildCLI(t)
@@ -112,8 +102,7 @@ func TestConfigRejectsSingleRunFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-wl", "sp.D"}, {"-topo", "daisychain"}, {"-size", "big"}, {"-mech", "VWL"},
 		{"-policy", "none"}, {"-alpha", "0.1"}, {"-simtime", "5us"}, {"-warmup", "1us"},
-		{"-wakeup", "20"}, {"-faults", filepath.Join("testdata", "faults_metrics.json")},
-		{"-timeout", "2us"}, {"-retries", "3"}, {"-watchdog"}, {"-trace"},
+		{"-wakeup", "20"}, {"-trace"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-config", cfg}, args...)...).CombinedOutput()
 		if err == nil {

@@ -195,7 +195,6 @@ var evaluators = map[string]func(*model) (float64, error){
 	"link.serdes":         func(m *model) (float64, error) { return ns(link.SERDESBase), nil },
 	"link.router-hop":     func(m *model) (float64, error) { return ns(link.RouterLatency()), nil },
 	"link.wakeup":         func(m *model) (float64, error) { return ns(link.WakeupDefault), nil },
-	"link.retrain":        func(m *model) (float64, error) { return ns(link.RetrainDefault), nil },
 
 	// Differential ground truth: closed forms of the config under test.
 	"dram.burst":     func(m *model) (float64, error) { return ns(m.dram.BurstTime()), nil },

@@ -118,7 +118,7 @@ func TestWriteMetricsFormatByExtension(t *testing.T) {
 }
 
 func TestDurations(t *testing.T) {
-	if d, err := PositiveDuration("retrain", "1us"); err != nil || d != sim.Microsecond {
+	if d, err := PositiveDuration("simtime", "1us"); err != nil || d != sim.Microsecond {
 		t.Errorf("PositiveDuration(1us) = %v, %v", d, err)
 	}
 	if d, err := NonNegativeDuration("warmup", "0s"); err != nil || d != 0 {
@@ -129,9 +129,9 @@ func TestDurations(t *testing.T) {
 		name, val string
 		want      string
 	}{
-		{PositiveDuration, "retrain", "bogus", "bad -retrain: time: invalid duration"},
-		{PositiveDuration, "retrain", "0s", "bad -retrain: must be positive, got 0s"},
-		{PositiveDuration, "retrain", "-1us", "bad -retrain: must be positive, got -1us"},
+		{PositiveDuration, "metrics-interval", "bogus", "bad -metrics-interval: time: invalid duration"},
+		{PositiveDuration, "metrics-interval", "0s", "bad -metrics-interval: must be positive, got 0s"},
+		{PositiveDuration, "metrics-interval", "-1us", "bad -metrics-interval: must be positive, got -1us"},
 		{PositiveDuration, "simtime", "", "bad -simtime: must be positive"},
 		{NonNegativeDuration, "warmup", "-1us", "bad -warmup: must be non-negative, got -1us"},
 		{NonNegativeDuration, "warmup", "1x", "bad -warmup: time: unknown unit"},
@@ -143,22 +143,20 @@ func TestDurations(t *testing.T) {
 }
 
 func TestCommon(t *testing.T) {
-	if st, err := Common(1, 0, 0, ""); err != nil || st.Retrain != 0 || st.CRCRetries != 0 || st.Audit != -1 {
+	if st, err := Common(1, 0); err != nil || st.Audit != -1 {
 		t.Errorf("defaults: %+v, %v", st, err)
 	}
-	if st, err := Common(2, 64, 4, "2us"); err != nil || st.Retrain != 2*sim.Microsecond || st.CRCRetries != 4 || st.Audit != 64 {
+	if st, err := Common(2, 64); err != nil || st.Audit != 64 {
 		t.Errorf("valid: %+v, %v", st, err)
 	}
 	for _, tc := range []struct {
-		jobs, audit, crc int
-		retrain, want    string
+		jobs, audit int
+		want        string
 	}{
-		{0, 0, 0, "", "bad -jobs"},
-		{1, -1, 0, "", "bad -audit"},
-		{1, 0, -1, "", "bad -crcretries"},
-		{1, 0, 0, "0s", "bad -retrain"},
+		{0, 0, "bad -jobs"},
+		{1, -1, "bad -audit"},
 	} {
-		if _, err := Common(tc.jobs, tc.audit, tc.crc, tc.retrain); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := Common(tc.jobs, tc.audit); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: err = %v, want %q", tc, err, tc.want)
 		}
 	}

@@ -55,12 +55,11 @@ func Jobs(n int) error {
 	return nil
 }
 
-// Common validates the run flags both batch commands take — -jobs,
-// -audit, -crcretries and -retrain — and returns them as run-wide
-// settings, -audit in Settings.Audit's encoding (0 = off, N = stride)
-// and an empty -retrain as 0, the model default.
-func Common(jobs, audit, crcRetries int, retrain string) (st exp.Settings, err error) {
-	st = exp.Settings{Audit: audit, CRCRetries: crcRetries}
+// Common validates the run flags both batch commands take — -jobs and
+// -audit — and returns them as run-wide settings, -audit in
+// Settings.Audit's encoding (0 = off, N = stride).
+func Common(jobs, audit int) (exp.Settings, error) {
+	st := exp.Settings{Audit: audit}
 	if err := Jobs(jobs); err != nil {
 		return st, err
 	}
@@ -70,13 +69,7 @@ func Common(jobs, audit, crcRetries int, retrain string) (st exp.Settings, err e
 	if audit == 0 {
 		st.Audit = -1
 	}
-	if crcRetries < 0 {
-		return st, fmt.Errorf("bad -crcretries: must be non-negative (0 = model default), got %d", crcRetries)
-	}
-	if retrain != "" {
-		st.Retrain, err = PositiveDuration("retrain", retrain)
-	}
-	return st, err
+	return st, nil
 }
 
 // flagNames maps an exp.FieldError's field to its flag where the names

@@ -40,10 +40,7 @@ func (*AwarePolicy) install(m *Manager) {
 				return true
 			}
 			for _, c := range children {
-				// A failed downstream link counts as off: it will never
-				// turn off again, and holding the parent on for it would
-				// pin the whole upstream path at full power forever.
-				if st := net.Modules[c].UpResp.State(); st != link.StateOff && st != link.StateFailed {
+				if net.Modules[c].UpResp.State() != link.StateOff {
 					return true
 				}
 			}
@@ -125,23 +122,16 @@ func (*AwarePolicy) Reconfigure(m *Manager, e *EpochData) []sim.Duration {
 
 	// Request links are always candidates; response links only when a
 	// bandwidth mechanism exists (for ROO-only networks their wakeups are
-	// hidden and they need no slowdown budget). Failed links leave the
-	// slack-distribution domain entirely.
+	// hidden and they need no slowdown budget).
 	src := make([]bool, len(net.Links))
 	for i := 0; i < n; i++ {
-		src[2*i] = (hasBW || hasROO) && !net.Links[2*i].Failed()
-		src[2*i+1] = hasBW && !net.Links[2*i+1].Failed()
+		src[2*i] = hasBW || hasROO
+		src[2*i+1] = hasBW
 	}
 	r := isp(topo, e.FLO, src, pool, &m.Cfg, hasBW && hasROO)
 
 	ams := make([]sim.Duration, len(net.Links))
 	for li, l := range net.Links {
-		if l.Failed() {
-			// Dead links draw no power and serve no reads; exempt them
-			// from violation monitoring instead of flagging a zero budget.
-			ams[li] = unlimitedAMS
-			continue
-		}
 		if hasROO && l.Dir == link.DirResponse {
 			// §VI-B: response-link wakeups are hidden by the cascade, so
 			// their ROO dimension is pinned to the most aggressive

@@ -301,9 +301,7 @@ func (m *Manager) scheduleViolationSweeps() {
 // violationSweep runs one sweep and schedules the next.
 func (m *Manager) violationSweep() {
 	for i, l := range m.Net.Links {
-		// Failed links are out of the management domain: no traffic,
-		// no modes to force, no claim on violation grants.
-		if l.Forced() || l.Failed() {
+		if l.Forced() {
 			continue
 		}
 		ec := l.Mon().Peek()
@@ -327,10 +325,6 @@ func (m *Manager) tryGrant(i int, l *link.Link) bool {
 	if m.pool <= 0 || m.grantUnit <= 0 || m.grants[i] >= m.Cfg.MaxGrants {
 		return false
 	}
-	// A link below a severed cut cannot reach the head module to ask.
-	if m.Net.Unreachable(l.Owner) {
-		return false
-	}
 	if m.pool < m.grantUnit {
 		return false
 	}
@@ -349,12 +343,8 @@ func (m *Manager) tryGrant(i int, l *link.Link) bool {
 func (m *Manager) chargePath(module int) {
 	flits := packet.Control.Flits()
 	for mod := module; mod != packet.ProcessorID; mod = m.Net.Topo.Parent(mod) {
-		if req := m.Net.Modules[mod].UpReq; !req.Failed() {
-			req.ChargeControlFlits(flits)
-		}
-		if resp := m.Net.Modules[mod].UpResp; !resp.Failed() {
-			resp.ChargeControlFlits(flits)
-		}
+		m.Net.Modules[mod].UpReq.ChargeControlFlits(flits)
+		m.Net.Modules[mod].UpResp.ChargeControlFlits(flits)
 	}
 }
 
@@ -367,12 +357,8 @@ func (m *Manager) chargeISP(iterations int) {
 	}
 	flits := packet.Control.Flits() * iterations
 	for _, mod := range m.Net.Modules {
-		if !mod.UpReq.Failed() {
-			mod.UpReq.ChargeControlFlits(flits)
-		}
-		if !mod.UpResp.Failed() {
-			mod.UpResp.ChargeControlFlits(flits)
-		}
+		mod.UpReq.ChargeControlFlits(flits)
+		mod.UpResp.ChargeControlFlits(flits)
 	}
 }
 

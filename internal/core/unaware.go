@@ -41,12 +41,6 @@ func (*UnawarePolicy) Reconfigure(m *Manager, e *EpochData) []sim.Duration {
 			}
 		}
 		for j, li := range []int{2 * i, 2*i + 1} {
-			if m.Net.Links[li].Failed() {
-				// Dead links leave the management domain: no mode to
-				// program, and exempt from violation monitoring.
-				ams[li] = unlimitedAMS
-				continue
-			}
 			mode := e.FLO[li].selectMode(shares[j])
 			applyMode(m.Net.Links[li], mode)
 			ams[li] = shares[j]

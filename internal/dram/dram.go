@@ -239,8 +239,6 @@ type Stats struct {
 	QueueFullRejects uint64
 	BusyTime         sim.Duration // data-bus occupancy across vaults
 	RefreshStalls    uint64
-	// InjectedStalls counts accesses delayed by a fault-injected stall.
-	InjectedStalls uint64
 	// Row-buffer outcomes (OpenPage only).
 	RowHits, RowConflicts uint64
 }
@@ -253,7 +251,6 @@ type HMCDRAM struct {
 	stats  Stats
 
 	outstandingReads int
-	stallUntil       sim.Time
 	doneFree         []*burstDoneAction
 	// OnReadStart, if set, fires when a read access enters service —
 	// the hook the proactive response-link wakeup ([22]) uses.
@@ -301,28 +298,6 @@ func (d *HMCDRAM) auditSweep(now sim.Time, report func(component, rule, detail s
 		report(d.auditName, "stats-monotone", fmt.Sprintf("stats regressed: %+v -> %+v", p, s))
 	}
 	d.auditPrev = s
-}
-
-// Stall blocks every vault from starting new accesses until now+dur, the
-// fault-injection model of a stack-wide maintenance/thermal stall. Queued
-// and newly arriving requests are held, not dropped, and resume in order
-// when the window closes. Overlapping stalls extend to the latest end.
-func (d *HMCDRAM) Stall(dur sim.Duration) {
-	if dur < 0 {
-		dur = 0
-	}
-	if until := d.kernel.Now() + dur; until > d.stallUntil {
-		d.stallUntil = until
-	}
-}
-
-// ClearStall ends any active injected stall window immediately — the
-// repair path's module-recovery hook. Accesses already scheduled past
-// the old window keep their start times; only future arrivals benefit.
-func (d *HMCDRAM) ClearStall() {
-	if now := d.kernel.Now(); d.stallUntil > now {
-		d.stallUntil = now
-	}
 }
 
 // New builds the DRAM stack. It panics on invalid configuration: a config
@@ -523,10 +498,6 @@ func (d *HMCDRAM) serviceNext(v *vault) {
 	}
 
 	start := now
-	if d.stallUntil > start {
-		start = d.stallUntil
-		d.stats.InjectedStalls++
-	}
 	if v.bankFree[bank] > start {
 		start = v.bankFree[bank]
 	}

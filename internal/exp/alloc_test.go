@@ -33,7 +33,7 @@ func runMallocs(t *testing.T, spec Spec) (mallocs, events uint64) {
 // SimTime, so differencing their malloc counts cancels the identical
 // construction/warmup cost and isolates what the extra simulated time
 // allocated. The pooled event and packet free lists (deliver, off-check,
-// DRAM completion, burst, issue, timeout actions; the per-link packet
+// DRAM completion, burst and issue actions; the per-link packet
 // pool) plus the timing wheel's in-place slot reuse make that difference
 // a handful of runtime-background allocations against hundreds of
 // thousands of extra events — 0 allocs/op to three decimal places.

@@ -57,11 +57,9 @@ func TestAuditKeyInsensitive(t *testing.T) {
 }
 
 // TestAuditPropertyAllTopologies is the full-rate property test: random
-// traffic plus the standard fault scenario (RNG-targeted corruption burst
-// and permanent link failure) with timeouts and retries, audited at
-// stride 1, on every topology. A violation anywhere — conservation,
-// buffer bounds, state lattice, latency floors, energy accounting — fails
-// the run.
+// traffic audited at stride 1, on every topology and two seeds. A
+// violation anywhere — conservation, buffer bounds, state lattice,
+// latency floors, energy accounting — fails the run.
 func TestAuditPropertyAllTopologies(t *testing.T) {
 	for _, topo := range topology.Kinds {
 		for salt := uint64(0); salt < 2; salt++ {
@@ -69,9 +67,6 @@ func TestAuditPropertyAllTopologies(t *testing.T) {
 			spec.Topology = topo
 			spec.SeedSalt = salt
 			spec.AuditEvery = 1
-			spec.Faults = sweepScenario()
-			spec.RequestTimeout = 2 * sim.Microsecond
-			spec.MaxRetries = 1
 			if _, err := Run(spec); err != nil {
 				t.Errorf("%v salt %d: %v", topo, salt, err)
 			}
@@ -80,7 +75,7 @@ func TestAuditPropertyAllTopologies(t *testing.T) {
 }
 
 // TestAuditPropertyHealthyFullSweep audits the whole mechanism matrix at
-// full rate on fault-free traffic.
+// full rate.
 func TestAuditPropertyHealthyFullSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy full-rate audit sweep")

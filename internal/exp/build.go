@@ -5,7 +5,6 @@ import (
 
 	"memnet/internal/audit"
 	"memnet/internal/core"
-	"memnet/internal/fault"
 	"memnet/internal/metrics"
 	"memnet/internal/network"
 	"memnet/internal/power"
@@ -26,10 +25,8 @@ type Sim struct {
 	Manager  *core.Manager
 	FrontEnd *workload.FrontEnd
 
-	audit    *audit.Auditor    // nil unless Spec.AuditEvery > 0
-	metrics  *metrics.Registry // nil unless Spec.MetricsInterval > 0
-	faults   *fault.Injector   // nil on fault-free specs
-	watchdog *sim.Watchdog     // nil unless Spec.Watchdog
+	audit   *audit.Auditor    // nil unless Spec.AuditEvery > 0
+	metrics *metrics.Registry // nil unless Spec.MetricsInterval > 0
 }
 
 // BuildNetwork builds spec's topology over the given module count, then
@@ -56,8 +53,6 @@ func buildNetwork(kernel *sim.Kernel, spec Spec, modules int) (*network.Network,
 	netCfg.Wakeup = spec.Wakeup
 	netCfg.ChunkBytes = uint64(spec.Size.ChunkGB()) << 30
 	netCfg.Interleave = spec.Interleave
-	netCfg.Retrain = spec.RetrainLatency
-	netCfg.MaxCRCRetries = spec.CRCRetryLimit
 	netCfg.DRAM = *spec.DRAM
 	pm := power.DefaultModel()
 	pm.PeakWatts = spec.PeakWatts
@@ -70,11 +65,10 @@ func buildNetwork(kernel *sim.Kernel, spec Spec, modules int) (*network.Network,
 }
 
 // Build wires spec's simulation: kernel, topology, network, power
-// manager, auditor, metrics registry, front end (seeded by Spec.seed),
-// fault injector and watchdog, in that order, then starts the watchdog
-// and the traffic. The order fixes event sequence numbers, so every run
-// of a spec — measured, traced or rendered — is the same run. A spec
-// that fails Validate builds nothing.
+// manager, auditor, metrics registry and front end (seeded by Spec.seed),
+// in that order, then starts the traffic. The order fixes event sequence
+// numbers, so every run of a spec — measured, traced or rendered — is the
+// same run. A spec that fails Validate builds nothing.
 func Build(spec Spec) (*Sim, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -108,26 +102,22 @@ func Build(spec Spec) (*Sim, error) {
 		mgr.AttachMetrics(s.metrics)
 	}
 
-	fcfg := workload.DefaultFrontEndConfig(spec.seed())
-	fcfg.Timeout = spec.RequestTimeout
-	fcfg.MaxRetries = spec.MaxRetries
-	fe, err := workload.NewFrontEnd(kernel, net, spec.Workload, fcfg)
+	fe, err := workload.NewFrontEnd(kernel, net, spec.Workload, workload.DefaultFrontEndConfig(spec.seed()))
 	if err != nil {
 		return nil, err
 	}
 	s.FrontEnd = fe
 	fe.AttachMetrics(s.metrics)
 	if s.audit != nil {
-		// Flit/request conservation across the front-end boundary: every
-		// injected read is either an original issue or a timeout retry, and
-		// writes map one-to-one. Holds mid-event because both sides update
-		// their counters before anything samplable runs.
+		// Request conservation across the front-end boundary: reads and
+		// writes map one-to-one onto injections. Holds mid-event because
+		// both sides update their counters before anything samplable runs.
 		s.audit.RegisterSweep(func(now sim.Time, report func(component, rule, detail string)) {
 			injR, injW := net.Injected()
 			issR, issW := fe.Issued()
-			if retries := fe.FaultStats().Retries; injR != issR+retries {
+			if injR != issR {
 				report("frontend", "read-conservation", fmt.Sprintf(
-					"injected reads %d != issued %d + retries %d", injR, issR, retries))
+					"injected reads %d != issued %d", injR, issR))
 			}
 			if injW != issW {
 				report("frontend", "write-conservation", fmt.Sprintf(
@@ -140,42 +130,14 @@ func Build(spec Spec) (*Sim, error) {
 		})
 	}
 
-	if len(spec.Faults.Events) > 0 {
-		if s.faults, err = fault.Attach(net, spec.Faults); err != nil {
-			return nil, err
-		}
-	}
-	if spec.Watchdog {
-		s.watchdog = sim.NewWatchdog(kernel, sim.DefaultWatchdogConfig(),
-			fe.Outstanding, fe.Progress, net.DumpState)
-		s.watchdog.Start()
-	}
 	fe.Start()
 	return s, nil
 }
 
-// stalled disarms the watchdog at the end of a run and reports a stall
-// it detected, or nil (always nil when the spec has no watchdog).
-func (s *Sim) stalled() error {
-	if s.watchdog == nil {
-		return nil
-	}
-	s.watchdog.CheckDrained()
-	s.watchdog.Stop()
-	if s.watchdog.Stalled() {
-		return fmt.Errorf("exp: %s run stalled:\n%s", s.Spec.Key(), s.watchdog.Report())
-	}
-	return nil
-}
-
-// Finish ends a stepped run: it reports a watchdog stall, then runs the
-// auditor's final full sweep and reports any invariant violation seen
-// over the whole run. RunBudgeted does the same with its interval
-// energy checks added.
+// Finish ends a stepped run: it runs the auditor's final full sweep and
+// reports any invariant violation seen over the whole run. RunBudgeted
+// does the same with its interval energy checks added.
 func (s *Sim) Finish() error {
-	if err := s.stalled(); err != nil {
-		return err
-	}
 	if s.audit == nil {
 		return nil
 	}

@@ -27,6 +27,29 @@ type journalEntry struct {
 	Result Result `json:"result"`
 }
 
+// retiredSpec reads the settings of the retired fault layer that lines
+// written before its removal may carry. Spec no longer has these fields,
+// so such a line keys as the fault-free cell with the same axes: restoring
+// it would pass a faulted (or watchdog-ticked) result off as a healthy one.
+type retiredSpec struct {
+	Result struct {
+		Spec struct {
+			Faults         struct{ Events []json.RawMessage }
+			RequestTimeout int64
+			MaxRetries     int
+			Watchdog       bool
+		}
+	} `json:"result"`
+}
+
+// retired reports whether line ran under a retired setting.
+func retired(line []byte) bool {
+	var r retiredSpec
+	s := &r.Result.Spec
+	return json.Unmarshal(line, &r) == nil &&
+		(len(s.Faults.Events) > 0 || s.RequestTimeout != 0 || s.MaxRetries != 0 || s.Watchdog)
+}
+
 // Journal appends completed sweep cells to a JSON-lines file.
 type Journal struct {
 	log *durable.Log
@@ -34,9 +57,11 @@ type Journal struct {
 
 // OpenJournal opens (creating if needed) the journal at path on fsys
 // (nil = the real filesystem) and returns it together with every result
-// recoverable from previous runs, keyed by their Spec.Key(). A trailing
-// partial or corrupt line — the signature of a crash mid-append — is
-// truncated away so the file stays valid for appending.
+// recoverable from previous runs, keyed by their Spec.Key(). A line that
+// ran under a retired setting stays in the file but is not restored, so
+// its cell simulates afresh. A trailing partial or corrupt line — the
+// signature of a crash mid-append — is truncated away so the file stays
+// valid for appending.
 func OpenJournal(path string, fsys durable.FS) (*Journal, map[string]Result, error) {
 	loaded := map[string]Result{}
 	log, err := durable.Open(path, fsys, func(line []byte) bool {
@@ -44,7 +69,9 @@ func OpenJournal(path string, fsys durable.FS) (*Journal, map[string]Result, err
 		if json.Unmarshal(line, &e) != nil || e.Result.Spec.Workload == nil {
 			return false
 		}
-		loaded[e.Result.Spec.Key()] = e.Result
+		if !retired(line) {
+			loaded[e.Result.Spec.Key()] = e.Result
+		}
 		return true
 	})
 	if err != nil {

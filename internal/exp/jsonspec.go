@@ -143,9 +143,7 @@ func (s Spec) validate() error {
 		v     int64
 	}{
 		{"wakeup_ns", int64(s.Wakeup)}, {"simtime", int64(s.SimTime)}, {"warmup", int64(s.Warmup)},
-		{"timeout", int64(s.RequestTimeout)}, {"retrain", int64(s.RetrainLatency)},
-		{"metrics_interval", int64(s.MetricsInterval)}, {"retries", int64(s.MaxRetries)},
-		{"crcretries", int64(s.CRCRetryLimit)},
+		{"metrics_interval", int64(s.MetricsInterval)},
 	} {
 		if f.v < 0 {
 			return &FieldError{f.field, errors.New("must be non-negative")}

@@ -87,7 +87,7 @@ func TestMetricsObservational(t *testing.T) {
 	}
 }
 
-// TestMetricsResidencyPartition: per tick, the five link power-state
+// TestMetricsResidencyPartition: per tick, the three link power-state
 // residency counters partition time exactly — their sum is (number of
 // links) x interval, every tick. This is the cross-component invariant
 // that makes the residency series trustworthy for power attribution.
@@ -104,8 +104,8 @@ func TestMetricsResidencyPartition(t *testing.T) {
 			resid = append(resid, s)
 		}
 	}
-	if len(resid) != 5 {
-		t.Fatalf("found %d residency series, want 5", len(resid))
+	if len(resid) != 3 {
+		t.Fatalf("found %d residency series, want 3", len(resid))
 	}
 	for j := 0; j < res.Metrics.Ticks; j++ {
 		sum := 0.0

@@ -34,7 +34,6 @@ var Registry = []Experiment{
 	{"alphasweep", "Extension: diminishing returns of raising alpha (§V-C)", true, AlphaSweep},
 	{"scaling", "Extension: per-HMC cost of growing each topology", true, ScalingStudy},
 	{"seeds", "Extension: robustness of the headline cell across seeds", true, SeedStudy},
-	{"avail", "Extension: availability/MTTR under a kill -> repair cycle", false, Avail},
 	{"summary", "Headline paper-vs-measured comparison", true, Summary},
 }
 

@@ -13,7 +13,6 @@ import (
 	"memnet/internal/audit"
 	"memnet/internal/core"
 	"memnet/internal/dram"
-	"memnet/internal/fault"
 	"memnet/internal/link"
 	"memnet/internal/metrics"
 	"memnet/internal/network"
@@ -101,23 +100,6 @@ type Spec struct {
 	// SeedSalt perturbs the workload seed (0 for the paper runs; used by
 	// robustness tests).
 	SeedSalt uint64
-	// Faults schedules fault injection (empty = fault-free run).
-	Faults fault.Scenario
-	// RequestTimeout arms the front end's outstanding-request table with
-	// this per-request deadline; MaxRetries bounds timeout re-issues.
-	// Zero leaves the legacy wait-forever behavior untouched.
-	RequestTimeout sim.Duration
-	MaxRetries     int
-	// RetrainLatency overrides every link's lane-training latency for the
-	// repair/escalation path (0 = link.RetrainDefault); CRCRetryLimit
-	// bounds consecutive CRC retries per packet before a link escalates
-	// (0 = link.DefaultMaxCRCRetries).
-	RetrainLatency sim.Duration
-	CRCRetryLimit  int
-	// Watchdog arms the no-progress detector; a detected stall fails the
-	// run with the diagnostic dump instead of hanging or silently
-	// finishing short.
-	Watchdog bool
 	// AuditEvery arms the runtime invariant auditor with this sampling
 	// stride (1 = check every observation, the full-rate property-test
 	// mode). Zero and negative leave the run unaudited; Settings.Apply
@@ -151,11 +133,10 @@ type Spec struct {
 // study's truncated is.D) must not collide with the original.
 func (s Spec) Key() string {
 	s = s.resolved()
-	return fmt.Sprintf("%s/%dGB|%s|%s|%s|%s|%g|%d|%d|%d|%v|%v|%d|f=%s|t=%d|r=%d|w=%v|rt=%d|crc=%d|m=%d|dram=%s|pw=%g",
+	return fmt.Sprintf("%s/%dGB|%s|%s|%s|%s|%g|%d|%d|%d|%v|%v|%d|m=%d|dram=%s|pw=%g",
 		s.Workload.Name, s.Workload.FootprintGB, s.Topology, s.Size, s.Mech, s.Policy, s.Alpha,
 		s.Wakeup, s.SimTime, s.Warmup, s.Interleave, s.CollectLinkHours, s.SeedSalt,
-		s.Faults.Key(), s.RequestTimeout, s.MaxRetries, s.Watchdog,
-		s.RetrainLatency, s.CRCRetryLimit, s.MetricsInterval, s.DRAM.Fingerprint(), s.PeakWatts)
+		s.MetricsInterval, s.DRAM.Fingerprint(), s.PeakWatts)
 }
 
 // resolved fills every field whose zero value stands for a default the
@@ -168,12 +149,6 @@ func (s Spec) resolved() Spec {
 	}
 	if s.Wakeup == 0 {
 		s.Wakeup = link.WakeupDefault
-	}
-	if s.RetrainLatency == 0 {
-		s.RetrainLatency = link.RetrainDefault
-	}
-	if s.CRCRetryLimit == 0 {
-		s.CRCRetryLimit = link.DefaultMaxCRCRetries
 	}
 	if s.DRAM == nil {
 		cfg := dram.DefaultConfig()
@@ -228,16 +203,6 @@ type Result struct {
 	Granted       uint64
 	Events        uint64
 	Slots         int
-	// Fault-run measurements (zero values on healthy runs).
-	Faults         network.FaultStats
-	FrontEndFaults workload.FrontEndFaultStats
-	FaultsInjected fault.Counts
-	// Availability summarizes per-module up/down accounting over the whole
-	// run (Availability == 1 with no outages on healthy runs).
-	Availability stats.AvailabilityReport
-	// TimedOutIDs lists every read attempt that hit its deadline, in
-	// expiry order (the determinism fixture for fault runs).
-	TimedOutIDs []uint64
 	// Metrics is the frozen time-series of a metrics-armed run (nil when
 	// Spec.MetricsInterval is zero). It covers the measured interval:
 	// sampling starts at the warmup boundary.
@@ -367,9 +332,6 @@ func runBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) 
 		return Result{}, fmt.Errorf("exp: %s: aborted after %d events: %w", spec.Key(), kernel.Processed(), err)
 	}
 	snap1 := net.TakeSnapshot()
-	if err := s.stalled(); err != nil {
-		return Result{}, err
-	}
 
 	nModules := net.Topo.N()
 	res := Result{
@@ -390,14 +352,7 @@ func runBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) 
 	}
 	res.PerHMC = res.Power.Scale(1 / float64(nModules))
 	res.Violations, res.Granted = s.Manager.Violations()
-	res.Faults = net.FaultStats()
-	res.FrontEndFaults = s.FrontEnd.FaultStats()
-	res.Availability = net.AvailabilityReport()
-	res.TimedOutIDs = append([]uint64(nil), s.FrontEnd.TimedOutIDs()...)
 	res.Metrics = reg.Dump() // nil when metrics are disabled
-	if s.faults != nil {
-		res.FaultsInjected = s.faults.Counts()
-	}
 	if aud != nil {
 		// End-of-run audit: a final full sweep over every registered
 		// component, then the interval-level energy checks. These read the
@@ -426,15 +381,6 @@ func runBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) 
 // so every entry path fills a spec the same way.
 type Settings struct {
 	SimTime, Warmup sim.Duration
-	// Watchdog arms the no-progress detector, so a hung sweep fails fast
-	// with a diagnostic instead of spinning until an external timeout.
-	Watchdog bool
-	// Faults, when non-empty, re-runs the whole sweep under injection.
-	Faults fault.Scenario
-	// Retrain and CRCRetries are the recovery knobs (lane-training
-	// latency, CRC retry cap).
-	Retrain    sim.Duration
-	CRCRetries int
 	// Audit is the auditor's stride in Spec.AuditEvery's encoding: 0
 	// leaves the spec alone (unaudited under Run), negative is off,
 	// positive the stride. NewRunner sets audit.DefaultSampleEvery.
@@ -453,16 +399,6 @@ func (st Settings) Apply(spec Spec) Spec {
 	}
 	if spec.Warmup == 0 {
 		spec.Warmup = st.Warmup
-	}
-	spec.Watchdog = spec.Watchdog || st.Watchdog
-	if len(spec.Faults.Events) == 0 && len(st.Faults.Events) > 0 {
-		spec.Faults = st.Faults
-	}
-	if spec.RetrainLatency == 0 {
-		spec.RetrainLatency = st.Retrain
-	}
-	if spec.CRCRetryLimit == 0 {
-		spec.CRCRetryLimit = st.CRCRetries
 	}
 	if spec.AuditEvery == 0 {
 		spec.AuditEvery = st.Audit

@@ -175,7 +175,7 @@ func TestRegistryCoversEveryEvaluationArtifact(t *testing.T) {
 	// (excluding schematics 7, 10, 14), §VII-A, plus the summary.
 	want := []string{"tableI", "tableII", "tableIII", "fig4", "fig5", "fig6",
 		"fig8", "fig9", "fig11", "fig12", "fig13", "fig15", "fig16", "fig17",
-		"fig18", "static", "alphasweep", "scaling", "seeds", "avail", "summary"}
+		"fig18", "static", "alphasweep", "scaling", "seeds", "summary"}
 	for _, name := range want {
 		if _, ok := Lookup(name); !ok {
 			t.Errorf("experiment %q missing", name)

@@ -7,7 +7,6 @@ import (
 
 	"memnet/internal/core"
 	"memnet/internal/dram"
-	"memnet/internal/fault"
 	"memnet/internal/link"
 	"memnet/internal/sim"
 	"memnet/internal/workload"
@@ -17,12 +16,6 @@ import (
 // each with its reason. Every other field must change the key.
 var keyObservational = map[string]string{
 	"AuditEvery": "the auditor only reads state, so audited and unaudited runs are one run and share cache and journal entries",
-}
-
-// keyPartners sets, on both sides of a perturbation, the field another
-// field is inert without.
-var keyPartners = map[string]func(*Spec){
-	"MaxRetries": func(s *Spec) { s.RequestTimeout = 2 * sim.Microsecond },
 }
 
 // TestKeyCoversEveryField walks Spec's fields and perturbs each one: it
@@ -35,9 +28,6 @@ func TestKeyCoversEveryField(t *testing.T) {
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		base := tinySpec(core.PolicyAware, MechVWLROO)
-		if partner := keyPartners[f.Name]; partner != nil {
-			partner(&base)
-		}
 		moved := base
 		if !perturb(reflect.ValueOf(&moved).Elem().Field(i)) {
 			t.Errorf("Spec.%s: no perturbation for type %s; teach perturb it", f.Name, f.Type)
@@ -78,12 +68,10 @@ func journalRoundTrip(t testing.TB, s Spec) Spec {
 func TestKeyOneSpellingOneKey(t *testing.T) {
 	defDRAM := dram.DefaultConfig()
 	for name, set := range map[string]func(*Spec){
-		"SimTime":        func(s *Spec) { s.SimTime = DefaultSimTime },
-		"Wakeup":         func(s *Spec) { s.Wakeup = link.WakeupDefault },
-		"RetrainLatency": func(s *Spec) { s.RetrainLatency = link.RetrainDefault },
-		"CRCRetryLimit":  func(s *Spec) { s.CRCRetryLimit = link.DefaultMaxCRCRetries },
-		"DRAM":           func(s *Spec) { s.DRAM = &defDRAM },
-		"PeakWatts":      func(s *Spec) { s.PeakWatts = 13.4 },
+		"SimTime":   func(s *Spec) { s.SimTime = DefaultSimTime },
+		"Wakeup":    func(s *Spec) { s.Wakeup = link.WakeupDefault },
+		"DRAM":      func(s *Spec) { s.DRAM = &defDRAM },
+		"PeakWatts": func(s *Spec) { s.PeakWatts = 13.4 },
 	} {
 		zero := tinySpec(core.PolicyAware, MechVWLROO)
 		zero.SimTime = 0
@@ -110,8 +98,6 @@ func perturb(v reflect.Value) bool {
 		*x = &p
 	case *Mech:
 		x.ROO = !x.ROO
-	case *fault.Scenario:
-		*x = sweepScenario()
 	case **dram.Config:
 		c := dram.DefaultConfig() // nil and the default are one run
 		c.TCL *= 2
@@ -138,22 +124,16 @@ func perturb(v reflect.Value) bool {
 // change nothing.
 func TestSettingsApplyFillsOnlyUnsetFields(t *testing.T) {
 	st := Settings{
-		SimTime: 7 * sim.Microsecond, Warmup: 3 * sim.Microsecond, Watchdog: true,
-		Faults: sweepScenario(), Retrain: sim.Microsecond, CRCRetries: 4, Audit: 64,
+		SimTime: 7 * sim.Microsecond, Warmup: 3 * sim.Microsecond, Audit: 64,
 		Metrics: 10 * sim.Microsecond,
 	}
 	want := Spec{
-		SimTime: st.SimTime, Warmup: st.Warmup, Watchdog: true, Faults: st.Faults,
-		RetrainLatency: st.Retrain, CRCRetryLimit: 4, AuditEvery: 64, MetricsInterval: st.Metrics,
+		SimTime: st.SimTime, Warmup: st.Warmup, AuditEvery: 64, MetricsInterval: st.Metrics,
 	}
 	if got := st.Apply(Spec{}); !reflect.DeepEqual(got, want) {
 		t.Errorf("unset spec: got %+v, want %+v", got, want)
 	}
-	set := Spec{
-		SimTime: 1, Warmup: 1, Watchdog: true,
-		Faults:         fault.Scenario{Seed: 1, Events: []fault.Event{{Kind: fault.LinkFail}}},
-		RetrainLatency: 1, CRCRetryLimit: 1, AuditEvery: -1, MetricsInterval: 1,
-	}
+	set := Spec{SimTime: 1, Warmup: 1, AuditEvery: -1, MetricsInterval: 1}
 	if got := st.Apply(set); !reflect.DeepEqual(got, set) {
 		t.Errorf("set spec changed: got %+v, want %+v", got, set)
 	}

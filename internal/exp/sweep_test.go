@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"memnet/internal/core"
-	"memnet/internal/fault"
 	"memnet/internal/sim"
 	"memnet/internal/topology"
 	"memnet/internal/workload"
@@ -56,50 +55,13 @@ func TestGenerateByteIdenticalAcrossJobs(t *testing.T) {
 	}
 }
 
-// sweepScenario exercises every nondeterminism-prone fault path: RNG
-// target selection (Link/Module = -1), a CRC corruption burst, and a
-// permanent link failure.
-func sweepScenario() fault.Scenario {
-	return fault.Scenario{
-		Seed: 7,
-		Events: []fault.Event{
-			{At: fault.Duration(15 * sim.Microsecond), Kind: fault.CorruptBurst,
-				Link: -1, BER: 1e-4, Duration: fault.Duration(5 * sim.Microsecond)},
-			{At: fault.Duration(25 * sim.Microsecond), Kind: fault.LinkFail, Link: -1},
-		},
-	}
-}
-
-// TestGenerateByteIdenticalAcrossJobsWithFaults re-runs the figure-output
-// determinism check with a fault scenario attached to every cell — the
-// guard that PR 1's seeded-fault reproducibility survives the pool.
-func TestGenerateByteIdenticalAcrossJobsWithFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy generator sweep")
-	}
-	make := func(jobs int) *Runner {
-		r := tinyRunner()
-		r.Jobs = jobs
-		r.Faults = sweepScenario()
-		return r
-	}
-	a, b := renderFigures(make(1)), renderFigures(make(8))
-	if a != b {
-		t.Fatalf("faulted figure output differs between -jobs 1 and -jobs 8:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s", a, b)
-	}
-}
-
-// TestRunSpecsFaultDeterminism compares full Result structs — including
-// the timeout-expiry-order fixture TimedOutIDs and injected-fault counts —
-// between sequential and parallel execution of a faulted, timed-out batch.
-func TestRunSpecsFaultDeterminism(t *testing.T) {
+// TestRunSpecsDeterminism compares full Result structs between
+// sequential and parallel execution of a batch.
+func TestRunSpecsDeterminism(t *testing.T) {
 	var specs []Spec
 	for salt := uint64(0); salt < 4; salt++ {
 		spec := tinySpec(core.PolicyAware, MechVWLROO)
 		spec.SeedSalt = salt
-		spec.Faults = sweepScenario()
-		spec.RequestTimeout = 2 * sim.Microsecond
-		spec.MaxRetries = 1
 		specs = append(specs, spec)
 	}
 	seq, errs := RunSpecs(context.Background(), specs, 1, nil, nil)

@@ -38,8 +38,12 @@ const (
 	StateOff
 	// StateWaking: the link is resynchronizing after an off period.
 	StateWaking
-	// StateFailed: the link has failed (fault injection or CRC escalation).
-	// It draws no power and accepts no traffic until repaired.
+	// StateFailed: the link has failed (Fail or CRC escalation). It draws
+	// no power and accepts no traffic until repaired. The link-level
+	// failure model (this state, StateRetraining, BER/CRC retry and its
+	// escalation ladder, Fail/Repair and wake faults) is exercised by this
+	// package's tests only: the network wires none of it, so no run
+	// reaches these states.
 	StateFailed
 	// StateRetraining: the link is re-running lane training after a repair
 	// or a CRC escalation. The PHY drives training sequences on every lane
@@ -128,15 +132,13 @@ type Link struct {
 	// let the upstream response link re-evaluate its own turn-off.
 	OnTurnOff func()
 	// OnDrop receives every packet the link refuses or loses because it
-	// has failed. Wired by the network layer for drop accounting.
+	// has failed.
 	OnDrop func(*packet.Packet)
 	// OnRetrained fires when retraining completes and the link is back on.
-	// The network layer uses it to clear unreachable marks after a repair.
 	OnRetrained func()
 	// OnHardFail fires when the CRC escalation ladder exhausts its options
-	// and the link must be taken down. When wired (by the network layer,
-	// which strands and error-completes the buffered requests) it replaces
-	// the link's own Fail-and-drop fallback.
+	// and the link must be taken down. When set it replaces the link's
+	// own Fail-and-drop fallback.
 	OnHardFail func()
 
 	// Power-control state.
@@ -184,7 +186,7 @@ type Link struct {
 	deliverFree []*deliverAction
 	offFree     []*offCheckAction
 
-	// Fault-injection state.
+	// Wake-fault state.
 	wakeExtra  sim.Duration // extra latency added to the next wakeup
 	wakeDrop   bool         // the next wakeup fails once and is re-attempted
 	wakeFaults uint64
@@ -411,10 +413,10 @@ func (l *Link) WakeFaults() uint64 { return l.wakeFaults }
 // Failed reports whether the link is down awaiting repair.
 func (l *Link) Failed() bool { return l.state == StateFailed }
 
-// SetBER reprograms the link's bit error rate at runtime (fault
-// injection: transient corruption bursts driving the CRC retry path).
-// Setting it back to zero ends the burst. The error RNG is seeded from
-// the link ID, so bursts are deterministic for a given scenario.
+// SetBER reprograms the link's bit error rate at runtime (a transient
+// corruption burst driving the CRC retry path). Setting it back to zero
+// ends the burst. The error RNG is seeded from the link ID, so bursts
+// are deterministic.
 func (l *Link) SetBER(ber float64) {
 	l.cfg.BER = ber
 	if ber > 0 {
@@ -805,8 +807,6 @@ func (l *Link) escalate(now sim.Time) {
 	default:
 		l.esc.HardFails++
 		if l.OnHardFail != nil {
-			// The network layer fails the link and error-completes the
-			// stranded requests.
 			l.OnHardFail()
 			return
 		}

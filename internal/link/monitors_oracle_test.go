@@ -168,7 +168,7 @@ func TestMonitorsMatchOracle(t *testing.T) {
 			case 1:
 				stream = []packet.Kind{packet.ReadReq, packet.WriteReq}
 			case 2:
-				stream = []packet.Kind{packet.ReadResp, packet.Control, packet.ReadErr, packet.WriteErr}
+				stream = []packet.Kind{packet.ReadResp, packet.Control}
 			}
 			var now sim.Time
 			p := &packet.Packet{}

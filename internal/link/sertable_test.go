@@ -7,8 +7,7 @@ import (
 	"memnet/internal/sim"
 )
 
-var allKinds = []packet.Kind{packet.ReadReq, packet.WriteReq, packet.ReadResp,
-	packet.Control, packet.ReadErr, packet.WriteErr}
+var allKinds = []packet.Kind{packet.ReadReq, packet.WriteReq, packet.ReadResp, packet.Control}
 
 // serializeWant is the occupancy of a packet of the given kind in mode m,
 // straight from the bandwidth factor.

@@ -108,8 +108,7 @@ func formatFloat(v float64) string {
 }
 
 // csvQuote wraps a field in quotes when it contains CSV metacharacters
-// (spec keys contain no commas today, but fault-scenario keys embed
-// JSON).
+// (spec keys contain none today, but a key is free text to this package).
 func csvQuote(s string) string {
 	if !strings.ContainsAny(s, ",\"\n") {
 		return s

@@ -66,12 +66,12 @@ func TestWriteCSV(t *testing.T) {
 func TestCSVQuoting(t *testing.T) {
 	d := &Dump{Interval: 1, Series: []SeriesDump{{Name: "c", Kind: "counter", Samples: []float64{1}}}}
 	var buf bytes.Buffer
-	key := `mix|f={"seed":1,"x":"a,b"}`
+	key := `mix|name="a,b"`
 	if err := WriteCSV(&buf, []Entry{{Key: key, Dump: d}}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"mix|f={""seed"":1,""x"":""a,b""}"`) {
-		t.Errorf("fault-scenario key not CSV-quoted:\n%s", buf.String())
+	if !strings.Contains(buf.String(), `"mix|name=""a,b"""`) {
+		t.Errorf("key with CSV metacharacters not quoted:\n%s", buf.String())
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 )
 
 // driveAudited builds an audited managed network on kind, drives random
-// traffic (optionally failing a random link mid-run), drains it, and
-// returns the auditor and network for the caller's assertions.
-func driveAudited(t *testing.T, kind topology.Kind, seed uint64, failLink bool) (*audit.Auditor, *network.Network) {
+// traffic, drains it, and returns the auditor and network for the
+// caller's assertions.
+func driveAudited(t *testing.T, kind topology.Kind, seed uint64) (*audit.Auditor, *network.Network) {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	n := 2 + rng.Intn(10)
@@ -48,13 +48,6 @@ func driveAudited(t *testing.T, kind topology.Kind, seed uint64, failLink bool) 
 	for i := 0; i < 4; i++ {
 		inject()
 	}
-	if failLink {
-		k.Schedule(horizon/2, func() {
-			if err := net.FailLink(rng.Intn(len(net.Links))); err != nil {
-				t.Errorf("FailLink: %v", err)
-			}
-		})
-	}
 	k.Run(horizon)
 	k.Run(horizon + 100*sim.Microsecond) // drain with no new injections
 	a.RunSweeps()
@@ -66,28 +59,12 @@ func driveAudited(t *testing.T, kind topology.Kind, seed uint64, failLink bool) 
 // fully quiesced network after the drain.
 func TestAuditCleanOnAllTopologies(t *testing.T) {
 	for i, kind := range topology.Kinds {
-		a, net := driveAudited(t, kind, uint64(2000+i), false)
+		a, net := driveAudited(t, kind, uint64(2000+i))
 		if a.Count() != 0 {
 			t.Errorf("%v: %d violations: %v", kind, a.Count(), a.Violations())
 		}
 		if a.Observations() == 0 {
 			t.Errorf("%v: auditor observed nothing — hooks not wired", kind)
-		}
-		if err := net.CheckQuiesced(); err != nil {
-			t.Errorf("%v: %v", kind, err)
-		}
-	}
-}
-
-// TestAuditCleanUnderLinkFailure repeats the property with a random link
-// killed mid-run: graceful degradation (error responses, accounted
-// losses) must still satisfy every audited invariant, and the quiesce
-// check must hold because losses are terminal outcomes.
-func TestAuditCleanUnderLinkFailure(t *testing.T) {
-	for i, kind := range topology.Kinds {
-		a, net := driveAudited(t, kind, uint64(3000+i), true)
-		if a.Count() != 0 {
-			t.Errorf("%v: %d violations under link failure: %v", kind, a.Count(), a.Violations())
 		}
 		if err := net.CheckQuiesced(); err != nil {
 			t.Errorf("%v: %v", kind, err)

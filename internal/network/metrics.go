@@ -21,10 +21,12 @@ func (n *Network) AttachMetrics(reg *metrics.Registry) {
 		return
 	}
 	// Per-power-state link residency, summed over all links, as
-	// picoseconds of residency gained per sampling interval.
-	for s := 0; s < link.NumStates; s++ {
+	// picoseconds of residency gained per sampling interval. The network
+	// wires none of the link's failure states, so on, off and waking
+	// partition every interval.
+	for s := link.StateOn; s <= link.StateWaking; s++ {
 		s := s
-		reg.Counter("link.residency."+link.State(s).String()+"_ps", func() float64 {
+		reg.Counter("link.residency."+s.String()+"_ps", func() float64 {
 			total := 0.0
 			for _, l := range n.Links {
 				total += float64(l.StateTimes(n.Kernel.Now())[s])
@@ -32,13 +34,6 @@ func (n *Network) AttachMetrics(reg *metrics.Registry) {
 			return total
 		})
 	}
-	reg.Counter("link.crc_retries", func() float64 {
-		var total uint64
-		for _, l := range n.Links {
-			total += l.Retries()
-		}
-		return float64(total)
-	})
 	reg.Gauge("link.buffer_occupancy", func() float64 {
 		total := 0
 		for _, l := range n.Links {

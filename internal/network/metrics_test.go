@@ -40,8 +40,8 @@ func TestAttachMetricsSeries(t *testing.T) {
 	links := float64(len(net.Links))
 	for j := 0; j < d.Ticks; j++ {
 		sum := 0.0
-		for s := 0; s < link.NumStates; s++ {
-			name := "link.residency." + link.State(s).String() + "_ps"
+		for s := link.StateOn; s <= link.StateWaking; s++ {
+			name := "link.residency." + s.String() + "_ps"
 			sd, ok := series[name]
 			if !ok {
 				t.Fatalf("missing series %s", name)

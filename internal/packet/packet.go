@@ -33,13 +33,6 @@ const (
 	// leftover-AMS requests). Modelled as a single 64 B packet = 5 flits
 	// when charged to links.
 	Control
-	// ReadErr is an error response travelling upstream: the network could
-	// not deliver the read (severed link, unroutable destination) and
-	// completes it with an error instead of data. Header-only, one flit.
-	ReadErr
-	// WriteErr is the posted-write analogue of ReadErr, so the processor
-	// can release the write credit of a write the network had to drop.
-	WriteErr
 )
 
 // String implements fmt.Stringer.
@@ -53,25 +46,19 @@ func (k Kind) String() string {
 		return "ReadResp"
 	case Control:
 		return "Control"
-	case ReadErr:
-		return "ReadErr"
-	case WriteErr:
-		return "WriteErr"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
 }
 
-// kindFlits is the flit count per kind: read requests and the
-// header-only error responses are one flit; write requests, read
-// responses and management packets carry a 64 B line behind the header.
+// kindFlits is the flit count per kind: read requests are one flit;
+// write requests, read responses and management packets carry a 64 B
+// line behind the header.
 var kindFlits = [...]int{
 	ReadReq:  1,
 	WriteReq: 1 + LineBytes/FlitBytes,
 	ReadResp: 1 + LineBytes/FlitBytes,
 	Control:  1 + LineBytes/FlitBytes,
-	ReadErr:  1,
-	WriteErr: 1,
 }
 
 // Flits returns the number of flits a packet of this kind occupies.
@@ -88,12 +75,8 @@ func (k Kind) Flits() int {
 func (k Kind) IsRead() bool { return k == ReadReq || k == ReadResp }
 
 // Downstream reports whether packets of this kind travel on request links
-// (away from the processor) rather than response links. Error responses
-// travel upstream like data responses.
+// (away from the processor) rather than response links.
 func (k Kind) Downstream() bool { return k == ReadReq || k == WriteReq }
-
-// IsError reports whether the packet is a degradation-path error response.
-func (k Kind) IsError() bool { return k == ReadErr || k == WriteErr }
 
 // ProcessorID is the module ID used for the processor endpoint.
 const ProcessorID = -1
@@ -115,10 +98,6 @@ type Packet struct {
 	HopArrive sim.Time
 	// Hops counts link traversals so far (for Fig. 6).
 	Hops int
-	// Req is the originating request's packet ID, set on response and
-	// error packets so the processor's outstanding-request table can match
-	// completions (and discard late ones) after a timeout-driven retry.
-	Req uint64
 	// Core identifies the issuing core for closed-loop accounting; -1
 	// for traffic with no core attribution.
 	Core int

@@ -5,15 +5,12 @@ import "testing"
 func TestFlitCounts(t *testing.T) {
 	// §II: a read request is a single 16 B flit; write request and read
 	// response packets contain five flits (64 B lines). Management
-	// packets are charged as one 64 B packet; error responses are
-	// header-only.
+	// packets are charged as one 64 B packet.
 	want := map[Kind]int{
 		ReadReq:  1,
 		WriteReq: 5,
 		ReadResp: 5,
 		Control:  5,
-		ReadErr:  1,
-		WriteErr: 1,
 	}
 	for kind, n := range want {
 		if got := kind.Flits(); got != n {

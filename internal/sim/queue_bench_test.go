@@ -17,7 +17,7 @@ func realisticDelta(rng *RNG) Time {
 		return Time(3_000 + rng.Intn(27_000))
 	case p < 900: // think jitter: exponential, ~5 ns mean
 		return FromNanos(rng.Exp(5))
-	case p < 960: // wakeups, CRC retries: 14–32 ns
+	case p < 960: // wakeups: 14–32 ns
 		return Time(14_000 + rng.Intn(18_000))
 	case p < 995: // ROO off-checks: 32–2048 ns thresholds
 		return Time(32_000 << uint(2*rng.Intn(4)))

@@ -26,16 +26,6 @@ type FrontEndConfig struct {
 	SlotsOverride int
 	// Seed drives all randomness of this front end.
 	Seed uint64
-	// Timeout arms the outstanding-request table: every issued access gets
-	// a deadline, and a read whose response never arrives (severed link,
-	// dropped packet) is retried up to MaxRetries times with doubling
-	// backoff, then completed as a timeout error so its slot keeps
-	// working. Zero disables the table entirely and preserves the legacy
-	// wait-forever behavior byte for byte.
-	Timeout sim.Duration
-	// MaxRetries bounds timeout-driven re-issues per read (0 = no retry:
-	// first timeout abandons the access).
-	MaxRetries int
 }
 
 // DefaultFrontEndConfig is the front end of Table II's 16-core
@@ -43,37 +33,6 @@ type FrontEndConfig struct {
 // which is calibrated from the profile (see FrontEndConfig).
 func DefaultFrontEndConfig(seed uint64) FrontEndConfig {
 	return FrontEndConfig{Seed: seed}
-}
-
-// pendingRead is one slot's outstanding-read table entry.
-type pendingRead struct {
-	id      uint64 // packet ID of the current attempt
-	addr    uint64
-	retries int
-	seq     uint64 // bumped on every state change; stale timeout events no-op
-	active  bool
-}
-
-// FrontEndFaultStats aggregates the timeout machinery's counters.
-type FrontEndFaultStats struct {
-	// ReadTimeouts counts read deadline expiries (including ones that led
-	// to a successful retry); Retries of them were re-issued, Abandoned
-	// exhausted their retry budget and completed as timeout errors.
-	ReadTimeouts uint64
-	Retries      uint64
-	Abandoned    uint64
-	// ErrorReads/ErrorWrites count network error responses received.
-	ErrorReads  uint64
-	ErrorWrites uint64
-	// WriteTimeouts counts write credits reclaimed by deadline.
-	WriteTimeouts uint64
-	// LateResponses counts completions that arrived after their request
-	// had already timed out or been superseded (discarded).
-	LateResponses uint64
-	// RecoveredReads counts reads that timed out at least once but whose
-	// retry ultimately returned data — requests the recovery path (link
-	// repair, retraining) saved rather than lost.
-	RecoveredReads uint64
 }
 
 // FrontEnd drives one network with one workload profile.
@@ -97,36 +56,21 @@ type FrontEnd struct {
 	writeParked    []int
 
 	onPhase bool
-	stopped bool
 	parked  []int
 
 	issuedReads  uint64
 	issuedWrites uint64
 
-	// Completion counters (maintained in both modes; they feed the
-	// watchdog's progress/outstanding probes without touching the event
-	// schedule).
+	// Completion counters, read by the metrics sampler.
 	completedReads  uint64
 	completedWrites uint64
 
-	// Outstanding-request table (active only when timeout > 0). Request
-	// packet IDs match completions (Packet.Req) to table entries, so late
-	// or duplicate responses are discarded.
-	timeout       sim.Duration
-	maxRetries    int
-	reads         []pendingRead
-	pendingWrites map[uint64]struct{} // keyed access only — never iterated
-	timedOutIDs   []uint64
-	faults        FrontEndFaultStats
-
 	// Pooled event actions: one reusable issue event per slot (a slot has
-	// at most one pending issue/resume at a time), singleton burst-cycle
-	// events, and free lists for the overlapping timeout deadlines.
-	issueActs   []slotIssueAction
-	cycleAct    burstCycleAction
-	offAct      offPhaseAction
-	timeoutFree []*readTimeoutAction
-	wtoFree     []*writeTimeoutAction
+	// at most one pending issue/resume at a time) and the singleton
+	// burst-cycle events.
+	issueActs []slotIssueAction
+	cycleAct  burstCycleAction
+	offAct    offPhaseAction
 }
 
 // slotIssueAction is slot's reusable issue/resume event.
@@ -146,33 +90,6 @@ func (a *burstCycleAction) Act() { a.fe.burstCycle() }
 type offPhaseAction struct{ fe *FrontEnd }
 
 func (a *offPhaseAction) Act() { a.fe.onPhase = false }
-
-// readTimeoutAction is a pooled read deadline. Stale deadlines overlap
-// (every retry arms a new one and bumps seq to cancel the old), so these
-// come from a free list; each fires exactly once and returns itself.
-type readTimeoutAction struct {
-	fe   *FrontEnd
-	slot int
-	seq  uint64
-}
-
-func (a *readTimeoutAction) Act() {
-	fe, slot, seq := a.fe, a.slot, a.seq
-	fe.timeoutFree = append(fe.timeoutFree, a)
-	fe.readTimeout(slot, seq)
-}
-
-// writeTimeoutAction is the pooled write-credit deadline.
-type writeTimeoutAction struct {
-	fe *FrontEnd
-	id uint64
-}
-
-func (a *writeTimeoutAction) Act() {
-	fe, id := a.fe, a.id
-	fe.wtoFree = append(fe.wtoFree, a)
-	fe.writeTimeout(id)
-}
 
 // channelBandwidthBytesPerSec is one direction of a full-width link.
 func channelBandwidthBytesPerSec() float64 {
@@ -218,17 +135,12 @@ func NewFrontEnd(k *sim.Kernel, net *network.Network, p *Profile, cfg FrontEndCo
 		return nil, err
 	}
 	fe := &FrontEnd{
-		kernel:     k,
-		net:        net,
-		profile:    p,
-		rng:        sim.NewRNG(cfg.Seed),
-		sampler:    NewSampler(p, packet.LineBytes),
-		onPhase:    true,
-		timeout:    cfg.Timeout,
-		maxRetries: cfg.MaxRetries,
-	}
-	if cfg.Timeout > 0 {
-		fe.pendingWrites = make(map[uint64]struct{})
+		kernel:  k,
+		net:     net,
+		profile: p,
+		rng:     sim.NewRNG(cfg.Seed),
+		sampler: NewSampler(p, packet.LineBytes),
+		onPhase: true,
 	}
 
 	// --- Calibration ---
@@ -261,9 +173,6 @@ func NewFrontEnd(k *sim.Kernel, net *network.Network, p *Profile, cfg FrontEndCo
 		}
 	}
 	fe.writeCap = 2 * fe.slots
-	if fe.timeout > 0 {
-		fe.reads = make([]pendingRead, fe.slots)
-	}
 	fe.issueActs = make([]slotIssueAction, fe.slots)
 	for s := range fe.issueActs {
 		fe.issueActs[s] = slotIssueAction{fe: fe, slot: s}
@@ -313,18 +222,9 @@ func (fe *FrontEnd) burstCycle() {
 	fe.kernel.AfterAction(period, &fe.cycleAct)
 }
 
-// Stop parks every slot permanently: no further accesses are issued, but
-// in-flight requests and their timeout machinery keep running so the
-// system drains to quiescence. Used by soak tests that need a bounded
-// outstanding set before checking conservation.
-func (fe *FrontEnd) Stop() { fe.stopped = true }
-
 // issue makes slot perform its next access, or parks it during OFF or on
 // write-credit exhaustion.
 func (fe *FrontEnd) issue(slot int) {
-	if fe.stopped {
-		return
-	}
 	if !fe.onPhase {
 		fe.parked = append(fe.parked, slot)
 		return
@@ -332,12 +232,8 @@ func (fe *FrontEnd) issue(slot int) {
 	addr := fe.sampler.Sample(fe.rng)
 	if fe.rng.Float64() < fe.profile.ReadFraction {
 		fe.issuedReads++
-		if fe.timeout > 0 {
-			fe.startRead(slot, addr)
-		} else {
-			fe.net.InjectRead(addr, slot)
-		}
-		return // resumed by HandleReadComplete (or a timeout)
+		fe.net.InjectRead(addr, slot)
+		return // resumed by HandleReadComplete
 	}
 	if fe.inFlightWrites >= fe.writeCap {
 		fe.writeParked = append(fe.writeParked, slot)
@@ -345,89 +241,9 @@ func (fe *FrontEnd) issue(slot int) {
 	}
 	fe.inFlightWrites++
 	fe.issuedWrites++
-	if fe.timeout > 0 {
-		fe.startWrite(addr)
-	} else {
-		fe.net.InjectWrite(addr, -1)
-	}
+	fe.net.InjectWrite(addr, -1)
 	// Writes are posted — the slot continues after its think jitter.
 	fe.resume(slot)
-}
-
-// startRead issues a tracked read for slot and arms its deadline.
-func (fe *FrontEnd) startRead(slot int, addr uint64) {
-	pr := &fe.reads[slot]
-	pr.seq++
-	pr.active = true
-	pr.addr = addr
-	pr.retries = 0
-	pr.id = fe.net.InjectReadID(addr, slot)
-	fe.armReadTimeout(slot, fe.timeout)
-}
-
-// armReadTimeout schedules the deadline for slot's current attempt. The
-// carried seq makes the event a no-op if the attempt resolves first.
-func (fe *FrontEnd) armReadTimeout(slot int, d sim.Duration) {
-	var a *readTimeoutAction
-	if n := len(fe.timeoutFree); n > 0 {
-		a, fe.timeoutFree = fe.timeoutFree[n-1], fe.timeoutFree[:n-1]
-	} else {
-		a = &readTimeoutAction{fe: fe}
-	}
-	a.slot, a.seq = slot, fe.reads[slot].seq
-	fe.kernel.AfterAction(d, a)
-}
-
-// readTimeout fires when slot's read deadline expires: retry with doubled
-// backoff while budget remains, then complete the access as a timeout
-// error so the slot is never stranded by a lost response.
-func (fe *FrontEnd) readTimeout(slot int, seq uint64) {
-	pr := &fe.reads[slot]
-	if !pr.active || pr.seq != seq {
-		return // completed or superseded before the deadline
-	}
-	fe.faults.ReadTimeouts++
-	fe.timedOutIDs = append(fe.timedOutIDs, pr.id)
-	if pr.retries < fe.maxRetries {
-		pr.retries++
-		fe.faults.Retries++
-		pr.seq++
-		pr.id = fe.net.InjectReadID(pr.addr, slot)
-		fe.armReadTimeout(slot, fe.timeout<<uint(pr.retries))
-		return
-	}
-	pr.active = false
-	pr.seq++
-	fe.faults.Abandoned++
-	fe.completedReads++
-	fe.resume(slot)
-}
-
-// startWrite issues a tracked write with a deadline that reclaims its
-// credit if no completion (retire or WriteErr) ever arrives, so a lost
-// write cannot leak write-cap credits and starve the writers.
-func (fe *FrontEnd) startWrite(addr uint64) {
-	id := fe.net.InjectWriteID(addr, -1)
-	fe.pendingWrites[id] = struct{}{}
-	var a *writeTimeoutAction
-	if n := len(fe.wtoFree); n > 0 {
-		a, fe.wtoFree = fe.wtoFree[n-1], fe.wtoFree[:n-1]
-	} else {
-		a = &writeTimeoutAction{fe: fe}
-	}
-	a.id = id
-	fe.kernel.AfterAction(fe.timeout, a)
-}
-
-// writeTimeout reclaims the credit of a write whose completion never
-// arrived.
-func (fe *FrontEnd) writeTimeout(id uint64) {
-	if _, ok := fe.pendingWrites[id]; !ok {
-		return // completed in time
-	}
-	delete(fe.pendingWrites, id)
-	fe.faults.WriteTimeouts++
-	fe.releaseWriteCredit()
 }
 
 // resume schedules slot's next access after its think jitter.
@@ -436,30 +252,10 @@ func (fe *FrontEnd) resume(slot int) {
 	fe.kernel.AfterAction(think, &fe.issueActs[slot])
 }
 
-// HandleReadComplete resumes the slot that owned the finished read. With
-// the outstanding-request table armed, the completion (data or error)
-// must match the slot's current attempt; late responses to requests that
-// already timed out are discarded.
+// HandleReadComplete resumes the slot that owned the finished read.
 func (fe *FrontEnd) HandleReadComplete(p *packet.Packet) {
 	if p.Core < 0 {
 		return
-	}
-	if fe.timeout <= 0 {
-		fe.completedReads++
-		fe.resume(p.Core)
-		return
-	}
-	pr := &fe.reads[p.Core]
-	if !pr.active || p.Req != pr.id {
-		fe.faults.LateResponses++
-		return
-	}
-	pr.active = false
-	pr.seq++ // disarm the pending deadline
-	if p.Kind.IsError() {
-		fe.faults.ErrorReads++
-	} else if pr.retries > 0 {
-		fe.faults.RecoveredReads++ // a retried read came back with data
 	}
 	fe.completedReads++
 	fe.resume(p.Core)
@@ -467,27 +263,6 @@ func (fe *FrontEnd) HandleReadComplete(p *packet.Packet) {
 
 // HandleWriteComplete frees a write credit and revives a parked writer.
 func (fe *FrontEnd) HandleWriteComplete(p *packet.Packet) {
-	if fe.timeout <= 0 {
-		fe.releaseWriteCredit()
-		return
-	}
-	// A retired write completes with its own request packet; a failed one
-	// with a WriteErr referencing it.
-	id := p.ID
-	if p.Kind.IsError() {
-		id = p.Req
-		fe.faults.ErrorWrites++
-	}
-	if _, ok := fe.pendingWrites[id]; !ok {
-		fe.faults.LateResponses++ // deadline already reclaimed the credit
-		return
-	}
-	delete(fe.pendingWrites, id)
-	fe.releaseWriteCredit()
-}
-
-// releaseWriteCredit returns one write credit and revives a parked writer.
-func (fe *FrontEnd) releaseWriteCredit() {
 	fe.inFlightWrites--
 	fe.completedWrites++
 	if len(fe.writeParked) > 0 {
@@ -497,14 +272,12 @@ func (fe *FrontEnd) releaseWriteCredit() {
 	}
 }
 
-// Outstanding counts accesses issued but not yet terminally resolved —
-// the processor-side probe the watchdog uses.
+// Outstanding counts accesses issued but not yet completed.
 func (fe *FrontEnd) Outstanding() int {
 	return int(fe.issuedReads-fe.completedReads) + fe.inFlightWrites
 }
 
-// Progress is a monotone completion counter (data, error, or timeout
-// resolution all count) — the watchdog's progress probe.
+// Progress is a monotone completion counter.
 func (fe *FrontEnd) Progress() uint64 {
 	return fe.completedReads + fe.completedWrites
 }
@@ -521,13 +294,6 @@ func (fe *FrontEnd) AttachMetrics(reg *metrics.Registry) {
 	reg.Counter("frontend.completed", func() float64 { return float64(fe.Progress()) })
 	reg.Gauge("frontend.outstanding", func() float64 { return float64(fe.Outstanding()) })
 }
-
-// FaultStats returns the timeout machinery's counters.
-func (fe *FrontEnd) FaultStats() FrontEndFaultStats { return fe.faults }
-
-// TimedOutIDs returns the packet IDs of every read attempt whose deadline
-// expired, in expiry order — the determinism fixture for fault runs.
-func (fe *FrontEnd) TimedOutIDs() []uint64 { return fe.timedOutIDs }
 
 // String documents the substituted processor configuration (Table II).
 func (fe *FrontEnd) String() string {
