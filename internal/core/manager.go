@@ -198,6 +198,11 @@ func Attach(k *sim.Kernel, net *network.Network, cfg Config) *Manager {
 		return m // PolicyNone: nothing to do
 	}
 
+	// Only an epoch policy reads the links' delay monitors and epoch
+	// counters, so only it pays for them.
+	for _, l := range net.Links {
+		l.AttachMonitors()
+	}
 	// Unlimited AMS until the first epoch completes (no counters yet).
 	for i := range m.linkAMS {
 		m.linkAMS[i] = unlimitedAMS

@@ -184,3 +184,27 @@ func TestDisableQDQFIsMoreConservative(t *testing.T) {
 		t.Fatalf("QD/QF discount increased accumulated overhead: %v > %v", with, without)
 	}
 }
+
+// TestMonitorsOnlyUnderEpochPolicies checks that Attach builds the links'
+// delay monitors exactly for the policies that read them: none for full
+// power and static selection, every link's for unaware, aware and custom.
+func TestMonitorsOnlyUnderEpochPolicies(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   bool
+	}{
+		{"full-power", func(c *Config) { c.Policy = PolicyNone }, false},
+		{"static", func(c *Config) { c.Policy = PolicyStatic }, false},
+		{"unaware", func(c *Config) { c.Policy = PolicyUnaware }, true},
+		{"aware", nil, true},
+		{"custom", func(c *Config) { c.Policy, c.Custom = PolicyNone, &probePolicy{capture: func(*EpochData) {}} }, true},
+	} {
+		_, net, _ := attachWith(t, tc.mutate)
+		for _, l := range net.Links {
+			if got := l.Mon() != nil; got != tc.want {
+				t.Errorf("%s: %v has monitors %v, want %v", tc.name, l, got, tc.want)
+			}
+		}
+	}
+}

@@ -17,6 +17,7 @@ func feedLink(t *testing.T, cfg link.Config, dir link.Direction, gaps []sim.Dura
 		cfg.FullWatts = 0.586
 	}
 	l := link.New(k, cfg, 0, dir, 0, packet.ProcessorID, 0, 1)
+	l.AttachMonitors()
 	l.Deliver = func(*packet.Packet) {}
 	kind := packet.ReadResp
 	if dir == link.DirRequest {

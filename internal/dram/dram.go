@@ -175,9 +175,10 @@ type funcDone func()
 func (f funcDone) AccessDone() { f() }
 
 // request is one queued vault access. Whether it is a read follows from
-// its place in the queue (see vault.reads).
+// its place in the queue (see vault.reads), and close page never reads
+// the address, so only open page keeps each request's row, in a queue of
+// its own (vault.rows).
 type request struct {
-	addr uint64
 	done Completion
 }
 
@@ -189,10 +190,20 @@ type vault struct {
 	lastActivate sim.Time
 	busFree      sim.Time
 	// queue keeps reads ahead of writes, so queue[:reads] are the queued
-	// reads and the rest are writes.
-	queue     []request
-	reads     int
+	// reads and the rest are writes. rows[i] is queue[i]'s row (nil
+	// unless OpenPage).
+	queue []request
+	rows  []int64
+	reads int
+	// inService is set while the vault's next-issue event is pending.
 	inService bool
+	// issueAt and issueSeq are the (time, seq) position reserved for the
+	// next issue when the last queued request entered service: with the
+	// queue empty that event would only clear inService, so it is filed
+	// only if a request arrives before the kernel passes the position.
+	// The zero position reads as passed.
+	issueAt  sim.Time
+	issueSeq uint64
 	// issue is the vault's reusable next-issue event; the service chain
 	// is strictly sequential, so at most one is ever pending.
 	issue issueAction
@@ -314,12 +325,13 @@ func New(k *sim.Kernel, cfg Config) *HMCDRAM {
 	// mid-run.
 	queues := make([]request, cfg.Vaults*cfg.QueueDepth)
 	bankFree := make([]sim.Time, cfg.Vaults*cfg.Banks)
-	var openRow []int64
+	var openRow, rows []int64
 	if cfg.Page == OpenPage {
 		openRow = make([]int64, cfg.Vaults*cfg.Banks)
 		for i := range openRow {
 			openRow[i] = -1
 		}
+		rows = make([]int64, cfg.Vaults*cfg.QueueDepth)
 	}
 	for i := range d.vaults {
 		v := &d.vaults[i]
@@ -329,6 +341,7 @@ func New(k *sim.Kernel, cfg Config) *HMCDRAM {
 		v.bankFree = bankFree[b : b+cfg.Banks]
 		if openRow != nil {
 			v.openRow = openRow[b : b+cfg.Banks]
+			v.rows = rows[q : q : q+cfg.QueueDepth]
 		}
 		// No activate has happened yet; far enough in the past that the
 		// tRRD window never binds the first access.
@@ -416,53 +429,98 @@ func (d *HMCDRAM) Access(addr uint64, isRead bool, done func()) bool {
 // AccessAction is Access taking a Completion value directly — the
 // allocation-free entry point for callers with pooled completions.
 func (d *HMCDRAM) AccessAction(addr uint64, isRead bool, done Completion) bool {
+	v := d.enqueue(addr, isRead, done)
+	if v == nil {
+		return false
+	}
+	if !v.inService {
+		if d.kernel.Passed(v.issueAt, v.issueSeq) {
+			d.serviceNext(v)
+		} else {
+			// The vault's next issue is still ahead: serve the request
+			// there, at the position the event would have held had it
+			// been scheduled when reserved.
+			v.inService = true
+			d.kernel.ScheduleActionSeq(v.issueAt, v.issueSeq, &v.issue)
+		}
+	}
+	return true
+}
+
+// enqueue queues a line access on its vault, reads ahead of writes, and
+// returns the vault, or nil when its queue is full.
+func (d *HMCDRAM) enqueue(addr uint64, isRead bool, done Completion) *vault {
 	v := &d.vaults[d.VaultFor(addr)]
 	if len(v.queue) >= d.cfg.QueueDepth {
 		d.stats.QueueFullRejects++
-		return false
+		return nil
 	}
+	i := len(v.queue)
 	if isRead {
 		d.outstandingReads++
 		// Reads are prioritized: insert after the queued reads, ahead of
 		// the first write.
-		v.queue = append(v.queue, request{})
-		copy(v.queue[v.reads+1:], v.queue[v.reads:])
-		v.queue[v.reads] = request{addr: addr, done: done}
+		i = v.reads
 		v.reads++
-	} else {
-		v.queue = append(v.queue, request{addr: addr, done: done})
+	}
+	v.queue = insertAt(v.queue, i, request{done: done})
+	if v.rows != nil {
+		v.rows = insertAt(v.rows, i, d.rowOf(addr))
 	}
 	if d.aud.Sample() && len(v.queue) > d.cfg.QueueDepth {
 		d.aud.Reportf(d.auditName, "vault-queue-bound",
 			"vault %d accepted past its depth: %d > %d", v.idx, len(v.queue), d.cfg.QueueDepth)
 	}
-	if !v.inService {
-		d.serviceNext(v)
-	}
-	return true
+	return v
 }
 
-// serviceNext starts the head-of-queue access on vault v.
+// insertAt inserts x at s[i] within s's capacity.
+func insertAt[T any](s []T, i int, x T) []T {
+	s = append(s, x)
+	copy(s[i+1:], s[i:])
+	s[i] = x
+	return s
+}
+
+// popFront removes s[0], zeroing the vacated tail entry. The copy-down
+// keeps the backing array in place, so the queue's capacity is reused
+// forever instead of re-allocated as the base pointer walks forward.
+func popFront[T any](s []T) []T {
+	var zero T
+	copy(s, s[1:])
+	s[len(s)-1] = zero
+	return s[:len(s)-1]
+}
+
+// serviceNext starts the head-of-queue access on vault v, which must
+// hold one, and schedules or reserves the vault's next issue.
 func (d *HMCDRAM) serviceNext(v *vault) {
-	if len(v.queue) == 0 {
-		v.inService = false
-		return
+	next := d.serveHead(v)
+	v.inService = len(v.queue) > 0
+	if v.inService {
+		d.kernel.ScheduleAction(next, &v.issue)
+	} else {
+		v.issueAt, v.issueSeq = next, d.kernel.ReserveSeq()
 	}
-	v.inService = true
+}
+
+// serveHead takes the head-of-queue access on vault v into service: it
+// picks a bank, times the access, schedules its data-burst completion
+// and returns when the vault can issue its next activate.
+func (d *HMCDRAM) serveHead(v *vault) sim.Time {
 	req := v.queue[0]
 	isRead := v.reads > 0
 	if isRead {
 		v.reads--
 	}
-	// Copy-down pop keeps the backing array in place, so the queue's
-	// capacity is reused forever instead of re-allocated as the base
-	// pointer walks forward.
-	copy(v.queue, v.queue[1:])
-	v.queue[len(v.queue)-1] = request{}
-	v.queue = v.queue[:len(v.queue)-1]
+	v.queue = popFront(v.queue)
+	var row int64
+	if v.rows != nil {
+		row = v.rows[0]
+		v.rows = popFront(v.rows)
+	}
 
 	now := d.kernel.Now()
-	row := d.rowOf(req.addr)
 	// Bank selection: open page prefers a row hit, then a precharged
 	// bank, then the earliest free; close page takes the earliest free.
 	bank := 0
@@ -578,5 +636,5 @@ func (d *HMCDRAM) serviceNext(v *vault) {
 	if nextIssue < now {
 		nextIssue = now
 	}
-	d.kernel.ScheduleAction(nextIssue, &v.issue)
+	return nextIssue
 }

@@ -17,6 +17,7 @@ func BenchmarkLinkHop(b *testing.B) {
 	k := sim.NewKernel()
 	l := New(k, Config{Mechanism: MechVWL, ROO: true, FullWatts: 0.58625},
 		0, DirResponse, 0, 0, packet.ProcessorID, 1)
+	l.AttachMonitors()
 	delivered := false
 	l.Deliver = func(*packet.Packet) { delivered = true }
 	p := &packet.Packet{Kind: packet.ReadResp, Src: 0, Dst: packet.ProcessorID}

@@ -24,6 +24,7 @@ func TestAccountingInvariantsUnderChurn(t *testing.T) {
 		cfg := Config{Mechanism: mech, ROO: roo, FullWatts: 0.586}
 		k := sim.NewKernel()
 		l := New(k, cfg, 0, Direction(trial%2), 0, packet.ProcessorID, 0, 1)
+		l.AttachMonitors()
 		l.Deliver = func(*packet.Packet) {}
 
 		horizon := 200 * sim.Microsecond

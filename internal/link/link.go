@@ -102,7 +102,7 @@ type Config struct {
 // Link is one unidirectional point-to-point link plus its controller:
 // buffering with read priority, flit serialization at the current
 // bandwidth, SERDES delay, ROO state machine, energy integration, and the
-// management counters in Monitors.
+// management counters in Monitors, when a policy attaches them.
 type Link struct {
 	kernel *sim.Kernel
 	cfg    Config
@@ -215,7 +215,9 @@ type Link struct {
 
 	errRNG *sim.RNG
 
-	// ser is the mechanism's serialization table, shared with mon.
+	// ser is the mechanism's serialization table, shared with mon. mon
+	// is nil until AttachMonitors: only a managing policy reads the
+	// counters, so an unmanaged link skips every update.
 	ser *serTable
 	mon *Monitors
 
@@ -248,7 +250,6 @@ func New(k *sim.Kernel, cfg Config, id int, dir Direction, owner, from, to, dept
 		Depth:       depth,
 		rooMode:     ROOFullMode,
 		ser:         &serTables[cfg.Mechanism],
-		mon:         newMonitors(cfg.Mechanism, cfg.Wakeup),
 		lastAccount: k.Now(),
 	}
 	l.txDone.l, l.retry.l, l.wake.l, l.wakeReq.l = l, l, l, l
@@ -455,7 +456,9 @@ func (l *Link) Fail() []*packet.Packet {
 	now := l.kernel.Now()
 	l.account(now)
 	if l.idleOpen {
-		l.mon.observeIdleEnd(now - l.idleSince)
+		if l.mon != nil {
+			l.mon.observeIdleEnd(now - l.idleSince)
+		}
 		l.idleOpen = false
 	}
 	l.setState(StateFailed)
@@ -474,7 +477,15 @@ func (l *Link) Fail() []*packet.Packet {
 // Config returns the link's capabilities.
 func (l *Link) Config() Config { return l.cfg }
 
-// Mon exposes the management counters.
+// AttachMonitors builds the link's management counters (delay monitors,
+// idle histogram, wakeup sampler, epoch counters). A policy that reads
+// them attaches them before any traffic flows; a link without them, as
+// under full power or static selection, skips every counter update.
+func (l *Link) AttachMonitors() {
+	l.mon = newMonitors(l.cfg.Mechanism, l.cfg.Wakeup)
+}
+
+// Mon exposes the management counters, or nil before AttachMonitors.
 func (l *Link) Mon() *Monitors { return l.mon }
 
 // State returns the current ROO state.
@@ -562,19 +573,24 @@ func (l *Link) account(now sim.Time) {
 	if l.transmitting {
 		l.energyActive += joules
 		l.totalBusy += d
-		l.mon.epoch.BusyTime += d
 	} else {
 		l.energyIdle += joules
 	}
-	l.mon.epoch.TimeInBWMode[l.effBWLabel(now)] += d
 	l.stateTime[l.state] += d
-	switch l.state {
-	case StateOff:
-		l.mon.epoch.OffTime += d
-	case StateWaking:
-		l.mon.epoch.WakingTime += d
-	case StateRetraining:
-		l.mon.epoch.RetrainTime += d
+	if l.mon != nil {
+		ep := &l.mon.epoch
+		if l.transmitting {
+			ep.BusyTime += d
+		}
+		ep.TimeInBWMode[l.effBWLabel(now)] += d
+		switch l.state {
+		case StateOff:
+			ep.OffTime += d
+		case StateWaking:
+			ep.WakingTime += d
+		case StateRetraining:
+			ep.RetrainTime += d
+		}
 	}
 	l.lastAccount = now
 }
@@ -608,11 +624,15 @@ func (l *Link) Enqueue(p *packet.Packet) {
 	l.account(now)
 	p.HopArrive = now
 	if l.idleOpen {
-		l.mon.observeIdleEnd(now - l.idleSince)
+		if l.mon != nil {
+			l.mon.observeIdleEnd(now - l.idleSince)
+		}
 		l.idleOpen = false
 	}
 	l.offArmed = false // cancel any pending off-check
-	l.mon.observeArrival(now, p)
+	if l.mon != nil {
+		l.mon.observeArrival(now, p)
+	}
 
 	l.queue = append(l.queue, p)
 	if p.Kind.IsRead() {
@@ -742,7 +762,9 @@ func (l *Link) finishTransmit() {
 	l.crcStreak, l.escLevel = 0, 0
 	l.bytes += uint64(p.Bytes())
 	depart := end + serdes
-	l.mon.observeDeparture(p, depart-p.HopArrive)
+	if l.mon != nil {
+		l.mon.observeDeparture(p, depart-p.HopArrive)
+	}
 	// Delivery includes the receiving module's router traversal, so
 	// the receiver can act inline (one event per hop instead of two).
 	var da *deliverAction
@@ -840,7 +862,9 @@ func (l *Link) finishRetrain(seq uint64) {
 	l.bwMode, l.bwTarget, l.bwTransEnd = 0, 0, 0
 	l.crcStreak = 0
 	l.setState(StateOn)
-	l.mon.epoch.Retrains++
+	if l.mon != nil {
+		l.mon.epoch.Retrains++
+	}
 	if l.OnRetrained != nil {
 		l.OnRetrained()
 	}
@@ -1023,7 +1047,9 @@ func (l *Link) finishWake() {
 		return
 	}
 	l.setState(StateOn)
-	l.mon.epoch.Wakeups++
+	if l.mon != nil {
+		l.mon.epoch.Wakeups++
+	}
 	if len(l.queue) > 0 {
 		l.tryTransmit()
 	} else {

@@ -199,6 +199,7 @@ func TestNoROONeverOff(t *testing.T) {
 
 func TestWakeupDelaysArrival(t *testing.T) {
 	k, l, delivered := testLink(t, Config{ROO: true, Wakeup: WakeupDefault})
+	l.AttachMonitors()
 	l.SetROOMode(0)
 	l.Enqueue(pkt(1, packet.ReadReq))
 	k.RunAll() // transmits, then turns off at 32.64 ns
@@ -226,6 +227,7 @@ func TestWakeupDelaysArrival(t *testing.T) {
 
 func TestProactiveWakeHidesLatency(t *testing.T) {
 	k, l, _ := testLink(t, Config{ROO: true})
+	l.AttachMonitors()
 	l.SetROOMode(0)
 	l.Enqueue(pkt(1, packet.ReadReq))
 	k.RunAll()

@@ -22,6 +22,7 @@ func TestLinkQueueMatchesMD1(t *testing.T) {
 	for _, rho := range []float64{0.3, 0.6, 0.8} {
 		k := sim.NewKernel()
 		l := New(k, Config{FullWatts: 0.586}, 0, DirResponse, 0, 0, packet.ProcessorID, 1)
+		l.AttachMonitors()
 		var total sim.Duration
 		n := 0
 		l.Deliver = func(p *packet.Packet) {}

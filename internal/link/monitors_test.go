@@ -8,6 +8,15 @@ import (
 	"memnet/internal/sim"
 )
 
+// monitoredLink is testLink with the management counters attached, as a
+// managing policy attaches them.
+func monitoredLink(t *testing.T, cfg Config) (*sim.Kernel, *Link, *[]*packet.Packet) {
+	t.Helper()
+	k, l, delivered := testLink(t, cfg)
+	l.AttachMonitors()
+	return k, l, delivered
+}
+
 func respPkt(id uint64) *packet.Packet {
 	return &packet.Packet{ID: id, Kind: packet.ReadResp, Src: 0, Dst: packet.ProcessorID}
 }
@@ -20,7 +29,7 @@ func TestVirtualFullPowerMatchesRealFullPower(t *testing.T) {
 	// At full power, the delay-monitor estimate must equal the measured
 	// aggregate latency — the property that makes AEL−FEL ≈ 0 for
 	// unmanaged links.
-	k, l, _ := testLink(t, Config{Mechanism: MechVWL})
+	k, l, _ := monitoredLink(t, Config{Mechanism: MechVWL})
 	for i := 0; i < 50; i++ {
 		l.Enqueue(respPkt(uint64(i)))
 		k.Run(k.Now() + sim.Duration(i%7)*sim.Nanosecond)
@@ -38,7 +47,7 @@ func TestVirtualFullPowerMatchesRealFullPower(t *testing.T) {
 func TestVirtualLatencyMonotoneInBandwidth(t *testing.T) {
 	// Less bandwidth can never reduce estimated latency.
 	if err := quick.Check(func(gaps []uint8) bool {
-		k, l, _ := testLink(t, Config{Mechanism: MechVWL})
+		k, l, _ := monitoredLink(t, Config{Mechanism: MechVWL})
 		for i, g := range gaps {
 			if i > 100 {
 				break
@@ -62,7 +71,7 @@ func TestVirtualLatencyMonotoneInBandwidth(t *testing.T) {
 func TestVirtualQueuePriority(t *testing.T) {
 	// A read arriving behind queued writes must see only the in-service
 	// residual in the virtual queue, like the real controller.
-	k, l, _ := testLink(t, Config{})
+	k, l, _ := monitoredLink(t, Config{})
 	// Three writes back-to-back at t=0: one in service, two queued.
 	l.Enqueue(writePkt(1))
 	l.Enqueue(writePkt(2))
@@ -82,7 +91,7 @@ func TestVirtualQueuePriority(t *testing.T) {
 }
 
 func TestDVFSVirtualIncludesSERDESPenalty(t *testing.T) {
-	k, l, _ := testLink(t, Config{Mechanism: MechDVFS})
+	k, l, _ := monitoredLink(t, Config{Mechanism: MechDVFS})
 	l.Enqueue(respPkt(1))
 	k.RunAll()
 	ec := l.Mon().Peek()
@@ -97,7 +106,7 @@ func TestDVFSVirtualIncludesSERDESPenalty(t *testing.T) {
 }
 
 func TestIdleIntervalHistogram(t *testing.T) {
-	k, l, _ := testLink(t, Config{})
+	k, l, _ := monitoredLink(t, Config{})
 	send := func(gap sim.Duration) {
 		k.Run(k.Now() + gap)
 		l.Enqueue(respPkt(1))
@@ -124,7 +133,7 @@ func TestIdleIntervalHistogram(t *testing.T) {
 }
 
 func TestQDQFCountsQueuedReads(t *testing.T) {
-	k, l, _ := testLink(t, Config{})
+	k, l, _ := monitoredLink(t, Config{})
 	// Six reads at the same instant: the 4th, 5th, 6th arrive behind >= 3
 	// older packets.
 	for i := 0; i < 6; i++ {
@@ -146,7 +155,7 @@ func TestQDQFCountsQueuedReads(t *testing.T) {
 }
 
 func TestSnapshotAndReset(t *testing.T) {
-	k, l, _ := testLink(t, Config{})
+	k, l, _ := monitoredLink(t, Config{})
 	l.Enqueue(respPkt(1))
 	k.RunAll()
 	ec := l.Mon().SnapshotAndReset(k.Now())
@@ -165,7 +174,7 @@ func TestSnapshotAndReset(t *testing.T) {
 }
 
 func TestWakeupArrivalSampling(t *testing.T) {
-	k, l, _ := testLink(t, Config{ROO: true, Wakeup: 14 * sim.Nanosecond})
+	k, l, _ := monitoredLink(t, Config{ROO: true, Wakeup: 14 * sim.Nanosecond})
 	// Dense burst: many reads 1 ns apart; sampler should observe several
 	// arrivals per 14 ns window.
 	for i := 0; i < 200; i++ {
@@ -184,7 +193,7 @@ func TestWakeupArrivalSampling(t *testing.T) {
 }
 
 func TestTimeInBWModeAccounting(t *testing.T) {
-	k, l, _ := testLink(t, Config{Mechanism: MechVWL})
+	k, l, _ := monitoredLink(t, Config{Mechanism: MechVWL})
 	k.Run(10 * sim.Microsecond)
 	l.SetBWMode(2)
 	k.Run(20 * sim.Microsecond)
@@ -201,7 +210,7 @@ func TestTimeInBWModeAccounting(t *testing.T) {
 }
 
 func TestOffAndWakingTimeAccounting(t *testing.T) {
-	k, l, _ := testLink(t, Config{ROO: true})
+	k, l, _ := monitoredLink(t, Config{ROO: true})
 	l.SetROOMode(0)
 	l.Enqueue(respPkt(1))
 	k.RunAll() // off at busy end + 32 ns

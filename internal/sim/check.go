@@ -74,7 +74,7 @@ func (k *Kernel) checkPending(at Time, seq uint64) error {
 	if seq == 0 || seq > k.seq {
 		return fmt.Errorf("sim: event (at=%s) carries seq %d, never issued (last %d)", at, seq, k.seq)
 	}
-	if at < k.now || at == k.now && seq <= k.nowSeq {
+	if k.Passed(at, seq) {
 		return fmt.Errorf("sim: event (at=%s seq=%d) precedes now %s (seq %d)", at, seq, k.now, k.nowSeq)
 	}
 	return nil

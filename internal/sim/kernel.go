@@ -145,7 +145,9 @@ type Kernel struct {
 	seq   uint64
 	count uint64
 	// nowSeq is the seq of the event dispatched last at now (0 when none
-	// was): ScheduleActionSeq refuses positions at or before (now, nowSeq).
+	// was), or every seq issued once Run or Step found nothing left to
+	// dispatch at now: Passed reports positions at or before
+	// (now, nowSeq).
 	nowSeq uint64
 
 	// Cooperative cancellation: when check is armed (non-nil), Run calls
@@ -270,7 +272,7 @@ func (k *Kernel) ScheduleActionSeq(at Time, seq uint64, a Action) {
 	if seq == 0 || seq > k.seq {
 		panic("sim: ScheduleActionSeq with an unreserved seq")
 	}
-	if at < k.now || at == k.now && seq <= k.nowSeq {
+	if k.Passed(at, seq) {
 		panic("sim: scheduling event at a position already dispatched")
 	}
 	// The wheel/overflow choice is ScheduleAction's, repeated here
@@ -281,6 +283,14 @@ func (k *Kernel) ScheduleActionSeq(at Time, seq uint64, a Action) {
 	} else {
 		k.overflow.push(event{at: at, seq: seq, act: a})
 	}
+}
+
+// Passed reports whether the kernel has dispatched past the position
+// (at, seq): an event filed there with ScheduleAction at reservation
+// time would already have run. A reserved position that has passed can
+// no longer be filed with ScheduleActionSeq.
+func (k *Kernel) Passed(at Time, seq uint64) bool {
+	return at < k.now || at == k.now && seq <= k.nowSeq
 }
 
 // wheelInsert files the event into its slot. The slot is append-only:
@@ -400,10 +410,12 @@ func (k *Kernel) take(slot int) Action {
 }
 
 // Step executes the earliest pending event. It reports false if the queue
-// is empty.
+// is empty, and then, as Run does at until, counts every issued seq as
+// dispatched at now.
 func (k *Kernel) Step() bool {
 	at, slot, ok := k.next()
 	if !ok {
+		k.nowSeq = k.seq
 		return false
 	}
 	a := k.take(slot)
@@ -439,9 +451,13 @@ func (k *Kernel) Run(until Time) {
 	} else {
 		k.runSlice(until, ^uint64(0))
 	}
-	if k.now < until {
+	if k.now <= until {
+		// Every event at or before until has run, so every seq issued
+		// so far counts as dispatched at until: a position reserved
+		// there and filed later would otherwise run after events that a
+		// ScheduleAction at reservation time would have preceded.
 		k.now = until
-		k.nowSeq = 0
+		k.nowSeq = k.seq
 	}
 }
 

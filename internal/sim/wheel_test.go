@@ -456,3 +456,76 @@ func TestScheduleActionSeqRefusesPassedPositions(t *testing.T) {
 	mustPanic("zero seq", func() { k.ScheduleActionSeq(200, 0, funcAction(nop)) })
 	k.RunAll()
 }
+
+// TestPassedAcrossRun checks Passed against the dispatch order, and the
+// edge Run leaves when it advances the clock past a drained queue: a
+// position reserved at exactly until reads as passed afterwards, because
+// an event scheduled there at reservation time would have run inside
+// that Run, so ScheduleActionSeq refuses it. RunAll's drained queue is
+// the same edge.
+func TestPassedAcrossRun(t *testing.T) {
+	k := NewKernel()
+	var atRun bool
+	before := k.ReserveSeq()
+	k.Schedule(100, func() {
+		atRun = k.Passed(100, before) && k.Passed(99, k.seq+1) && !k.Passed(100, k.seq+1) && !k.Passed(101, before)
+	})
+	k.Run(50)
+	if k.Passed(100, before) {
+		t.Fatal("position at 100 passed at 50")
+	}
+	k.Run(100)
+	if !atRun {
+		t.Error("Passed inside a dispatch disagrees with the (at, seq) order")
+	}
+
+	// Reserve at 300 with nothing else pending at 300: Run(300) drains the
+	// queue at 200 and advances the clock to 300.
+	pos := k.ReserveSeq()
+	k.Schedule(200, func() {})
+	later := k.ReserveSeq()
+	k.Run(300)
+	if k.Now() != 300 || k.Pending() != 0 {
+		t.Fatalf("now %v pending %d, want 300 and 0", k.Now(), k.Pending())
+	}
+	if !k.Passed(300, pos) || !k.Passed(300, later) {
+		t.Error("positions reserved at until do not read as passed after Run(until)")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("ScheduleActionSeq accepted a position Run(until) already passed")
+			}
+		}()
+		k.ScheduleActionSeq(300, pos, funcAction(nop))
+	}()
+	if k.Passed(300, k.seq+1) {
+		t.Error("a seq not yet issued reads as passed")
+	}
+	// A fresh event at until still runs, after everything already issued.
+	ran := false
+	k.Schedule(300, func() { ran = true })
+	k.RunAll()
+	if !ran {
+		t.Error("event scheduled at until after Run(until) did not run")
+	}
+	// RunAll drains the queue the same way: a position reserved at the
+	// last event's instant, after it, has passed once nothing is left.
+	var last uint64
+	k.Schedule(350, func() { last = k.ReserveSeq() })
+	k.RunAll()
+	if !k.Passed(350, last) {
+		t.Error("a position reserved at the final instant does not read as passed after RunAll")
+	}
+	// Run with until behind the clock leaves pending positions at now
+	// filable.
+	k.Schedule(400, func() {})
+	k.Step()
+	next := k.ReserveSeq()
+	k.Run(350)
+	if k.Passed(400, next) {
+		t.Error("Run(until < now) marked positions at now as passed")
+	}
+	k.ScheduleActionSeq(400, next, funcAction(nop))
+	k.RunAll()
+}

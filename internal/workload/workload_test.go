@@ -249,6 +249,7 @@ func TestBurstsCreateIdleIntervals(t *testing.T) {
 	// sp.D has duty 0.35: the channel must alternate between busy and
 	// idle phases, visible as sub-unity utilization of the ON phase.
 	k, net, fe := buildFrontEnd(t, "sp.D", 3)
+	net.Modules[0].UpReq.AttachMonitors()
 	fe.Start()
 	k.Run(100 * sim.Microsecond)
 	// Count idle gaps > 1 µs on the processor request link via the idle
