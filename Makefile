@@ -83,11 +83,12 @@ overhead:
 	echo "$$line" | jq -e '.correct and .failed == 0 and .metrics["audit.overhead"].value <= 0.08 and .metrics["sim.cancel_overhead"].value <= 0.01' >/dev/null || \
 	  { echo "overhead: a budget is blown or the pass is not correct: $$line"; exit 1; }
 
-# COVER_FLOOR is the post-calibration-PR baseline over ./internal/... —
-# the cover gate fails if total statement coverage drops below it. cmd/*
-# packages are excluded: their tests drive compiled subprocesses, which
-# the coverage profiler cannot see.
-COVER_FLOOR ?= 90.3
+# COVER_FLOOR is the measured total over ./internal/... once the link
+# failure model was deleted (94.7% before: its own tests covered it
+# almost fully) — the cover gate fails if total statement coverage drops
+# below it. cmd/* packages are excluded: their tests drive compiled
+# subprocesses, which the coverage profiler cannot see.
+COVER_FLOOR ?= 94.6
 
 # cover measures library coverage and enforces the floor. The profile
 # goes to a private temp file, removed on exit, as calib's report does;

@@ -277,7 +277,7 @@ func measureIdleWatts(m *model, kind topology.Kind) (float64, error) {
 // measureResidencyRatio cross-checks the two independent I/O energy
 // views on an ROO run with sparse traffic: the link's own idle+active
 // integration against the state-residency vector exported via
-// link.StateTimes (on/waking/retraining at full watts, off at the 1%
+// link.StateTimes (on and waking at full watts, off at the 1%
 // floor). The ratio must be 1 up to floating-point accumulation order.
 func measureResidencyRatio(m *model) (float64, error) {
 	k, net, err := netFor(m, topology.DaisyChain, 2, true)
@@ -301,7 +301,7 @@ func measureResidencyRatio(m *model) (float64, error) {
 		full := mod.Params.LinkFullWatts()
 		for _, l := range []*link.Link{net.Links[2*i], net.Links[2*i+1]} {
 			st := l.StateTimes(end)
-			on := st[link.StateOn] + st[link.StateWaking] + st[link.StateRetraining]
+			on := st[link.StateOn] + st[link.StateWaking]
 			predicted += full*sim.Time(on).Seconds() +
 				full*link.OffPowerFraction*sim.Time(st[link.StateOff]).Seconds()
 		}

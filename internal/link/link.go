@@ -2,7 +2,6 @@ package link
 
 import (
 	"fmt"
-	"math"
 
 	"memnet/internal/audit"
 	"memnet/internal/packet"
@@ -38,21 +37,9 @@ const (
 	StateOff
 	// StateWaking: the link is resynchronizing after an off period.
 	StateWaking
-	// StateFailed: the link has failed (Fail or CRC escalation). It draws
-	// no power and accepts no traffic until repaired. The link-level
-	// failure model (this state, StateRetraining, BER/CRC retry and its
-	// escalation ladder, Fail/Repair and wake faults) is exercised by this
-	// package's tests only: the network wires none of it, so no run
-	// reaches these states.
-	StateFailed
-	// StateRetraining: the link is re-running lane training after a repair
-	// or a CRC escalation. The PHY drives training sequences on every lane
-	// at full power but delivers no bandwidth; enqueued packets buffer
-	// until training completes.
-	StateRetraining
 
 	// NumStates sizes per-state arrays (residency accounting).
-	NumStates = int(StateRetraining) + 1
+	NumStates = int(StateWaking) + 1
 )
 
 // String implements fmt.Stringer.
@@ -64,10 +51,6 @@ func (s State) String() string {
 		return "off"
 	case StateWaking:
 		return "waking"
-	case StateFailed:
-		return "failed"
-	case StateRetraining:
-		return "retraining"
 	default:
 		return fmt.Sprintf("State(%d)", int(s))
 	}
@@ -83,20 +66,6 @@ type Config struct {
 	Wakeup sim.Duration
 	// FullWatts is the link's full operating power (≈0.586 W).
 	FullWatts float64
-	// BER is the per-bit error rate. HMC links are CRC-protected with
-	// link-level retry: a corrupted packet is retransmitted after
-	// RetryDelay. 0 (the default, and the paper's model) disables error
-	// injection.
-	BER float64
-	// RetryDelay is the detection + retry-request turnaround (default
-	// 32 ns when BER > 0).
-	RetryDelay sim.Duration
-	// Retrain is the lane-training latency for repair and CRC escalation
-	// (default RetrainDefault).
-	Retrain sim.Duration
-	// MaxCRCRetries bounds consecutive CRC retransmissions of one packet
-	// before the link escalates (default DefaultMaxCRCRetries).
-	MaxCRCRetries int
 }
 
 // Link is one unidirectional point-to-point link plus its controller:
@@ -131,20 +100,19 @@ type Link struct {
 	// OnTurnOff fires when the link powers down; the cascade uses it to
 	// let the upstream response link re-evaluate its own turn-off.
 	OnTurnOff func()
-	// OnDrop receives every packet the link refuses or loses because it
-	// has failed.
-	OnDrop func(*packet.Packet)
-	// OnRetrained fires when retraining completes and the link is back on.
-	OnRetrained func()
-	// OnHardFail fires when the CRC escalation ladder exhausts its options
-	// and the link must be taken down. When set it replaces the link's
-	// own Fail-and-drop fallback.
-	OnHardFail func()
 
-	// Power-control state.
+	// Power-control state. A bandwidth transition ends at bwTransEnd;
+	// the SetBWMode requests still pending for it were all made at one
+	// instant, bwTransEnd less the transition latency. bwReqs counts
+	// them, bwFired counts their commit events that have fired, and
+	// bwFirst[m] is the 1-based ordinal of the first request for mode m,
+	// 0 if none (see bwCommitAction).
 	bwMode     int
 	bwTarget   int
 	bwTransEnd sim.Time
+	bwReqs     int32
+	bwFired    int32
+	bwFirst    [NumBWModes]int32
 	// wattsByMode[m] is FullWatts*PowerFactor(mech, m), precomputed so
 	// the per-event energy integrator doesn't re-derive the power factor
 	// (a float divide for VWL) on every call.
@@ -168,36 +136,23 @@ type Link struct {
 	// Transmission state.
 	queue        []*packet.Packet
 	transmitting bool
-	inflight     *packet.Packet // the packet being serialized, reclaimed on Fail
 	idleSince    sim.Time
 	idleOpen     bool
 
-	// Pooled event actions. The transmit-completion, retry, and
-	// wake-completion events are singletons (the state machine allows at
-	// most one of each in flight), so they live inline in the Link;
-	// delivery events overlap across the SERDES pipeline and off-checks
-	// overlap when a threshold decrease orphans the pending cover, so
-	// those draw from per-link free lists. Together they make
-	// steady-state scheduling allocation-free.
+	// Pooled event actions. The transmit-completion and wake-completion
+	// events are singletons (the state machine allows at most one of each
+	// in flight), so they live inline in the Link, as do the stateless
+	// proactive wake and bandwidth commit, which any number of pending
+	// events can share; delivery events overlap across the SERDES
+	// pipeline and off-checks overlap when a threshold decrease orphans
+	// the pending cover, so those draw from per-link free lists. Together
+	// they make steady-state scheduling allocation-free.
 	txDone      txDoneAction
-	retry       retryAction
 	wake        wakeAction
 	wakeReq     wakeReqAction
+	bwCommit    bwCommitAction
 	deliverFree []*deliverAction
 	offFree     []*offCheckAction
-
-	// Wake-fault state.
-	wakeExtra  sim.Duration // extra latency added to the next wakeup
-	wakeDrop   bool         // the next wakeup fails once and is re-attempted
-	wakeFaults uint64
-	dropped    uint64
-
-	// Fault-recovery state.
-	retrainSeq uint64 // cancels stale retrain-completion events
-	crcStreak  int    // consecutive CRC failures on the head packet
-	escLevel   int    // next rung of the escalation ladder
-	esc        EscalationStats
-	repairs    uint64
 
 	// Energy/time integration.
 	lastAccount  sim.Time
@@ -211,9 +166,6 @@ type Link struct {
 	bytes     uint64
 	maxQueue  int
 	overflows uint64
-	retries   uint64
-
-	errRNG *sim.RNG
 
 	// ser is the mechanism's serialization table, shared with mon. mon
 	// is nil until AttachMonitors: only a managing policy reads the
@@ -233,12 +185,6 @@ func New(k *sim.Kernel, cfg Config, id int, dir Direction, owner, from, to, dept
 	if cfg.Wakeup <= 0 {
 		cfg.Wakeup = WakeupDefault
 	}
-	if cfg.Retrain <= 0 {
-		cfg.Retrain = RetrainDefault
-	}
-	if cfg.MaxCRCRetries <= 0 {
-		cfg.MaxCRCRetries = DefaultMaxCRCRetries
-	}
 	l := &Link{
 		kernel:      k,
 		cfg:         cfg,
@@ -252,15 +198,9 @@ func New(k *sim.Kernel, cfg Config, id int, dir Direction, owner, from, to, dept
 		ser:         &serTables[cfg.Mechanism],
 		lastAccount: k.Now(),
 	}
-	l.txDone.l, l.retry.l, l.wake.l, l.wakeReq.l = l, l, l, l
+	l.txDone.l, l.wake.l, l.wakeReq.l, l.bwCommit.l = l, l, l, l
 	for m := 0; m < NumModes(cfg.Mechanism); m++ {
 		l.wattsByMode[m] = cfg.FullWatts * PowerFactor(cfg.Mechanism, m)
-	}
-	if cfg.BER > 0 {
-		if l.cfg.RetryDelay <= 0 {
-			l.cfg.RetryDelay = 32 * sim.Nanosecond
-		}
-		l.errRNG = sim.NewRNG(0x6c696e6b ^ uint64(id)<<20)
 	}
 	if cfg.ROO {
 		// A freshly built link is idle; open the idle interval so it can
@@ -270,26 +210,16 @@ func New(k *sim.Kernel, cfg Config, id int, dir Direction, owner, from, to, dept
 	return l
 }
 
-// legalTransition reports whether the ROO/failure/recovery state lattice
-// allows from→to: on→{off, retraining} (CRC escalation retrains a live
-// link), off→waking, waking→{on, off} (a dropped wakeup falls back and
-// retries), and any live state→failed. A failed link leaves StateFailed
-// only through retraining (repair), retraining completes only to on, and
-// a link never jumps off→on without waking.
+// legalTransition reports whether the ROO state lattice allows from→to:
+// on→off, off→waking and waking→on. A link never jumps off→on without
+// waking, and a wakeup always completes.
 func legalTransition(from, to State) bool {
-	if to == StateFailed {
-		return from != StateFailed
-	}
 	switch from {
 	case StateOn:
-		return to == StateOff || to == StateRetraining
+		return to == StateOff
 	case StateOff:
 		return to == StateWaking
 	case StateWaking:
-		return to == StateOn || to == StateOff
-	case StateFailed:
-		return to == StateRetraining
-	case StateRetraining:
 		return to == StateOn
 	}
 	return false
@@ -357,11 +287,8 @@ func (l *Link) auditSweep(now sim.Time, report func(component, rule, detail stri
 	if l.rooMode < 0 || l.rooMode >= NumROOModes {
 		report(c, "roo-mode-range", fmt.Sprintf("roo mode %d outside [0,%d)", l.rooMode, NumROOModes))
 	}
-	if l.state < StateOn || l.state > StateRetraining {
+	if l.state < StateOn || l.state > StateWaking {
 		report(c, "state-range", fmt.Sprintf("state %d is not a lattice state", l.state))
-	}
-	if (l.state == StateFailed || l.state == StateRetraining) && l.transmitting {
-		report(c, "recovery-quiet", fmt.Sprintf("%s link is serializing a packet", l.state))
 	}
 	if l.energyIdle < 0 || l.energyActive < 0 {
 		report(c, "energy-sign", fmt.Sprintf("idle=%g active=%g J", l.energyIdle, l.energyActive))
@@ -377,101 +304,6 @@ func (l *Link) auditSweep(now sim.Time, report func(component, rule, detail stri
 	if l.totalBusy > now {
 		report(c, "busy-bound", fmt.Sprintf("busy time %s exceeds elapsed %s", l.totalBusy, now))
 	}
-}
-
-// corrupted decides whether a just-serialized packet failed its CRC.
-func (l *Link) corrupted(p *packet.Packet) bool {
-	if l.errRNG == nil || l.cfg.BER <= 0 {
-		return false
-	}
-	bits := float64(p.Bytes() * 8)
-	pErr := 1 - pow1m(l.cfg.BER, bits)
-	return l.errRNG.Float64() < pErr
-}
-
-// pow1m computes (1-ber)^bits stably for tiny ber.
-func pow1m(ber, bits float64) float64 {
-	if ber <= 0 {
-		return 1
-	}
-	if ber >= 1 {
-		return 0
-	}
-	// exp(bits × ln(1-ber)); for the tiny rates of interest this is
-	// ≈ 1 - bits×ber.
-	return math.Exp(bits * math.Log(1-ber))
-}
-
-// Retries counts CRC retransmissions performed by this link.
-func (l *Link) Retries() uint64 { return l.retries }
-
-// Dropped counts packets refused or lost because the link failed.
-func (l *Link) Dropped() uint64 { return l.dropped }
-
-// WakeFaults counts injected wakeup faults consumed by this link.
-func (l *Link) WakeFaults() uint64 { return l.wakeFaults }
-
-// Failed reports whether the link is down awaiting repair.
-func (l *Link) Failed() bool { return l.state == StateFailed }
-
-// SetBER reprograms the link's bit error rate at runtime (a transient
-// corruption burst driving the CRC retry path). Setting it back to zero
-// ends the burst. The error RNG is seeded from the link ID, so bursts
-// are deterministic.
-func (l *Link) SetBER(ber float64) {
-	l.cfg.BER = ber
-	if ber > 0 {
-		if l.cfg.RetryDelay <= 0 {
-			l.cfg.RetryDelay = 32 * sim.Nanosecond
-		}
-		if l.errRNG == nil {
-			l.errRNG = sim.NewRNG(0x6c696e6b ^ uint64(l.ID)<<20)
-		}
-	}
-}
-
-// InjectWakeFault arms a fault on the link's next wakeup: the
-// resynchronization takes extra additional time, and if drop is set the
-// wakeup fails once outright — the link falls back to off and retries the
-// full wakeup. Models marginal links whose retraining struggles.
-func (l *Link) InjectWakeFault(extra sim.Duration, drop bool) {
-	if l.state == StateFailed {
-		return
-	}
-	if extra > l.wakeExtra {
-		l.wakeExtra = extra
-	}
-	l.wakeDrop = l.wakeDrop || drop
-}
-
-// Fail fails the link: energy is integrated up to now at the pre-failure
-// draw, the state moves to StateFailed (0 W), and every buffered or
-// in-flight packet is handed back to the caller so the network can
-// complete or account them. Subsequent Enqueues are dropped through
-// OnDrop until Repair brings the link back. Fail is idempotent.
-func (l *Link) Fail() []*packet.Packet {
-	if l.state == StateFailed {
-		return nil
-	}
-	now := l.kernel.Now()
-	l.account(now)
-	if l.idleOpen {
-		if l.mon != nil {
-			l.mon.observeIdleEnd(now - l.idleSince)
-		}
-		l.idleOpen = false
-	}
-	l.setState(StateFailed)
-	l.transmitting = false
-	l.offArmed = false // cancel the pending off-check
-	var stranded []*packet.Packet
-	if l.inflight != nil {
-		stranded = append(stranded, l.inflight)
-		l.inflight = nil
-	}
-	stranded = append(stranded, l.queue...)
-	l.queue = nil
-	return stranded
 }
 
 // Config returns the link's capabilities.
@@ -539,14 +371,6 @@ func (l *Link) effBWLabel(now sim.Time) int {
 
 // currentWatts is the instantaneous power draw.
 func (l *Link) currentWatts(now sim.Time) float64 {
-	if l.state == StateFailed {
-		return 0 // a dead link draws nothing and is dropped from accounting
-	}
-	if l.state == StateRetraining {
-		// Training drives the PHY on every lane at full power while
-		// delivering no bandwidth — the I/O cost of recovery.
-		return l.cfg.FullWatts
-	}
 	if l.state == StateOff {
 		return l.cfg.FullWatts * OffPowerFraction
 	}
@@ -588,8 +412,6 @@ func (l *Link) account(now sim.Time) {
 			ep.OffTime += d
 		case StateWaking:
 			ep.WakingTime += d
-		case StateRetraining:
-			ep.RetrainTime += d
 		}
 	}
 	l.lastAccount = now
@@ -610,16 +432,8 @@ func (l *Link) StateTimes(now sim.Time) [NumStates]sim.Duration {
 }
 
 // Enqueue accepts a packet into the link buffer (reads ahead of writes)
-// and starts transmission or wakeup as needed. A failed link refuses the
-// packet and reports it through OnDrop.
+// and starts transmission or wakeup as needed.
 func (l *Link) Enqueue(p *packet.Packet) {
-	if l.state == StateFailed {
-		l.dropped++
-		if l.OnDrop != nil {
-			l.OnDrop(p)
-		}
-		return
-	}
 	now := l.kernel.Now()
 	l.account(now)
 	p.HopArrive = now
@@ -681,7 +495,6 @@ func (l *Link) tryTransmit() {
 	}
 	l.queue = l.queue[:len(l.queue)-1]
 	l.transmitting = true
-	l.inflight = p
 
 	mode := l.effBWLabel(now)
 	end := now + l.ser.svc(p.Flits())[mode]
@@ -702,13 +515,6 @@ type txDoneAction struct {
 
 func (a *txDoneAction) Act() { a.l.finishTransmit() }
 
-// retryAction re-attempts transmission after the CRC retry turnaround.
-// It is stateless, so the one inline value can back any number of
-// concurrently scheduled retries.
-type retryAction struct{ l *Link }
-
-func (a *retryAction) Act() { a.l.tryTransmit() }
-
 // deliverAction carries a serialized packet through the SERDES/router
 // pipeline to Deliver. Deliveries overlap (serialization of the next
 // packet starts before the previous one lands), so these are pooled on a
@@ -726,47 +532,21 @@ func (a *deliverAction) Act() {
 	l.Deliver(p)
 }
 
-// finishTransmit completes serialization of the in-flight packet:
-// CRC-check it, then either hand it to the delivery pipeline and start
-// the next transmission, or put it back at the head and retry.
+// finishTransmit completes serialization of the in-flight packet at its
+// end time (the kernel's now): hand it to the delivery pipeline and start
+// the next transmission.
 func (l *Link) finishTransmit() {
 	p, end, serdes := l.txDone.p, l.txDone.end, l.txDone.serdes
-	if l.state == StateFailed {
-		return // Fail() already reclaimed the in-flight packet
-	}
-	if !l.transmitting || l.inflight != p {
-		return // stale: the link failed and was repaired mid-serialization
-	}
 	l.account(end)
 	l.transmitting = false
-	l.inflight = nil
-	if l.corrupted(p) {
-		// CRC failure: put the packet back at the head and
-		// retransmit after the retry turnaround. Consecutive
-		// failures escalate (degrade → retrain → hard-fail)
-		// instead of spinning forever under a sustained burst.
-		l.retries++
-		l.queue = append(l.queue, nil)
-		copy(l.queue[1:], l.queue)
-		l.queue[0] = p
-		l.offArmed = false // keep ROO from sleeping mid-retry
-		l.crcStreak++
-		if l.crcStreak >= l.cfg.MaxCRCRetries {
-			l.escalate(end)
-			return
-		}
-		l.kernel.AfterAction(l.cfg.RetryDelay, &l.retry)
-		return
-	}
-	// A clean transmission resets the escalation ladder.
-	l.crcStreak, l.escLevel = 0, 0
 	l.bytes += uint64(p.Bytes())
-	depart := end + serdes
 	if l.mon != nil {
-		l.mon.observeDeparture(p, depart-p.HopArrive)
+		l.mon.observeDeparture(p, end+serdes-p.HopArrive)
 	}
 	// Delivery includes the receiving module's router traversal, so
 	// the receiver can act inline (one event per hop instead of two).
+	// Every link's deliveries at one SERDES latency share the kernel's
+	// fixed-delay FIFO; under DVFS the other modes' fall to the wheel.
 	var da *deliverAction
 	if n := len(l.deliverFree); n > 0 {
 		da, l.deliverFree = l.deliverFree[n-1], l.deliverFree[:n-1]
@@ -774,123 +554,12 @@ func (l *Link) finishTransmit() {
 		da = &deliverAction{l: l}
 	}
 	da.p = p
-	l.kernel.ScheduleAction(depart+RouterLatency(), da)
+	l.kernel.AfterFixed(serdes+RouterLatency(), da)
 	if len(l.queue) > 0 {
 		l.tryTransmit()
 	} else {
 		l.enterIdle(end)
 	}
-}
-
-// Escalation ladder rungs: each exhausted CRC retry streak moves the
-// link one rung further until a clean transmission resets it.
-const (
-	escDegrade  = iota // drop to the half-width lane mode
-	escRetrain         // re-run lane training
-	escHardFail        // give up: fail the link
-)
-
-// EscalationStats counts the CRC escalation ladder's actions.
-type EscalationStats struct {
-	Degrades  uint64 // half-width fallbacks
-	Retrains  uint64 // escalation-triggered retrains (repairs not included)
-	HardFails uint64 // links taken down after retraining did not help
-}
-
-// Escalations returns the ladder counters.
-func (l *Link) Escalations() EscalationStats { return l.esc }
-
-// Repairs counts completed failed→retraining→on repair cycles started on
-// this link.
-func (l *Link) Repairs() uint64 { return l.repairs }
-
-// escalate runs one rung of the ladder after MaxCRCRetries consecutive
-// CRC failures: degrade to the half-width mode, then retrain, then fail
-// the link for good. Called from the transmit-completion event with the
-// corrupt packet already back at the head of the queue.
-func (l *Link) escalate(now sim.Time) {
-	l.crcStreak = 0
-	lvl := l.escLevel
-	if lvl == escDegrade && NumModes(l.cfg.Mechanism) <= HalfWidthMode {
-		lvl = escRetrain // no narrower mode to fall back to
-	}
-	switch lvl {
-	case escDegrade:
-		l.esc.Degrades++
-		l.escLevel = escRetrain
-		l.SetBWMode(HalfWidthMode)
-		l.kernel.AfterAction(l.cfg.RetryDelay, &l.retry)
-	case escRetrain:
-		l.esc.Retrains++
-		l.escLevel = escHardFail
-		l.account(now)
-		l.setState(StateRetraining)
-		l.beginRetrain(now)
-	default:
-		l.esc.HardFails++
-		if l.OnHardFail != nil {
-			l.OnHardFail()
-			return
-		}
-		for _, p := range l.Fail() {
-			l.dropped++
-			if l.OnDrop != nil {
-				l.OnDrop(p)
-			}
-		}
-	}
-}
-
-// beginRetrain schedules the training-complete event. The sequence
-// number cancels it if the link fails (or is failed) mid-training.
-func (l *Link) beginRetrain(now sim.Time) {
-	l.retrainSeq++
-	seq := l.retrainSeq
-	l.kernel.Schedule(now+l.cfg.Retrain, func() { l.finishRetrain(seq) })
-}
-
-// finishRetrain completes lane training: the link comes back at full
-// width with a clean CRC streak and resumes draining its buffer.
-func (l *Link) finishRetrain(seq uint64) {
-	if l.state != StateRetraining || l.retrainSeq != seq {
-		return // failed mid-training, or superseded by a newer retrain
-	}
-	now := l.kernel.Now()
-	l.account(now)
-	// Training re-equalizes every lane, so the link exits at full width;
-	// zeroing the transition deadline also cancels any stale mode-commit.
-	l.bwMode, l.bwTarget, l.bwTransEnd = 0, 0, 0
-	l.crcStreak = 0
-	l.setState(StateOn)
-	if l.mon != nil {
-		l.mon.epoch.Retrains++
-	}
-	if l.OnRetrained != nil {
-		l.OnRetrained()
-	}
-	if len(l.queue) > 0 {
-		l.tryTransmit()
-	} else {
-		l.enterIdle(now)
-	}
-}
-
-// Repair begins recovery of a failed link: it enters StateRetraining
-// (full I/O power, no traffic) and comes back on after the configured
-// training latency. The escalation ladder restarts from the bottom.
-// Returns false — and does nothing — unless the link is failed.
-func (l *Link) Repair() bool {
-	if l.state != StateFailed {
-		return false
-	}
-	now := l.kernel.Now()
-	l.account(now) // close the 0 W failed interval
-	l.setState(StateRetraining)
-	l.repairs++
-	l.escLevel = escDegrade
-	l.wakeExtra, l.wakeDrop = 0, false // pending wake faults die with the old PHY state
-	l.beginRetrain(now)
-	return true
 }
 
 // enterIdle opens an idle interval and arms the ROO off-check.
@@ -991,10 +660,7 @@ func (l *Link) MaybeTurnOff() {
 	}
 }
 
-// startWake begins the off→waking→on sequence. An armed wakeup fault
-// stretches the resynchronization or (drop) aborts it once: the link
-// falls back to off and immediately retries the full wakeup, so queued
-// packets are delayed, never stranded.
+// startWake begins the off→waking→on sequence.
 func (l *Link) startWake() {
 	if l.state != StateOff {
 		return
@@ -1002,50 +668,24 @@ func (l *Link) startWake() {
 	now := l.kernel.Now()
 	l.account(now)
 	l.setState(StateWaking)
-	wakeup := l.cfg.Wakeup
-	if l.wakeExtra > 0 {
-		wakeup += l.wakeExtra
-		l.wakeExtra = 0
-		l.wakeFaults++
-	}
-	drop := l.wakeDrop
-	if drop {
-		l.wakeDrop = false
-		l.wakeFaults++
-	}
 	if l.OnWakeStart != nil {
 		l.OnWakeStart()
 	}
-	l.wake.end, l.wake.drop = now+wakeup, drop
-	l.kernel.ScheduleAction(l.wake.end, &l.wake)
+	l.kernel.ScheduleAction(now+l.cfg.Wakeup, &l.wake)
 }
 
 // wakeAction is the wake-completion event. The state machine admits one
 // wake at a time (off→waking, and waking ends before the next off), so a
-// single inline value suffices; end doubles as a staleness guard.
-type wakeAction struct {
-	l    *Link
-	end  sim.Time
-	drop bool
-}
+// single inline value suffices.
+type wakeAction struct{ l *Link }
 
 func (a *wakeAction) Act() { a.l.finishWake() }
 
 // finishWake completes resynchronization: the link comes on and drains
-// its buffer, or — on an injected wake drop — falls back to off and
-// retries the whole wakeup.
+// its buffer.
 func (l *Link) finishWake() {
-	if l.state != StateWaking || l.wake.end != l.kernel.Now() {
-		return // failed mid-wake, or superseded by a newer wakeup
-	}
 	t := l.kernel.Now()
 	l.account(t)
-	if l.wake.drop {
-		// Resynchronization failed; retry the whole wakeup.
-		l.setState(StateOff)
-		l.startWake()
-		return
-	}
 	l.setState(StateOn)
 	if l.mon != nil {
 		l.mon.epoch.Wakeups++
@@ -1086,8 +726,7 @@ func (l *Link) WakeAction() sim.Action { return &l.wakeReq }
 // mechanism's transition latency, during which the link runs at the
 // slower of the two modes and draws the higher power.
 func (l *Link) SetBWMode(m int) {
-	if l.cfg.Mechanism == MechNone || m == l.bwTarget ||
-		l.state == StateFailed || l.state == StateRetraining {
+	if l.cfg.Mechanism == MechNone || m == l.bwTarget {
 		return
 	}
 	if m < 0 || m >= NumModes(l.cfg.Mechanism) {
@@ -1101,15 +740,38 @@ func (l *Link) SetBWMode(m int) {
 	}
 	l.bwTarget = m
 	end := now + TransitionLatency(l.cfg.Mechanism)
-	l.bwTransEnd = end
-	l.kernel.Schedule(end, func() {
-		if l.bwTransEnd != end || l.bwTarget != m ||
-			l.state == StateFailed || l.state == StateRetraining {
-			return // superseded (retraining resets the width itself)
-		}
-		l.account(end)
-		l.bwMode = m
-	})
+	if end != l.bwTransEnd {
+		l.bwTransEnd, l.bwReqs, l.bwFired = end, 0, 0
+		l.bwFirst = [NumBWModes]int32{}
+	}
+	l.bwReqs++
+	if l.bwFirst[m] == 0 {
+		l.bwFirst[m] = l.bwReqs
+	}
+	l.kernel.ScheduleAction(end, &l.bwCommit)
+}
+
+// bwCommitAction commits a bandwidth transition when it ends, one event
+// per SetBWMode request. A request is superseded when a later one moved
+// the transition's end or changed its target; only the first request
+// whose mode is the final target commits, at its own seq, and any later
+// one finds the mode already committed. The requests that share the live
+// end were all made at one instant, so the commit events fire in request
+// order and bwFired numbers them.
+type bwCommitAction struct{ l *Link }
+
+func (a *bwCommitAction) Act() {
+	l := a.l
+	now := l.kernel.Now()
+	if now != l.bwTransEnd {
+		return // superseded by a request at a later instant
+	}
+	l.bwFired++
+	if l.bwFired < l.bwFirst[l.bwTarget] {
+		return // superseded by a later request at the same instant
+	}
+	l.account(now)
+	l.bwMode = l.bwTarget
 }
 
 // SetROOMode selects the idleness-threshold index.
@@ -1125,12 +787,7 @@ func (l *Link) SetROOMode(m int) {
 
 // ForceFullPower puts the link in full power until ClearForce (the §V
 // AMS-violation response): full bandwidth, ROO suspended, woken if off.
-// A failed link cannot be forced back up, and a retraining link is
-// already at full I/O power and manages its own return to service.
 func (l *Link) ForceFullPower() {
-	if l.state == StateFailed || l.state == StateRetraining {
-		return
-	}
 	l.forcedFull = true
 	l.SetBWMode(0)
 	l.offArmed = false // cancel the pending off-check

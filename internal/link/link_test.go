@@ -400,54 +400,64 @@ func TestMaxQueueAndOverflow(t *testing.T) {
 	k.RunAll()
 }
 
-func TestBERRetries(t *testing.T) {
-	// A lossy link must still deliver everything, with retries counted
-	// and extra busy time burned.
-	k, l, delivered := testLink(t, Config{BER: 1e-3}) // ~47% packet error for 80B
-	for i := 0; i < 200; i++ {
-		l.Enqueue(pkt(uint64(i), packet.ReadResp))
-	}
-	k.RunAll()
-	if len(*delivered) != 200 {
-		t.Fatalf("delivered %d of 200", len(*delivered))
-	}
-	if l.Retries() == 0 {
-		t.Fatal("no retries on a lossy link")
-	}
-	// Expected retry rate ~ twice the per-packet error probability is a
-	// loose sanity band.
-	rate := float64(l.Retries()) / 200
-	if rate < 0.1 || rate > 2.0 {
-		t.Fatalf("retry rate = %v, implausible for BER 1e-3", rate)
-	}
-	// Busy time must exceed the error-free serialization total.
-	minBusy := sim.Duration(200) * 5 * FlitTimeFull
-	if l.BusyTime() <= minBusy {
-		t.Fatalf("busy %v not above error-free %v", l.BusyTime(), minBusy)
-	}
-}
-
-func TestBERZeroIsClean(t *testing.T) {
-	k, l, delivered := testLink(t, Config{})
-	for i := 0; i < 50; i++ {
-		l.Enqueue(pkt(uint64(i), packet.ReadResp))
-	}
-	k.RunAll()
-	if l.Retries() != 0 || len(*delivered) != 50 {
-		t.Fatalf("clean link: retries=%d delivered=%d", l.Retries(), len(*delivered))
-	}
-}
-
-func TestBERDeterministic(t *testing.T) {
-	run := func() uint64 {
-		k, l, _ := testLink(t, Config{BER: 5e-4})
-		for i := 0; i < 100; i++ {
-			l.Enqueue(pkt(uint64(i), packet.ReadResp))
+// TestBWCommitMatchesPerRequestClosure holds the embedded bandwidth
+// commit to the per-request closure it replaced, which captured its own
+// end and mode and committed only if neither had been superseded. A
+// shadow of that closure runs beside the link on the same kernel, filed
+// right after each request's commit, and probes filed at each request's
+// end compare the two. Requests land at random gaps, some inside the
+// previous transition and several at one instant with repeated modes, so
+// commits are superseded both ways.
+func TestBWCommitMatchesPerRequestClosure(t *testing.T) {
+	for _, mech := range []Mechanism{MechVWL, MechDVFS} {
+		k, l, _ := testLink(t, Config{Mechanism: mech})
+		lat := TransitionLatency(mech)
+		var sMode, sTarget int
+		var sEnd sim.Time
+		sameInstant := 0
+		shadowSet := func(m int) {
+			if m == sTarget {
+				return
+			}
+			now := k.Now()
+			if now >= sEnd {
+				sMode = sTarget
+			}
+			sTarget = m
+			end := now + lat
+			sEnd = end
+			k.Schedule(end, func() {
+				if sEnd != end || sTarget != m {
+					if sEnd == end {
+						sameInstant++
+					}
+					return
+				}
+				sMode = m
+			})
+		}
+		probe := func() {
+			if l.BWMode() != sMode || l.BWTarget() != sTarget {
+				t.Fatalf("%v at %v: mode %d target %d, closure model %d %d",
+					mech, k.Now(), l.BWMode(), l.BWTarget(), sMode, sTarget)
+			}
+		}
+		rng := sim.NewRNG(42)
+		gaps := []sim.Duration{lat / 2, lat - 1, lat, lat + 1, 3 * lat}
+		for round := 0; round < 3000; round++ {
+			k.Run(k.Now() + gaps[rng.Intn(len(gaps))])
+			probe()
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				m := rng.Intn(NumBWModes)
+				l.SetBWMode(m)
+				shadowSet(m)
+				k.Schedule(k.Now()+lat, probe)
+			}
 		}
 		k.RunAll()
-		return l.Retries()
-	}
-	if run() != run() {
-		t.Fatal("BER injection not deterministic")
+		probe()
+		if sameInstant == 0 {
+			t.Fatalf("%v: no request was superseded at its own instant", mech)
+		}
 	}
 }

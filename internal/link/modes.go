@@ -222,23 +222,3 @@ var (
 	WakeupDefault     = 14 * sim.Nanosecond
 	WakeupSensitivity = 20 * sim.Nanosecond
 )
-
-// Fault-recovery parameters.
-const (
-	// HalfWidthMode is the bandwidth-mode index the CRC escalation path
-	// degrades to: 8 of 16 lanes under VWL, the 80% operating point under
-	// DVFS. Narrower lanes mean fewer bits exposed per unit time on a
-	// marginal link.
-	HalfWidthMode = 1
-	// DefaultMaxCRCRetries bounds consecutive CRC retransmissions of one
-	// packet before the link escalates (degrade → retrain → hard-fail).
-	// HMC controllers give up on link-level retry after a handful of
-	// attempts and fall back to retraining.
-	DefaultMaxCRCRetries = 8
-)
-
-// RetrainDefault is the link retraining latency: a repaired or escalated
-// link re-runs PRBS lane training at full I/O power before carrying
-// traffic again. Orders of magnitude longer than an ROO wakeup resync,
-// which only re-locks an already-trained PHY.
-var RetrainDefault = 1 * sim.Microsecond

@@ -144,11 +144,6 @@ type EpochCounters struct {
 	TimeInBWMode [NumBWModes]sim.Duration
 	// OffTime and WakingTime partition the epoch's ROO states.
 	OffTime, WakingTime sim.Duration
-	// RetrainTime is time spent in lane training (repair or CRC
-	// escalation) this epoch — full power, zero bandwidth.
-	RetrainTime sim.Duration
-	// Retrains counts completed retrainings this epoch.
-	Retrains int
 }
 
 // AvgWakeupArrivals returns the sampled estimate of read arrivals per

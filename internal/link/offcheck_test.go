@@ -9,7 +9,7 @@ import (
 
 // TestOffCheckCoversStayBounded drives one ROO link with back-to-back
 // traffic interleaved with Wake, SetROOMode up and down, HoldOn vetoes,
-// ForceFullPower/ClearForce and Fail/Repair, and counts the off-check
+// ForceFullPower/ClearForce, and counts the off-check
 // events it has pending after every call and every kernel step. Re-arms
 // share one pending cover, so at most one is pending, plus one orphan per
 // threshold decrease still within the longest threshold of now (an
@@ -81,15 +81,9 @@ func TestOffCheckCoversStayBounded(t *testing.T) {
 		case r < 64:
 			l.ForceFullPower()
 			what = "force"
-		case r < 67:
+		case r < 70:
 			l.ClearForce()
 			what = "clear force"
-		case r < 68:
-			l.Fail()
-			what = "fail"
-		case r < 70:
-			l.Repair()
-			what = "repair"
 		case r < 80:
 			// Idle gap: long enough, sometimes, for a threshold to expire.
 			until := k.Now() + sim.Duration(rng.Intn(3000))*sim.Nanosecond

@@ -42,23 +42,3 @@ func TestStateTimesPartition(t *testing.T) {
 		t.Error("StateTimes perturbed energy integration")
 	}
 }
-
-// TestStateTimesFailedState: a failed link accrues residency in
-// StateFailed, not StateOn.
-func TestStateTimesFailedState(t *testing.T) {
-	k, l, _ := testLink(t, Config{})
-	k.Run(1 * sim.Microsecond)
-	l.Fail()
-	k.Run(3 * sim.Microsecond)
-	st := l.StateTimes(k.Now())
-	if st[StateFailed] < 2*sim.Microsecond {
-		t.Errorf("failed residency = %v, want >= 2us", st[StateFailed])
-	}
-	var sum sim.Duration
-	for _, d := range st {
-		sum += d
-	}
-	if sum != sim.Duration(k.Now()) {
-		t.Errorf("residency sum = %v, want %v", sum, k.Now())
-	}
-}

@@ -11,9 +11,11 @@ import "fmt"
 // the head of the wheel), every pending event carries an issued seq and
 // lies after the current position (now, and the seq of the event being
 // dispatched), the occupancy bitmap and event count agree with the slots,
-// and the overflow heap keeps its d-ary ordering. A wheel entry's slot
-// and lap are implied by where it is filed, so it cannot sit in the
-// wrong slot or past the horizon. It is O(numSlots·slotCap + pending)
+// the overflow heap keeps its d-ary ordering, and the fixed-delay FIFO is
+// a well-formed ring whose pending events are in strict (at, seq) order
+// within one delay of now and whose other entries are zero. A wheel
+// entry's slot and lap are implied by where it is filed, so it cannot sit
+// in the wrong slot or past the horizon. It is O(numSlots·slotCap + pending)
 // and read-only — meant for the audit layer's periodic sweeps, not the
 // hot loop. A violation here means the queue has been corrupted and
 // every later event could run out of order.
@@ -64,6 +66,39 @@ func (k *Kernel) CheckInvariants() error {
 			return fmt.Errorf("sim: overflow heap order violated at index %d (at=%s seq=%d) vs parent %d (at=%s seq=%d)",
 				i, k.overflow[i].at, k.overflow[i].seq, p, k.overflow[p].at, k.overflow[p].seq)
 		}
+	}
+	return k.checkFIFO()
+}
+
+// checkFIFO checks the fixed-delay FIFO's ring: bounds, strict (at, seq)
+// order from the head, every pending event after the current position
+// and filed at most one delay ago, and every other entry zero.
+func (k *Kernel) checkFIFO() error {
+	size := len(k.fifo)
+	if size&(size-1) != 0 || k.fifoLen < 0 || k.fifoLen > size ||
+		k.fifoHead < 0 || k.fifoHead >= max(size, 1) || k.fifoLen > 0 && k.fixed <= 0 {
+		return fmt.Errorf("sim: fifo bounds head=%d len=%d invalid (ring %d, delay %s)", k.fifoHead, k.fifoLen, size, k.fixed)
+	}
+	var prev *event
+	for i := 0; i < size; i++ {
+		e := &k.fifo[(k.fifoHead+i)&(size-1)]
+		if i >= k.fifoLen {
+			if e.at != 0 || e.seq != 0 || e.act != nil {
+				return fmt.Errorf("sim: fifo retired entry %d not cleared (at=%s seq=%d)", i, e.at, e.seq)
+			}
+			continue
+		}
+		if err := k.checkPending(e.at, e.seq); err != nil {
+			return fmt.Errorf("%w (fifo entry %d)", err, i)
+		}
+		if e.at > k.now+k.fixed {
+			return fmt.Errorf("sim: fifo entry %d at %s lies past one delay (%s) after now %s", i, e.at, k.fixed, k.now)
+		}
+		if prev != nil && !prev.before(e) {
+			return fmt.Errorf("sim: fifo order violated at %d (at=%s seq=%d after at=%s seq=%d)",
+				i, e.at, e.seq, prev.at, prev.seq)
+		}
+		prev = e
 	}
 	return nil
 }

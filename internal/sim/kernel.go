@@ -140,6 +140,12 @@ func (s *wheelSlot) sortPending() {
 // grows to its peak depth: steady-state Schedule+Step performs zero heap
 // allocations (see TestKernelScheduleStepZeroAllocs and
 // BenchmarkKernelScheduleStep).
+//
+// Beside the wheel sits a FIFO for events filed with AfterFixed at one
+// fixed delay (a link's SERDES + router hop). Their times rise with their
+// seqs, so the FIFO is in (at, seq) order by construction: an insert is
+// an append and its head is its minimum, which next compares with the
+// wheel's and the heap's.
 type Kernel struct {
 	now   Time
 	seq   uint64
@@ -173,7 +179,27 @@ type Kernel struct {
 	// finding the next occupied slot is a word scan, not a slot walk.
 	occupied [bitmapWords]uint64
 	wheel    [numSlots]wheelSlot
+
+	// fixed is the FIFO's delay, set by the first AfterFixed (0 until
+	// then). fifo is a power-of-two ring holding fifoLen pending events
+	// from fifo[fifoHead] on, oldest first; every other entry is zero.
+	// It is allocated on first use and grows only by doubling, so steady
+	// state never allocates.
+	fixed    Duration
+	fifo     []event
+	fifoHead int
+	fifoLen  int
 }
+
+// Pseudo slot indices next returns for events outside the wheel.
+const (
+	overflowSlot = -1
+	fifoSlot     = -2
+)
+
+// fifoInitCap is the FIFO ring's first size: more than the deliveries a
+// network's links have in flight at once, so it rarely grows.
+const fifoInitCap = 64
 
 // NewKernel returns a ready kernel; it is the same as new(Kernel).
 func NewKernel() *Kernel { return new(Kernel) }
@@ -219,7 +245,7 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Processed() uint64 { return k.count }
 
 // Pending returns the number of events still queued.
-func (k *Kernel) Pending() int { return k.wheelCount + len(k.overflow) }
+func (k *Kernel) Pending() int { return k.wheelCount + len(k.overflow) + k.fifoLen }
 
 // Schedule runs fn at absolute time at. Scheduling in the past panics:
 // that is always a simulator bug, never a recoverable condition.
@@ -238,6 +264,9 @@ func (k *Kernel) ScheduleAction(at Time, a Action) {
 	if at < k.now {
 		panic("sim: scheduling event in the past")
 	}
+	if recording {
+		k.record(opSchedule, at-k.now, 0)
+	}
 	k.seq++
 	if k.seq > seqMask {
 		panic("sim: sequence numbers exhausted")
@@ -249,12 +278,52 @@ func (k *Kernel) ScheduleAction(at Time, a Action) {
 	}
 }
 
+// AfterFixed schedules a d picoseconds from now, as AfterAction does, at
+// the same seq, but through the kernel's fixed-delay FIFO: an append and,
+// at dispatch, a head read, where the wheel pays a random-slot insert and
+// a deferred sort. The first d given fixes the FIFO's delay; a call with
+// any other d files on the wheel, so every FIFO event was filed at its
+// insert time plus one delay, and the FIFO stays in (at, seq) order.
+func (k *Kernel) AfterFixed(d Duration, a Action) {
+	if d != k.fixed {
+		if k.fixed != 0 || d <= 0 {
+			k.ScheduleAction(k.now+d, a)
+			return
+		}
+		k.fixed = d
+	}
+	if recording {
+		k.record(opFIFO, d, 0)
+	}
+	k.seq++
+	if k.seq > seqMask {
+		panic("sim: sequence numbers exhausted")
+	}
+	if k.fifoLen == len(k.fifo) {
+		k.growFIFO()
+	}
+	k.fifo[(k.fifoHead+k.fifoLen)&(len(k.fifo)-1)] = event{at: k.now + d, seq: k.seq, act: a}
+	k.fifoLen++
+}
+
+// growFIFO doubles the full FIFO ring (or allocates its first one),
+// moving the pending events to the front in order.
+func (k *Kernel) growFIFO() {
+	buf := make([]event, max(2*len(k.fifo), fifoInitCap))
+	n := copy(buf, k.fifo[k.fifoHead:])
+	copy(buf[n:], k.fifo[:k.fifoHead])
+	k.fifo, k.fifoHead = buf, 0
+}
+
 // ReserveSeq consumes the next sequence number without scheduling
 // anything and returns it. A caller that may or may not need an event
 // reserves its position in the total order now — exactly as
 // ScheduleAction would have — and files it later, if at all, with
 // ScheduleActionSeq.
 func (k *Kernel) ReserveSeq() uint64 {
+	if recording {
+		k.record(opReserve, 0, 0)
+	}
 	k.seq++
 	if k.seq > seqMask {
 		panic("sim: sequence numbers exhausted")
@@ -274,6 +343,9 @@ func (k *Kernel) ScheduleActionSeq(at Time, seq uint64, a Action) {
 	}
 	if k.Passed(at, seq) {
 		panic("sim: scheduling event at a position already dispatched")
+	}
+	if recording {
+		k.record(opFile, at-k.now, k.seq-seq)
 	}
 	// The wheel/overflow choice is ScheduleAction's, repeated here
 	// rather than shared: a shared helper is too big to inline and would
@@ -356,33 +428,38 @@ func (k *Kernel) slotStart(idx int) Time {
 }
 
 // next locates the earliest pending event without removing it. slot is
-// the wheel slot index, or -1 when the minimum sits in the overflow heap.
-// A wheel/overflow tie at the same instant goes to the smaller seq
-// either way: an event spilled from a full slot sits in the heap ahead
-// of later wheel entries at its instant, and a reserved seq filed late
-// can land in the wheel behind an overflow event scheduled after the
-// reservation. Locate and removal are split so Run can bounds-check the
-// next event with a single min-scan instead of a peek-then-pop pair.
+// the wheel slot index, overflowSlot when the minimum sits in the
+// overflow heap, or fifoSlot when it is the FIFO's head. Ties at one
+// instant go to the smaller seq whichever structure holds it: an event
+// spilled from a full slot sits in the heap ahead of later wheel entries
+// at its instant, a reserved seq filed late can land in the wheel behind
+// an overflow event scheduled after the reservation, and a FIFO event
+// ties with events filed anywhere before or after it. Locate and removal
+// are split so Run can bounds-check the next event with a single
+// min-scan instead of a peek-then-pop pair.
 func (k *Kernel) next() (at Time, slot int, ok bool) {
-	if k.wheelCount == 0 {
-		if len(k.overflow) == 0 {
-			return 0, -1, false
+	var seq uint64
+	slot = overflowSlot
+	if k.wheelCount > 0 {
+		idx := k.wheelMinSlot()
+		s := &k.wheel[idx]
+		if s.dirty {
+			s.sortPending()
 		}
-		return k.overflow[0].at, -1, true
+		key := s.ev[s.head].key
+		at, seq, slot, ok = k.slotStart(idx)|Time(key>>seqBits), key&seqMask, idx, true
 	}
-	idx := k.wheelMinSlot()
-	s := &k.wheel[idx]
-	if s.dirty {
-		s.sortPending()
-	}
-	key := s.ev[s.head].key
-	at = k.slotStart(idx) | Time(key>>seqBits)
 	if len(k.overflow) > 0 {
-		if o := &k.overflow[0]; o.at < at || o.at == at && o.seq < key&seqMask {
-			return o.at, -1, true
+		if o := &k.overflow[0]; !ok || o.at < at || o.at == at && o.seq < seq {
+			at, seq, slot, ok = o.at, o.seq, overflowSlot, true
 		}
 	}
-	return at, idx, true
+	if k.fifoLen > 0 {
+		if f := &k.fifo[k.fifoHead]; !ok || f.at < at || f.at == at && f.seq < seq {
+			return f.at, fifoSlot, true
+		}
+	}
+	return at, slot, ok
 }
 
 // take removes and returns the action of the event next located and
@@ -390,8 +467,19 @@ func (k *Kernel) next() (at Time, slot int, ok bool) {
 // action — and everything it captures — is collectable immediately
 // instead of being pinned by the backing array for the rest of the run.
 func (k *Kernel) take(slot int) Action {
+	if recording {
+		k.record(opStep, 0, 0)
+	}
 	if slot < 0 {
-		e := k.overflow.pop()
+		var e event
+		if slot == fifoSlot {
+			f := &k.fifo[k.fifoHead]
+			e, *f = *f, event{}
+			k.fifoHead = (k.fifoHead + 1) & (len(k.fifo) - 1)
+			k.fifoLen--
+		} else {
+			e = k.overflow.pop()
+		}
 		k.nowSeq = e.seq
 		return e.act
 	}
@@ -456,6 +544,9 @@ func (k *Kernel) Run(until Time) {
 		// so far counts as dispatched at until: a position reserved
 		// there and filed later would otherwise run after events that a
 		// ScheduleAction at reservation time would have preceded.
+		if recording {
+			k.record(opAdvance, until-k.now, 0)
+		}
 		k.now = until
 		k.nowSeq = k.seq
 	}

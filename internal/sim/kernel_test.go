@@ -217,21 +217,31 @@ func TestKernelStepClearsRetiredSlots(t *testing.T) {
 func nop() {}
 
 // TestKernelScheduleStepZeroAllocs proves the queue's headline property:
-// once the overflow heap has grown (4096 events at one-picosecond
-// spacing fill every slot they reach and spill the rest), a schedule+step
-// cycle allocates nothing — no interface boxing, no container/heap
-// indirection.
+// once the overflow heap has grown (4096 events at eight-picosecond
+// spacing fill every slot they reach and spill the rest) and the FIFO
+// ring has grown to its peak depth, a schedule+step cycle allocates
+// nothing — no interface boxing, no container/heap indirection — on the
+// wheel and through AfterFixed alike.
 func TestKernelScheduleStepZeroAllocs(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 4096; i++ {
-		k.Schedule(Time(i), nop) // deep steady-state queue
+		k.Schedule(Time(8*i), nop) // deep steady-state queue
+	}
+	act := &countAction{}
+	for i := 0; i < 3*fifoInitCap; i++ {
+		k.AfterFixed(5760, act) // warm-up: the ring grows past its first size
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		k.Schedule(k.Now()+100, nop)
+		k.AfterFixed(5760, act)
+		k.Step()
 		k.Step()
 	})
 	if allocs != 0 {
 		t.Fatalf("schedule+step allocates %.1f objects/op, want 0", allocs)
+	}
+	if act.n == 0 {
+		t.Fatal("no FIFO event ran")
 	}
 }
 
