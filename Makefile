@@ -31,18 +31,18 @@ soak:
 	$(GO) test -race -count=1 -run 'TestChaosSoak|TestCrashRestartSoak' ./internal/serve/
 
 # killresumesmoke runs the real-process crash-resume check: a -jobs 2
-# sweep SIGKILLed once its journal holds a cell, rerun on the same
-# journal, requiring stdout, the journal and the figure file to match an
-# uninterrupted -jobs 1 run byte for byte.
+# sweep SIGKILLed once its result store holds a cell, rerun on the same
+# store, requiring stdout, the figure file and the store's entries (file
+# for file) to match an uninterrupted -jobs 1 run byte for byte.
 killresumesmoke:
 	$(GO) test -count=1 -run TestKillResumeSmoke ./cmd/experiments/
 
 # daemonsmoke runs the real-process memnetd lifecycle check: start the
 # daemon, submit and stream a sweep, verify the duplicate submission is
 # a cache hit, then SIGTERM it with a job in flight and require a clean
-# drain (prompt kernel cancellation, valid journal, exit <= 1). The
-# race detector rides along — the daemon is the most concurrent binary
-# in the repo.
+# drain (prompt kernel cancellation, a store whose entries verify, exit
+# <= 1). The race detector rides along — the daemon is the most
+# concurrent binary in the repo.
 daemonsmoke:
 	$(GO) test -race -count=1 -run TestDaemonSmoke ./cmd/memnetd/
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -69,21 +68,22 @@ func TestGoldenOutput(t *testing.T) {
 // across every artifact the CLI writes: the seeds experiment (five
 // aware cells and their paired full-power baselines) under the parallel
 // executor with the metrics sampler armed must reproduce the stdout
-// report, the -outdir figure file, the resumable journal, and the CSV
-// metrics export exactly. The 338 KB CSV is pinned by hash rather than
-// committed wholesale.
+// report, the -outdir figure file, the -store entries (each entry's
+// file, in file-name order, one per line), and the CSV metrics export
+// exactly. The 338 KB CSV is pinned by hash rather than committed
+// wholesale.
 func TestGoldenMetricsSweep(t *testing.T) {
 	bin := buildCLI(t)
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "m.csv")
-	journalPath := filepath.Join(dir, "j.jsonl")
+	storeDir := filepath.Join(dir, "store")
 	outDir := filepath.Join(dir, "out")
-	// .Output(), not .CombinedOutput(): stderr carries the export and
-	// journal notices, whose paths vary per run.
+	// .Output(), not .CombinedOutput(): stderr carries the export
+	// notice, whose path varies per run.
 	out, err := exec.Command(bin, "-run", "seeds",
 		"-simtime", "120us", "-warmup", "20us", "-jobs", "2",
 		"-metrics", "-metrics-interval", "20us",
-		"-metrics-out", csvPath, "-journal", journalPath, "-outdir", outDir).Output()
+		"-metrics-out", csvPath, "-store", storeDir, "-outdir", outDir).Output()
 	if err != nil {
 		t.Fatalf("metrics sweep: %v", err)
 	}
@@ -95,11 +95,19 @@ func TestGoldenMetricsSweep(t *testing.T) {
 	}
 	checkGolden(t, "metrics_figure", fig)
 
-	j, err := os.ReadFile(journalPath)
+	entries, err := filepath.Glob(filepath.Join(storeDir, "*.json"))
 	if err != nil {
-		t.Fatalf("read journal: %v", err)
+		t.Fatal(err)
 	}
-	checkGolden(t, "metrics_journal", j)
+	var store []byte
+	for _, name := range entries { // Glob sorts by name
+		e, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatalf("read store entry: %v", err)
+		}
+		store = append(append(store, e...), '\n')
+	}
+	checkGolden(t, "metrics_store", store)
 
 	csv, err := os.ReadFile(csvPath)
 	if err != nil {
@@ -107,60 +115,6 @@ func TestGoldenMetricsSweep(t *testing.T) {
 	}
 	digest := fmt.Sprintf("sha256:%x bytes:%d\n", sha256.Sum256(csv), len(csv))
 	checkGolden(t, "metrics_export", []byte(digest))
-}
-
-// TestGoldenJournalV1Resumes resumes the metrics sweep from a journal
-// written when every line still carried its key (a copy of
-// internal/exp/testdata/journal_v1.jsonl). Its fault-free line is one of
-// the sweep's cells and restores under its own result's key; its four
-// lines from the retired availability sweep ran under a fault scenario,
-// so they stay in the file but restore nothing. The other nine cells
-// simulate afresh, and the figure is the golden one.
-func TestGoldenJournalV1Resumes(t *testing.T) {
-	bin := buildCLI(t)
-	v1, err := os.ReadFile("../../internal/exp/testdata/journal_v1.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	journalPath := filepath.Join(dir, "j.jsonl")
-	if err := os.WriteFile(journalPath, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outDir := filepath.Join(dir, "out")
-	var stderr strings.Builder
-	cmd := exec.Command(bin, "-run", "seeds",
-		"-simtime", "120us", "-warmup", "20us", "-jobs", "2",
-		"-metrics", "-metrics-interval", "20us",
-		"-metrics-out", filepath.Join(dir, "m.csv"), "-journal", journalPath, "-outdir", outDir, "-v")
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("resume from v1 journal: %v\n%s", err, stderr.String())
-	}
-	restored, ran := 0, 0
-	for _, line := range strings.Split(stderr.String(), "\n") {
-		switch {
-		case strings.HasPrefix(line, "restored "):
-			restored++
-		case strings.HasPrefix(line, "ran "):
-			ran++
-		}
-	}
-	if restored != 1 || ran != 9 {
-		t.Fatalf("v1 journal resume: %d restored, %d ran; want 1 and 9\n%s", restored, ran, stderr.String())
-	}
-	fig, err := os.ReadFile(filepath.Join(outDir, "seeds.txt"))
-	if err != nil {
-		t.Fatalf("read -outdir figure: %v", err)
-	}
-	checkGolden(t, "metrics_figure", fig)
-	j, err := os.ReadFile(journalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(j, v1) {
-		t.Fatal("the resume dropped or rewrote the v1 journal's lines")
-	}
 }
 
 // TestGoldenCalibrate pins the model-calibration report byte for byte.

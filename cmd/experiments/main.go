@@ -23,6 +23,7 @@ import (
 
 	"memnet/internal/audit"
 	"memnet/internal/cli"
+	"memnet/internal/durable"
 	"memnet/internal/exp"
 	"memnet/internal/metrics"
 	"memnet/internal/viz"
@@ -51,8 +52,8 @@ func run() error {
 		"parallel simulation workers per experiment (1 = sequential; output is identical either way)")
 	auditEvery := flag.Int("audit", audit.DefaultSampleEvery,
 		"invariant auditor sampling stride (1 = check every observation, 0 = disable)")
-	journalPath := flag.String("journal", "",
-		"append completed cells to this JSON-lines file and resume from it on restart")
+	storeDir := flag.String("store", "",
+		"result store directory: restore the cells it holds, store every fresh one (resumes a killed sweep; shareable with memnetd -store)")
 	metricsOn := flag.Bool("metrics", false,
 		"sample epoch-resolution metrics in every cell and print a sweep-aggregate time-series figure")
 	metricsIntervalF := flag.String("metrics-interval", "10us", "metrics sampling period (with -metrics)")
@@ -108,16 +109,12 @@ func run() error {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
 	r.Jobs = *jobs
-	if *journalPath != "" {
-		journal, loaded, err := exp.OpenJournal(*journalPath, nil)
+	if *storeDir != "" {
+		store, err := durable.NewStore(*storeDir)
 		if err != nil {
-			return fmt.Errorf("bad -journal: %v", err)
+			return fmt.Errorf("bad -store: %v", err)
 		}
-		defer journal.Close()
-		if len(loaded) > 0 {
-			fmt.Fprintf(os.Stderr, "journal: resuming with %d completed cell(s) from %s\n", len(loaded), *journalPath)
-		}
-		r.AttachJournal(journal, loaded)
+		r.AttachStore(store)
 	}
 
 	// metricsFigure renders the sweep-aggregate time series for the
@@ -172,15 +169,15 @@ func run() error {
 		}
 		fmt.Fprintf(os.Stderr, "wrote metrics for %d cell(s) to %s\n", len(r.MetricsEntries()), *metricsOut)
 	}
-	return failures(ctx, r, *journalPath)
+	return failures(ctx, r, *storeDir)
 }
 
 // failures reports the session's failed cells after rendering — the
 // healthy cells still produced output — as the command's error. An
 // interrupt is reported as a partial run, not as cell failures:
-// completed cells are already journaled and a -journal rerun resumes
-// from them.
-func failures(ctx context.Context, r *exp.Runner, journalPath string) error {
+// completed cells are already stored and a -store rerun resumes from
+// them.
+func failures(ctx context.Context, r *exp.Runner, storeDir string) error {
 	fails := r.Failures()
 	if ctx.Err() != nil {
 		canceled := 0
@@ -190,8 +187,8 @@ func failures(ctx context.Context, r *exp.Runner, journalPath string) error {
 			}
 		}
 		summary := fmt.Sprintf("interrupted: %d cell(s) canceled mid-sweep", canceled)
-		if journalPath != "" {
-			summary += fmt.Sprintf("; completed cells are journaled — rerun with -journal %s to resume", journalPath)
+		if storeDir != "" {
+			summary += fmt.Sprintf("; completed cells are stored — rerun with -store %s to resume", storeDir)
 		}
 		return cli.Interrupted(summary)
 	}

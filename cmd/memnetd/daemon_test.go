@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -13,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"memnet/internal/exp"
+	"memnet/internal/durable"
 	"memnet/internal/serve"
 )
 
@@ -32,18 +31,17 @@ func buildDaemon(t *testing.T) string {
 // a sweep, stream its events, verify the duplicate submission is a
 // cache hit and /statusz counts both, then SIGTERM the daemon while a
 // long job is in flight and assert it drains — exits cleanly, cancels
-// the live job, and leaves a valid journal.
+// the live job, and leaves a store whose entries verify.
 func TestDaemonSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("daemon smoke skipped in -short mode")
 	}
 	bin := buildDaemon(t)
 	dir := t.TempDir()
-	journalPath := filepath.Join(dir, "journal.jsonl")
+	storeDir := filepath.Join(dir, "store")
 	d := startDaemon(t, bin,
 		"-addr", "127.0.0.1:0",
-		"-store", filepath.Join(dir, "store"),
-		"-journal", journalPath,
+		"-store", storeDir,
 		"-runners", "1",
 		"-queue", "4",
 		"-drain-grace", "2s",
@@ -136,15 +134,17 @@ func TestDaemonSmoke(t *testing.T) {
 		t.Errorf("daemon log shows no drain:\n%s", d.logText())
 	}
 
-	// Journal integrity: re-opens cleanly (flock released, no torn tail)
-	// and holds the one fresh result; the canceled job contributed none.
-	j, loaded, err := exp.OpenJournal(journalPath, nil)
+	// Store integrity: the one fresh result verifies and the canceled
+	// job contributed nothing.
+	store, err := durable.NewStore(storeDir)
 	if err != nil {
-		t.Fatalf("journal did not survive the drain: %v", err)
+		t.Fatal(err)
 	}
-	j.Close()
-	if len(loaded) != 1 {
-		data, _ := os.ReadFile(journalPath)
-		t.Fatalf("journal holds %d entries, want 1:\n%s", len(loaded), data)
+	rep, err := store.Fsck()
+	if err != nil {
+		t.Fatalf("store did not survive the drain: %v", err)
+	}
+	if rep.Entries != 1 || rep.Quarantined != 0 || rep.TempsRemoved != 0 {
+		t.Fatalf("store after the drain: %+v; want the 1 fresh result and nothing else", rep)
 	}
 }

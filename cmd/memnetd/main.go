@@ -15,9 +15,12 @@
 //
 // SIGINT/SIGTERM drains gracefully: admission stops (/readyz goes 503),
 // in-flight jobs get -drain-grace to finish, anything still running is
-// then canceled (the kernel aborts within one check interval), the
-// journal is flushed, and the process exits 0 on a clean drain. A
-// second signal exits immediately.
+// then canceled (the kernel aborts within one check interval), and the
+// process exits 0 on a clean drain. A second signal exits immediately.
+//
+// The store directory may be shared with `experiments -store` and
+// `memnetsim -config … -store`: a cell any of them ran is a cache hit
+// for the others.
 package main
 
 import (
@@ -35,7 +38,7 @@ import (
 	"syscall"
 	"time"
 
-	"memnet/internal/exp"
+	"memnet/internal/durable"
 	"memnet/internal/serve"
 )
 
@@ -50,7 +53,6 @@ func run() int {
 
 	addr := flag.String("addr", ":9732", "listen address")
 	storeDir := flag.String("store", "", "content-addressed result store directory (required)")
-	journalPath := flag.String("journal", "", "append fresh results to this exp JSONL journal (flock-protected)")
 	acceptPath := flag.String("accept-journal", "",
 		"write-ahead accept journal path (default <store>/accept.wal; \"off\" disables crash recovery)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "store size cap in bytes; LRU eviction above it (0 = unlimited)")
@@ -78,7 +80,7 @@ func run() int {
 		log.Print("memnetd: -store-max-bytes and -store-max-age must not be negative")
 		return 2
 	}
-	store, err := serve.NewStore(*storeDir)
+	store, err := durable.NewStore(*storeDir)
 	if err != nil {
 		log.Printf("memnetd: %v", err)
 		return 2
@@ -93,26 +95,13 @@ func run() int {
 	log.Printf("memnetd: fsck: %d entries (%d bytes) ok, %d quarantined, %d stale temp file(s) removed",
 		rep.Entries, rep.Bytes, rep.Quarantined, rep.TempsRemoved)
 	if *storeMaxBytes > 0 || *storeMaxAge > 0 {
-		evicted, err := store.GC(serve.GCConfig{MaxBytes: *storeMaxBytes, MaxAge: *storeMaxAge})
+		evicted, err := store.GC(durable.GCConfig{MaxBytes: *storeMaxBytes, MaxAge: *storeMaxAge})
 		if err != nil {
 			log.Printf("memnetd: store gc: %v", err)
 			return 2
 		}
 		if evicted > 0 {
 			log.Printf("memnetd: gc: evicted %d entr(ies) at startup", evicted)
-		}
-	}
-	var journal *exp.Journal
-	if *journalPath != "" {
-		j, loaded, err := exp.OpenJournal(*journalPath, nil)
-		if err != nil {
-			log.Printf("memnetd: %v", err)
-			return 2
-		}
-		journal = j
-		defer journal.Close()
-		if len(loaded) > 0 {
-			log.Printf("memnetd: journal %s holds %d completed run(s)", *journalPath, len(loaded))
 		}
 	}
 	var accepts *serve.AcceptLog
@@ -137,7 +126,6 @@ func run() int {
 	}
 	srv := serve.New(serve.Config{
 		Store:         store,
-		Journal:       journal,
 		Accepts:       accepts,
 		AuthToken:     *authToken,
 		StoreMaxBytes: *storeMaxBytes,

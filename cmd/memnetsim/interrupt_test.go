@@ -11,15 +11,15 @@ import (
 	"testing"
 	"time"
 
-	"memnet/internal/exp"
+	"memnet/internal/durable"
 )
 
-// TestInterruptFlushesJournal: SIGINT mid-batch must cancel in-flight
+// TestInterruptKeepsStoredRuns: SIGINT mid-batch must cancel in-flight
 // runs promptly (kernel check, not simulation end), keep every
-// already-completed run in the journal, print a partial-results summary
+// already-completed run in the store, print a partial-results summary
 // naming the resume path, and exit 130. Before the interrupt plumbing,
 // a ^C here lost the whole batch.
-func TestInterruptFlushesJournal(t *testing.T) {
+func TestInterruptKeepsStoredRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess interrupt test skipped in -short mode")
 	}
@@ -36,9 +36,9 @@ func TestInterruptFlushesJournal(t *testing.T) {
 	]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	journalPath := filepath.Join(dir, "journal.jsonl")
+	storeDir := filepath.Join(dir, "store")
 
-	cmd := exec.Command(bin, "-config", cfg, "-jobs", "1", "-journal", journalPath)
+	cmd := exec.Command(bin, "-config", cfg, "-jobs", "1", "-store", storeDir)
 	var out bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &out
@@ -47,17 +47,16 @@ func TestInterruptFlushesJournal(t *testing.T) {
 	}
 	defer cmd.Process.Kill()
 
-	// Wait for the fast cell to land in the journal so the interrupt has
+	// Wait for the fast cell to land in the store so the interrupt has
 	// something completed to preserve, then signal while a 1s-simtime
-	// cell (minutes of wall time) is in flight. The running process holds
-	// the journal flock, so watch the raw file rather than OpenJournal.
+	// cell (minutes of wall time) is in flight.
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
-		if b, err := os.ReadFile(journalPath); err == nil && bytes.Count(b, []byte("\n")) >= 1 {
+		if names, _ := filepath.Glob(filepath.Join(storeDir, "*.json")); len(names) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("first cell never reached the journal:\n%s", out.String())
+			t.Fatalf("first cell never reached the store:\n%s", out.String())
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -86,18 +85,20 @@ func TestInterruptFlushesJournal(t *testing.T) {
 	if !strings.Contains(out.String(), "interrupted:") {
 		t.Errorf("no partial-results summary:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), journalPath) {
-		t.Errorf("summary does not name the resume journal:\n%s", out.String())
+	if !strings.Contains(out.String(), storeDir) {
+		t.Errorf("summary does not name the resume store:\n%s", out.String())
 	}
 
-	// The journal survived with the completed run only — it re-opens
-	// cleanly (flock released, no torn tail) and resumes from it.
-	j, loaded, err := exp.OpenJournal(journalPath, nil)
+	// The store holds the completed run only, and it verifies.
+	store, err := durable.NewStore(storeDir)
 	if err != nil {
-		t.Fatalf("journal did not survive the interrupt: %v", err)
+		t.Fatal(err)
 	}
-	j.Close()
-	if len(loaded) != 1 {
-		t.Fatalf("journal holds %d entries, want exactly the 1 completed run:\n%s", len(loaded), out.String())
+	rep, err := store.Fsck()
+	if err != nil {
+		t.Fatalf("store did not survive the interrupt: %v", err)
+	}
+	if rep.Entries != 1 || rep.Quarantined != 0 {
+		t.Fatalf("store after the interrupt: %+v; want exactly the 1 completed run:\n%s", rep, out.String())
 	}
 }

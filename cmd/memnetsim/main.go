@@ -19,6 +19,7 @@ import (
 
 	"memnet/internal/audit"
 	"memnet/internal/cli"
+	"memnet/internal/durable"
 	"memnet/internal/exp"
 	"memnet/internal/metrics"
 	"memnet/internal/network"
@@ -53,8 +54,8 @@ func run() error {
 		"parallel workers for -config batches (1 = one cell at a time)")
 	auditEvery := flag.Int("audit", audit.DefaultSampleEvery,
 		"invariant auditor sampling stride (1 = check every observation, 0 = disable)")
-	journalPath := flag.String("journal", "",
-		"with -config: append completed runs to this JSON-lines file and resume from it on restart")
+	storeDir := flag.String("store", "",
+		"with -config: result store directory; runs it holds are restored, fresh ones stored (shareable with memnetd -store)")
 	metricsOn := flag.Bool("metrics", false,
 		"sample epoch-resolution metrics over the measured interval and print a time-series figure")
 	metricsIntervalF := flag.String("metrics-interval", "10us", "metrics sampling period (with -metrics)")
@@ -91,7 +92,7 @@ func run() error {
 	defer stopSignals()
 
 	if *config != "" {
-		return runBatch(ctx, *config, st, *jobs, *journalPath, *metricsOut)
+		return runBatch(ctx, *config, st, *jobs, *storeDir, *metricsOut)
 	}
 
 	spec, err := exp.Axes{Workload: *wlName, Topology: *topoName, Size: *sizeName,
@@ -154,11 +155,11 @@ func exportMetrics(path string, entries []metrics.Entry) error {
 // take st's audit stride and metrics interval where the config leaves
 // them unset. A failed run (audit violation, recovered panic) is
 // reported in place and fails the batch without aborting the remaining
-// runs; with -journal, completed runs are restored on restart instead of
-// re-run. SIGINT or SIGTERM cancels ctx: in-flight cells abort at the
-// next kernel check, completed runs stay journaled, and the command exits
-// 130 after a partial-results summary.
-func runBatch(ctx context.Context, path string, st exp.Settings, jobs int, journalPath, metricsOut string) error {
+// runs; with -store, runs the store holds are restored instead of re-run.
+// SIGINT or SIGTERM cancels ctx: in-flight cells abort at the next
+// kernel check, completed runs stay stored, and the command exits 130
+// after a partial-results summary.
+func runBatch(ctx context.Context, path string, st exp.Settings, jobs int, storeDir, metricsOut string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -171,19 +172,14 @@ func runBatch(ctx context.Context, path string, st exp.Settings, jobs int, journ
 	for i := range specs {
 		specs[i] = st.Apply(specs[i])
 	}
-	var j *exp.Journal
-	loaded := map[string]exp.Result{}
-	if journalPath != "" {
-		if j, loaded, err = exp.OpenJournal(journalPath, nil); err != nil {
+	var store *durable.Store
+	if storeDir != "" {
+		if store, err = durable.NewStore(storeDir); err != nil {
 			return err
-		}
-		defer j.Close()
-		if len(loaded) > 0 {
-			fmt.Fprintf(os.Stderr, "journal: resuming with %d completed run(s) from %s\n", len(loaded), journalPath)
 		}
 	}
 	start := time.Now()
-	results, errs := exp.RunSpecs(ctx, specs, jobs, j, loaded)
+	results, errs := exp.RunSpecs(ctx, specs, jobs, store)
 	if ctx.Err() != nil {
 		completed := 0
 		for _, e := range errs {
@@ -192,8 +188,8 @@ func runBatch(ctx context.Context, path string, st exp.Settings, jobs int, journ
 			}
 		}
 		summary := fmt.Sprintf("interrupted: %d of %d runs completed", completed, len(specs))
-		if j != nil {
-			summary += fmt.Sprintf("; rerun with -journal %s to resume", journalPath)
+		if store != nil {
+			summary += fmt.Sprintf("; rerun with -store %s to resume", storeDir)
 		}
 		return cli.Interrupted(summary)
 	}

@@ -135,7 +135,7 @@ func runSensitivity(bands []Band, m *model, jobs int, simTime, warmup sim.Durati
 			specs = append(specs, s)
 		}
 	}
-	results, errs := exp.RunSpecs(context.Background(), specs, jobs, nil, nil)
+	results, errs := exp.RunSpecs(context.Background(), specs, jobs, nil)
 	if err := exp.FirstErr(specs, errs); err != nil {
 		return nil, "", fmt.Errorf("calib: sensitivity sweep: %w", err)
 	}

@@ -34,7 +34,7 @@ func Interrupted(summary string) error { return &Exit{Code: 130, Msg: summary} }
 // Status prints err to stderr and returns the process exit status for
 // it: 0 for nil, the code of an *Exit, 1 for anything else. A command's
 // main is `os.Exit(cli.Status(run()))`, so every defer in run — profile
-// flushes, journal closes — has run before the exit.
+// flushes among them — has run before the exit.
 func Status(err error) int {
 	if err == nil {
 		return 0
@@ -64,8 +64,8 @@ func Panics(errs []error) int {
 
 // InterruptContext returns a context canceled on the first SIGINT or
 // SIGTERM, so in-flight simulations abort within one kernel check
-// interval instead of dying mid-write: journal entries already appended
-// are fsynced, and the command gets control back to flush profiles and
+// interval instead of dying mid-write: results already stored are on
+// disk, and the command gets control back to flush profiles and
 // print a partial-results summary before exiting non-zero. A second
 // signal exits at once with status 2, the one exit outside main: by then
 // the user has asked not to wait for the cleanup.
@@ -82,7 +82,7 @@ func InterruptContext() (context.Context, func()) {
 			return
 		}
 		fmt.Fprintf(os.Stderr,
-			"%v: canceling in-flight runs (journaled results are safe; signal again to exit now)\n", sig)
+			"%v: canceling in-flight runs (stored results are safe; signal again to exit now)\n", sig)
 		cancel()
 		if sig2, ok := <-ch; ok {
 			fmt.Fprintf(os.Stderr, "%v again: exiting immediately\n", sig2)

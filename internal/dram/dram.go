@@ -136,8 +136,8 @@ func (c Config) Scaled(param string, factor float64) (Config, error) {
 }
 
 // Fingerprint is a compact stable identity string covering every field,
-// used by the experiment harness to key memoization and journals when a
-// spec carries a DRAM override.
+// used by the experiment harness to key memoization and the result store
+// when a spec carries a DRAM override.
 func (c Config) Fingerprint() string {
 	return fmt.Sprintf("v%d.b%d.q%d.l%d.w%d.g%g.cl%d.rcd%d.ras%d.rp%d.rrd%d.wr%d.refi%d.rfc%d.p%d.row%d",
 		c.Vaults, c.Banks, c.QueueDepth, c.LineBytes, c.BusBits, c.BusGbps,

@@ -1,9 +1,10 @@
 // Package durable owns the disk-facing code crash safety rests on: Log,
-// the one append-only JSON-lines file behind the sweep journal and the
-// accept WAL, its flock, and the FS/File seam every durable path does
-// its disk operations through — OSFS (1:1 with package os) in
-// production, FaultFS in tests, which injects ENOSPC mid-append, torn
-// writes and unreadable entries deterministically.
+// the append-only JSON-lines file behind memnetd's accept WAL, and its
+// flock; Store, the content-addressed result store every process caches
+// results in; and the FS/File seam every durable path does its disk
+// operations through — OSFS (1:1 with package os) in production,
+// FaultFS in tests, which injects ENOSPC mid-append, torn writes and
+// unreadable entries deterministically.
 package durable
 
 import (

@@ -1,12 +1,15 @@
-// Content-addressed result store. Results are keyed by the canonical
-// exp.Spec.Key() and stored one file per cell under sha256(key), so a
-// duplicate submission — same spec, any order, any client — is a cache
-// hit served without simulation, byte-identical to the fresh run because
-// the store holds the exact JSON bytes the fresh run produced.
+// Content-addressed result store, the one result cache of every
+// process: the sweep pool, memnetsim's batches and memnetd. Results are
+// keyed by the canonical exp.Spec.Key() and stored one file per cell
+// under sha256(key), so a duplicate cell — same spec, any order, any
+// process — is a cache hit served without simulation, byte-identical to
+// the fresh run because the store holds the exact JSON bytes the fresh
+// run produced.
 //
-// Writes are atomic (tmp file + fsync + rename) so a daemon killed
+// Writes are atomic (tmp file + fsync + rename) so a process killed
 // mid-write leaves either the old entry or the new one, never a torn
-// file. Every entry embeds its spec key and a sha256 of its payload;
+// file, and several processes may share one directory. Every entry
+// embeds its spec key and a sha256 of its payload;
 // Get re-verifies both, and an entry that fails — bit-rot, a torn
 // envelope, a hand-edited payload, a hash collision — is moved to the
 // quarantine/ subdirectory and reported as a cache miss, never served
@@ -15,7 +18,7 @@
 // sweeps the stale .put-* temp files a crash mid-Put can leak; GC
 // bounds the store by total bytes and by entry age (last hit, tracked
 // via mtime), never evicting entries pinned by in-flight jobs.
-package serve
+package durable
 
 import (
 	"bytes"
@@ -31,8 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"memnet/internal/durable"
 )
 
 // QuarantineDir is the subdirectory of the store root that corrupt or
@@ -43,7 +44,7 @@ const QuarantineDir = "quarantine"
 // ErrCorrupt wraps every verification failure Get detects. The failing
 // entry has already been quarantined when Get returns it; callers treat
 // the read as a cache miss.
-var ErrCorrupt = errors.New("serve: store entry corrupt")
+var ErrCorrupt = errors.New("store entry corrupt")
 
 // ScanCacheTTL bounds how stale CachedScan's entry/byte figures may be
 // when nothing has mutated the store. Mutations (Put, GC, quarantine,
@@ -54,7 +55,7 @@ const ScanCacheTTL = 500 * time.Millisecond
 // Store is a directory of content-addressed simulation results.
 type Store struct {
 	dir string
-	fs  durable.FS
+	fs  FS
 
 	quarantined atomic.Uint64 // entries moved to quarantine/ (Get + Fsck)
 	evictions   atomic.Uint64 // entries removed by GC
@@ -90,12 +91,12 @@ type storeEntry struct {
 func NewStore(dir string) (*Store, error) { return NewStoreFS(dir, nil) }
 
 // NewStoreFS opens a store on an injectable filesystem (nil = real).
-func NewStoreFS(dir string, fsys durable.FS) (*Store, error) {
+func NewStoreFS(dir string, fsys FS) (*Store, error) {
 	if fsys == nil {
-		fsys = durable.OSFS{}
+		fsys = OSFS{}
 	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("serve: store dir: %w", err)
+		return nil, fmt.Errorf("store dir: %w", err)
 	}
 	return &Store{dir: dir, fs: fsys}, nil
 }
@@ -173,7 +174,7 @@ func (s *Store) Get(key string) (json.RawMessage, bool, error) {
 		return nil, false, nil
 	}
 	if err != nil {
-		return nil, false, err
+		return nil, false, fmt.Errorf("store %s: get: %w", s.dir, err)
 	}
 	e, verr := verifyEntry(data, key)
 	if verr != nil {
@@ -187,8 +188,16 @@ func (s *Store) Get(key string) (json.RawMessage, bool, error) {
 
 // Put stores the result bytes for key atomically: tmp file in the same
 // directory, fsync, rename. A concurrent Put of the same key is safe —
-// last rename wins and both carry identical content.
+// last rename wins and both carry identical content. A failure names
+// the store's directory.
 func (s *Store) Put(key string, result json.RawMessage) error {
+	if err := s.put(key, result); err != nil {
+		return fmt.Errorf("store %s: put: %w", s.dir, err)
+	}
+	return nil
+}
+
+func (s *Store) put(key string, result json.RawMessage) error {
 	// Checksum the bytes as they will be stored: marshaling the envelope
 	// compacts the RawMessage, so a non-compact payload summed verbatim
 	// would produce an entry that fails its own verification on the
@@ -197,7 +206,7 @@ func (s *Store) Put(key string, result json.RawMessage) error {
 	// fresh delivery.
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, result); err != nil {
-		return fmt.Errorf("serve: store put %s: payload not valid JSON: %w", key, err)
+		return fmt.Errorf("payload not valid JSON: %w", err)
 	}
 	result = json.RawMessage(compact.Bytes())
 	data, err := json.Marshal(storeEntry{Key: key, Sum: payloadSum(result), Result: result})
@@ -233,7 +242,7 @@ func (s *Store) Put(key string, result json.RawMessage) error {
 func (s *Store) Scan() (entries int, bytes int64, err error) {
 	ents, err := s.fs.ReadDir(s.dir)
 	if err != nil {
-		return 0, 0, fmt.Errorf("serve: store scan: %w", err)
+		return 0, 0, fmt.Errorf("store scan: %w", err)
 	}
 	for _, e := range ents {
 		if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
@@ -241,7 +250,7 @@ func (s *Store) Scan() (entries int, bytes int64, err error) {
 		}
 		info, ierr := e.Info()
 		if ierr != nil {
-			return 0, 0, fmt.Errorf("serve: store scan: %w", ierr)
+			return 0, 0, fmt.Errorf("store scan: %w", ierr)
 		}
 		entries++
 		bytes += info.Size()
@@ -275,13 +284,6 @@ func (s *Store) CachedScan() (entries int, bytes int64, err error) {
 	return entries, bytes, nil
 }
 
-// Len counts stored entries. The error is the scan error — callers must
-// not conflate "empty" with "unreadable".
-func (s *Store) Len() (int, error) {
-	n, _, err := s.Scan()
-	return n, err
-}
-
 // FsckReport summarizes a startup verification pass.
 type FsckReport struct {
 	Entries      int   // entries that verified clean
@@ -294,12 +296,14 @@ type FsckReport struct {
 // matches the embedded key, payload checksum holds — moving failures to
 // quarantine/, and removes stale .put-* temp files leaked by a crash
 // mid-Put. It is cheap enough to run at every daemon startup: one read
-// per entry, no writes for clean files.
+// per entry, no writes for clean files. It cannot tell a leaked temp
+// from one another process is still writing, so a Put running
+// concurrently in a process sharing the directory fails.
 func (s *Store) Fsck() (FsckReport, error) {
 	var rep FsckReport
 	ents, err := s.fs.ReadDir(s.dir)
 	if err != nil {
-		return rep, fmt.Errorf("serve: fsck: %w", err)
+		return rep, fmt.Errorf("store fsck: %w", err)
 	}
 	for _, ent := range ents {
 		name := ent.Name()
@@ -314,12 +318,12 @@ func (s *Store) Fsck() (FsckReport, error) {
 			continue
 		}
 		if filepath.Ext(name) != ".json" {
-			continue // accept journal, exp journal, whatever else shares the dir
+			continue // the accept WAL, whatever else shares the dir
 		}
 		p := filepath.Join(s.dir, name)
 		data, err := s.fs.ReadFile(p)
 		if err != nil {
-			return rep, fmt.Errorf("serve: fsck: %s: %w", name, err)
+			return rep, fmt.Errorf("store fsck: %s: %w", name, err)
 		}
 		e, verr := verifyEntry(data, "")
 		if verr == nil && s.fileName(e.Key) != name {
@@ -357,7 +361,7 @@ func (s *Store) GC(cfg GCConfig) (int, error) {
 	}
 	ents, err := s.fs.ReadDir(s.dir)
 	if err != nil {
-		return 0, fmt.Errorf("serve: gc: %w", err)
+		return 0, fmt.Errorf("store gc: %w", err)
 	}
 	pinned := make(map[string]bool, len(cfg.Pinned))
 	for key := range cfg.Pinned {
@@ -376,7 +380,7 @@ func (s *Store) GC(cfg GCConfig) (int, error) {
 		}
 		info, ierr := ent.Info()
 		if ierr != nil {
-			return 0, fmt.Errorf("serve: gc: %w", ierr)
+			return 0, fmt.Errorf("store gc: %w", ierr)
 		}
 		files = append(files, entry{ent.Name(), info.Size(), info.ModTime()})
 		total += info.Size()

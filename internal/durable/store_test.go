@@ -1,4 +1,4 @@
-package serve
+package durable
 
 import (
 	"bytes"
@@ -7,17 +7,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
-
-	"memnet/internal/durable"
 )
 
 func mustLen(t *testing.T, s *Store) int {
 	t.Helper()
-	n, err := s.Len()
+	n, _, err := s.Scan()
 	if err != nil {
-		t.Fatalf("Len: %v", err)
+		t.Fatalf("Scan: %v", err)
 	}
 	return n
 }
@@ -57,15 +56,12 @@ func TestStoreRoundTrip(t *testing.T) {
 // TestStoreLenSurfacesScanError pins the fixed contract: an unreadable
 // store directory is an error, not a phantom empty store.
 func TestStoreLenSurfacesScanError(t *testing.T) {
-	ffs := durable.NewFaultFS(nil)
+	ffs := NewFaultFS(nil)
 	s, err := NewStoreFS(t.TempDir(), ffs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ffs.Fail(durable.FaultRule{Op: durable.OpReadDir, Err: errors.New("injected EIO"), Count: -1})
-	if _, err := s.Len(); err == nil {
-		t.Fatal("Len swallowed the ReadDir error")
-	}
+	ffs.Fail(FaultRule{Op: OpReadDir, Err: errors.New("injected EIO"), Count: -1})
 	if _, _, err := s.Scan(); err == nil {
 		t.Fatal("Scan swallowed the ReadDir error")
 	}
@@ -192,7 +188,7 @@ func TestStorePutNonCompactPayload(t *testing.T) {
 // Put dirties the store, at which point the next CachedScan really
 // scans and surfaces the error.
 func TestStoreCachedScan(t *testing.T) {
-	ffs := durable.NewFaultFS(nil)
+	ffs := NewFaultFS(nil)
 	s, err := NewStoreFS(t.TempDir(), ffs)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +201,7 @@ func TestStoreCachedScan(t *testing.T) {
 		t.Fatalf("CachedScan = %d, %d, %v", n, bytes1, err)
 	}
 	// Warm cache: a ReadDir fault is not even reached.
-	ffs.Fail(durable.FaultRule{Op: durable.OpReadDir, Err: errors.New("injected EIO"), Count: -1})
+	ffs.Fail(FaultRule{Op: OpReadDir, Err: errors.New("injected EIO"), Count: -1})
 	if n, _, err := s.CachedScan(); err != nil || n != 1 {
 		t.Fatalf("warm CachedScan hit the filesystem: %d, %v", n, err)
 	}
@@ -434,14 +430,14 @@ func TestStoreAtomicWriteLeavesNoTemp(t *testing.T) {
 // torn entry becomes visible at the final address, and the store keeps
 // working once the fault clears.
 func TestStorePutFaults(t *testing.T) {
-	for _, op := range []durable.FaultOp{durable.OpCreate, durable.OpWrite, durable.OpSync, durable.OpRename} {
+	for _, op := range []FaultOp{OpCreate, OpWrite, OpSync, OpRename} {
 		t.Run(string(op), func(t *testing.T) {
-			ffs := durable.NewFaultFS(nil)
+			ffs := NewFaultFS(nil)
 			s, err := NewStoreFS(t.TempDir(), ffs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ffs.Fail(durable.FaultRule{Op: op, Err: errENOSPC, Count: 1})
+			ffs.Fail(FaultRule{Op: op, Err: syscall.ENOSPC, Count: 1})
 			if err := s.Put("k", json.RawMessage(`{"Events":7}`)); err == nil {
 				t.Fatalf("Put survived injected %s failure", op)
 			}

@@ -45,7 +45,7 @@ func TestAuditChangesNothing(t *testing.T) {
 }
 
 // TestAuditKeyInsensitive pins that AuditEvery is excluded from the memo/
-// journal key: audited and unaudited runs of the same cell must share
+// store key: audited and unaudited runs of the same cell must share
 // cache entries (the auditor cannot change the result).
 func TestAuditKeyInsensitive(t *testing.T) {
 	a := tinySpec(core.PolicyNone, MechFP)

@@ -101,7 +101,7 @@ func TestRunSpecsCanceled(t *testing.T) {
 		tinySpec(core.PolicyNone, MechVWL),
 		tinySpec(core.PolicyUnaware, MechFP),
 	}
-	_, errs := RunSpecs(ctx, specs, 2, nil, nil)
+	_, errs := RunSpecs(ctx, specs, 2, nil)
 	for i, err := range errs {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cell %d: err = %v, want context.Canceled", i, err)

@@ -10,7 +10,7 @@ import (
 // — so memnetd never admits a run that fails on a range rule — and
 // whose identity keys are stable: the same bytes parsed twice produce
 // the same runnable sweep, resolving a spec keeps its key, and so does
-// the JSON round trip a journal line puts its result through. Key()
+// the JSON round trip a store entry puts its result through. Key()
 // touches every resolved field, so it doubles as a nil-safety probe on
 // the parsed specs.
 func FuzzLoadBatch(f *testing.F) {
@@ -47,8 +47,8 @@ func FuzzLoadBatch(f *testing.F) {
 			if k := s.resolved().Key(); k != keys[i] {
 				t.Errorf("run %d: resolving changed the key: %q vs %q", i, keys[i], k)
 			}
-			if k := journalRoundTrip(t, s).Key(); k != keys[i] {
-				t.Errorf("run %d: key changed across the journal round trip: %q vs %q", i, keys[i], k)
+			if k := storeRoundTrip(t, s).Key(); k != keys[i] {
+				t.Errorf("run %d: key changed across the store round trip: %q vs %q", i, keys[i], k)
 			}
 		}
 		again, err := LoadBatch(bytes.NewReader(data))

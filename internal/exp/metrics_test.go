@@ -128,10 +128,10 @@ func TestMetricsResidencyPartition(t *testing.T) {
 	}
 }
 
-// TestMetricsJournalRoundTrip: a Result carrying a metrics dump survives
-// the journal's JSON encoding exactly, so restored sweep cells export
+// TestMetricsStoreRoundTrip: a Result carrying a metrics dump survives
+// the result store's JSON encoding exactly, so restored sweep cells export
 // byte-identical metrics.
-func TestMetricsJournalRoundTrip(t *testing.T) {
+func TestMetricsStoreRoundTrip(t *testing.T) {
 	spec := tinySpec(core.PolicyAware, MechVWLROO)
 	spec.SimTime = 30 * sim.Microsecond
 	spec.Warmup = 10 * sim.Microsecond

@@ -13,6 +13,7 @@ import (
 	"memnet/internal/audit"
 	"memnet/internal/core"
 	"memnet/internal/dram"
+	"memnet/internal/durable"
 	"memnet/internal/link"
 	"memnet/internal/metrics"
 	"memnet/internal/network"
@@ -107,7 +108,7 @@ type Spec struct {
 	// run with a structured *audit.Error. The auditor is observational —
 	// it cannot change a result — so AuditEvery is the one field Key()
 	// leaves out (TestKeyCoversEveryField holds it to that): audited and
-	// unaudited runs share cache and journal entries.
+	// unaudited runs share cache and store entries.
 	AuditEvery int
 	// DRAM overrides every module's DRAM configuration (nil = Table I,
 	// dram.DefaultConfig). The calibration sensitivity sweep perturbs one
@@ -124,13 +125,13 @@ type Spec struct {
 	MetricsInterval sim.Duration
 }
 
-// Key is the spec's one identity: the memo cache, sweep journals and
-// memnetd's store all name a cell by it. It formats the
-// resolved spec with every field but AuditEvery, so two spellings of
-// one run (a zero default and its value) share a key and any two
-// different runs do not. The footprint rides along with the workload
-// name because studies that perturb a named profile (e.g. the scaling
-// study's truncated is.D) must not collide with the original.
+// Key is the spec's one identity: the memo cache and the result store
+// name a cell by it. It formats the resolved spec with every field but
+// AuditEvery, so two spellings of one run (a zero default and its
+// value) share a key and any two different runs do not. The footprint
+// rides along with the workload name because studies that perturb a
+// named profile (e.g. the scaling study's truncated is.D) must not
+// collide with the original.
 func (s Spec) Key() string {
 	s = s.resolved()
 	return fmt.Sprintf("%s/%dGB|%s|%s|%s|%s|%g|%d|%d|%d|%v|%v|%d|m=%d|dram=%s|pw=%g",
@@ -421,7 +422,7 @@ type Runner struct {
 	Ctx context.Context
 	// Jobs is the sweep executor's worker count: 0 means
 	// runtime.GOMAXPROCS(0), 1 runs one cell at a time. Any value
-	// produces byte-identical figure output and journal (see
+	// produces byte-identical figure output and store entries (see
 	// sweep_test.go); only wall-clock time changes.
 	Jobs int
 	// Workloads restricts figure sweeps to a subset (nil = all 14 paper
@@ -437,12 +438,10 @@ type Runner struct {
 	// (identical at any Jobs value); MetricsEntries reads it back.
 	metricsLog []metrics.Entry
 
-	// journal, when attached, persists every fresh result as one JSON
-	// line so an interrupted sweep resumes without recomputation;
-	// journaled holds the results restored from a previous run, consumed
-	// (and re-keyed to the caller's canonical spec) on first use.
-	journal   *Journal
-	journaled map[string]Result
+	// store, when attached, restores every cell it holds and keeps every
+	// fresh result, so an interrupted sweep resumes without
+	// recomputation (see execute).
+	store *durable.Store
 	// failures records cells that errored or panicked; the sweep carries
 	// on with placeholder results and the caller decides how loudly to
 	// fail (see Failures).
@@ -467,9 +466,9 @@ func NewRunner() *Runner {
 }
 
 // recordMetrics logs a committed cell's time-series for MetricsEntries.
-// Journal restores (uncached) and fresh results (commit) call it exactly
-// once per distinct cell, in the generator's first-use order, which is
-// what makes the exported metrics identical at any Jobs value.
+// commit calls it exactly once per distinct cell, restored or fresh, in
+// the generator's first-use order, which is what makes the exported
+// metrics identical at any Jobs value and across a resume.
 func (r *Runner) recordMetrics(key string, res Result) {
 	if res.Metrics != nil {
 		r.metricsLog = append(r.metricsLog, metrics.Entry{Key: key, Dump: res.Metrics})
@@ -482,7 +481,7 @@ func (r *Runner) MetricsEntries() []metrics.Entry { return r.metricsLog }
 
 // Run executes (or recalls) a spec with the runner's time settings. A
 // miss outside the collect pass is a one-cell Prefetch, so restore,
-// journaling and failure recording have a single code path.
+// storing and failure recording have a single code path.
 func (r *Runner) Run(spec Spec) Result {
 	spec = r.Apply(spec)
 	k := spec.Key()
@@ -520,20 +519,17 @@ type CellFailure struct {
 // cells ran.
 func (r *Runner) Failures() []CellFailure { return r.failures }
 
-// AttachJournal directs the runner to restore results from loaded (keyed
-// by Spec.Key) and to append every fresh result to j as its cell
-// completes, in sweep order (see frontier).
-func (r *Runner) AttachJournal(j *Journal, loaded map[string]Result) {
-	r.journal = j
-	r.journaled = loaded
-}
+// AttachStore directs the runner to restore every cell s holds instead
+// of simulating it, and to store every fresh result as its cell
+// completes.
+func (r *Runner) AttachStore(s *durable.Store) { r.store = s }
 
-// canonicalResult aligns a result restored from a journal with the
+// canonicalResult aligns a result restored from the store with the
 // caller's canonical spec. The marshaled Spec is always replaced: JSON
 // does not round-trip every Spec field bit-exactly, and downstream
-// baseline lookups re-derive keys from res.Spec. Both journal resume
-// paths (Runner.uncached and RunSpecs) restore through it, so a resumed
-// sweep renders byte-identically to an uninterrupted one.
+// baseline lookups re-derive keys from res.Spec. Every restore goes
+// through it (see restore), so a resumed sweep renders byte-identically
+// to an uninterrupted one.
 func canonicalResult(res Result, spec Spec) Result {
 	res.Spec = spec.resolved()
 	if res.Hist == nil {

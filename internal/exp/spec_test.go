@@ -15,14 +15,14 @@ import (
 // keyObservational lists the Spec fields Key() leaves out on purpose,
 // each with its reason. Every other field must change the key.
 var keyObservational = map[string]string{
-	"AuditEvery": "the auditor only reads state, so audited and unaudited runs are one run and share cache and journal entries",
+	"AuditEvery": "the auditor only reads state, so audited and unaudited runs are one run and share cache and store entries",
 }
 
 // TestKeyCoversEveryField walks Spec's fields and perturbs each one: it
 // must change Key(), or sit on keyObservational. A field added later
 // without either fails here, so two different runs can never share a
-// cache entry or a journal line by accident. Every perturbed spec must
-// also keep its key through a journal line's JSON round trip.
+// cache entry or a store entry by accident. Every perturbed spec must
+// also keep its key through a store entry's JSON round trip.
 func TestKeyCoversEveryField(t *testing.T) {
 	typ := reflect.TypeOf(Spec{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -41,15 +41,15 @@ func TestKeyCoversEveryField(t *testing.T) {
 		case changed && observational:
 			t.Errorf("Spec.%s is listed as observational but changes Key()", f.Name)
 		}
-		if got := journalRoundTrip(t, moved).Key(); got != moved.Key() {
-			t.Errorf("Spec.%s: key changed across the journal round trip:\n%s\n%s", f.Name, moved.Key(), got)
+		if got := storeRoundTrip(t, moved).Key(); got != moved.Key() {
+			t.Errorf("Spec.%s: key changed across the store round trip:\n%s\n%s", f.Name, moved.Key(), got)
 		}
 	}
 }
 
-// journalRoundTrip returns s as a journal line carries it: the resolved
+// storeRoundTrip returns s as a store entry carries it: the resolved
 // spec of a result, marshaled and decoded.
-func journalRoundTrip(t testing.TB, s Spec) Spec {
+func storeRoundTrip(t testing.TB, s Spec) Spec {
 	t.Helper()
 	raw, err := json.Marshal(Result{Spec: s.resolved()})
 	if err != nil {

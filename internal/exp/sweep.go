@@ -9,11 +9,12 @@
 // enqueues its cell instead of simulating, so the generator's own control
 // flow enumerates the sweep — there is no second copy of the cell lists
 // to drift out of sync. The execute pass fans the recorded cells across
-// the worker pool, journals each one as it completes (in sweep order, see
-// frontier) and commits results to the memo cache in sweep order. The
-// final render replays the generator against the warm cache, so output
-// is byte-identical to the sequential path regardless of job count or
-// completion order.
+// the worker pool, which restores each cell from the attached result
+// store or simulates it and stores the result, and commits results to
+// the memo cache in sweep order. The final render replays the generator
+// against the warm cache, so output is byte-identical to the sequential
+// path regardless of job count, completion order or which cells the
+// store already held.
 //
 // Every local sweep — Runner.Prefetch, Runner.Run on a miss, and the
 // RunSpecs batch — goes through one pool, execute.
@@ -21,11 +22,14 @@ package exp
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"memnet/internal/durable"
 	"memnet/internal/stats"
 )
 
@@ -61,53 +65,30 @@ func (r *Runner) collect(gen func(*Runner) string) []Spec {
 }
 
 // Prefetch executes specs across the worker pool and memoizes the
-// results. Journaled cells are restored without simulating, and each
-// fresh success reaches the attached journal as soon as every earlier
-// cell has settled; progress lines and cache commits happen in sweep
-// order after the pool drains. Failed cells (errors and recovered
-// panics) get placeholder results and are recorded in Failures, so one
-// bad cell cannot take down the rest of the sweep.
+// results. Cells the attached store holds are restored without
+// simulating, and each fresh success is stored the moment its cell
+// finishes; progress lines and cache commits happen in sweep order after
+// the pool drains. Failed cells (errors, recovered panics and failed
+// store writes) get placeholder results and are recorded in Failures, so
+// one bad cell cannot take down the rest of the sweep.
 func (r *Runner) Prefetch(specs []Spec) {
-	todo := r.uncached(specs)
-	if len(todo) == 0 {
-		return
-	}
-	results, errs, jerrs := execute(r.ctx(), todo, r.jobs(), r.journal)
-	r.commit(todo, results, errs, jerrs)
-}
-
-// uncached fills specs with the runner's Settings and filters them
-// against the memo cache and the attached journal (restored cells are
-// consumed by key, re-keyed to the canonical spec and committed on the
-// spot), returning only the cells that still need simulating — the work
-// list for the pool.
-func (r *Runner) uncached(specs []Spec) []Spec {
 	var todo []Spec
 	for _, s := range specs {
 		s = r.Apply(s)
-		k := s.Key()
-		if _, ok := r.cache[k]; ok {
-			continue
+		if _, ok := r.cache[s.Key()]; !ok {
+			todo = append(todo, s)
 		}
-		if res, ok := r.journaled[k]; ok {
-			delete(r.journaled, k)
-			res = canonicalResult(res, s)
-			if r.Progress != nil {
-				r.Progress(fmt.Sprintf("restored %s from journal", k))
-			}
-			r.cache[k] = res
-			r.recordMetrics(k, res)
-			continue
-		}
-		todo = append(todo, s)
 	}
-	return todo
+	if len(todo) == 0 {
+		return
+	}
+	results, errs, hits := execute(r.ctx(), todo, r.jobs(), r.store)
+	r.commit(todo, results, errs, hits)
 }
 
 // commit stores a pool's results in the memo cache in sweep order,
-// with placeholder results for failed cells. jerrs holds each cell's
-// journal-append failure, recorded right after the cell it belongs to.
-func (r *Runner) commit(specs []Spec, results []Result, errs, jerrs []error) {
+// with placeholder results for failed cells.
+func (r *Runner) commit(specs []Spec, results []Result, errs []error, hits []bool) {
 	for i, res := range results {
 		k := specs[i].Key()
 		if err := errs[i]; err != nil {
@@ -120,11 +101,13 @@ func (r *Runner) commit(specs []Spec, results []Result, errs, jerrs []error) {
 		}
 		r.cache[k] = res
 		r.recordMetrics(k, res)
-		if r.Progress != nil {
-			r.Progress(fmt.Sprintf("ran %s (%.1fM events)", k, float64(res.Events)/1e6))
+		if r.Progress == nil {
+			continue
 		}
-		if jerrs[i] != nil {
-			r.failures = append(r.failures, CellFailure{Key: k, Err: fmt.Errorf("journal: %w", jerrs[i])})
+		if hits[i] {
+			r.Progress(fmt.Sprintf("restored %s from store", k))
+		} else {
+			r.Progress(fmt.Sprintf("ran %s (%.1fM events)", k, float64(res.Events)/1e6))
 		}
 	}
 }
@@ -132,38 +115,15 @@ func (r *Runner) commit(specs []Spec, results []Result, errs, jerrs []error) {
 // RunSpecs executes a batch across jobs workers (<= 0 means
 // runtime.GOMAXPROCS(0)) and returns results and errors aligned with the
 // input; errs[i] is nil where cell i succeeded. Panics are contained per
-// cell (see RunBudgeted). With a journal j, cells whose keys appear in
-// loaded are restored (consumed by key, first slot wins, with the
-// caller's canonical spec) instead of simulated, and each fresh success
-// is appended in input order as soon as every earlier cell has settled;
-// an append failure becomes that cell's error. Canceling ctx aborts
-// in-flight cells within one kernel check interval and fails unstarted
-// ones with ctx's error, so an interrupted batch hands back promptly with
-// every completed cell intact — and, behind the watermark, journaled.
-func RunSpecs(ctx context.Context, specs []Spec, jobs int, j *Journal, loaded map[string]Result) ([]Result, []error) {
-	results := make([]Result, len(specs))
-	errs := make([]error, len(specs))
-	var todo []Spec
-	var todoIdx []int
-	for i, s := range specs {
-		if len(loaded) > 0 {
-			k := s.Key()
-			if res, ok := loaded[k]; ok {
-				delete(loaded, k)
-				results[i] = canonicalResult(res, s)
-				continue
-			}
-		}
-		todo = append(todo, s)
-		todoIdx = append(todoIdx, i)
-	}
-	fresh, ferrs, jerrs := execute(ctx, todo, jobs, j)
-	for t, i := range todoIdx {
-		results[i], errs[i] = fresh[t], ferrs[t]
-		if jerrs[t] != nil {
-			errs[i] = fmt.Errorf("journal: %w", jerrs[t])
-		}
-	}
+// cell (see RunBudgeted). With a store, cells it holds are restored with
+// the caller's canonical spec instead of simulated, and each fresh
+// success is stored as its cell finishes; a failed store write is that
+// cell's error. Canceling ctx aborts in-flight cells within one kernel
+// check interval and fails unstarted ones with ctx's error, so an
+// interrupted batch hands back promptly with every completed cell intact
+// and stored.
+func RunSpecs(ctx context.Context, specs []Spec, jobs int, store *durable.Store) ([]Result, []error) {
+	results, errs, _ := execute(ctx, specs, jobs, store)
 	return results, errs
 }
 
@@ -187,11 +147,12 @@ func FirstErr(specs []Spec, errs []error) error {
 // runs specs across jobs workers (<= 0 means runtime.GOMAXPROCS(0)) and
 // returns results and errors aligned with the input. Each cell is
 // hermetic — own kernel, network, workload, RNG — so the only shared
-// state is the output slot each worker owns. Cells not yet started when
-// ctx is canceled fail with ctx's error instead of simulating. Every
-// cell settles on a frontier over j the moment it finishes; jerrs[i] is
-// cell i's journal-append failure.
-func execute(ctx context.Context, specs []Spec, jobs int, j *Journal) (results []Result, errs, jerrs []error) {
+// state is the output slot each worker owns and the store, which is safe
+// for concurrent use (and for other processes sharing its directory).
+// Cells not yet started when ctx is canceled fail with ctx's error
+// instead of simulating. With a store, a cell is looked up before it
+// runs (hits[i] reports a restore) and stored after it runs.
+func execute(ctx context.Context, specs []Spec, jobs int, store *durable.Store) (results []Result, errs []error, hits []bool) {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
@@ -200,16 +161,19 @@ func execute(ctx context.Context, specs []Spec, jobs int, j *Journal) (results [
 	}
 	results = make([]Result, len(specs))
 	errs = make([]error, len(specs))
-	jerrs = make([]error, len(specs))
-	front := newFrontier(j, func(i int, err error) { jerrs[i] = err })
+	hits = make([]bool, len(specs))
 	runOne := func(i int) {
-		if errs[i] = ctx.Err(); errs[i] == nil {
-			results[i], errs[i] = RunBudgeted(ctx, specs[i], Budget{})
+		if errs[i] = ctx.Err(); errs[i] != nil {
+			return
 		}
-		if errs[i] != nil {
-			front.Settle(i, nil)
-		} else {
-			front.Settle(i, &results[i])
+		if store != nil {
+			if hits[i], errs[i] = restore(store, specs[i], &results[i]); hits[i] || errs[i] != nil {
+				return
+			}
+		}
+		results[i], errs[i] = RunBudgeted(ctx, specs[i], Budget{})
+		if errs[i] == nil && store != nil {
+			errs[i] = persist(store, specs[i].Key(), results[i])
 		}
 	}
 	var next atomic.Int64
@@ -228,5 +192,36 @@ func execute(ctx context.Context, specs []Spec, jobs int, j *Journal) (results [
 		}()
 	}
 	wg.Wait()
-	return results, errs, jerrs
+	return results, errs, hits
+}
+
+// restore looks spec up in store and, on a hit, decodes the entry into
+// *res through canonicalResult. A corrupt entry (already quarantined) or
+// one that does not decode as a Result is a miss, so the cell simulates
+// afresh and its Put replaces the entry; any other read error fails the
+// cell.
+func restore(store *durable.Store, spec Spec, res *Result) (bool, error) {
+	raw, ok, err := store.Get(spec.Key())
+	if errors.Is(err, durable.ErrCorrupt) {
+		return false, nil
+	}
+	if err != nil || !ok {
+		return false, err
+	}
+	var stored Result
+	if json.Unmarshal(raw, &stored) != nil {
+		return false, nil
+	}
+	*res = canonicalResult(stored, spec)
+	return true, nil
+}
+
+// persist stores one fresh result under key: the exact bytes memnetd
+// stores and serves for the same cell.
+func persist(store *durable.Store, key string, res Result) error {
+	raw, err := json.Marshal(res)
+	if err != nil {
+		return err
+	}
+	return store.Put(key, raw)
 }

@@ -64,11 +64,11 @@ func TestRunSpecsDeterminism(t *testing.T) {
 		spec.SeedSalt = salt
 		specs = append(specs, spec)
 	}
-	seq, errs := RunSpecs(context.Background(), specs, 1, nil, nil)
+	seq, errs := RunSpecs(context.Background(), specs, 1, nil)
 	if err := FirstErr(specs, errs); err != nil {
 		t.Fatal(err)
 	}
-	par, errs := RunSpecs(context.Background(), specs, 8, nil, nil)
+	par, errs := RunSpecs(context.Background(), specs, 8, nil)
 	if err := FirstErr(specs, errs); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRunSpecsPreservesOrder(t *testing.T) {
 		spec.SeedSalt = salt
 		specs = append(specs, spec)
 	}
-	results, errs := RunSpecs(context.Background(), specs, 3, nil, nil)
+	results, errs := RunSpecs(context.Background(), specs, 3, nil)
 	if err := FirstErr(specs, errs); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRunSpecsPreservesOrder(t *testing.T) {
 func TestRunSpecsReportsFirstErrorInOrder(t *testing.T) {
 	good := tinySpec(core.PolicyNone, MechFP)
 	specs := []Spec{good, {}, {}} // nil workloads fail validation
-	_, errs := RunSpecs(context.Background(), specs, 4, nil, nil)
+	_, errs := RunSpecs(context.Background(), specs, 4, nil)
 	if err := FirstErr(specs, errs); err == nil || !strings.Contains(err.Error(), "run 1") {
 		t.Fatalf("err = %v, want first failure at run 1", err)
 	}
@@ -216,7 +216,7 @@ func TestSweepSpeedup(t *testing.T) {
 		var best time.Duration
 		for round := 0; round < 2; round++ {
 			start := time.Now()
-			_, errs := RunSpecs(context.Background(), specs, jobs, nil, nil)
+			_, errs := RunSpecs(context.Background(), specs, jobs, nil)
 			if err := FirstErr(specs, errs); err != nil {
 				t.Fatal(err)
 			}

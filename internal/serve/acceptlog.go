@@ -7,9 +7,9 @@
 // reached the store come back as cache hits, so a crash loses at most
 // in-flight compute, never a submission.
 //
-// The file is a durable.Log, the sweep journal's log type: flock,
-// torn-tail truncation and failed-append repair live there. This file
-// owns the records and their replay:
+// The file is a durable.Log, whose only user this is: flock, torn-tail
+// truncation and failed-append repair live there. This file owns the
+// records and their replay:
 //
 //   - Accept/tombstone pairs may appear in either order (the runner
 //     can finish a job before its accept record hits the disk), so

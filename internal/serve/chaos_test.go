@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"memnet/internal/exp"
+	"memnet/internal/durable"
 )
 
 // TestChaosSoak is the daemon-lifecycle acceptance test: concurrent
@@ -28,8 +28,8 @@ import (
 //     state and every rejected submission got a clean 429/503;
 //   - duplicate submissions are served from the content-addressed store
 //     byte-identical to the fresh run;
-//   - the journal survives the churn: it re-opens cleanly (no torn
-//     tail) and holds only complete entries;
+//   - the store survives the churn: every entry verifies (no torn or
+//     corrupt file, nothing quarantined) and no Put temp file is left;
 //   - no goroutine leaks after the drain;
 //   - canceled jobs go terminal promptly (the kernel check aborts
 //     within one interval, not at simulation end).
@@ -37,17 +37,12 @@ func TestChaosSoak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	dir := t.TempDir()
-	store, err := NewStore(dir + "/store")
-	if err != nil {
-		t.Fatal(err)
-	}
-	journal, _, err := exp.OpenJournal(dir+"/journal.jsonl", nil)
+	store, err := durable.NewStore(dir + "/store")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(Config{
 		Store:      store,
-		Journal:    journal,
 		QueueDepth: 4,
 		Runners:    2,
 		Logf:       t.Logf,
@@ -181,7 +176,6 @@ func TestChaosSoak(t *testing.T) {
 
 	// Byte-identical duplicate: submit the first spec again on a fresh
 	// server sharing the store — it must be a pure cache hit.
-	journal.Close()
 	s2 := New(Config{Store: store, QueueDepth: 2, Runners: 1, Logf: t.Logf})
 	hs2 := httptest.NewServer(s2.Handler())
 	sr1 := submit(t, hs2.URL, body(0))
@@ -202,19 +196,16 @@ func TestChaosSoak(t *testing.T) {
 	hs2.Close()
 	hs.Close()
 
-	// The journal survived: re-opens with no error (flock released, no
-	// torn tail) and every loaded entry re-marshals.
-	j2, loaded, err := exp.OpenJournal(dir+"/journal.jsonl", nil)
+	// The store survived: every entry verifies and no Put left a temp
+	// file behind.
+	rep, err := store.Fsck()
 	if err != nil {
-		t.Fatalf("journal did not survive the soak: %v", err)
+		t.Fatalf("store did not survive the soak: %v", err)
 	}
-	for k, res := range loaded {
-		if _, err := json.Marshal(res); err != nil {
-			t.Fatalf("journal entry %s is torn: %v", k, err)
-		}
+	if rep.Quarantined != 0 || rep.TempsRemoved != 0 || rep.Entries == 0 {
+		t.Fatalf("store after the soak: %+v; want clean entries only", rep)
 	}
-	j2.Close()
-	t.Logf("soak: journal holds %d complete entries", len(loaded))
+	t.Logf("soak: store holds %d verified entries", rep.Entries)
 
 	// No goroutine leaks once HTTP idle connections wind down.
 	deadline := time.Now().Add(10 * time.Second)
@@ -238,7 +229,7 @@ func TestChaosSoak(t *testing.T) {
 // canceled, and the runner must come back within seconds — i.e. the
 // kernel noticed within one check interval, not at the horizon.
 func TestCancelStopsCPUWithinCheckInterval(t *testing.T) {
-	store, err := NewStore(t.TempDir())
+	store, err := durable.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

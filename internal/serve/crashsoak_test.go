@@ -42,7 +42,7 @@ func TestCrashRestartSoak(t *testing.T) {
 	totalRecovered := 0
 	const lives = 3
 	for life := 0; life < lives; life++ {
-		store, err := NewStoreFS(storeDir, ffs)
+		store, err := durable.NewStoreFS(storeDir, ffs)
 		if err != nil {
 			t.Fatalf("life %d: %v", life, err)
 		}
@@ -97,7 +97,7 @@ func TestCrashRestartSoak(t *testing.T) {
 	}
 
 	// Final life: plain filesystem, recover the full backlog, run it dry.
-	store, err := NewStore(storeDir)
+	store, err := durable.NewStore(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,7 +235,7 @@ func TestAcceptLogFlockConflict(t *testing.T) {
 // tombstoned so the next life owes nothing.
 func TestRecoverReenqueues(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir + "/store")
+	store, err := durable.NewStore(dir + "/store")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestAcceptLogMaxSeenID(t *testing.T) {
 // submission.
 func TestFreshIDsSkipTombstonedWAL(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir + "/store")
+	store, err := durable.NewStore(dir + "/store")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestFreshIDsSkipTombstonedWAL(t *testing.T) {
 // forever.
 func TestRecoverTombstonesUnreplayable(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir + "/store")
+	store, err := durable.NewStore(dir + "/store")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestRecoverTombstonesUnreplayable(t *testing.T) {
 // defaults — while a valid record in the same log still replays.
 func TestRecoverTombstonesNowInvalidRecord(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir + "/store")
+	store, err := durable.NewStore(dir + "/store")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestRecoverTombstonesNowInvalidRecord(t *testing.T) {
 // resume it), while a client DELETE tombstones its job for good.
 func TestDrainCancelStaysPending(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir + "/store")
+	store, err := durable.NewStore(dir + "/store")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +538,7 @@ func TestDrainCancelStaysPending(t *testing.T) {
 // not an error.
 func TestPutENOSPCDegrades(t *testing.T) {
 	ffs := durable.NewFaultFS(nil)
-	store, err := NewStoreFS(t.TempDir(), ffs)
+	store, err := durable.NewStoreFS(t.TempDir(), ffs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +575,7 @@ func TestPutENOSPCDegrades(t *testing.T) {
 // downgrades to a counter, availability does not.
 func TestAcceptAppendFailureDegrades(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir + "/store")
+	store, err := durable.NewStore(dir + "/store")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,42 +619,12 @@ func TestAcceptAppendFailureDegrades(t *testing.T) {
 	waitTerminal(t, hs, sr2.ID, 2*time.Minute)
 }
 
-// TestJournalAppendFailureCounted pins the -journal degradation: a
-// failing result-journal append still delivers the job, and the failure
-// shows on /statusz instead of only in the log.
-func TestJournalAppendFailureCounted(t *testing.T) {
-	ffs := durable.NewFaultFS(nil)
-	jnl, _, err := exp.OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"), ffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jnl.Close()
-	ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: "journal.jsonl", Err: errENOSPC, Count: -1})
-	_, hs := newTestServer(t, func(c *Config) { c.Journal = jnl })
-	sr := submit(t, hs.URL, tinyBody("20us", 0))
-	if st := waitTerminal(t, hs.URL, sr.ID, time.Minute); st.State != StateDone {
-		t.Fatalf("job ended %s with a failing journal", st.State)
-	}
-	resp, err := http.Get(hs.URL + "/statusz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.JournalErrors != 1 {
-		t.Fatalf("statusz journal_errors = %d, want 1", st.JournalErrors)
-	}
-}
-
 // TestQuarantinedEntryResimulates pins the bit-rot path end to end: a
 // corrupted store entry is quarantined on read, the job re-simulates
 // and completes, and /statusz reports the quarantine — zero 500s.
 func TestQuarantinedEntryResimulates(t *testing.T) {
 	storeDir := t.TempDir()
-	store, err := NewStore(storeDir)
+	store, err := durable.NewStore(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,7 +683,7 @@ func TestQuarantinedEntryResimulates(t *testing.T) {
 // scan error instead of a phantom empty store.
 func TestStatuszSurfacesScanError(t *testing.T) {
 	ffs := durable.NewFaultFS(nil)
-	store, err := NewStoreFS(t.TempDir(), ffs)
+	store, err := durable.NewStoreFS(t.TempDir(), ffs)
 	if err != nil {
 		t.Fatal(err)
 	}

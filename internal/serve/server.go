@@ -19,8 +19,8 @@
 //     as exp.PanicError per cell; the job reports the failure and the
 //     daemon keeps serving.
 //   - Results survive the process. Fresh results are stored atomically
-//     (and journaled when a journal is attached) before the job
-//     completes, so a crash never re-simulates finished work.
+//     before the job completes, so a crash never re-simulates finished
+//     work, and a CLI sweep sharing the store directory hits them too.
 package serve
 
 import (
@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"memnet/internal/durable"
 	"memnet/internal/exp"
 )
 
@@ -52,11 +53,7 @@ const (
 type Config struct {
 	// Store persists results content-addressed by spec key (nil = no
 	// persistence, every submission simulates).
-	Store *Store
-	// Journal, when non-nil, receives every fresh result (exp JSONL
-	// format), so daemon results merge with CLI sweeps and survive
-	// crashes. The journal's flock guarantees no CLI can interleave.
-	Journal *exp.Journal
+	Store *durable.Store
 	// Accepts, when non-nil, is the write-ahead accept journal: every
 	// admitted job is fsynced to it before the 202 goes out and
 	// tombstoned when it finishes, so Recover can re-enqueue whatever a
@@ -89,6 +86,13 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// NewStore forwards to durable.NewStore. Nothing in this module calls
+// it: it is kept for the benchmark module's store fixture (bench/'s
+// storeMs), and bench/ changes only in a change that re-baselines the
+// benchmark. That change should call durable.NewStore there and delete
+// this forward.
+func NewStore(dir string) (*durable.Store, error) { return durable.NewStore(dir) }
+
 // Server owns the admission queue, the job table and the runner pool.
 type Server struct {
 	cfg   Config
@@ -116,7 +120,6 @@ type Server struct {
 	unauth    atomic.Uint64 // 401s issued
 	putErrors atomic.Uint64 // store writes that failed (disk full, ...)
 	walErrors atomic.Uint64 // accept-journal appends that failed
-	jnlErrors atomic.Uint64 // result-journal appends that failed
 }
 
 // New builds a server and starts its runner pool. Callers must Drain
@@ -153,7 +156,7 @@ func New(cfg Config) *Server {
 }
 
 // Stats is the /statusz payload. The store block reports a cached scan
-// (fresh within ScanCacheTTL of any store mutation): entry count, total
+// (fresh within durable.ScanCacheTTL of any store mutation): entry count, total
 // bytes, lifetime quarantine/eviction counters, and — crucially — the
 // scan error itself when the store directory cannot be read, instead of
 // silently claiming an empty store.
@@ -174,7 +177,6 @@ type Stats struct {
 	Quarantined    uint64 `json:"quarantined"`
 	Evictions      uint64 `json:"evictions"`
 	AcceptErrors   uint64 `json:"accept_journal_errors"`
-	JournalErrors  uint64 `json:"journal_errors"`
 	StoreScanError string `json:"store_scan_error,omitempty"`
 }
 
@@ -193,7 +195,6 @@ func (s *Server) Stats() Stats {
 		Draining:       s.draining.Load(),
 		StorePutErrors: s.putErrors.Load(),
 		AcceptErrors:   s.walErrors.Load(),
-		JournalErrors:  s.jnlErrors.Load(),
 	}
 	if s.cfg.Store != nil {
 		entries, bytes, err := s.cfg.Store.CachedScan()
@@ -646,8 +647,8 @@ type metricsEvent struct {
 
 // runJob executes one job's cells sequentially: store lookup first
 // (cache hits never simulate), then a budgeted, cancelable, panic-
-// contained simulation; fresh results are persisted and journaled
-// before the next cell starts.
+// contained simulation; fresh results are persisted before the next
+// cell starts.
 func (s *Server) runJob(j *job) {
 	if !j.setStateIf(StateQueued, StateRunning) {
 		return // canceled while queued
@@ -724,7 +725,7 @@ func (s *Server) runJob(j *job) {
 				s.putErrors.Add(1)
 				s.cfg.Logf("serve: %s: store write for %s: %v", j.id, key, err)
 			} else if s.cfg.StoreMaxBytes > 0 || s.cfg.StoreMaxAge > 0 {
-				gcCfg := GCConfig{
+				gcCfg := durable.GCConfig{
 					MaxBytes: s.cfg.StoreMaxBytes,
 					MaxAge:   s.cfg.StoreMaxAge,
 					Pinned:   s.pinnedKeys(),
@@ -732,12 +733,6 @@ func (s *Server) runJob(j *job) {
 				if _, gerr := s.cfg.Store.GC(gcCfg); gerr != nil {
 					s.cfg.Logf("serve: store gc: %v", gerr)
 				}
-			}
-		}
-		if s.cfg.Journal != nil {
-			if err := s.cfg.Journal.Append(res); err != nil {
-				s.jnlErrors.Add(1)
-				s.cfg.Logf("serve: %s: journal append for %s: %v", j.id, key, err)
 			}
 		}
 		j.completeCell(i, raw, "", false)

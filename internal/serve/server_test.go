@@ -11,13 +11,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"memnet/internal/durable"
 )
 
 // newTestServer builds a server + HTTP front end with test-friendly
 // defaults; mutate cfg via mod before it starts.
 func newTestServer(t *testing.T, mod func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
-	store, err := NewStore(t.TempDir() + "/store")
+	store, err := durable.NewStore(t.TempDir() + "/store")
 	if err != nil {
 		t.Fatal(err)
 	}

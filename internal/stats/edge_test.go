@@ -1,7 +1,6 @@
 // Edge-case tables for the reporting primitives: percentile behavior at
-// the boundaries of the log₂ histogram, and availability accounting for
-// degenerate outage intervals. These lock down behavior the figure
-// pipeline depends on but the happy-path tests never exercise.
+// the boundaries of the log₂ histogram. These lock down behavior the
+// figure pipeline depends on but the happy-path tests never exercise.
 package stats
 
 import (
@@ -88,91 +87,5 @@ func TestCopyBuckets(t *testing.T) {
 	h.CopyBuckets(short)
 	if short[0] != 1 || short[1] != 2 {
 		t.Errorf("short copy = %v, want [1 2]", short)
-	}
-}
-
-func TestAvailabilityEdges(t *testing.T) {
-	us := sim.Microsecond
-	cases := []struct {
-		name string
-		run  func(a *Availability)
-		at   sim.Time // report time
-		want AvailabilityReport
-	}{
-		{
-			name: "zero-duration outage",
-			run: func(a *Availability) {
-				a.Down(0, sim.Time(10*us))
-				a.Up(0, sim.Time(10*us))
-			},
-			at: sim.Time(100 * us),
-			want: AvailabilityReport{Modules: 2, Outages: 1, OpenOutages: 0,
-				Downtime: 0, MTTR: 0, Availability: 1},
-		},
-		{
-			name: "open interval at end of run",
-			run: func(a *Availability) {
-				a.Down(1, sim.Time(60*us))
-			},
-			at: sim.Time(100 * us),
-			want: AvailabilityReport{Modules: 2, Outages: 0, OpenOutages: 1,
-				Downtime: 40 * us, MTTR: 0, Availability: 1 - 40.0/200.0},
-		},
-		{
-			name: "double down attributes to first start",
-			run: func(a *Availability) {
-				a.Down(0, sim.Time(10*us))
-				a.Down(0, sim.Time(50*us)) // idempotent
-				a.Up(0, sim.Time(70*us))
-			},
-			at: sim.Time(100 * us),
-			want: AvailabilityReport{Modules: 2, Outages: 1, OpenOutages: 0,
-				Downtime: 60 * us, MTTR: 60 * us, Availability: 1 - 60.0/200.0},
-		},
-		{
-			name: "up without down is a no-op",
-			run: func(a *Availability) {
-				a.Up(0, sim.Time(30*us))
-			},
-			at:   sim.Time(100 * us),
-			want: AvailabilityReport{Modules: 2, Availability: 1},
-		},
-		{
-			name: "repeated zero-duration cycles keep MTTR finite",
-			run: func(a *Availability) {
-				for i := 0; i < 3; i++ {
-					a.Down(1, sim.Time(20*us))
-					a.Up(1, sim.Time(20*us))
-				}
-			},
-			at: sim.Time(100 * us),
-			want: AvailabilityReport{Modules: 2, Outages: 3, OpenOutages: 0,
-				Downtime: 0, MTTR: 0, Availability: 1},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			a := NewAvailability(2)
-			tc.run(a)
-			got := a.Report(100*us, tc.at)
-			if got != tc.want {
-				t.Errorf("report = %+v\nwant     %+v", got, tc.want)
-			}
-		})
-	}
-}
-
-// TestAvailabilityZeroWindow: a zero (or negative) window cannot divide;
-// the availability fraction stays at its defined default of 1.
-func TestAvailabilityZeroWindow(t *testing.T) {
-	a := NewAvailability(1)
-	a.Down(0, 0)
-	a.Up(0, sim.Time(5*sim.Microsecond))
-	got := a.Report(0, sim.Time(10*sim.Microsecond))
-	if got.Availability != 1 {
-		t.Errorf("availability with zero window = %v, want 1 (undefined fraction defaults up)", got.Availability)
-	}
-	if got.Downtime != 5*sim.Microsecond || got.Outages != 1 {
-		t.Errorf("downtime accounting lost: %+v", got)
 	}
 }
