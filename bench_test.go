@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"memnet/internal/core"
-	"memnet/internal/dram"
 	"memnet/internal/exp"
 	"memnet/internal/link"
 	"memnet/internal/network"
@@ -398,77 +397,6 @@ func BenchmarkAblationQDQF(b *testing.B) {
 		without, _ = ablationRun(b, func(c *core.Config) { c.DisableQDQF = true })
 	}
 	b.ReportMetric(100*(1-with/without), "qdqf-saving%")
-}
-
-// BenchmarkAblationLinkSplit compares the paper's equal per-link AMS split
-// against a traffic-proportional split under unaware management.
-func BenchmarkAblationLinkSplit(b *testing.B) {
-	run := func(proportional bool) float64 {
-		p := wl(b, "mg.D")
-		kernel := sim.NewKernel()
-		topo, err := topology.Build(topology.Star, p.Modules(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		netCfg := network.DefaultConfig()
-		netCfg.Mechanism = link.MechVWL
-		netCfg.ROO = true
-		netCfg.ChunkBytes = 1 << 30
-		net := network.New(kernel, topo, netCfg)
-		mcfg := core.DefaultConfig(core.PolicyUnaware, 0.05)
-		mcfg.ProportionalLinkSplit = proportional
-		core.Attach(kernel, net, mcfg)
-		fe, err := workload.NewFrontEnd(kernel, net, p, workload.DefaultFrontEndConfig(42))
-		if err != nil {
-			b.Fatal(err)
-		}
-		fe.Start()
-		kernel.Run(50 * sim.Microsecond)
-		warm := net.TakeSnapshot()
-		kernel.Run(250 * sim.Microsecond)
-		end := net.TakeSnapshot()
-		return network.IntervalPower(warm, end).Total()
-	}
-	var equal, prop float64
-	for i := 0; i < b.N; i++ {
-		equal = run(false)
-		prop = run(true)
-	}
-	b.ReportMetric(100*(1-prop/equal), "prop-vs-equal%")
-}
-
-// BenchmarkAblationOpenPage compares the paper's close-page DRAM policy
-// against open page on one workload (row hits are rare under the random
-// line-grain traffic, matching the paper's choice of close page).
-func BenchmarkAblationOpenPage(b *testing.B) {
-	run := func(page dram.PagePolicy) sim.Duration {
-		p := wl(b, "mixC")
-		kernel := sim.NewKernel()
-		topo, err := topology.Build(topology.Star, p.Modules(4))
-		if err != nil {
-			b.Fatal(err)
-		}
-		netCfg := network.DefaultConfig()
-		netCfg.DRAM.Page = page
-		net := network.New(kernel, topo, netCfg)
-		fe, err := workload.NewFrontEnd(kernel, net, p, workload.DefaultFrontEndConfig(42))
-		if err != nil {
-			b.Fatal(err)
-		}
-		fe.Start()
-		kernel.Run(50 * sim.Microsecond)
-		warm := net.TakeSnapshot()
-		kernel.Run(250 * sim.Microsecond)
-		end := net.TakeSnapshot()
-		return network.AvgReadLatency(warm, end)
-	}
-	var closeLat, openLat sim.Duration
-	for i := 0; i < b.N; i++ {
-		closeLat = run(dram.ClosePage)
-		openLat = run(dram.OpenPage)
-	}
-	b.ReportMetric(closeLat.Nanoseconds(), "lat-ns-close")
-	b.ReportMetric(openLat.Nanoseconds(), "lat-ns-open")
 }
 
 // BenchmarkKernel measures raw event throughput of the simulation kernel.

@@ -165,8 +165,6 @@ var evaluators = map[string]func(*model) (float64, error){
 	"dram.tWR":         func(m *model) (float64, error) { return ns(m.dram.TWR), nil },
 	"dram.tREFI":       func(m *model) (float64, error) { return ns(m.dram.TREFI), nil },
 	"dram.tRFC":        func(m *model) (float64, error) { return ns(m.dram.TRFC), nil },
-	"dram.page-policy": func(m *model) (float64, error) { return float64(m.dram.Page), nil },
-	"dram.row-bytes":   func(m *model) (float64, error) { return float64(m.dram.RowBytes), nil },
 
 	// Static power model ([12] §III-B).
 	"power.peak-high": func(m *model) (float64, error) { return m.pm.ParamsForRadix(true).PeakWatts, nil },

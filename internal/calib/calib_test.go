@@ -34,8 +34,6 @@ var dramFieldRows = map[string]string{
 	"TWR":        "dram.tWR",
 	"TREFI":      "dram.tREFI",
 	"TRFC":       "dram.tRFC",
-	"Page":       "dram.page-policy",
-	"RowBytes":   "dram.row-bytes",
 }
 
 func TestDRAMConfigFullyPinned(t *testing.T) {

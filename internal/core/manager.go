@@ -67,9 +67,6 @@ type Config struct {
 	// RequestShare is the fraction of the pool assigned to request links
 	// when both link types are candidates (3/4 for VWL/DVFS+ROO).
 	RequestShare float64
-	// ViolationChecksPerEpoch sets how often links compare their running
-	// overhead against their AMS.
-	ViolationChecksPerEpoch int
 	// ChargeControl charges ISP/grant message energy to the links.
 	ChargeControl bool
 	// DisableWakeCascade turns off the §VI-B response-path wakeup
@@ -77,10 +74,6 @@ type Config struct {
 	DisableWakeCascade bool
 	// DisableQDQF turns off the §VI-C congestion discount (ablation).
 	DisableQDQF bool
-	// ProportionalLinkSplit makes the unaware policy divide a module's
-	// AMS between its two connectivity links in proportion to their read
-	// traffic instead of equally (ablation; the paper prescribes equal).
-	ProportionalLinkSplit bool
 	// CollectLinkHours accumulates the Fig. 13 histogram.
 	CollectLinkHours bool
 }
@@ -88,17 +81,16 @@ type Config struct {
 // DefaultConfig returns the paper's settings for a policy.
 func DefaultConfig(policy PolicyKind, alpha float64) Config {
 	return Config{
-		Policy:                  policy,
-		Epoch:                   100 * sim.Microsecond,
-		Alpha:                   alpha,
-		ISPIterations:           3,
-		GrantFraction:           1.0 / 16,
-		MaxGrants:               4,
-		SRCFraction:             0.25,
-		RequestShare:            0.75,
-		ViolationChecksPerEpoch: 10,
-		ChargeControl:           true,
-		CollectLinkHours:        true,
+		Policy:           policy,
+		Epoch:            100 * sim.Microsecond,
+		Alpha:            alpha,
+		ISPIterations:    3,
+		GrantFraction:    1.0 / 16,
+		MaxGrants:        4,
+		SRCFraction:      0.25,
+		RequestShare:     0.75,
+		ChargeControl:    true,
+		CollectLinkHours: true,
 	}
 }
 
@@ -131,6 +123,10 @@ type EpochData struct {
 // unlimitedAMS is a budget no link's overhead can exceed; a link holding it
 // is exempt from violation monitoring.
 const unlimitedAMS = sim.Duration(1) << 60
+
+// violationChecksPerEpoch is how often per epoch every link compares its
+// running latency overhead against its AMS ([23]).
+const violationChecksPerEpoch = 10
 
 // Manager drives epochs, maintains Eq. 1's cumulative sums, runs violation
 // sweeps, and carries the shared state both policies use.
@@ -167,9 +163,6 @@ type Manager struct {
 func Attach(k *sim.Kernel, net *network.Network, cfg Config) *Manager {
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = 100 * sim.Microsecond
-	}
-	if cfg.ViolationChecksPerEpoch <= 0 {
-		cfg.ViolationChecksPerEpoch = 10
 	}
 	m := &Manager{
 		Kernel:        k,
@@ -300,7 +293,7 @@ func (m *Manager) endEpoch() {
 // latency overhead against its AMS ([23]); violators either receive a
 // grant from the leftover pool (network-aware) or go to full power.
 func (m *Manager) scheduleViolationSweeps() {
-	m.Kernel.After(m.Cfg.Epoch/sim.Duration(m.Cfg.ViolationChecksPerEpoch), m.violationSweep)
+	m.Kernel.After(m.Cfg.Epoch/violationChecksPerEpoch, m.violationSweep)
 }
 
 // violationSweep runs one sweep and schedules the next.

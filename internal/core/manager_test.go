@@ -93,29 +93,6 @@ func TestGrantPoolExhaustion(t *testing.T) {
 	}
 }
 
-func TestProportionalLinkSplit(t *testing.T) {
-	// With proportional split enabled and one-sided traffic, the busy
-	// link must receive (nearly) the whole module budget.
-	k := sim.NewKernel()
-	topo, _ := topology.Build(topology.DaisyChain, 1)
-	ncfg := network.DefaultConfig()
-	ncfg.Mechanism = link.MechVWL
-	net := network.New(k, topo, ncfg)
-	mcfg := DefaultConfig(PolicyUnaware, 0.05)
-	mcfg.ProportionalLinkSplit = true
-	mgr := Attach(k, net, mcfg)
-	driveClosedLoop(k, net, 8, func(i int) uint64 { return uint64(i%97) * 64 }, 3*epoch)
-	if mgr.Epochs() < 2 {
-		t.Fatal("no epochs ran")
-	}
-	// Reads traverse both links (request + response) equally here, so
-	// proportional ≈ equal; the functional check is that it runs and
-	// budgets remain sane.
-	if mgr.CumFEL[0] <= 0 {
-		t.Fatal("no FEL accumulated")
-	}
-}
-
 func TestEpochDataIntegrity(t *testing.T) {
 	var got *EpochData
 	probe := &probePolicy{capture: func(e *EpochData) { got = e }}

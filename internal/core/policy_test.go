@@ -381,7 +381,7 @@ func TestStaticStarModes(t *testing.T) {
 
 func TestStaticInterleaveMapping(t *testing.T) {
 	// §VII-A pairs static selection with page-interleaved mapping; check
-	// the mapping spreads consecutive pages across modules.
+	// the mapping spreads consecutive 4 KiB pages across modules.
 	k := sim.NewKernel()
 	topo, _ := topology.Build(topology.DaisyChain, 4)
 	cfg := network.DefaultConfig()
@@ -391,7 +391,7 @@ func TestStaticInterleaveMapping(t *testing.T) {
 	Attach(k, net, DefaultConfig(PolicyStatic, 0))
 	seen := map[int]bool{}
 	for p := uint64(0); p < 8; p++ {
-		seen[net.ModuleFor(p*cfg.PageBytes)] = true
+		seen[net.ModuleFor(p*4096)] = true
 	}
 	if len(seen) != 4 {
 		t.Fatalf("interleaving touched %d modules, want 4", len(seen))

@@ -29,21 +29,11 @@ func (*UnawarePolicy) Reconfigure(m *Manager, e *EpochData) []sim.Duration {
 		if amsM < 0 {
 			amsM = 0
 		}
-		// Each connectivity link receives an equal portion (§V-A), or a
-		// traffic-proportional one under the ablation config.
-		shares := [2]sim.Duration{amsM / 2, amsM / 2}
-		if m.Cfg.ProportionalLinkSplit {
-			reqReads := e.Counters[2*i].ReadPackets
-			respReads := e.Counters[2*i+1].ReadPackets
-			if total := reqReads + respReads; total > 0 {
-				shares[0] = amsM * sim.Duration(reqReads) / sim.Duration(total)
-				shares[1] = amsM - shares[0]
-			}
-		}
-		for j, li := range []int{2 * i, 2*i + 1} {
-			mode := e.FLO[li].selectMode(shares[j])
-			applyMode(m.Net.Links[li], mode)
-			ams[li] = shares[j]
+		// Each connectivity link receives an equal portion (§V-A).
+		share := amsM / 2
+		for _, li := range []int{2 * i, 2*i + 1} {
+			applyMode(m.Net.Links[li], e.FLO[li].selectMode(share))
+			ams[li] = share
 		}
 	}
 	return ams

@@ -12,19 +12,6 @@ import (
 	"memnet/internal/sim"
 )
 
-// PagePolicy selects the row-buffer policy.
-type PagePolicy int
-
-const (
-	// ClosePage precharges after every access (Table I, the paper's
-	// configuration): every access pays tRCD + tCL.
-	ClosePage PagePolicy = iota
-	// OpenPage leaves the row open: hits pay only tCL, conflicts pay
-	// tRP + tRCD + tCL. Off the paper's configuration; provided for
-	// ablations (the HMC spec permits either).
-	OpenPage
-)
-
 // Config holds the DRAM array parameters (Table I).
 type Config struct {
 	// Vaults per HMC.
@@ -44,10 +31,6 @@ type Config struct {
 	// Refresh: every TREFI each vault performs an all-bank refresh that
 	// occupies it for TRFC. TREFI = 0 disables refresh.
 	TREFI, TRFC sim.Duration
-	// Page selects the row-buffer policy; RowBytes is the row size used
-	// for hit detection under OpenPage (default 2 KiB).
-	Page     PagePolicy
-	RowBytes int
 }
 
 // DefaultConfig returns Table I's parameters.
@@ -67,8 +50,6 @@ func DefaultConfig() Config {
 		TWR:        12 * sim.Nanosecond,
 		TREFI:      7800 * sim.Nanosecond,
 		TRFC:       260 * sim.Nanosecond,
-		Page:       ClosePage,
-		RowBytes:   2 << 10,
 	}
 }
 
@@ -139,9 +120,9 @@ func (c Config) Scaled(param string, factor float64) (Config, error) {
 // used by the experiment harness to key memoization and the result store
 // when a spec carries a DRAM override.
 func (c Config) Fingerprint() string {
-	return fmt.Sprintf("v%d.b%d.q%d.l%d.w%d.g%g.cl%d.rcd%d.ras%d.rp%d.rrd%d.wr%d.refi%d.rfc%d.p%d.row%d",
+	return fmt.Sprintf("v%d.b%d.q%d.l%d.w%d.g%g.cl%d.rcd%d.ras%d.rp%d.rrd%d.wr%d.refi%d.rfc%d",
 		c.Vaults, c.Banks, c.QueueDepth, c.LineBytes, c.BusBits, c.BusGbps,
-		c.TCL, c.TRCD, c.TRAS, c.TRP, c.TRRD, c.TWR, c.TREFI, c.TRFC, c.Page, c.RowBytes)
+		c.TCL, c.TRCD, c.TRAS, c.TRP, c.TRRD, c.TWR, c.TREFI, c.TRFC)
 }
 
 // Validate reports configuration errors.
@@ -176,8 +157,7 @@ func (f funcDone) AccessDone() { f() }
 
 // request is one queued vault access. Whether it is a read follows from
 // its place in the queue (see vault.reads), and close page never reads
-// the address, so only open page keeps each request's row, in a queue of
-// its own (vault.rows).
+// the address, so nothing else is kept.
 type request struct {
 	done Completion
 }
@@ -186,14 +166,11 @@ type request struct {
 type vault struct {
 	idx          int
 	bankFree     []sim.Time // next time each bank can start an activate
-	openRow      []int64    // per bank; -1 = precharged (nil unless OpenPage)
 	lastActivate sim.Time
 	busFree      sim.Time
 	// queue keeps reads ahead of writes, so queue[:reads] are the queued
-	// reads and the rest are writes. rows[i] is queue[i]'s row (nil
-	// unless OpenPage).
+	// reads and the rest are writes.
 	queue []request
-	rows  []int64
 	reads int
 	// inService is set while the vault's next-issue event is pending.
 	inService bool
@@ -250,8 +227,6 @@ type Stats struct {
 	QueueFullRejects uint64
 	BusyTime         sim.Duration // data-bus occupancy across vaults
 	RefreshStalls    uint64
-	// Row-buffer outcomes (OpenPage only).
-	RowHits, RowConflicts uint64
 }
 
 // HMCDRAM is the DRAM stack of one module.
@@ -325,46 +300,18 @@ func New(k *sim.Kernel, cfg Config) *HMCDRAM {
 	// mid-run.
 	queues := make([]request, cfg.Vaults*cfg.QueueDepth)
 	bankFree := make([]sim.Time, cfg.Vaults*cfg.Banks)
-	var openRow, rows []int64
-	if cfg.Page == OpenPage {
-		openRow = make([]int64, cfg.Vaults*cfg.Banks)
-		for i := range openRow {
-			openRow[i] = -1
-		}
-		rows = make([]int64, cfg.Vaults*cfg.QueueDepth)
-	}
 	for i := range d.vaults {
 		v := &d.vaults[i]
 		q, b := i*cfg.QueueDepth, i*cfg.Banks
 		v.idx = i
 		v.queue = queues[q : q : q+cfg.QueueDepth]
 		v.bankFree = bankFree[b : b+cfg.Banks]
-		if openRow != nil {
-			v.openRow = openRow[b : b+cfg.Banks]
-			v.rows = rows[q : q : q+cfg.QueueDepth]
-		}
 		// No activate has happened yet; far enough in the past that the
 		// tRRD window never binds the first access.
 		v.lastActivate = -(sim.Time(1) << 60)
 		v.issue = issueAction{d: d, v: v}
 	}
 	return d
-}
-
-// rowOf maps an address to its row identifier for hit detection. Rows are
-// vault-local: with line-interleaved vault mapping, consecutive lines of a
-// row land in the same vault every Vaults lines.
-func (d *HMCDRAM) rowOf(addr uint64) int64 {
-	rb := d.cfg.RowBytes
-	if rb <= 0 {
-		rb = 2 << 10
-	}
-	linesPerRow := uint64(rb / d.cfg.LineBytes)
-	if linesPerRow == 0 {
-		linesPerRow = 1
-	}
-	vaultLine := addr / uint64(d.cfg.LineBytes*d.cfg.Vaults)
-	return int64(vaultLine / linesPerRow)
 }
 
 // refreshAdjust pushes a candidate activate time out of any all-bank
@@ -464,9 +411,6 @@ func (d *HMCDRAM) enqueue(addr uint64, isRead bool, done Completion) *vault {
 		v.reads++
 	}
 	v.queue = insertAt(v.queue, i, request{done: done})
-	if v.rows != nil {
-		v.rows = insertAt(v.rows, i, d.rowOf(addr))
-	}
 	if d.aud.Sample() && len(v.queue) > d.cfg.QueueDepth {
 		d.aud.Reportf(d.auditName, "vault-queue-bound",
 			"vault %d accepted past its depth: %d > %d", v.idx, len(v.queue), d.cfg.QueueDepth)
@@ -514,73 +458,30 @@ func (d *HMCDRAM) serveHead(v *vault) sim.Time {
 		v.reads--
 	}
 	v.queue = popFront(v.queue)
-	var row int64
-	if v.rows != nil {
-		row = v.rows[0]
-		v.rows = popFront(v.rows)
-	}
 
 	now := d.kernel.Now()
-	// Bank selection: open page prefers a row hit, then a precharged
-	// bank, then the earliest free; close page takes the earliest free.
+	// Close page takes the earliest-free bank: every bank is precharged
+	// between accesses, so the address plays no part in the choice.
 	bank := 0
-	earliest := func() int {
-		b := 0
-		for i, t := range v.bankFree {
-			if t < v.bankFree[b] {
-				b = i
-			}
+	for i, t := range v.bankFree {
+		if t < v.bankFree[bank] {
+			bank = i
 		}
-		return b
-	}
-	if d.cfg.Page == OpenPage {
-		hit, closed := -1, -1
-		for i := range v.bankFree {
-			if v.openRow[i] == row && hit == -1 {
-				hit = i
-			}
-			if v.openRow[i] == -1 && closed == -1 {
-				closed = i
-			}
-		}
-		switch {
-		case hit >= 0:
-			bank = hit
-		case closed >= 0:
-			bank = closed
-		default:
-			bank = earliest()
-		}
-	} else {
-		bank = earliest()
 	}
 
 	start := now
 	if v.bankFree[bank] > start {
 		start = v.bankFree[bank]
 	}
-	isHit := d.cfg.Page == OpenPage && v.openRow[bank] == row
-	if !isHit && v.lastActivate+d.cfg.TRRD > start {
+	if v.lastActivate+d.cfg.TRRD > start {
 		start = v.lastActivate + d.cfg.TRRD
 	}
 	start = d.refreshAdjust(v.idx, start)
 
-	// Command-to-data latency by row-buffer outcome.
-	var pre sim.Duration
-	switch {
-	case isHit:
-		pre = d.cfg.TCL
-		d.stats.RowHits++
-	case d.cfg.Page == OpenPage && v.openRow[bank] >= 0:
-		pre = d.cfg.TRP + d.cfg.TRCD + d.cfg.TCL
-		d.stats.RowConflicts++
-	default:
-		pre = d.cfg.TRCD + d.cfg.TCL
-	}
-
 	burst := d.cfg.BurstTime()
-	// The data burst must win the shared vault data bus.
-	dataStart := start + pre
+	// Every access activates its row and reads or writes it: tRCD + tCL to
+	// data. The data burst must then win the shared vault data bus.
+	dataStart := start + d.cfg.TRCD + d.cfg.TCL
 	if v.busFree > dataStart {
 		// Delay the whole access so the burst lands when the bus frees.
 		delta := v.busFree - dataStart
@@ -589,21 +490,11 @@ func (d *HMCDRAM) serveHead(v *vault) sim.Time {
 	}
 	dataEnd := dataStart + burst
 
-	if !isHit {
-		v.lastActivate = start
-	}
+	v.lastActivate = start
 	v.busFree = dataEnd
-	var bankBusyUntil sim.Time
-	if d.cfg.Page == OpenPage {
-		// The row stays open; the bank frees when the burst ends.
-		v.openRow[bank] = row
-		bankBusyUntil = dataEnd
-	} else {
-		// Close page: the bank is busy for a full tRC.
-		bankBusyUntil = start + d.cfg.TRC()
-	}
+	// The bank is busy for a full tRC; writes additionally hold it for tWR.
+	bankBusyUntil := start + d.cfg.TRC()
 	if !isRead {
-		// Writes additionally hold the bank for tWR.
 		bankBusyUntil += d.cfg.TWR
 	}
 	v.bankFree[bank] = bankBusyUntil

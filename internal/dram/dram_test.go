@@ -93,7 +93,7 @@ func TestReadsPrioritizedOverWrites(t *testing.T) {
 // garbage at all, so its resident set grows with every byte a build
 // allocates. A per-request read flag would pad the request to 24 bytes
 // (reads are known from the vault's read count instead), and so would
-// the address, which only open page reads, through the vault's rows.
+// the address, which close page never reads.
 func TestRequestIs16Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(request{}); n != 16 {
 		t.Fatalf("request is %d bytes, want 16", n)
@@ -296,60 +296,49 @@ func TestRefreshConfigValidation(t *testing.T) {
 	}
 }
 
-func TestOpenPageRowHit(t *testing.T) {
+// addressStream drives one vault of a fresh HMCDRAM with n accesses whose
+// arrival times and read/write mix come from seed; line(i) supplies the
+// vault-local line index of access i (its row and column bits). It
+// returns each accepted access's completion time, in access order with
+// -1 for a rejected one, and the final statistics.
+func addressStream(seed uint64, n int, line func(i int) uint64) ([]sim.Time, Stats) {
 	k := sim.NewKernel()
 	cfg := DefaultConfig()
-	cfg.Page = OpenPage
-	cfg.TREFI = 0
 	d := New(k, cfg)
-	var t1, t2 sim.Time
-	d.Access(0, true, func() { t1 = k.Now() })
+	rng := sim.NewRNG(seed)
+	vault := uint64(rng.Intn(cfg.Vaults))
+	done := make([]sim.Time, n)
+	for i := range done {
+		at := sim.Time(rng.Intn(8*n)) * sim.Nanosecond
+		isRead := rng.Intn(10) < 6
+		addr := (line(i)*uint64(cfg.Vaults) + vault) * uint64(cfg.LineBytes)
+		done[i] = -1
+		k.Schedule(at, func() { d.Access(addr, isRead, func() { done[i] = k.Now() }) })
+	}
 	k.RunAll()
-	// Addresses 0 and 2048 share vault 0 (line interleaving) and sit in
-	// the same vault-local 2 KiB row.
-	d.Access(64*32, true, func() { t2 = k.Now() })
-	k.RunAll()
-	// First access: tRCD+tCL+burst = 30 ns. Hit: tCL+burst = 19 ns.
-	if t1 != 30*sim.Nanosecond {
-		t.Fatalf("first access at %v", t1)
-	}
-	if t2-t1 != 19*sim.Nanosecond {
-		t.Fatalf("row hit latency = %v, want 19ns", t2-t1)
-	}
-	if st := d.Stats(); st.RowHits != 1 || st.RowConflicts != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
+	return done, d.Stats()
 }
 
-func TestOpenPageRowConflict(t *testing.T) {
-	k := sim.NewKernel()
-	cfg := DefaultConfig()
-	cfg.Page = OpenPage
-	cfg.TREFI = 0
-	cfg.Banks = 1
-	d := New(k, cfg)
-	var t1, t2 sim.Time
-	d.Access(0, true, func() { t1 = k.Now() })
-	k.RunAll()
-	// Different row, same (only) bank: precharge + activate + read.
-	d.Access(64*1024, true, func() { t2 = k.Now() }) // vault 0? 64KB/64 % 32 = 0 ✓, row 32
-	k.RunAll()
-	want := cfg.TRP + cfg.TRCD + cfg.TCL + cfg.BurstTime()
-	if t2-t1 != want {
-		t.Fatalf("conflict latency = %v, want %v", t2-t1, want)
-	}
-	if st := d.Stats(); st.RowConflicts != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestClosePageNeverHits(t *testing.T) {
-	k, d := newDRAM(t)
-	for i := 0; i < 5; i++ {
-		d.Access(0, true, nil)
-		k.RunAll()
-	}
-	if st := d.Stats(); st.RowHits != 0 || st.RowConflicts != 0 {
-		t.Fatalf("close page recorded row outcomes: %+v", st)
+// TestVaultTimingIgnoresAddress pins that close page picks the
+// earliest-free bank whatever the address: two same-vault streams that
+// differ only in their row and column bits complete at the same times
+// with the same statistics.
+func TestVaultTimingIgnoresAddress(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		const n = 2000
+		lines := sim.NewRNG(seed + 100)
+		want, wantStats := addressStream(seed, n, func(int) uint64 { return 0 })
+		got, gotStats := addressStream(seed, n, func(int) uint64 { return lines.Uint64() >> 20 })
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: access %d completed at %v, %v with every address on line 0", seed, i, got[i], want[i])
+			}
+		}
+		if gotStats != wantStats {
+			t.Errorf("seed %d: stats %+v, %+v with every address on line 0", seed, gotStats, wantStats)
+		}
+		if wantStats.QueueFullRejects == 0 || wantStats.Writes == 0 {
+			t.Errorf("seed %d: stream never filled the queue or never wrote: %+v", seed, wantStats)
+		}
 	}
 }

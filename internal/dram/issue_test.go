@@ -162,35 +162,33 @@ func runIssueStream(cfg Config, seed uint64, reserved bool) issueRun {
 // issue events go, and a drained DRAM leaves nothing pending.
 func TestReservedIssueMatchesEager(t *testing.T) {
 	var cases [arriveCases]int
-	for _, page := range []PagePolicy{ClosePage, OpenPage} {
-		for seed := uint64(1); seed <= 6; seed++ {
-			t.Run(fmt.Sprintf("page%d/seed%d", page, seed), func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.Vaults, cfg.Page = 2, page
-				want := runIssueStream(cfg, seed, false)
-				got := runIssueStream(cfg, seed, true)
-				if len(got.done) != len(want.done) {
-					t.Fatalf("%d completions, eager path %d", len(got.done), len(want.done))
+	for seed := uint64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Vaults = 2
+			want := runIssueStream(cfg, seed, false)
+			got := runIssueStream(cfg, seed, true)
+			if len(got.done) != len(want.done) {
+				t.Fatalf("%d completions, eager path %d", len(got.done), len(want.done))
+			}
+			for i := range want.done {
+				if got.done[i] != want.done[i] {
+					t.Fatalf("completion %d = %+v, eager path %+v", i, got.done[i], want.done[i])
 				}
-				for i := range want.done {
-					if got.done[i] != want.done[i] {
-						t.Fatalf("completion %d = %+v, eager path %+v", i, got.done[i], want.done[i])
-					}
-				}
-				if got.stats != want.stats {
-					t.Errorf("stats %+v, eager path %+v", got.stats, want.stats)
-				}
-				if got.events != want.events {
-					t.Errorf("%d events, eager path %d less its no-op issues", got.events, want.events)
-				}
-				if !got.drained {
-					t.Error("events still pending when the last access completed")
-				}
-				for i, n := range got.cases {
-					cases[i] += n
-				}
-			})
-		}
+			}
+			if got.stats != want.stats {
+				t.Errorf("stats %+v, eager path %+v", got.stats, want.stats)
+			}
+			if got.events != want.events {
+				t.Errorf("%d events, eager path %d less its no-op issues", got.events, want.events)
+			}
+			if !got.drained {
+				t.Error("events still pending when the last access completed")
+			}
+			for i, n := range got.cases {
+				cases[i] += n
+			}
+		})
 	}
 	for i, n := range cases {
 		if n == 0 {

@@ -71,8 +71,6 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 		{"TWR", func(c *Config) { c.TWR += sim.Nanosecond }},
 		{"TREFI", func(c *Config) { c.TREFI += sim.Nanosecond }},
 		{"TRFC", func(c *Config) { c.TRFC += sim.Nanosecond }},
-		{"Page", func(c *Config) { c.Page = 1 - c.Page }},
-		{"RowBytes", func(c *Config) { c.RowBytes *= 2 }},
 	}
 	seen := map[string]string{base.Fingerprint(): "base"}
 	for _, p := range perturbed {

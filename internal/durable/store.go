@@ -15,9 +15,10 @@
 // quarantine/ subdirectory and reported as a cache miss, never served
 // and never a 500; an entry with no Sum fails like any other. Fsck
 // runs the same verification over the whole store at startup and
-// sweeps the stale .put-* temp files a crash mid-Put can leak; GC
-// bounds the store by total bytes and by entry age (last hit, tracked
-// via mtime), never evicting entries pinned by in-flight jobs.
+// sweeps the .put-* temp files a crash mid-Put leaked, once they are
+// older than any Put could be; GC bounds the store by total bytes and by
+// entry age (last hit, tracked via mtime), never evicting entries pinned
+// by in-flight jobs.
 package durable
 
 import (
@@ -51,6 +52,12 @@ var ErrCorrupt = errors.New("store entry corrupt")
 // Fsck sweeps) invalidate the cache immediately, so the TTL only covers
 // changes made behind the store's back.
 const ScanCacheTTL = 500 * time.Millisecond
+
+// staleTempAge is how long a .put-* temp file must have gone unmodified
+// before Fsck removes it. A Put holds its temp for one write, fsync and
+// rename, far less than this, so an older temp was leaked by a crash and
+// a younger one may still be written by another process.
+const staleTempAge = 10 * time.Minute
 
 // Store is a directory of content-addressed simulation results.
 type Store struct {
@@ -289,16 +296,16 @@ type FsckReport struct {
 	Entries      int   // entries that verified clean
 	Bytes        int64 // their total size
 	Quarantined  int   // entries moved to quarantine/ this pass
-	TempsRemoved int   // stale .put-* files swept
+	TempsRemoved int   // .put-* files older than staleTempAge swept
 }
 
 // Fsck verifies every entry in the store — envelope decodes, filename
 // matches the embedded key, payload checksum holds — moving failures to
-// quarantine/, and removes stale .put-* temp files leaked by a crash
-// mid-Put. It is cheap enough to run at every daemon startup: one read
-// per entry, no writes for clean files. It cannot tell a leaked temp
-// from one another process is still writing, so a Put running
-// concurrently in a process sharing the directory fails.
+// quarantine/, and removes the .put-* temp files a crash mid-Put leaked:
+// those unmodified for staleTempAge. A younger temp may belong to a Put
+// still running in a process sharing the directory, so it stays. Fsck is
+// cheap enough to run at every daemon startup: one read per entry, no
+// writes for clean files.
 func (s *Store) Fsck() (FsckReport, error) {
 	var rep FsckReport
 	ents, err := s.fs.ReadDir(s.dir)
@@ -311,7 +318,12 @@ func (s *Store) Fsck() (FsckReport, error) {
 			continue
 		}
 		if strings.HasPrefix(name, ".put-") {
-			if err := s.fs.Remove(filepath.Join(s.dir, name)); err == nil {
+			p := filepath.Join(s.dir, name)
+			info, err := s.fs.Stat(p)
+			if err != nil || time.Since(info.ModTime()) < staleTempAge {
+				continue
+			}
+			if err := s.fs.Remove(p); err == nil {
 				rep.TempsRemoved++
 				s.markDirty()
 			}

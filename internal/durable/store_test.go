@@ -241,9 +241,11 @@ func TestStoreFsck(t *testing.T) {
 	if err := os.WriteFile(s.path("bad"), []byte(`{"key":"bad","resu`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ".put-12345"), []byte("partial"), 0o644); err != nil {
+	leaked := filepath.Join(dir, ".put-12345")
+	if err := os.WriteFile(leaked, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	ageTemp(t, leaked)
 	// A foreign non-.json file sharing the directory must survive.
 	if err := os.WriteFile(filepath.Join(dir, "accept.wal"), []byte("{}\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -276,6 +278,74 @@ func TestStoreFsck(t *testing.T) {
 	}
 	if rep2.Entries != 1 || rep2.Quarantined != 0 || rep2.TempsRemoved != 0 {
 		t.Fatalf("second fsck not idempotent: %+v", rep2)
+	}
+}
+
+// ageTemp backdates a temp file past staleTempAge, as a crash long ago
+// would have left it.
+func ageTemp(t *testing.T, path string) {
+	t.Helper()
+	old := time.Now().Add(-staleTempAge - time.Minute)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreFsckSparesFreshTemp pins that Fsck leaves a temp another
+// process is still writing, so that writer's rename still lands, and
+// removes the same temp once it has aged past staleTempAge.
+func TestStoreFsckSparesFreshTemp(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The bytes a concurrent Put of "k" writes, staged by a second store.
+	other, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Put("k", json.RawMessage(`{"Events":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(other.path("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp, err := os.CreateTemp(dir, ".put-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tmp.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Fsck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TempsRemoved != 0 {
+		t.Fatalf("fsck removed a temp still being written: %+v", rep)
+	}
+	if err := tmp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp.Name(), s.path("k")); err != nil {
+		t.Fatalf("writer's rename after fsck: %v", err)
+	}
+	if got, ok, err := s.Get("k"); err != nil || !ok || string(got) != `{"Events":1}` {
+		t.Fatalf("Get after the writer's rename = %s, %v, %v", got, ok, err)
+	}
+
+	stale := filepath.Join(dir, ".put-stale")
+	if err := os.WriteFile(stale, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ageTemp(t, stale)
+	if rep, err := s.Fsck(); err != nil || rep.TempsRemoved != 1 || rep.Entries != 1 {
+		t.Fatalf("fsck of an aged temp = %+v, %v; want it removed and 1 entry kept", rep, err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("aged temp survived fsck: %v", err)
 	}
 }
 

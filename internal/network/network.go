@@ -28,30 +28,26 @@ type Config struct {
 	// to each module: 4 GB in the small network study, 1 GB in the big.
 	ChunkBytes uint64
 	// Interleave switches to page-interleaved address mapping (used by
-	// the §VII-A static baseline); PageBytes is the interleaving grain.
+	// the §VII-A static baseline), one 4 KiB page (pageBytes) to a module.
 	Interleave bool
-	PageBytes  uint64
 	// DRAM configures every module's DRAM stack.
 	DRAM dram.Config
 	// Power overrides the [12] power model for every module (nil = the
 	// published operating point, power.DefaultModel). The calibration
 	// harness perturbs it for sensitivity sweeps.
 	Power *power.Model
-	// ProactiveRespWake wires [22]: a module's response link starts
-	// waking as soon as its DRAM begins a read. The paper includes this
-	// in both management schemes whenever ROO links are used.
-	ProactiveRespWake bool
 }
+
+// pageBytes is the grain of page-interleaved address mapping.
+const pageBytes = 4 << 10
 
 // DefaultConfig returns the paper's small-network configuration.
 func DefaultConfig() Config {
 	return Config{
-		Mechanism:         link.MechNone,
-		ChunkBytes:        4 << 30,
-		PageBytes:         4 << 10,
-		DRAM:              dram.DefaultConfig(),
-		Wakeup:            link.WakeupDefault,
-		ProactiveRespWake: true,
+		Mechanism:  link.MechNone,
+		ChunkBytes: 4 << 30,
+		DRAM:       dram.DefaultConfig(),
+		Wakeup:     link.WakeupDefault,
 	}
 }
 
@@ -182,7 +178,10 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config) *Network {
 		m := n.Modules[i]
 		m.UpReq.Deliver = m.receiveDownstream
 		m.UpResp.Deliver = m.receiveUpstream
-		if cfg.ROO && cfg.ProactiveRespWake {
+		// [22]: a module's response link starts waking as soon as its
+		// DRAM begins a read. The paper includes this in both management
+		// schemes whenever ROO links are used.
+		if cfg.ROO {
 			resp := m.UpResp
 			m.DRAM.OnReadStart = func() { resp.Wake() }
 		}
@@ -199,9 +198,9 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config) *Network {
 // runs produce bit-identical results.
 func (n *Network) AttachAudit(a *audit.Auditor) {
 	n.aud = a
-	// The latency floor is conservative across page policies: even an
-	// open-page row hit pays tCL plus the data burst, and the network adds
-	// serialization on top.
+	// The latency floor is conservative: a read pays at least tCL plus
+	// the data burst in its vault, and the network adds serialization on
+	// top.
 	n.minReadLat = n.Cfg.DRAM.TCL + n.Cfg.DRAM.BurstTime()
 	for _, l := range n.Links {
 		l.AttachAudit(a)
@@ -289,7 +288,7 @@ func (n *Network) putPacket(p *packet.Packet) {
 func (n *Network) ModuleFor(addr uint64) int {
 	var m uint64
 	if n.Cfg.Interleave {
-		m = (addr / n.Cfg.PageBytes) % uint64(n.Topo.N())
+		m = (addr / pageBytes) % uint64(n.Topo.N())
 	} else {
 		m = addr / n.Cfg.ChunkBytes
 	}

@@ -132,7 +132,6 @@ func TestAddressMapping(t *testing.T) {
 func TestInterleavedMapping(t *testing.T) {
 	_, net := buildNet(t, topology.DaisyChain, 4, func(c *Config) {
 		c.Interleave = true
-		c.PageBytes = 4096
 	})
 	if net.ModuleFor(0) != 0 || net.ModuleFor(4096) != 1 ||
 		net.ModuleFor(2*4096) != 2 || net.ModuleFor(4*4096) != 0 {
@@ -234,7 +233,7 @@ func TestVaultOverflowRetries(t *testing.T) {
 	}
 }
 
-func TestProactiveRespWakeWiring(t *testing.T) {
+func TestResponseLinkWakesAtDRAMReadStart(t *testing.T) {
 	k, net := buildNet(t, topology.DaisyChain, 1, func(c *Config) { c.ROO = true })
 	l := net.Modules[0].UpResp
 	l.SetROOMode(0)

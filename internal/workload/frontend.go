@@ -22,8 +22,6 @@ import (
 // the processor link reaches the profile's target channel utilization
 // under full-power links.
 type FrontEndConfig struct {
-	// SlotsOverride forces the outstanding-access slot count (0 = auto).
-	SlotsOverride int
 	// Seed drives all randomness of this front end.
 	Seed uint64
 }
@@ -158,19 +156,15 @@ func NewFrontEnd(k *sim.Kernel, net *network.Network, p *Profile, cfg FrontEndCo
 	fe.estLatency = estLatency + estLatency/10
 
 	fe.jitterMean = 0.05 * fe.estLatency.Nanoseconds()
-	if cfg.SlotsOverride > 0 {
-		fe.slots = cfg.SlotsOverride
-	} else {
-		// Little's law, scaled so the ON phase carries the whole load.
-		// A slot only blocks on reads (writes are posted), so one slot
-		// cycle costs readFrac × read latency plus the think jitter.
-		perSlotCycle := (p.ReadFraction*fe.estLatency.Seconds() +
-			fe.jitterMean*1e-9) * 1.05
-		slots := fe.targetRate * perSlotCycle / p.BurstDuty
-		fe.slots = int(slots + 0.5)
-		if fe.slots < 2 {
-			fe.slots = 2
-		}
+	// Little's law, scaled so the ON phase carries the whole load. A slot
+	// only blocks on reads (writes are posted), so one slot cycle costs
+	// readFrac × read latency plus the think jitter.
+	perSlotCycle := (p.ReadFraction*fe.estLatency.Seconds() +
+		fe.jitterMean*1e-9) * 1.05
+	slots := fe.targetRate * perSlotCycle / p.BurstDuty
+	fe.slots = int(slots + 0.5)
+	if fe.slots < 2 {
+		fe.slots = 2
 	}
 	fe.writeCap = 2 * fe.slots
 	fe.issueActs = make([]slotIssueAction, fe.slots)
