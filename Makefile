@@ -123,10 +123,10 @@ calib:
 # then fuzzes each target briefly. Lengthen with FUZZTIME=30s.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run Fuzz ./internal/exp ./internal/calib ./internal/durable ./internal/core
+	$(GO) test -run Fuzz ./internal/exp ./internal/calib ./internal/serve ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzLoadBatch -fuzztime=$(FUZZTIME) ./internal/exp
 	$(GO) test -run='^$$' -fuzz=FuzzCalibReference -fuzztime=$(FUZZTIME) ./internal/calib
-	$(GO) test -run='^$$' -fuzz=FuzzLogReplay -fuzztime=$(FUZZTIME) ./internal/durable
+	$(GO) test -run='^$$' -fuzz=FuzzAcceptImport -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzISP -fuzztime=$(FUZZTIME) ./internal/core
 
 # profile runs bench/'s chain-managed reference cell under the CPU and

@@ -54,7 +54,7 @@ func run() int {
 	addr := flag.String("addr", ":9732", "listen address")
 	storeDir := flag.String("store", "", "content-addressed result store directory (required)")
 	acceptPath := flag.String("accept-journal", "",
-		"write-ahead accept journal path (default <store>/accept.wal; \"off\" disables crash recovery)")
+		"write-ahead accept journal directory (default <store>/accept.wal, where a v1 journal file is imported; \"off\" disables crash recovery)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "store size cap in bytes; LRU eviction above it (0 = unlimited)")
 	storeMaxAge := flag.Duration("store-max-age", 0, "evict store entries not hit for this long (0 = keep forever)")
 	authToken := flag.String("auth-token", "",

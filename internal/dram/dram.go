@@ -223,7 +223,6 @@ func (a *burstDoneAction) Act() {
 type Stats struct {
 	Reads, Writes    uint64
 	BytesTransferred uint64
-	TotalReadLatency sim.Duration // actual, arrival to data
 	QueueFullRejects uint64
 	BusyTime         sim.Duration // data-bus occupancy across vaults
 	RefreshStalls    uint64
@@ -280,7 +279,7 @@ func (d *HMCDRAM) auditSweep(now sim.Time, report func(component, rule, detail s
 	}
 	p, s := d.auditPrev, d.stats
 	if s.Reads < p.Reads || s.Writes < p.Writes || s.BytesTransferred < p.BytesTransferred ||
-		s.TotalReadLatency < p.TotalReadLatency || s.BusyTime < p.BusyTime {
+		s.BusyTime < p.BusyTime {
 		report(d.auditName, "stats-monotone", fmt.Sprintf("stats regressed: %+v -> %+v", p, s))
 	}
 	d.auditPrev = s
@@ -504,7 +503,6 @@ func (d *HMCDRAM) serveHead(v *vault) sim.Time {
 
 	if isRead {
 		d.stats.Reads++
-		d.stats.TotalReadLatency += dataEnd - now
 		if d.OnReadStart != nil {
 			d.OnReadStart()
 		}

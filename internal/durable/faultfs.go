@@ -1,9 +1,9 @@
 // FaultFS is the injectable-fault half of the fs seam: it wraps a real
 // FS and fails selected operations on demand — a persistent ENOSPC, a
-// one-shot read error, a torn write that persists only a prefix before
-// failing (the on-disk signature of a crash mid-append). Rules match
-// deterministically (first added, first matched), so soak tests replay
-// byte-identically under a fixed seed. It is not a _test file so every
+// one-shot read error, a failed directory fsync, a torn write that
+// persists only a prefix before failing (the on-disk signature of a
+// crash mid-write). Rules match deterministically (first added, first
+// matched), so soak tests replay byte-identically under a fixed seed. It is not a _test file so every
 // package's fault tests share it; production binaries never build one.
 package durable
 
@@ -21,14 +21,14 @@ const (
 	OpMkdir   FaultOp = "mkdir"
 	OpOpen    FaultOp = "open"
 	OpCreate  FaultOp = "create"
-	OpRead    FaultOp = "read" // ReadFile and File.Read
+	OpRead    FaultOp = "read"
 	OpReadDir FaultOp = "readdir"
 	OpRename  FaultOp = "rename"
 	OpRemove  FaultOp = "remove"
 	OpStat    FaultOp = "stat"
 	OpWrite   FaultOp = "write"
-	OpSync    FaultOp = "sync"
-	OpTrunc   FaultOp = "truncate"
+	OpSync    FaultOp = "sync" // File.Sync
+	OpSyncDir FaultOp = "syncdir"
 	OpChtimes FaultOp = "chtimes"
 )
 
@@ -167,6 +167,13 @@ func (f *FaultFS) Stat(name string) (fs.FileInfo, error) {
 	return f.inner.Stat(name)
 }
 
+func (f *FaultFS) SyncDir(name string) error {
+	if r := f.match(OpSyncDir, name); r != nil {
+		return r.Err
+	}
+	return f.inner.SyncDir(name)
+}
+
 func (f *FaultFS) Chtimes(name string, atime, mtime time.Time) error {
 	if r := f.match(OpChtimes, name); r != nil {
 		return r.Err
@@ -174,17 +181,10 @@ func (f *FaultFS) Chtimes(name string, atime, mtime time.Time) error {
 	return f.inner.Chtimes(name, atime, mtime)
 }
 
-// faultFile applies read/write/sync/truncate rules to one open file.
+// faultFile applies write and sync rules to one open file.
 type faultFile struct {
 	File
 	fs *FaultFS
-}
-
-func (ff *faultFile) Read(p []byte) (int, error) {
-	if r := ff.fs.match(OpRead, ff.Name()); r != nil {
-		return 0, r.Err
-	}
-	return ff.File.Read(p)
 }
 
 // Write applies torn-write rules: a rule with Short > 0 persists that
@@ -210,11 +210,4 @@ func (ff *faultFile) Sync() error {
 		return r.Err
 	}
 	return ff.File.Sync()
-}
-
-func (ff *faultFile) Truncate(size int64) error {
-	if r := ff.fs.match(OpTrunc, ff.Name()); r != nil {
-		return r.Err
-	}
-	return ff.File.Truncate(size)
 }

@@ -1,21 +1,22 @@
-// Package durable owns the disk-facing code crash safety rests on: Log,
-// the append-only JSON-lines file behind memnetd's accept WAL, and its
-// flock; Store, the content-addressed result store every process caches
-// results in; and the FS/File seam every durable path does its disk
-// operations through — OSFS (1:1 with package os) in production,
-// FaultFS in tests, which injects ENOSPC mid-append, torn writes and
-// unreadable entries deterministically.
+// Package durable owns the disk-facing code crash safety rests on:
+// Store, the checksummed, content-addressed directory of entries that
+// holds every process's results and memnetd's accepted jobs; Lock, the
+// flock that keeps one writer per directory; and the FS/File seam every
+// durable path does its disk operations through — OSFS (1:1 with
+// package os) in production, FaultFS in tests, which injects ENOSPC,
+// torn writes, failed fsyncs and unreadable entries deterministically.
 package durable
 
 import (
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"time"
 )
 
-// FS is the set of filesystem operations the logs and the result store
-// need. Implementations must be safe for concurrent use.
+// FS is the set of filesystem operations the result store and the
+// lock need. Implementations must be safe for concurrent use.
 type FS interface {
 	MkdirAll(path string, perm fs.FileMode) error
 	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
@@ -26,17 +27,17 @@ type FS interface {
 	Remove(name string) error
 	Stat(name string) (fs.FileInfo, error)
 	Chtimes(name string, atime, mtime time.Time) error
+	// SyncDir fsyncs a directory, making the renames and creations in
+	// it durable.
+	SyncDir(name string) error
 }
 
-// File is the open-file surface the durable paths use: sequential
-// reads for replay, appends, fsync, tail truncation, and the raw fd
-// for the advisory flock.
+// File is the open-file surface the durable paths use: writes, fsync,
+// and the raw fd for the advisory flock.
 type File interface {
-	io.ReadWriteCloser
+	io.WriteCloser
 	Name() string
 	Sync() error
-	Truncate(size int64) error
-	Seek(offset int64, whence int) (int64, error)
 	Fd() uintptr
 }
 
@@ -67,3 +68,34 @@ func (OSFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpa
 func (OSFS) Remove(name string) error                   { return os.Remove(name) }
 func (OSFS) Stat(name string) (fs.FileInfo, error)      { return os.Stat(name) }
 func (OSFS) Chtimes(name string, a, m time.Time) error  { return os.Chtimes(name, a, m) }
+
+func (OSFS) SyncDir(name string) error {
+	d, err := os.Open(name)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// Lock opens (creating if needed) the file at path on fsys (nil = the
+// real filesystem) and takes a non-blocking exclusive flock on it. A
+// second holder — a stray process racing a daemon, or two daemons
+// pointed at one path — gets an error instead of a shared writer. The
+// lock lives with the descriptor: Close, or the death of the process,
+// releases it, so a crashed holder never wedges the path.
+func Lock(path string, fsys FS) (io.Closer, error) {
+	if fsys == nil {
+		fsys = OSFS{}
+	}
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := lock(f.Fd()); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("%s is locked by another process (flock: %w); "+
+			"stop the other process or use a different path", path, err)
+	}
+	return f, nil
+}

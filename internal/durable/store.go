@@ -1,5 +1,7 @@
 // Content-addressed result store, the one result cache of every
-// process: the sweep pool, memnetsim's batches and memnetd. Results are
+// process — the sweep pool, memnetsim's batches and memnetd — and the
+// one durable format: memnetd's accept journal is a Store of its own
+// directory, one entry per unfinished job keyed by job id. Results are
 // keyed by the canonical exp.Spec.Key() and stored one file per cell
 // under sha256(key), so a duplicate cell — same spec, any order, any
 // process — is a cache hit served without simulation, byte-identical to
@@ -8,9 +10,10 @@
 //
 // Writes are atomic (tmp file + fsync + rename) so a process killed
 // mid-write leaves either the old entry or the new one, never a torn
-// file, and several processes may share one directory. Every entry
-// embeds its spec key and a sha256 of its payload;
-// Get re-verifies both, and an entry that fails — bit-rot, a torn
+// file, and several processes may share one directory; a directory
+// fsync after the rename makes a returned Put survive a power cut.
+// Every entry embeds its spec key and a sha256 of its payload; Get
+// re-verifies both, and an entry that fails — bit-rot, a torn
 // envelope, a hand-edited payload, a hash collision — is moved to the
 // quarantine/ subdirectory and reported as a cache miss, never served
 // and never a 500; an entry with no Sum fails like any other. Fsck
@@ -153,20 +156,22 @@ func verifyEntry(data []byte, wantKey string) (e storeEntry, err error) {
 	return e, nil
 }
 
-// quarantine moves path into the quarantine subdirectory (same
-// basename; a repeat offender overwrites its previous capture). The
-// move is best-effort: if it fails the caller still treats the entry
-// as a miss, and a later Put simply replaces the bad file in place.
-func (s *Store) quarantine(path string) {
+// Quarantine moves the file at path into the quarantine subdirectory
+// (same basename; a repeat offender overwrites its previous capture)
+// and counts it. Get and Fsck treat the move as best-effort: if it
+// fails the entry is still a miss, and a later Put simply replaces the
+// bad file in place.
+func (s *Store) Quarantine(path string) error {
 	qdir := filepath.Join(s.dir, QuarantineDir)
 	if err := s.fs.MkdirAll(qdir, 0o755); err != nil {
-		return
+		return err
 	}
 	if err := s.fs.Rename(path, filepath.Join(qdir, filepath.Base(path))); err != nil {
-		return
+		return err
 	}
 	s.quarantined.Add(1)
 	s.markDirty()
+	return nil
 }
 
 // Get returns the stored result bytes for key, or ok=false when the key
@@ -185,7 +190,7 @@ func (s *Store) Get(key string) (json.RawMessage, bool, error) {
 	}
 	e, verr := verifyEntry(data, key)
 	if verr != nil {
-		s.quarantine(p)
+		s.Quarantine(p)
 		return nil, false, fmt.Errorf("%w: %s: %v", ErrCorrupt, key, verr)
 	}
 	now := time.Now()
@@ -194,9 +199,10 @@ func (s *Store) Get(key string) (json.RawMessage, bool, error) {
 }
 
 // Put stores the result bytes for key atomically: tmp file in the same
-// directory, fsync, rename. A concurrent Put of the same key is safe —
+// directory, fsync, rename, directory fsync, so a nil return means the
+// entry survives a power cut. A concurrent Put of the same key is safe —
 // last rename wins and both carry identical content. A failure names
-// the store's directory.
+// the store's directory; a failure before the rename removes the temp.
 func (s *Store) Put(key string, result json.RawMessage) error {
 	if err := s.put(key, result); err != nil {
 		return fmt.Errorf("store %s: put: %w", s.dir, err)
@@ -220,25 +226,33 @@ func (s *Store) put(key string, result json.RawMessage) error {
 	if err != nil {
 		return err
 	}
-	final := s.path(key)
 	tmp, err := s.fs.CreateTemp(s.dir, ".put-*")
 	if err != nil {
 		return err
 	}
-	defer s.fs.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = s.fs.Rename(tmp.Name(), s.path(key))
+	}
+	if err != nil {
+		s.fs.Remove(tmp.Name())
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := s.fs.Rename(tmp.Name(), final); err != nil {
-		return err
+	s.markDirty()
+	return s.fs.SyncDir(s.dir)
+}
+
+// Delete removes key's entry; a key with no entry is not an error. The
+// removal is not fsynced, so after a power cut the entry may be back.
+func (s *Store) Delete(key string) error {
+	if err := s.fs.Remove(s.path(key)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("store %s: delete: %w", s.dir, err)
 	}
 	s.markDirty()
 	return nil
@@ -306,7 +320,11 @@ type FsckReport struct {
 // still running in a process sharing the directory, so it stays. Fsck is
 // cheap enough to run at every daemon startup: one read per entry, no
 // writes for clean files.
-func (s *Store) Fsck() (FsckReport, error) {
+func (s *Store) Fsck() (FsckReport, error) { return s.Walk(nil) }
+
+// Walk is Fsck that also hands each entry that verifies to visit (nil
+// = none), in directory order.
+func (s *Store) Walk(visit func(key string, result json.RawMessage)) (FsckReport, error) {
 	var rep FsckReport
 	ents, err := s.fs.ReadDir(s.dir)
 	if err != nil {
@@ -330,7 +348,7 @@ func (s *Store) Fsck() (FsckReport, error) {
 			continue
 		}
 		if filepath.Ext(name) != ".json" {
-			continue // the accept WAL, whatever else shares the dir
+			continue // the lock file, whatever else shares the dir
 		}
 		p := filepath.Join(s.dir, name)
 		data, err := s.fs.ReadFile(p)
@@ -342,12 +360,15 @@ func (s *Store) Fsck() (FsckReport, error) {
 			verr = fmt.Errorf("filed under %s but key hashes to %s", name, s.fileName(e.Key))
 		}
 		if verr != nil {
-			s.quarantine(p)
+			s.Quarantine(p)
 			rep.Quarantined++
 			continue
 		}
 		rep.Entries++
 		rep.Bytes += int64(len(data))
+		if visit != nil {
+			visit(e.Key, e.Result)
+		}
 	}
 	return rep, nil
 }

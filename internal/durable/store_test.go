@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -472,18 +473,31 @@ func TestStoreGC(t *testing.T) {
 	})
 }
 
-// TestStoreAtomicWriteLeavesNoTemp pins that Put cleans its temp files.
+// TestStoreAtomicWriteLeavesNoTemp pins that Put cleans its temp files
+// and that a successful Put removes nothing: the rename consumed the
+// temp, so a Remove would only waste an unlink and an rmdir.
 func TestStoreAtomicWriteLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewStore(dir)
+	ffs := NewFaultFS(nil)
+	s, err := NewStoreFS(dir, ffs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ffs.Fail(FaultRule{Op: OpRemove, Err: syscall.EIO, Count: -1})
 	for i := 0; i < 5; i++ {
 		if err := s.Put("k", json.RawMessage(`{"Events":1}`)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if ffs.Trips() != 0 {
+		t.Fatalf("successful Puts called Remove %d time(s)", ffs.Trips())
+	}
+	assertNoTemp(t, dir)
+}
+
+// assertNoTemp fails if dir holds anything but entries.
+func assertNoTemp(t *testing.T, dir string) {
+	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -495,15 +509,19 @@ func TestStoreAtomicWriteLeavesNoTemp(t *testing.T) {
 	}
 }
 
-// TestStorePutFaults drives Put through injected write/sync/rename
-// failures (the ENOSPC family): every failure surfaces as an error, no
-// torn entry becomes visible at the final address, and the store keeps
-// working once the fault clears.
+// TestStorePutFaults drives Put through injected create/write/sync/
+// rename/directory-fsync failures (the ENOSPC family): every failure
+// surfaces as an error and leaves no temp file behind, a failure before
+// the rename leaves no entry at the final address, and the store keeps
+// working once the fault clears. A failed directory fsync comes after
+// the rename, so its entry may be visible; the error says only that it
+// is not known to survive a power cut.
 func TestStorePutFaults(t *testing.T) {
-	for _, op := range []FaultOp{OpCreate, OpWrite, OpSync, OpRename} {
+	for _, op := range []FaultOp{OpCreate, OpWrite, OpSync, OpRename, OpSyncDir} {
 		t.Run(string(op), func(t *testing.T) {
+			dir := t.TempDir()
 			ffs := NewFaultFS(nil)
-			s, err := NewStoreFS(t.TempDir(), ffs)
+			s, err := NewStoreFS(dir, ffs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -514,9 +532,12 @@ func TestStorePutFaults(t *testing.T) {
 			if ffs.Trips() == 0 {
 				t.Fatal("fault never fired; test is vacuous")
 			}
-			// The failed Put left no visible entry...
-			if _, ok, err := s.Get("k"); ok || err != nil {
-				t.Fatalf("Get after failed Put: ok=%v err=%v", ok, err)
+			assertNoTemp(t, dir)
+			if op != OpSyncDir {
+				// The failed Put left no visible entry...
+				if _, ok, err := s.Get("k"); ok || err != nil {
+					t.Fatalf("Get after failed Put: ok=%v err=%v", ok, err)
+				}
 			}
 			// ...and the store recovers the moment the disk does.
 			if err := s.Put("k", json.RawMessage(`{"Events":7}`)); err != nil {
@@ -526,5 +547,92 @@ func TestStorePutFaults(t *testing.T) {
 				t.Fatalf("Get after recovery: ok=%v err=%v", ok, err)
 			}
 		})
+	}
+}
+
+// TestStoreDelete pins Delete: the entry is gone, a missing key is not
+// an error, and a failing unlink is.
+func TestStoreDelete(t *testing.T) {
+	ffs := NewFaultFS(nil)
+	s, err := NewStoreFS(t.TempDir(), ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("k", json.RawMessage(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete("k"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Get("k"); ok || err != nil {
+		t.Fatalf("Get after Delete: ok=%v err=%v", ok, err)
+	}
+	if err := s.Delete("k"); err != nil {
+		t.Fatalf("Delete of a missing key: %v", err)
+	}
+	if err := s.Put("k", json.RawMessage(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Fail(FaultRule{Op: OpRemove, Err: syscall.EIO, Count: 1})
+	if err := s.Delete("k"); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Delete under a failing unlink returned %v, want EIO", err)
+	}
+}
+
+// TestStoreWalk pins that Walk hands over exactly the entries that
+// verify, with their keys, and quarantines the rest as Fsck does.
+func TestStoreWalk(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"a": `{"n":1}`, "b": `{"n":2}`}
+	for k, v := range want {
+		if err := s.Put(k, json.RawMessage(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(s.path("c"), []byte(`{"key":"c","sum":"00","result":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	rep, err := s.Walk(func(key string, result json.RawMessage) { got[key] = string(result) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) || rep.Entries != 2 || rep.Quarantined != 1 {
+		t.Fatalf("Walk visited %v with report %+v, want %v and one quarantined", got, rep, want)
+	}
+	if s.Quarantined() != 1 {
+		t.Fatalf("Quarantined = %d, want 1", s.Quarantined())
+	}
+}
+
+// TestLockConflict pins the single-writer lock: a second Lock of a held
+// path fails fast, naming it, and succeeds once the holder closes.
+func TestLockConflict(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lock")
+	l, err := Lock(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Lock(path, nil); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("second Lock of a held path returned %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err = Lock(path, nil)
+	if err != nil {
+		t.Fatalf("Lock after the holder closed: %v", err)
+	}
+	l.Close()
+	missing := filepath.Join(path+".d", "lock")
+	if _, err := Lock(missing, nil); err == nil {
+		t.Fatal("Lock in a missing directory succeeded")
+	}
+	if err := (OSFS{}).SyncDir(filepath.Dir(missing)); err == nil {
+		t.Fatal("SyncDir of a missing directory succeeded")
 	}
 }

@@ -198,10 +198,9 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config) *Network {
 // runs produce bit-identical results.
 func (n *Network) AttachAudit(a *audit.Auditor) {
 	n.aud = a
-	// The latency floor is conservative: a read pays at least tCL plus
-	// the data burst in its vault, and the network adds serialization on
-	// top.
-	n.minReadLat = n.Cfg.DRAM.TCL + n.Cfg.DRAM.BurstTime()
+	// The latency floor: every read pays tRCD + tCL + the data burst in
+	// its vault, and the network adds serialization on top.
+	n.minReadLat = n.Cfg.DRAM.NominalReadLatency()
 	for _, l := range n.Links {
 		l.AttachAudit(a)
 	}

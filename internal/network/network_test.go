@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"memnet/internal/audit"
 	"memnet/internal/link"
 	"memnet/internal/packet"
 	"memnet/internal/sim"
@@ -283,5 +284,25 @@ func TestLatencyHistResetAtWarmup(t *testing.T) {
 	k.RunAll()
 	if net.LatencyHist().Count() != 1 {
 		t.Fatal("reset did not isolate the interval")
+	}
+}
+
+// TestAuditReadLatencyFloor pins the audit's read floor at the DRAM's
+// nominal read latency (tRCD + tCL + burst): every read pays it in its
+// vault, so a read 1 ns faster is a violation, and one at the floor is
+// not.
+func TestAuditReadLatencyFloor(t *testing.T) {
+	k, net := buildNet(t, topology.DaisyChain, 1, nil)
+	a := audit.New(audit.Config{SampleEvery: 1}, k.Now)
+	net.AttachAudit(a)
+	floor := net.Cfg.DRAM.NominalReadLatency()
+	p := &packet.Packet{ID: 1, Src: 0, Hops: 2}
+	net.auditRead(p, floor)
+	if a.Count() != 0 {
+		t.Fatalf("a read at the %s floor was flagged: %v", floor, a.Violations())
+	}
+	net.auditRead(p, floor-sim.Nanosecond)
+	if v := a.Violations(); len(v) != 1 || v[0].Rule != "read-latency-floor" {
+		t.Fatalf("a read 1 ns under the %s floor gave %v, want one read-latency-floor violation", floor, v)
 	}
 }

@@ -1,30 +1,26 @@
-// Write-ahead accept journal: the durable record of every submission
-// the daemon has acknowledged. One JSON line is fsynced per admitted
-// job *before* the 202 goes out, and one tombstone line when the job
-// reaches a terminal state, so after a SIGKILL the set
-// "accepted minus tombstoned" is exactly the work still owed. Startup
-// replays that set and re-enqueues it; cells whose results already
-// reached the store come back as cache hits, so a crash loses at most
-// in-flight compute, never a submission.
+// Write-ahead accept journal: a durable.Store rooted at its path, one
+// entry per job keyed by job id, put (durably) *before* the 202 goes
+// out and deleted when the job reaches a terminal state. After a
+// SIGKILL the entries left are exactly the work still owed; startup
+// re-enqueues them, and cells already stored come back as cache hits.
+// A record that fails its checksum is quarantined and counted, and
+// every other record still replays. Deletes are not fsynced: a finished
+// job whose record outlives a crash replays as cache hits.
 //
-// The file is a durable.Log, whose only user this is: flock, torn-tail
-// truncation and failed-append repair live there. This file owns the
-// records and their replay:
-//
-//   - Accept/tombstone pairs may appear in either order (the runner
-//     can finish a job before its accept record hits the disk), so
-//     replay resolves the whole file before deciding what is pending.
-//   - The file is compacted (truncated to zero) only when it is fully
-//     drained, which is trivially crash-safe; a file with pending
-//     records grows until its jobs finish, then resets on the next open.
-//   - Jobs whose tombstone append failed (full disk) are replayed and
-//     re-enqueued; re-running a finished job is all cache hits, so the
-//     degradation costs a store read per cell, not a simulation.
+// Earlier releases wrote one JSON-lines file at the same path; opening
+// it imports its pending jobs once (importV1, the only reader of that
+// format left).
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -42,18 +38,16 @@ type AcceptedJob struct {
 	MetricsInterval string         `json:"metrics_interval,omitempty"`
 }
 
-// acceptRecord is one line of the file: an accept (Job != nil) or a
-// tombstone (Done != "").
-type acceptRecord struct {
-	Job  *AcceptedJob `json:"job,omitempty"`
-	Done string       `json:"done,omitempty"`
+// AcceptLog keeps one store entry per accepted, unfinished job in a
+// directory it holds a flock on.
+type AcceptLog struct {
+	store *durable.Store
+	lock  io.Closer
 }
 
-// AcceptLog appends accept records and tombstones to a JSON-lines file.
-type AcceptLog struct {
-	log     *durable.Log
-	maxSeen uint64
-}
+// v1Suffix names the aside copy of a v1 journal file while its import
+// is in progress.
+const v1Suffix = ".v1"
 
 // jobIDNum extracts the numeric part of a "j<n>" job id. Non-conforming
 // ids (hand-edited journals) report ok=false and never collide with
@@ -67,32 +61,115 @@ func jobIDNum(id string) (uint64, bool) {
 	return n, err == nil
 }
 
-// OpenAcceptLog opens (creating if needed) the accept journal at path,
-// takes the single-writer flock, truncates any torn tail, and returns
-// the jobs accepted but not yet finished — in acceptance order, ready
-// for Server.Recover. When the file holds no pending work it is
-// compacted to empty. fsys nil means the real filesystem.
-func OpenAcceptLog(path string, fsys durable.FS) (*AcceptLog, []AcceptedJob, error) {
-	var (
-		order   []string
-		jobs    = map[string]AcceptedJob{}
-		done    = map[string]bool{}
-		maxSeen uint64
-	)
-	// Every id in the file raises the floor for fresh ids — tombstones
-	// included. A non-compacted file keeps tombstones of finished jobs;
-	// if a new process life reused one of those ids, the stale "done"
-	// line would resolve against the new job's accept record on the next
-	// replay and silently drop an acked submission.
-	seeID := func(id string) {
-		if n, ok := jobIDNum(id); ok && n > maxSeen {
-			maxSeen = n
+// OpenAcceptLog opens (creating if needed) the accept journal directory
+// at path, takes its single-writer flock, imports a v1 journal file
+// found at path, and returns the jobs accepted but not yet finished —
+// in numeric job-id order, ready for Server.Recover. Records that fail
+// verification are quarantined (AcceptLog.Quarantined counts them).
+// fsys nil means the real filesystem.
+func OpenAcceptLog(path string, fsys durable.FS) (_ *AcceptLog, _ []AcceptedJob, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("accept journal %s: %w", path, err)
+		}
+	}()
+	if fsys == nil {
+		fsys = durable.OSFS{}
+	}
+	if info, err := fsys.Stat(path); err == nil && info.Mode().IsRegular() {
+		// A v1 journal: move it aside under its own flock (a v1 daemon
+		// still holding it fails the open), then import it below.
+		l, err := durable.Lock(path, fsys)
+		if err != nil {
+			return nil, nil, err
+		}
+		err = fsys.Rename(path, path+v1Suffix)
+		l.Close()
+		if err != nil {
+			return nil, nil, err
 		}
 	}
-	log, err := durable.Open(path, fsys, func(line []byte) bool {
-		var rec acceptRecord
-		if json.Unmarshal(line, &rec) != nil || (rec.Job == nil && rec.Done == "") {
-			return false
+	store, err := durable.NewStoreFS(path, fsys)
+	if err != nil {
+		return nil, nil, err
+	}
+	lock, err := durable.Lock(filepath.Join(path, "lock"), fsys)
+	if err != nil {
+		return nil, nil, err
+	}
+	a := &AcceptLog{store: store, lock: lock}
+	if err := a.importV1(path+v1Suffix, fsys); err != nil {
+		a.Close()
+		return nil, nil, fmt.Errorf("import v1 journal: %w", err)
+	}
+	var pending []AcceptedJob
+	if _, err := store.Walk(func(key string, rec json.RawMessage) {
+		var aj AcceptedJob
+		if json.Unmarshal(rec, &aj) != nil {
+			aj = AcceptedJob{} // no runs: Recover deletes it as unreplayable
+		}
+		aj.ID = key
+		pending = append(pending, aj)
+	}); err != nil {
+		a.Close()
+		return nil, nil, err
+	}
+	sort.Slice(pending, func(i, k int) bool { return jobIDLess(pending[i].ID, pending[k].ID) })
+	return a, pending, nil
+}
+
+// jobIDLess orders ids by their numeric part (0 for a non-generated
+// id), then by string.
+func jobIDLess(a, b string) bool {
+	na, _ := jobIDNum(a)
+	nb, _ := jobIDNum(b)
+	return na < nb || na == nb && a < b
+}
+
+// importV1 puts the pending jobs of the v1 journal file at path, if
+// there is one, then removes the file — or quarantines it when it had a
+// tail the v1 replay rule stops at. A crash at any point leaves the
+// file in place, and the rerun re-puts the same entries.
+func (a *AcceptLog) importV1(path string, fsys durable.FS) error {
+	data, err := fsys.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	pending, good := replayV1(data)
+	for _, aj := range pending {
+		if err := a.Accept(aj); err != nil {
+			return err
+		}
+	}
+	if good < len(data) {
+		return a.store.Quarantine(path)
+	}
+	return fsys.Remove(path)
+}
+
+// replayV1 applies the v1 replay rule: the longest prefix of complete
+// lines that each decode to an accept (a job with an id) or a tombstone
+// (done), with tombstones resolved over the whole prefix in either
+// order. It returns the pending jobs in acceptance order and the prefix
+// length in bytes.
+func replayV1(data []byte) (pending []AcceptedJob, good int) {
+	var order []string
+	jobs := map[string]AcceptedJob{}
+	done := map[string]bool{}
+	for {
+		n := bytes.IndexByte(data[good:], '\n')
+		if n < 0 {
+			break
+		}
+		var rec struct {
+			Job  *AcceptedJob `json:"job"`
+			Done string       `json:"done"`
+		}
+		if json.Unmarshal(data[good:good+n], &rec) != nil || (rec.Job == nil && rec.Done == "") {
+			break
 		}
 		switch {
 		case rec.Job != nil && rec.Job.ID != "":
@@ -100,49 +177,39 @@ func OpenAcceptLog(path string, fsys durable.FS) (*AcceptLog, []AcceptedJob, err
 				order = append(order, rec.Job.ID)
 			}
 			jobs[rec.Job.ID] = *rec.Job
-			seeID(rec.Job.ID)
 		case rec.Done != "":
 			done[rec.Done] = true
-			seeID(rec.Done)
 		}
-		return true
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("accept journal %s: %w", path, err)
+		good += n + 1
 	}
-	var pending []AcceptedJob
 	for _, id := range order {
 		if !done[id] {
 			pending = append(pending, jobs[id])
 		}
 	}
-	if len(pending) == 0 {
-		// Fully drained: compact (safe — nothing to lose).
-		if err := log.Reset(); err != nil {
-			log.Close()
-			return nil, nil, fmt.Errorf("accept journal %s: compact: %w", path, err)
-		}
-	}
-	return &AcceptLog{log: log, maxSeen: maxSeen}, pending, nil
+	return pending, good
 }
-
-// MaxSeenID reports the highest numeric job id across every record the
-// file held at open — accepts and tombstones alike. The server raises
-// its id counter past it so a fresh admission can never reuse an id
-// whose stale tombstone still sits in a non-compacted journal.
-func (a *AcceptLog) MaxSeenID() uint64 { return a.maxSeen }
 
 // Accept records one admitted job. It must complete before the client
 // is acked — it is the write-ahead half of the durability contract.
 func (a *AcceptLog) Accept(job AcceptedJob) error {
-	return a.log.Append(acceptRecord{Job: &job})
+	if job.ID == "" {
+		return errors.New("accept: job has no id")
+	}
+	rec, err := json.Marshal(job)
+	if err != nil {
+		return err
+	}
+	return a.store.Put(job.ID, rec)
 }
 
-// Finish records that a job reached a terminal state and owes no more
-// work. Skipped for drain-canceled jobs, which must be recovered.
-func (a *AcceptLog) Finish(id string) error {
-	return a.log.Append(acceptRecord{Done: id})
-}
+// Finish deletes a job's record: it reached a terminal state and owes
+// no more work. Skipped for drain-canceled jobs, which must be
+// recovered.
+func (a *AcceptLog) Finish(id string) error { return a.store.Delete(id) }
 
-// Close releases the file (and with it the flock).
-func (a *AcceptLog) Close() error { return a.log.Close() }
+// Quarantined reports how many records this journal has quarantined.
+func (a *AcceptLog) Quarantined() uint64 { return a.store.Quarantined() }
+
+// Close releases the flock.
+func (a *AcceptLog) Close() error { return a.lock.Close() }

@@ -21,7 +21,7 @@ import (
 // writes, one torn temp write), and then crashes — a near-zero drain
 // deadline, the in-process equivalent of SIGKILL mid-run. The final
 // life must recover everything, run it to completion, leave a clean
-// store (fsck), and compact the journal to empty: no submission is
+// store (fsck), and leave a journal that owes nothing: no submission is
 // ever lost, no fault ever surfaces as a 500.
 func TestCrashRestartSoak(t *testing.T) {
 	dir := t.TempDir()
@@ -57,10 +57,13 @@ func TestCrashRestartSoak(t *testing.T) {
 		totalRecovered += s.Recover(pending)
 		hs := httptest.NewServer(s.Handler())
 
-		// Transient faults mid-life: full disk for store puts, a failing
-		// journal append, one torn temp write. All must degrade, not 500.
-		ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: ".put-", Err: errENOSPC, Count: 2})
-		ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: ".put-", Err: errENOSPC, Count: 1, Short: 7})
+		// Transient faults mid-life: full disk for result puts, a failing
+		// journal put, one torn result temp write. All must degrade, not
+		// 500. The result rules name the store's own temps: the journal's
+		// live in its accept.wal subdirectory.
+		resultTemp := filepath.Join(storeDir, ".put-")
+		ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: resultTemp, Err: errENOSPC, Count: 2})
+		ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: resultTemp, Err: errENOSPC, Count: 1, Short: 7})
 		ffs.Fail(durable.FaultRule{Op: durable.OpSync, Path: "accept.wal", Err: errENOSPC, Count: 1})
 
 		for i := 0; i < 4; i++ {
@@ -83,7 +86,7 @@ func TestCrashRestartSoak(t *testing.T) {
 		time.Sleep(50 * time.Millisecond) // let runners engage the slow jobs
 
 		// Crash: a ~zero drain deadline cancels everything in flight
-		// without tombstoning it, then the flock is released.
+		// without deleting its record, then the flock is released.
 		dctx, dcancel := context.WithTimeout(context.Background(), time.Millisecond)
 		s.Drain(dctx)
 		dcancel()
@@ -135,15 +138,14 @@ func TestCrashRestartSoak(t *testing.T) {
 		j := s.jobs[id]
 		s.jobMu.Unlock()
 		if j == nil {
-			continue // finished and tombstoned in an earlier life
+			continue // finished, its record deleted, in an earlier life
 		}
 		if st := j.status(false); st.State != StateDone {
 			t.Errorf("job %s ended %s: %+v", id, st.State, st)
 		}
 	}
 
-	// The journal owes nothing: a further life would recover zero jobs,
-	// and the drained file compacted to empty.
+	// The journal owes nothing: a further life would recover zero jobs.
 	a2, pending, err := OpenAcceptLog(walPath, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -41,100 +43,151 @@ func acceptedJob(id string, salt int) AcceptedJob {
 	}
 }
 
-// TestAcceptLogRoundTrip pins the WAL contract: accepted jobs are
-// pending until tombstoned, order is preserved, and a fully drained
-// file compacts to empty on the next open.
+// TestAcceptLogRoundTrip pins the journal contract: accepted jobs are
+// pending until finished, come back in numeric id order, and a fully
+// drained journal holds no record.
 func TestAcceptLogRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "accept.wal")
 	a, pending := openAcceptLog(t, path, nil)
 	if len(pending) != 0 {
 		t.Fatalf("fresh log holds %d pending jobs", len(pending))
 	}
-	for i, id := range []string{"j1", "j2", "j3"} {
+	for i, id := range []string{"j10", "j2", "j3"} {
 		if err := a.Accept(acceptedJob(id, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := a.Finish("j2"); err != nil {
+	if err := a.Finish("j3"); err != nil {
 		t.Fatal(err)
+	}
+	if err := a.Accept(AcceptedJob{Runs: acceptedJob("", 0).Runs}); err == nil {
+		t.Fatal("Accept of a job with no id succeeded")
 	}
 	a.Close()
 
 	a2, pending := openAcceptLog(t, path, nil)
-	if len(pending) != 2 || pending[0].ID != "j1" || pending[1].ID != "j3" {
-		t.Fatalf("pending = %+v, want j1 then j3", pending)
+	if len(pending) != 2 || pending[0].ID != "j2" || pending[1].ID != "j10" {
+		t.Fatalf("pending = %+v, want j2 then j10", pending)
 	}
-	if err := a2.Finish("j1"); err != nil {
+	if !reflect.DeepEqual(pending[0], acceptedJob("j2", 1)) {
+		t.Fatalf("j2 came back as %+v", pending[0])
+	}
+	if err := a2.Finish("j2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := a2.Finish("j3"); err != nil {
+	if err := a2.Finish("j10"); err != nil {
 		t.Fatal(err)
 	}
 	a2.Close()
 
-	// Fully drained: the file compacts to zero bytes on open.
 	a3, pending := openAcceptLog(t, path, nil)
 	if len(pending) != 0 {
 		t.Fatalf("drained log still pending: %+v", pending)
 	}
 	a3.Close()
-	if info, err := os.Stat(path); err != nil || info.Size() != 0 {
-		t.Fatalf("drained log not compacted: size=%d err=%v", info.Size(), err)
+	if n := journalEntries(t, path); n != 0 {
+		t.Fatalf("drained journal holds %d record(s)", n)
 	}
 }
 
-// TestAcceptLogTombstoneBeforeAccept pins replay resolution: a runner
-// can finish a job before its accept record lands, so the tombstone may
-// precede the accept line. The job must still count as finished.
-func TestAcceptLogTombstoneBeforeAccept(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "accept.wal")
-	a, _ := openAcceptLog(t, path, nil)
-	if err := a.Finish("j1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Accept(acceptedJob("j1", 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Accept(acceptedJob("j2", 1)); err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
-	a2, pending := openAcceptLog(t, path, nil)
-	defer a2.Close()
-	if len(pending) != 1 || pending[0].ID != "j2" {
-		t.Fatalf("pending = %+v, want exactly j2", pending)
-	}
-}
-
-// TestAcceptLogTornTailReplay pins crash-mid-append handling: a torn
-// final line (injected through the fs seam as a short write) is
-// truncated away and everything before it replays intact.
-func TestAcceptLogTornTailReplay(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "accept.wal")
-	ffs := durable.NewFaultFS(nil)
-	a, _ := openAcceptLog(t, path, ffs)
-	if err := a.Accept(acceptedJob("j1", 0)); err != nil {
-		t.Fatal(err)
-	}
-	// The next append persists 9 bytes and then "crashes".
-	ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: "accept.wal", Err: errENOSPC, Count: 1, Short: 9})
-	if err := a.Accept(acceptedJob("j2", 1)); err == nil {
-		t.Fatal("torn append reported success")
-	}
-	a.Close()
-	data, err := os.ReadFile(path)
+// journalEntries counts the record files in an accept journal directory.
+func journalEntries(t *testing.T, path string) int {
+	t.Helper()
+	ents, err := os.ReadDir(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(data, []byte(`{"job":{"`)) || bytes.Count(data, []byte("\n")) != 1 {
-		t.Fatalf("disk state not one full line + torn tail:\n%s", data)
+	n := 0
+	for _, e := range ents {
+		if filepath.Ext(e.Name()) == ".json" {
+			n++
+		}
+	}
+	return n
+}
+
+// recordPath is where the journal at path files job id's record.
+func recordPath(path, id string) string {
+	sum := sha256.Sum256([]byte(id))
+	return filepath.Join(path, hex.EncodeToString(sum[:])+".json")
+}
+
+// gateFS holds every temp file the accept journal creates until release
+// is closed, so a test can make a job's Accept outlast its run.
+type gateFS struct {
+	durable.FS
+	release chan struct{}
+}
+
+func (g gateFS) CreateTemp(dir, pattern string) (durable.File, error) {
+	if strings.Contains(dir, "accept.wal") {
+		<-g.release
+	}
+	return g.FS.CreateTemp(dir, pattern)
+}
+
+// TestAcceptLogTombstoneBeforeAccept pins the finish/accept ordering: a
+// runner can finish a job before handleSubmit's Accept returns, and the
+// finish must not delete the record until it is written, or the record
+// outlives the job and the next life replays a finished submission.
+func TestAcceptLogTombstoneBeforeAccept(t *testing.T) {
+	dir := t.TempDir()
+	store, err := durable.NewStore(dir + "/store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, "accept.wal")
+	gate := gateFS{FS: durable.OSFS{}, release: make(chan struct{})}
+	a, _ := openAcceptLog(t, walPath, gate)
+	s := New(Config{Store: store, Accepts: a, QueueDepth: 4, Runners: 1, Logf: t.Logf})
+	hs := newHTTPServer(t, s)
+	acks := make(chan SubmitResponse, 1)
+	go func() { acks <- submit(t, hs, tinyBody("20us", 0)) }()
+
+	deadline := time.Now().Add(2 * time.Minute)
+	for s.Stats().CellsRun == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the job never ran while its Accept was held")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // room for a premature delete
+	close(gate.release)
+	sr := <-acks
+	if st := waitTerminal(t, hs, sr.ID, 2*time.Minute); st.State != StateDone || !sr.Durable {
+		t.Fatalf("job ended %s, durable=%v", st.State, sr.Durable)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	s.Drain(ctx)
+	a.Close()
+
+	a2, pending := openAcceptLog(t, walPath, nil)
+	defer a2.Close()
+	if len(pending) != 0 {
+		t.Fatalf("pending = %+v: a record outlived its finished job", pending)
+	}
+}
+
+// TestAcceptLogTornTailReplay pins crash-mid-accept handling: a crash
+// while a record is being written leaves a torn temp file, never a torn
+// record. The records before it replay intact and the journal takes
+// records again.
+func TestAcceptLogTornTailReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "accept.wal")
+	a, _ := openAcceptLog(t, path, nil)
+	if err := a.Accept(acceptedJob("j1", 0)); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	if err := os.WriteFile(filepath.Join(path, ".put-123"), []byte(`{"key":"j2","su`), 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	a2, pending := openAcceptLog(t, path, nil)
 	if len(pending) != 1 || pending[0].ID != "j1" {
-		t.Fatalf("pending after torn tail = %+v, want exactly j1", pending)
+		t.Fatalf("pending after a torn accept = %+v, want exactly j1", pending)
 	}
-	// The truncated file accepts appends again.
 	if err := a2.Accept(acceptedJob("j3", 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +195,13 @@ func TestAcceptLogTornTailReplay(t *testing.T) {
 	a3, pending := openAcceptLog(t, path, nil)
 	defer a3.Close()
 	if len(pending) != 2 || pending[1].ID != "j3" {
-		t.Fatalf("pending after repair = %+v, want j1 then j3", pending)
+		t.Fatalf("pending after the torn accept = %+v, want j1 then j3", pending)
 	}
 }
 
-// TestAcceptLogAckAfterTornAppendSurvives pins the append-failure
-// repair: a torn accept (short write under ENOSPC) must not glue the
-// next, successful — and therefore acked — accept to its fragment,
-// where the next open would truncate it away.
+// TestAcceptLogAckAfterTornAppendSurvives pins accept-failure isolation:
+// a torn accept (short write under ENOSPC) fails only its own record;
+// the next, successful — and therefore acked — accept replays.
 func TestAcceptLogAckAfterTornAppendSurvives(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "accept.wal")
 	ffs := durable.NewFaultFS(nil)
@@ -159,10 +211,10 @@ func TestAcceptLogAckAfterTornAppendSurvives(t *testing.T) {
 	}
 	ffs.Fail(durable.FaultRule{Op: durable.OpWrite, Path: "accept.wal", Err: errENOSPC, Count: 1, Short: 9})
 	if err := a.Accept(acceptedJob("j2", 1)); err == nil {
-		t.Fatal("torn append reported success")
+		t.Fatal("torn accept reported success")
 	}
 	if err := a.Accept(acceptedJob("j3", 2)); err != nil {
-		t.Fatalf("append after a repaired torn write: %v", err)
+		t.Fatalf("accept after a torn write: %v", err)
 	}
 	a.Close()
 	a2, pending := openAcceptLog(t, path, nil)
@@ -172,48 +224,125 @@ func TestAcceptLogAckAfterTornAppendSurvives(t *testing.T) {
 	}
 }
 
-// TestAcceptLogReadsV1Format pins the on-disk format: testdata/
-// accept_v1.wal was written by the pre-durable.Log accept journal. The
-// same appends must produce those exact bytes, and opening the file
-// must replay the same pending set without rewriting a byte.
+// TestAcceptLogQuarantinesCorruptRecord pins per-record protection: one
+// flipped byte in j2's record quarantines and counts j2, and j1 and j3
+// still replay. (A JSON-lines journal cut everything after the first
+// bad line, losing j3 too.)
+func TestAcceptLogQuarantinesCorruptRecord(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "accept.wal")
+	a, _ := openAcceptLog(t, path, nil)
+	for i, id := range []string{"j1", "j2", "j3"} {
+		if err := a.Accept(acceptedJob(id, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Close()
+	rec := recordPath(path, "j2")
+	data, err := os.ReadFile(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(rec, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	a2, pending := openAcceptLog(t, path, nil)
+	defer a2.Close()
+	if len(pending) != 2 || pending[0].ID != "j1" || pending[1].ID != "j3" {
+		t.Fatalf("pending = %+v, want j1 and j3", pending)
+	}
+	if a2.Quarantined() != 1 {
+		t.Fatalf("Quarantined = %d, want 1", a2.Quarantined())
+	}
+	if q, err := os.ReadFile(filepath.Join(path, durable.QuarantineDir, filepath.Base(rec))); err != nil || !bytes.Equal(q, data) {
+		t.Fatalf("quarantine does not hold j2's record: %v", err)
+	}
+	store, err := durable.NewStore(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Store: store, Accepts: a2, QueueDepth: 1, Runners: 1, Logf: t.Logf})
+	drainServer(t, s)
+	if st := s.Stats(); st.Quarantined != 1 {
+		t.Fatalf("statusz quarantined = %d, want the accept record's 1", st.Quarantined)
+	}
+}
+
+// v1Jobs are the jobs testdata/accept_v1.wal holds pending: j1 and j2
+// are tombstoned there (j2's tombstone before its accept).
+func v1Jobs() []AcceptedJob {
+	j3 := acceptedJob("j3", 1)
+	j3.Runs = append(j3.Runs, exp.SpecJSON{Workload: "sp.D", Topology: "tree", Size: "big", SimTime: "50us", Warmup: "10us"})
+	j4 := AcceptedJob{ID: "j4", Runs: []exp.SpecJSON{{Workload: "mixB", Topology: "star", SimTime: "30us", Warmup: "5us"}}}
+	return []AcceptedJob{j3, j4}
+}
+
+// TestAcceptLogReadsV1Format pins the v1 import: testdata/accept_v1.wal
+// was written by the JSON-lines accept journal. Opening it imports
+// exactly its pending jobs, turns the path into a journal directory and
+// removes the file; later opens read the imported records.
 func TestAcceptLogReadsV1Format(t *testing.T) {
 	golden, err := os.ReadFile("testdata/accept_v1.wal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1 := AcceptedJob{ID: "j1", WallBudgetMS: 60000, EventBudget: 5000000, MetricsInterval: "10us",
-		Runs: []exp.SpecJSON{{Workload: "mixA", Topology: "daisychain", Size: "small", SimTime: "100us", Warmup: "20us"}}}
-	j3 := acceptedJob("j3", 1)
-	j3.Runs = append(j3.Runs, exp.SpecJSON{Workload: "sp.D", Topology: "tree", Size: "big", SimTime: "50us", Warmup: "10us"})
-	j4 := AcceptedJob{ID: "j4", Runs: []exp.SpecJSON{{Workload: "mixB", Topology: "star", SimTime: "30us", Warmup: "5us"}}}
-
-	fresh := filepath.Join(t.TempDir(), "fresh.wal")
-	a, _ := openAcceptLog(t, fresh, nil)
-	for _, err := range []error{a.Accept(j1), a.Finish("j2"), a.Accept(acceptedJob("j2", 0)),
-		a.Accept(j3), a.Finish("j1"), a.Accept(j4)} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.Close()
-	if got, _ := os.ReadFile(fresh); !bytes.Equal(got, golden) {
-		t.Fatalf("accept journal bytes drifted from the v1 format:\n got %s\nwant %s", got, golden)
-	}
-
 	path := filepath.Join(t.TempDir(), "accept.wal")
 	if err := os.WriteFile(path, golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a2, pending := openAcceptLog(t, path, nil)
-	a2.Close()
-	if want := []AcceptedJob{j3, j4}; !reflect.DeepEqual(pending, want) {
-		t.Fatalf("pending = %+v, want %+v", pending, want)
+	for life := 0; life < 2; life++ {
+		a, pending := openAcceptLog(t, path, nil)
+		a.Close()
+		if want := v1Jobs(); !reflect.DeepEqual(pending, want) {
+			t.Fatalf("life %d: pending = %+v, want %+v", life, pending, want)
+		}
 	}
-	if a2.MaxSeenID() != 4 {
-		t.Fatalf("MaxSeenID = %d, want 4", a2.MaxSeenID())
+	if info, err := os.Stat(path); err != nil || !info.IsDir() {
+		t.Fatalf("imported journal is not a directory: %v", err)
 	}
-	if got, _ := os.ReadFile(path); !bytes.Equal(got, golden) {
-		t.Fatal("opening a v1 accept journal rewrote it")
+	if _, err := os.Stat(path + v1Suffix); !os.IsNotExist(err) {
+		t.Fatalf("the imported v1 file is still aside: %v", err)
+	}
+}
+
+// TestAcceptImportFaultLosesNothing pins the import's crash safety: a
+// disk fault at any step of a v1 import fails that open, and the next
+// open still imports every pending job.
+func TestAcceptImportFaultLosesNothing(t *testing.T) {
+	golden, err := os.ReadFile("testdata/accept_v1.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rule := range []durable.FaultRule{
+		{Op: durable.OpRename, Path: "accept.wal" + v1Suffix},
+		{Op: durable.OpMkdir, Path: "accept.wal"},
+		{Op: durable.OpRead, Path: v1Suffix},
+		{Op: durable.OpCreate, Path: "accept.wal"},
+		{Op: durable.OpSyncDir, Path: "accept.wal"},
+		{Op: durable.OpRemove, Path: v1Suffix},
+	} {
+		t.Run(string(rule.Op), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "accept.wal")
+			if err := os.WriteFile(path, golden, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ffs := durable.NewFaultFS(nil)
+			rule.Err, rule.Count = errENOSPC, 1
+			ffs.Fail(rule)
+			if _, _, err := OpenAcceptLog(path, ffs); err == nil {
+				t.Fatal("open survived the injected fault")
+			}
+			if ffs.Trips() != 1 {
+				t.Fatalf("fault fired %d times, want 1", ffs.Trips())
+			}
+			a, pending := openAcceptLog(t, path, nil)
+			a.Close()
+			if want := v1Jobs(); !reflect.DeepEqual(pending, want) {
+				t.Fatalf("pending after the faulted import = %+v, want %+v", pending, want)
+			}
+		})
 	}
 }
 
@@ -228,11 +357,71 @@ func TestAcceptLogFlockConflict(t *testing.T) {
 	}
 }
 
+// TestAcceptLogOpenFaults pins the open's failure paths: a v1 journal
+// file another process holds the flock on is left alone, and an
+// unreadable journal directory fails the open instead of reporting
+// nothing pending.
+func TestAcceptLogOpenFaults(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "accept.wal")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := durable.Lock(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenAcceptLog(path, nil); err == nil {
+		t.Fatal("open imported a v1 journal another process holds")
+	}
+	l.Close()
+	if info, err := os.Stat(path); err != nil || !info.Mode().IsRegular() {
+		t.Fatalf("the held v1 journal was moved: %v", err)
+	}
+	ffs := durable.NewFaultFS(nil)
+	ffs.Fail(durable.FaultRule{Op: durable.OpReadDir, Path: "accept.wal", Err: errENOSPC, Count: 1})
+	if _, _, err := OpenAcceptLog(path, ffs); !errors.Is(err, errENOSPC) {
+		t.Fatalf("open over an unreadable journal returned %v", err)
+	}
+}
+
+// TestFinishDeleteFailureDegrades pins the delete's degradation: a
+// record that cannot be deleted is counted, and its job replays in the
+// next life as cache hits rather than being lost or failing.
+func TestFinishDeleteFailureDegrades(t *testing.T) {
+	dir := t.TempDir()
+	store, err := durable.NewStore(dir + "/store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, "accept.wal")
+	ffs := durable.NewFaultFS(nil)
+	a, _ := openAcceptLog(t, walPath, ffs)
+	s := New(Config{Store: store, Accepts: a, QueueDepth: 4, Runners: 1, Logf: t.Logf})
+	hs := newHTTPServer(t, s)
+	ffs.Fail(durable.FaultRule{Op: durable.OpRemove, Path: "accept.wal", Err: errENOSPC, Count: -1})
+	sr := submit(t, hs, tinyBody("20us", 0))
+	if st := waitTerminal(t, hs, sr.ID, 2*time.Minute); st.State != StateDone {
+		t.Fatalf("job ended %s", st.State)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	s.Drain(ctx)
+	a.Close()
+	if got := s.Stats().AcceptErrors; got != 1 {
+		t.Fatalf("accept_journal_errors = %d, want the failed delete's 1", got)
+	}
+	a2, pending := openAcceptLog(t, walPath, nil)
+	defer a2.Close()
+	if len(pending) != 1 || pending[0].ID != sr.ID {
+		t.Fatalf("pending = %+v, want the undeleted %s", pending, sr.ID)
+	}
+}
+
 // TestRecoverReenqueues is the crash-recovery acceptance test at the
 // package level: jobs accepted by a "previous life" (written straight
-// to the WAL) are re-enqueued by Recover, cells already in the store
-// come back as cache hits without re-simulation, and completed jobs are
-// tombstoned so the next life owes nothing.
+// to the journal) are re-enqueued by Recover, cells already in the store
+// come back as cache hits without re-simulation, and completed jobs'
+// records are deleted so the next life owes nothing.
 func TestRecoverReenqueues(t *testing.T) {
 	dir := t.TempDir()
 	store, err := durable.NewStore(dir + "/store")
@@ -310,7 +499,7 @@ func TestRecoverReenqueues(t *testing.T) {
 	s.Drain(ctx)
 	a2.Close()
 
-	// Both jobs tombstoned: a third life owes nothing.
+	// Both records deleted: a third life owes nothing.
 	a3, pending := openAcceptLog(t, walPath, nil)
 	defer a3.Close()
 	if len(pending) != 0 {
@@ -318,51 +507,11 @@ func TestRecoverReenqueues(t *testing.T) {
 	}
 }
 
-// TestAcceptLogMaxSeenID pins the id floor the WAL reports: the highest
-// numeric id across accepts AND tombstones, with non-conforming ids
-// ignored. Tombstones must count — a non-compacted file keeps them, and
-// a fresh job reusing a tombstoned id would be resolved as already done
-// on the next replay.
-func TestAcceptLogMaxSeenID(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "accept.wal")
-	a, _ := openAcceptLog(t, path, nil)
-	if a.MaxSeenID() != 0 {
-		t.Fatalf("fresh log MaxSeenID = %d", a.MaxSeenID())
-	}
-	if err := a.Accept(acceptedJob("j1", 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Accept(acceptedJob("j7", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Finish("j7"); err != nil {
-		t.Fatal(err)
-	}
-	// A tombstone with no surviving accept record (its accept line was
-	// lost to a torn tail in a previous life) still raises the floor.
-	if err := a.Finish("j9"); err != nil {
-		t.Fatal(err)
-	}
-	// Hand-edited ids never parse and never collide with generated ones.
-	if err := a.Accept(acceptedJob("weird-id", 2)); err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
-	a2, _ := openAcceptLog(t, path, nil)
-	defer a2.Close()
-	if a2.MaxSeenID() != 9 {
-		t.Fatalf("MaxSeenID = %d, want 9 (tombstones included)", a2.MaxSeenID())
-	}
-}
-
-// TestFreshIDsSkipTombstonedWAL is the regression test for id reuse
-// against a non-compacted accept journal. Previous life: j1 pending
-// (blocks compaction), j2 finished — its tombstone stays in the file.
-// The next life's first fresh submission must get j3: if it reused j2,
-// the stale "done j2" line would resolve the new accept record as
-// already finished on the following replay and silently drop an acked
-// submission.
-func TestFreshIDsSkipTombstonedWAL(t *testing.T) {
+// TestFreshIDsSkipRecoveredIDs pins id allocation after a restart: a
+// fresh submission never reuses the id of a recovered job, whatever the
+// gaps between the pending ids and whatever non-generated ids sit among
+// them.
+func TestFreshIDsSkipRecoveredIDs(t *testing.T) {
 	dir := t.TempDir()
 	store, err := durable.NewStore(dir + "/store")
 	if err != nil {
@@ -370,54 +519,28 @@ func TestFreshIDsSkipTombstonedWAL(t *testing.T) {
 	}
 	walPath := filepath.Join(dir, "accept.wal")
 	a, _ := openAcceptLog(t, walPath, nil)
-	if err := a.Accept(acceptedJob("j1", 0)); err != nil {
-		t.Fatal(err)
+	for i, id := range []string{"j7", "j2", "weird-id"} {
+		if err := a.Accept(acceptedJob(id, i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := a.Accept(acceptedJob("j2", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Finish("j2"); err != nil {
-		t.Fatal(err)
-	}
-	a.Close() // crash with j1 pending: the file keeps j2's tombstone
+	a.Close()
 
 	a2, pending := openAcceptLog(t, walPath, nil)
-	if len(pending) != 1 || pending[0].ID != "j1" {
-		t.Fatalf("pending = %+v, want exactly j1", pending)
-	}
+	defer a2.Close()
 	s := New(Config{Store: store, Accepts: a2, QueueDepth: 4, Runners: 1, Logf: t.Logf})
 	hs := newHTTPServer(t, s)
-	if n := s.Recover(pending); n != 1 {
-		t.Fatalf("Recover = %d, want 1", n)
+	drainServer(t, s)
+	if n := s.Recover(pending); n != 3 {
+		t.Fatalf("Recover = %d, want 3", n)
 	}
-	sr := submit(t, hs, tinyBody("20us", 5))
-	if sr.ID == "j2" {
-		t.Fatal("fresh submission reused tombstoned id j2: its accept record would be dropped on the next replay")
-	}
-	if sr.ID != "j3" {
-		t.Fatalf("fresh id = %s, want j3 (floor set by the tombstoned j2)", sr.ID)
-	}
-	if !sr.Durable {
-		t.Fatal("accept append succeeded but the ack claims durable=false")
-	}
-	if st := waitTerminal(t, hs, sr.ID, 2*time.Minute); st.State != StateDone {
-		t.Fatalf("fresh job ended %s", st.State)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	s.Drain(ctx)
-	a2.Close()
-
-	// Third life: every acked submission is accounted for.
-	a3, pending := openAcceptLog(t, walPath, nil)
-	defer a3.Close()
-	if len(pending) != 0 {
-		t.Fatalf("third life still owes %+v — an acked submission was lost to id reuse", pending)
+	if sr := submit(t, hs, tinyBody("20us", 5)); sr.ID != "j8" {
+		t.Fatalf("fresh id = %s, want j8 (past the recovered j7)", sr.ID)
 	}
 }
 
 // TestRecoverTombstonesUnreplayable pins the poison-record path: an
-// accept record that cannot be rebuilt is tombstoned, not replayed
+// accept record that cannot be rebuilt is deleted, not replayed
 // forever.
 func TestRecoverTombstonesUnreplayable(t *testing.T) {
 	dir := t.TempDir()
@@ -452,7 +575,7 @@ func TestRecoverTombstonesUnreplayable(t *testing.T) {
 // TestRecoverTombstonesNowInvalidRecord is the upgrade path for the one
 // range check: an accept log written by a release that admitted
 // negative durations holds records that no longer pass it. Recover must
-// tombstone them as unreplayable — never re-queue them to run the
+// delete them as unreplayable — never re-queue them to run the
 // defaults — while a valid record in the same log still replays.
 func TestRecoverTombstonesNowInvalidRecord(t *testing.T) {
 	dir := t.TempDir()
@@ -493,9 +616,9 @@ func TestRecoverTombstonesNowInvalidRecord(t *testing.T) {
 	}
 }
 
-// TestDrainCancelStaysPending pins the tombstone split: a job canceled
+// TestDrainCancelStaysPending pins the delete split: a job canceled
 // by the drain deadline stays in the accept journal (the next life must
-// resume it), while a client DELETE tombstones its job for good.
+// resume it), while a client DELETE deletes its record for good.
 func TestDrainCancelStaysPending(t *testing.T) {
 	dir := t.TempDir()
 	store, err := durable.NewStore(dir + "/store")
@@ -570,7 +693,7 @@ func TestPutENOSPCDegrades(t *testing.T) {
 	}
 }
 
-// TestAcceptAppendFailureDegrades pins WAL degradation: when the accept
+// TestAcceptAppendFailureDegrades pins accept-journal degradation: when the accept
 // journal cannot be written, submissions still run — durability
 // downgrades to a counter, availability does not.
 func TestAcceptAppendFailureDegrades(t *testing.T) {

@@ -46,10 +46,14 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// skipTombstone marks a drain-deadline cancellation: the job stays
-	// un-tombstoned in the accept journal so the next process life
-	// recovers it instead of forgetting it.
+	// skipTombstone marks a drain-deadline cancellation: the job keeps
+	// its accept record so the next process life recovers it instead
+	// of forgetting it.
 	skipTombstone atomic.Bool
+
+	// accepted, when non-nil, is closed once handleSubmit's Accept has
+	// returned; finishJob waits on it before deleting the record.
+	accepted chan struct{}
 
 	// done is closed when the job reaches a terminal state.
 	done chan struct{}
@@ -118,7 +122,7 @@ func (j *job) appendLocked(ev Event) {
 // and the "done" event share one critical section, so a subscriber that
 // sees the job terminal always replays "done". It reports whether this
 // call performed the transition — the caller that wins owns the
-// follow-up bookkeeping (counters, accept-journal tombstone).
+// follow-up bookkeeping (counters, the accept record's delete).
 func (j *job) finish(state, errMsg string, summary any) bool {
 	done := newEvent("done", summary)
 	j.mu.Lock()

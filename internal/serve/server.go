@@ -55,10 +55,11 @@ type Config struct {
 	// persistence, every submission simulates).
 	Store *durable.Store
 	// Accepts, when non-nil, is the write-ahead accept journal: every
-	// admitted job is fsynced to it before the 202 goes out and
-	// tombstoned when it finishes, so Recover can re-enqueue whatever a
-	// crashed daemon still owed. An append failure (full disk) degrades
-	// to a counter — the job still runs, it just is not durable.
+	// admitted job is put to it durably before the 202 goes out and
+	// deleted from it when it finishes, so Recover can re-enqueue
+	// whatever a crashed daemon still owed. A put failure (full disk)
+	// degrades to a counter — the job still runs, it just is not
+	// durable.
 	Accepts *AcceptLog
 	// AuthToken, when non-empty, gates the mutating endpoints (POST
 	// /jobs, DELETE /jobs/{id}) behind "Authorization: Bearer <token>"
@@ -119,7 +120,7 @@ type Server struct {
 	recovered atomic.Uint64 // jobs replayed from the accept journal
 	unauth    atomic.Uint64 // 401s issued
 	putErrors atomic.Uint64 // store writes that failed (disk full, ...)
-	walErrors atomic.Uint64 // accept-journal appends that failed
+	walErrors atomic.Uint64 // accept-journal puts and deletes that failed
 }
 
 // New builds a server and starts its runner pool. Callers must Drain
@@ -138,14 +139,6 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		queue: make(chan *job, cfg.QueueDepth),
 		jobs:  map[string]*job{},
-	}
-	if cfg.Accepts != nil {
-		// Start the id counter past every id the accept journal has ever
-		// seen — tombstones included, not just pending jobs. Reusing a
-		// tombstoned id would let its stale "done" line cancel the new
-		// job's accept record on the next replay, silently dropping an
-		// acked submission.
-		s.nextID.Store(cfg.Accepts.MaxSeenID())
 	}
 	s.initMux()
 	for i := 0; i < cfg.Runners; i++ {
@@ -205,6 +198,9 @@ func (s *Server) Stats() Stats {
 		}
 		st.Quarantined = s.cfg.Store.Quarantined()
 		st.Evictions = s.cfg.Store.Evictions()
+	}
+	if s.cfg.Accepts != nil {
+		st.Quarantined += s.cfg.Accepts.Quarantined()
 	}
 	return st
 }
@@ -320,6 +316,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	id := fmt.Sprintf("j%d", s.nextID.Add(1))
 	j := s.buildJob(id, specs, keys, base, req.WallBudgetMS, req.EventBudget)
+	if s.cfg.Accepts != nil {
+		j.accepted = make(chan struct{})
+	}
 
 	// Admission: non-blocking send into the bounded queue under the
 	// read lock (Drain holds the write lock while closing the channel).
@@ -345,20 +344,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Write-ahead: the accept record must be on disk before the client
-	// is acked. A failed append (full disk) degrades rather than failing
+	// is acked. A failed put (full disk) degrades rather than failing
 	// the job — but the degradation is told to the client (Durable:false
 	// in the ack and the X-Memnetd-Durable header), not just counted, so
 	// a caller that needs crash-survival can resubmit elsewhere instead
-	// of trusting a 202 that only looks durable.
+	// of trusting a 202 that only looks durable. A runner may already
+	// have finished the job; its finishJob waits on j.accepted, so the
+	// record is never deleted before it is written.
 	durable := false
 	if s.cfg.Accepts != nil {
 		rec.ID = id
 		if err := s.cfg.Accepts.Accept(rec); err != nil {
 			s.walErrors.Add(1)
-			s.cfg.Logf("serve: accept journal append for %s: %v", id, err)
+			s.cfg.Logf("serve: accept journal put for %s: %v", id, err)
 		} else {
 			durable = true
 		}
+		close(j.accepted)
 	}
 	w.Header().Set(DurableHeader, strconv.FormatBool(durable))
 	s.jobMu.Lock()
@@ -434,7 +436,8 @@ func (s *Server) buildJob(id string, specs []exp.Spec, keys []string, base conte
 }
 
 // Recover re-enqueues every job a previous process life accepted but
-// never finished — the replay half of the write-ahead accept journal.
+// never finished — the replay half of the write-ahead accept journal —
+// under its original id; fresh ids continue past the highest one.
 // Cells whose results already reached the store come back as cache
 // hits, so only genuinely lost compute re-runs. Call it once, after New
 // and before serving traffic; it blocks until everything is enqueued
@@ -447,8 +450,8 @@ func (s *Server) Recover(pending []AcceptedJob) int {
 		specs, keys, err := specsFromAccepted(aj)
 		if err != nil || aj.ID == "" {
 			// A record that cannot be rebuilt (version drift, hand-edited
-			// journal) would otherwise replay forever: tombstone it.
-			s.cfg.Logf("serve: recover %q: unreplayable (%v); tombstoning", aj.ID, err)
+			// journal) would otherwise replay forever: delete it.
+			s.cfg.Logf("serve: recover %q: unreplayable (%v); deleting its record", aj.ID, err)
 			if s.cfg.Accepts != nil && aj.ID != "" {
 				if ferr := s.cfg.Accepts.Finish(aj.ID); ferr != nil {
 					s.walErrors.Add(1)
@@ -563,9 +566,10 @@ func (s *Server) cancelJob(j *job, why string) {
 }
 
 // finishJob moves j to a terminal state and, when this call performed
-// the transition, updates the cancel counter and tombstones the job in
-// the accept journal. Drain-canceled jobs skip the tombstone on
-// purpose: they are the jobs the next process life must resume.
+// the transition, updates the cancel counter and deletes the job's
+// accept record — once its Accept has returned. Drain-canceled jobs
+// keep their record on purpose: they are the jobs the next process
+// life must resume.
 func (s *Server) finishJob(j *job, state, errMsg string, summary any) bool {
 	if !j.finish(state, errMsg, summary) {
 		return false
@@ -575,9 +579,12 @@ func (s *Server) finishJob(j *job, state, errMsg string, summary any) bool {
 	}
 	skip := state == StateCanceled && j.skipTombstone.Load()
 	if s.cfg.Accepts != nil && !skip {
+		if j.accepted != nil {
+			<-j.accepted
+		}
 		if err := s.cfg.Accepts.Finish(j.id); err != nil {
 			s.walErrors.Add(1)
-			s.cfg.Logf("serve: accept journal tombstone for %s: %v", j.id, err)
+			s.cfg.Logf("serve: accept journal delete for %s: %v", j.id, err)
 		}
 	}
 	return true
@@ -799,7 +806,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.jobMu.Unlock()
 	for _, j := range jobs {
 		// A drain-deadline cancel is the one terminal state that must NOT
-		// tombstone the accept journal: the job was admitted and never
+		// delete the accept record: the job was admitted and never
 		// served, so the next process life owes it a replay.
 		j.skipTombstone.Store(true)
 		s.cancelJob(j, "canceled by drain deadline")
