@@ -175,19 +175,25 @@ func TestCalibrateFlagValidation(t *testing.T) {
 // stderr/exit-code error style.
 func TestMetricsFlagValidation(t *testing.T) {
 	bin := buildCLI(t)
-	for name, args := range map[string][]string{
-		"out without metrics":      {"-run", "seeds", "-metrics-out", "x.jsonl"},
-		"interval without metrics": {"-run", "seeds", "-metrics-interval", "5us"},
-		"unparseable interval":     {"-run", "seeds", "-metrics", "-metrics-interval", "bogus"},
-		"zero interval":            {"-run", "seeds", "-metrics", "-metrics-interval", "0s"},
+	const bound = "bad -metrics-interval: sampling every"
+	for name, tc := range map[string]struct {
+		args []string
+		want string
+	}{
+		"out without metrics":      {[]string{"-metrics-out", "x.jsonl"}, "bad -metrics-out"},
+		"interval without metrics": {[]string{"-metrics-interval", "5us"}, "bad -metrics-interval"},
+		"unparseable interval":     {[]string{"-metrics", "-metrics-interval", "bogus"}, "bad -metrics-interval"},
+		"zero interval":            {[]string{"-metrics", "-metrics-interval", "0s"}, "bad -metrics-interval"},
+		"interval over simtime":    {[]string{"-simtime", "40us", "-metrics", "-metrics-interval", "50us"}, bound},
+		"over 1024 ticks":          {[]string{"-simtime", "1025us", "-metrics", "-metrics-interval", "1us"}, bound},
 	} {
-		out, err := exec.Command(bin, args...).CombinedOutput()
+		out, err := exec.Command(bin, append([]string{"-run", "seeds"}, tc.args...)...).CombinedOutput()
 		if err == nil {
 			t.Errorf("%s: accepted\n%s", name, out)
 			continue
 		}
-		if !strings.Contains(string(out), "bad -") {
-			t.Errorf("%s: error does not name the flag:\n%s", name, out)
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s: error lacks %q:\n%s", name, tc.want, out)
 		}
 	}
 

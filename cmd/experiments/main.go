@@ -105,6 +105,9 @@ func run() error {
 	if r.Metrics, err = cli.MetricsInterval(flag.CommandLine, *metricsOn, *metricsIntervalF); err != nil {
 		return err
 	}
+	if err := r.Settings.Validate(); err != nil {
+		return cli.FlagError(err)
+	}
 	if *verbose {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}

@@ -103,20 +103,27 @@ func TestGoldenMetricsRun(t *testing.T) {
 // valid -metrics run must print the time-series figure.
 func TestMetricsFlagValidation(t *testing.T) {
 	bin := buildCLI(t)
-	for name, args := range map[string][]string{
-		"out without metrics":      {"-metrics-out", "x.jsonl"},
-		"interval without metrics": {"-metrics-interval", "5us"},
-		"unparseable interval":     {"-metrics", "-metrics-interval", "bogus"},
-		"zero interval":            {"-metrics", "-metrics-interval", "0s"},
-		"metrics with trace":       {"-metrics", "-trace"},
+	const bound = "bad -metrics-interval: sampling every"
+	for name, tc := range map[string]struct {
+		args []string
+		want string
+	}{
+		"out without metrics":      {[]string{"-metrics-out", "x.jsonl"}, "bad -metrics-out"},
+		"interval without metrics": {[]string{"-metrics-interval", "5us"}, "bad -metrics-interval"},
+		"unparseable interval":     {[]string{"-metrics", "-metrics-interval", "bogus"}, "bad -metrics-interval"},
+		"zero interval":            {[]string{"-metrics", "-metrics-interval", "0s"}, "bad -metrics-interval"},
+		"interval over simtime":    {[]string{"-metrics", "-metrics-interval", "50us", "-simtime", "40us"}, bound},
+		"over 1024 ticks":          {[]string{"-metrics", "-metrics-interval", "1us", "-simtime", "1025us"}, bound},
+		"over 1024 ticks in a batch": {[]string{"-metrics", "-metrics-interval", "10ns",
+			"-config", "testdata/batch_config.json"}, "run 1: " + bound},
 	} {
-		out, err := exec.Command(bin, args...).CombinedOutput()
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
 		if err == nil {
 			t.Errorf("%s: accepted\n%s", name, out)
 			continue
 		}
-		if !strings.Contains(string(out), "bad -") {
-			t.Errorf("%s: error does not name the flag:\n%s", name, out)
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s: error lacks %q:\n%s", name, tc.want, out)
 		}
 	}
 

@@ -1,6 +1,6 @@
 // Command memnetsim runs one memory-network simulation and reports power,
-// performance and utilization; with -trace it also prints per-epoch
-// management decisions (mode selections, AMS budgets, violations).
+// performance and utilization; with -metrics it also samples the run per
+// epoch (completions, latency, link residency, violations, grants).
 //
 // Example:
 //
@@ -22,7 +22,6 @@ import (
 	"memnet/internal/durable"
 	"memnet/internal/exp"
 	"memnet/internal/metrics"
-	"memnet/internal/network"
 	"memnet/internal/sim"
 	"memnet/internal/viz"
 )
@@ -48,7 +47,6 @@ func run() error {
 	simtime := flag.String("simtime", "400us", "measured simulated interval")
 	warmupF := flag.String("warmup", "100us", "simulated warmup")
 	wakeup := flag.Int("wakeup", 14, "ROO wakeup latency (ns)")
-	trace := flag.Bool("trace", false, "print per-epoch management trace")
 	config := flag.String("config", "", "JSON batch config (the single-run flags are rejected with it)")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0),
 		"parallel workers for -config batches (1 = one cell at a time)")
@@ -67,8 +65,7 @@ func run() error {
 
 	if *config != "" {
 		if err := cli.Forbid(flag.CommandLine, "not supported with -config (each run's fields come from the file)",
-			"wl", "topo", "size", "mech", "policy", "alpha", "simtime", "warmup", "wakeup",
-			"trace"); err != nil {
+			"wl", "topo", "size", "mech", "policy", "alpha", "simtime", "warmup", "wakeup"); err != nil {
 			return err
 		}
 	}
@@ -111,13 +108,6 @@ func run() error {
 	spec = st.Apply(spec)
 	if err := spec.Validate(); err != nil {
 		return cli.FlagError(err)
-	}
-
-	if *trace {
-		if *metricsOn {
-			return errors.New("bad -metrics: not supported with -trace (the trace is already per-epoch)")
-		}
-		return runTrace(spec)
 	}
 
 	start := time.Now()
@@ -171,6 +161,9 @@ func runBatch(ctx context.Context, path string, st exp.Settings, jobs int, store
 	}
 	for i := range specs {
 		specs[i] = st.Apply(specs[i])
+		if err := specs[i].Validate(); err != nil {
+			return fmt.Errorf("run %d: %w", i+1, cli.FlagError(err))
+		}
 	}
 	var store *durable.Store
 	if storeDir != "" {
@@ -242,30 +235,4 @@ func report(res exp.Result, wall time.Duration) {
 		fmt.Printf("  simulated %s (%.1fM events)\n",
 			spec.SimTime+spec.Warmup, float64(res.Events)/1e6)
 	}
-}
-
-// runTrace steps spec's simulation — the very run RunCtx would measure
-// — in 100 µs epochs, printing each epoch's throughput, read latency and
-// channel utilization with the manager's running violation and grant
-// counts.
-func runTrace(spec exp.Spec) error {
-	s, err := exp.Build(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s on %v\n", s.FrontEnd, s.Net.Topo)
-
-	epoch := 100 * sim.Microsecond
-	prev := s.Net.TakeSnapshot()
-	for now := epoch; now <= s.Spec.Warmup+s.Spec.SimTime; now += epoch {
-		s.Kernel.Run(now)
-		snap := s.Net.TakeSnapshot()
-		viol, grant := s.Manager.Violations()
-		fmt.Printf("epoch %3d: thr=%7.1fM/s lat=%9s chanUtil=%3.0f%% viol=%d grant=%d\n",
-			int(now/epoch), network.Throughput(prev, snap)/1e6,
-			network.AvgReadLatency(prev, snap), 100*network.ChannelUtilization(prev, snap),
-			viol, grant)
-		prev = snap
-	}
-	return s.Finish()
 }

@@ -2,9 +2,12 @@ package main
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,13 +25,14 @@ func buildCLI(t *testing.T) string {
 }
 
 // TestRecoveryFlagValidation: the fault-injection and recovery flags are
-// gone with the model paths they drove, so each is an undefined flag:
-// exit 2 from the flag package, before any simulation starts.
+// gone with the model paths they drove, and -trace with the per-epoch
+// loop that -metrics replaced, so each is an undefined flag: exit 2 from
+// the flag package, before any simulation starts.
 func TestRecoveryFlagValidation(t *testing.T) {
 	bin := buildCLI(t)
 	for _, args := range [][]string{
 		{"-faults", "scenario.json"}, {"-timeout", "2us"}, {"-retries", "2"},
-		{"-retrain", "1us"}, {"-crcretries", "4"}, {"-watchdog"},
+		{"-retrain", "1us"}, {"-crcretries", "4"}, {"-watchdog"}, {"-trace"},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		var ee *exec.ExitError
@@ -42,11 +46,12 @@ func TestRecoveryFlagValidation(t *testing.T) {
 	}
 }
 
-// TestTraceShowsMeasuredRun: -trace must step the run the report
-// measures, every run flag included. With a 100 µs warmup and a 100 µs
-// measured interval, epoch 2 of the trace is exactly the measured
-// interval, so its throughput must print the report's figure.
-func TestTraceShowsMeasuredRun(t *testing.T) {
+// TestEpochCSVShowsMeasuredRun: the per-epoch CSV export samples the run
+// the report measures, every run flag included. With a 100 µs warmup, a
+// 100 µs measured interval and a 100 µs sampling interval, tick 1 is
+// exactly the measured interval, so its completions over 100 µs must
+// print the report's throughput.
+func TestEpochCSVShowsMeasuredRun(t *testing.T) {
 	bin := buildCLI(t)
 	args := []string{"-wl", "mixB", "-topo", "daisychain", "-mech", "DVFS+ROO", "-wakeup", "20",
 		"-simtime", "100us", "-warmup", "100us"}
@@ -58,17 +63,24 @@ func TestTraceShowsMeasuredRun(t *testing.T) {
 	if m == nil {
 		t.Fatalf("no throughput in report:\n%s", rep)
 	}
-	tr, err := exec.Command(bin, append(args, "-trace")...).CombinedOutput()
+	csv := filepath.Join(t.TempDir(), "epochs.csv")
+	out, err := exec.Command(bin, append(args,
+		"-metrics", "-metrics-interval", "100us", "-metrics-out", csv)...).CombinedOutput()
 	if err != nil {
-		t.Fatalf("trace run: %v\n%s", err, tr)
+		t.Fatalf("metrics run: %v\n%s", err, out)
 	}
-	e := regexp.MustCompile(`epoch +2: thr= *(\d+\.\d)M/s`).FindSubmatch(tr)
+	data, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := regexp.MustCompile(`(?m),frontend\.completed,counter,1,200000000,,(\d+)$`).FindSubmatch(data)
 	if e == nil {
-		t.Fatalf("no epoch 2 in trace:\n%s", tr)
+		t.Fatalf("no tick-1 completions in the export:\n%s", data)
 	}
-	if string(e[1]) != string(m[1]) {
-		t.Errorf("trace epoch 2 shows %s M/s, the report measured %s M/s over the same interval:\n%s\n%s",
-			e[1], m[1], tr, rep)
+	done, _ := strconv.Atoi(string(e[1]))
+	if got := fmt.Sprintf("%.1f", float64(done)/100); got != string(m[1]) {
+		t.Errorf("tick 1 shows %s M/s, the report measured %s M/s over the same interval:\n%s",
+			got, m[1], rep)
 	}
 }
 
@@ -102,7 +114,7 @@ func TestConfigRejectsSingleRunFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-wl", "sp.D"}, {"-topo", "daisychain"}, {"-size", "big"}, {"-mech", "VWL"},
 		{"-policy", "none"}, {"-alpha", "0.1"}, {"-simtime", "5us"}, {"-warmup", "1us"},
-		{"-wakeup", "20"}, {"-trace"},
+		{"-wakeup", "20"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-config", cfg}, args...)...).CombinedOutput()
 		if err == nil {

@@ -1,6 +1,6 @@
 // Command memnetviz runs one simulation and renders the network as an
 // annotated tree — per-link bandwidth modes, utilization meters and
-// off-time — plus a channel-utilization sparkline sampled per epoch. It is
+// off-time — plus the run's time series sampled per 100 µs epoch. It is
 // the quickest way to see *where* in the topology a policy is saving
 // power.
 //
@@ -8,6 +8,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -15,7 +17,6 @@ import (
 	"memnet/internal/cli"
 	"memnet/internal/exp"
 	"memnet/internal/link"
-	"memnet/internal/network"
 	"memnet/internal/sim"
 	"memnet/internal/viz"
 )
@@ -41,24 +42,21 @@ func run() error {
 	if spec.SimTime, err = cli.PositiveDuration("simtime", *simtime); err != nil {
 		return err
 	}
+	spec.MetricsInterval = 100 * sim.Microsecond // the manager's epoch
 	s, err := exp.Build(spec)
+	var fe *exp.FieldError
+	if errors.As(err, &fe) && fe.Field == "metrics_interval" {
+		// The interval is fixed here, so its sample bound bounds -simtime.
+		return fmt.Errorf("bad -simtime: %v", fe.Err)
+	}
 	if err != nil {
 		return cli.FlagError(err)
 	}
-	net, mech := s.Net, s.Spec.Mech
-
-	// Sample channel utilization per epoch for the sparkline.
-	epoch := 100 * sim.Microsecond
-	var chanSeries []float64
-	prev := net.TakeSnapshot()
-	for now := epoch; now <= s.Spec.SimTime; now += epoch {
-		s.Kernel.Run(now)
-		snap := net.TakeSnapshot()
-		chanSeries = append(chanSeries, network.ChannelUtilization(prev, snap))
-		prev = snap
+	res, err := s.Measure(context.Background(), exp.Budget{})
+	if err != nil {
+		return err
 	}
-	final := net.TakeSnapshot()
-	elapsed := final.At
+	net, mech, elapsed := s.Net, s.Spec.Mech, s.Kernel.Now()
 
 	fmt.Printf("%s on %s %s, %s links, %s policy, alpha=%.1f%%, %s simulated\n\n",
 		spec.Workload.Name, spec.Size, spec.Topology, mech, spec.Policy, 100*spec.Alpha, elapsed)
@@ -84,9 +82,8 @@ func run() error {
 	}
 	fmt.Print(viz.RenderTree(net.Topo, annotate))
 
-	fmt.Printf("\nchannel utilization per epoch: %s\n", viz.Sparkline(chanSeries))
-	p := network.IntervalPower(network.Snapshot{}, final)
+	fmt.Printf("\n%s", viz.RenderTimeSeries(res.Metrics))
 	fmt.Printf("avg power: %.2f W total (%.2f W/HMC), idle I/O %.0f%%\n",
-		p.Total(), p.Total()/float64(net.Topo.N()), 100*p.IdleIO/p.Total())
+		res.Power.Total(), res.PerHMC.Total(), 100*res.IdleIOFraction())
 	return nil
 }

@@ -20,8 +20,8 @@ func buildCLI(t *testing.T) string {
 }
 
 // TestRendersTreeAndSparkline: a short run prints the module tree with
-// one annotated row per module under the processor, and one sparkline
-// glyph per 100 µs epoch.
+// one annotated row per module under the processor, and its time series
+// sampled once per 100 µs epoch.
 func TestRendersTreeAndSparkline(t *testing.T) {
 	bin := buildCLI(t)
 	out, err := exec.Command(bin, "-wl", "mixB", "-topo", "daisychain", "-size", "small",
@@ -36,12 +36,25 @@ func TestRendersTreeAndSparkline(t *testing.T) {
 	if rows := strings.Count(text, "↓req"); rows != 3 {
 		t.Errorf("tree has %d module rows, want 3 (mixB on the small study):\n%s", rows, text)
 	}
-	_, spark, ok := strings.Cut(text, "channel utilization per epoch: ")
-	if !ok {
-		t.Fatalf("no utilization sparkline:\n%s", text)
+	if !strings.Contains(text, "\nmetrics: 3 ticks x 100.00us\n") {
+		t.Fatalf("no time series of one sample per epoch (3):\n%s", text)
 	}
-	if glyphs := len([]rune(strings.SplitN(spark, "\n", 2)[0])); glyphs != 3 {
-		t.Errorf("sparkline has %d glyphs, want one per epoch (3):\n%s", glyphs, text)
+	_, spark, ok := strings.Cut(text, "  frontend.completed ")
+	if !ok {
+		t.Fatalf("no completion sparkline:\n%s", text)
+	}
+	if glyphs := len([]rune(strings.Fields(spark)[0])); glyphs != 3 {
+		t.Errorf("completion sparkline has %d glyphs, want one per epoch (3):\n%s", glyphs, text)
+	}
+}
+
+// TestSimtimeBelowOneEpochRejected: the series needs at least one epoch,
+// so a shorter run fails naming -simtime.
+func TestSimtimeBelowOneEpochRejected(t *testing.T) {
+	bin := buildCLI(t)
+	out, err := exec.Command(bin, "-simtime", "50us").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "bad -simtime") {
+		t.Errorf("-simtime 50us: err = %v, want a failure naming -simtime:\n%s", err, out)
 	}
 }
 

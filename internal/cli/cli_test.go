@@ -87,11 +87,10 @@ func TestStopProfilesIdempotent(t *testing.T) {
 // lines; an uncreatable path names -metrics-out.
 func TestWriteMetricsFormatByExtension(t *testing.T) {
 	k := sim.NewKernel()
-	reg := metrics.New(k, metrics.Config{Interval: sim.Microsecond})
+	reg := metrics.New(sim.Microsecond)
 	n := 0
 	reg.Gauge("test.gauge", func() float64 { n++; return float64(n) })
-	reg.Start(3 * sim.Microsecond)
-	k.Run(3 * sim.Microsecond)
+	reg.Run(k, 3*sim.Microsecond)
 	entries := []metrics.Entry{{Key: "cell", Dump: reg.Dump()}}
 
 	dir := t.TempDir()

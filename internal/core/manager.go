@@ -155,6 +155,9 @@ type Manager struct {
 	prevDRAMReads []uint64
 	epochs        uint64
 	Hist          *stats.LinkHourHist
+
+	epochTick epochAction
+	sweep     sweepAction
 }
 
 // Attach wires a manager to net and starts its epoch machinery. For
@@ -175,6 +178,7 @@ func Attach(k *sim.Kernel, net *network.Network, cfg Config) *Manager {
 		prevDRAMReads: make([]uint64, net.Topo.N()),
 		Hist:          &stats.LinkHourHist{},
 	}
+	m.epochTick.m, m.sweep.m = m, m
 	switch {
 	case cfg.Custom != nil:
 		m.policy = cfg.Custom
@@ -236,11 +240,16 @@ func (m *Manager) Violations() (total, granted uint64) { return m.violations, m.
 // Links returns the managed links (aliases network ordering).
 func (m *Manager) Links() []*link.Link { return m.Net.Links }
 
-func (m *Manager) scheduleEpoch() {
-	m.Kernel.After(m.Cfg.Epoch, func() {
-		m.endEpoch()
-		m.scheduleEpoch()
-	})
+func (m *Manager) scheduleEpoch() { m.Kernel.AfterAction(m.Cfg.Epoch, &m.epochTick) }
+
+// epochAction is the manager's epoch tick: it ends the running epoch and
+// schedules the next tick. One is pending at a time, so the manager
+// embeds it.
+type epochAction struct{ m *Manager }
+
+func (a *epochAction) Act() {
+	a.m.endEpoch()
+	a.m.scheduleEpoch()
 }
 
 // endEpoch snapshots counters, maintains Eq. 1's sums, and lets the policy
@@ -293,8 +302,14 @@ func (m *Manager) endEpoch() {
 // latency overhead against its AMS ([23]); violators either receive a
 // grant from the leftover pool (network-aware) or go to full power.
 func (m *Manager) scheduleViolationSweeps() {
-	m.Kernel.After(m.Cfg.Epoch/violationChecksPerEpoch, m.violationSweep)
+	m.Kernel.AfterAction(m.Cfg.Epoch/violationChecksPerEpoch, &m.sweep)
 }
+
+// sweepAction is the manager's pending violation sweep, embedded like
+// epochAction.
+type sweepAction struct{ m *Manager }
+
+func (a *sweepAction) Act() { a.m.violationSweep() }
 
 // violationSweep runs one sweep and schedules the next.
 func (m *Manager) violationSweep() {

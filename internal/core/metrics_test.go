@@ -14,12 +14,12 @@ import (
 func TestManagerAttachMetrics(t *testing.T) {
 	k, net, m := attachWith(t, nil)
 	m.AttachMetrics(nil) // disabled path registers nothing
-	reg := metrics.New(k, metrics.Config{Interval: epoch})
+	reg := metrics.New(epoch)
 	m.AttachMetrics(reg)
-	reg.Start(sim.Time(4 * epoch))
-	driveClosedLoop(k, net, 8, func(i int) uint64 {
+	startClosedLoop(k, net, 8, func(i int) uint64 {
 		return uint64(i%2)*uint64(net.Cfg.ChunkBytes) + uint64(i%97)*64
 	}, 4*epoch)
+	reg.Run(k, sim.Time(4*epoch))
 	d := reg.Dump()
 	if d == nil || d.Ticks == 0 {
 		t.Fatalf("no samples: %+v", d)

@@ -31,6 +31,15 @@ func testNet(t *testing.T, kind topology.Kind, n int, mech link.Mechanism, roo b
 // function pick until the kernel reaches until.
 func driveClosedLoop(k *sim.Kernel, net *network.Network, slots int,
 	pick func(i int) uint64, until sim.Time) {
+	startClosedLoop(k, net, slots, pick, until)
+	k.Run(until)
+}
+
+// startClosedLoop is driveClosedLoop without the run: it injects the
+// first reads and arms the re-injection, for a caller that runs the
+// kernel itself.
+func startClosedLoop(k *sim.Kernel, net *network.Network, slots int,
+	pick func(i int) uint64, until sim.Time) {
 	count := 0
 	net.OnReadComplete = func(p *packet.Packet) {
 		if k.Now() < until {
@@ -41,7 +50,6 @@ func driveClosedLoop(k *sim.Kernel, net *network.Network, slots int,
 	for s := 0; s < slots; s++ {
 		net.InjectRead(pick(s), s)
 	}
-	k.Run(until)
 }
 
 const epoch = 100 * sim.Microsecond

@@ -15,9 +15,8 @@ import (
 
 // Sim is one spec's simulation as Build wires it: a kernel with the
 // network, power manager, front end and every armed observer attached,
-// traffic started and no event run yet. RunBudgeted measures one;
-// memnetsim -trace and memnetviz step one epoch at a time with
-// Kernel.Run, so they show the very run RunBudgeted would measure.
+// traffic started and no event run yet. Measure runs and measures it;
+// memnetviz calls it directly to render the model it measured.
 type Sim struct {
 	Spec     Spec // resolved
 	Kernel   *sim.Kernel
@@ -92,12 +91,11 @@ func Build(spec Spec) (*Sim, error) {
 		})
 	}
 
-	// The metrics registry attaches before traffic exists but stays
-	// silent until Start at the warmup boundary: a disabled run (nil
-	// registry) registers nothing and schedules nothing, so its event
-	// sequence is byte-identical to builds without metrics.
+	// The metrics registry attaches before traffic exists and samples
+	// only once Measure runs it from the warmup boundary. It schedules
+	// no event, armed or not.
 	if spec.MetricsInterval > 0 {
-		s.metrics = metrics.New(kernel, metrics.Config{Interval: spec.MetricsInterval})
+		s.metrics = metrics.New(spec.MetricsInterval)
 		net.AttachMetrics(s.metrics)
 		mgr.AttachMetrics(s.metrics)
 	}
@@ -132,18 +130,4 @@ func Build(spec Spec) (*Sim, error) {
 
 	fe.Start()
 	return s, nil
-}
-
-// Finish ends a stepped run: it runs the auditor's final full sweep and
-// reports any invariant violation seen over the whole run. RunBudgeted
-// does the same with its interval energy checks added.
-func (s *Sim) Finish() error {
-	if s.audit == nil {
-		return nil
-	}
-	s.audit.RunSweeps()
-	if err := s.audit.Err(); err != nil {
-		return fmt.Errorf("exp: %s: %w", s.Spec.Key(), err)
-	}
-	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"memnet/internal/core"
+	"memnet/internal/metrics"
 	"memnet/internal/sim"
 	"memnet/internal/topology"
 	"memnet/internal/workload"
@@ -147,6 +148,14 @@ func (s Spec) validate() error {
 	} {
 		if f.v < 0 {
 			return &FieldError{f.field, errors.New("must be non-negative")}
+		}
+	}
+	if s.MetricsInterval > 0 {
+		simTime := s.resolved().SimTime
+		if n := simTime / s.MetricsInterval; n < 1 || n > metrics.MaxTicks {
+			return &FieldError{"metrics_interval", fmt.Errorf(
+				"sampling every %s over the %s measured interval takes %d samples, want 1 to %d",
+				s.MetricsInterval, simTime, n, metrics.MaxTicks)}
 		}
 	}
 	if s.DRAM != nil {

@@ -2,13 +2,18 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"memnet/internal/core"
 	"memnet/internal/metrics"
 	"memnet/internal/sim"
+	"memnet/internal/topology"
+	"memnet/internal/workload"
 )
 
 // exportJSONL renders a runner's recorded metrics entries to bytes.
@@ -52,15 +57,26 @@ func TestMetricsJobsDeterminism(t *testing.T) {
 	}
 }
 
-// TestMetricsObservational: arming the sampler must not change any
-// simulation result — the ticker only reads. Events legitimately grows
-// (the ticks themselves are kernel events), so it is excluded.
+// TestMetricsObservational: arming the sampler must not change the
+// run. It samples between Kernel.Run calls and schedules no event, so
+// an armed result equals the unarmed one in every field but Metrics and
+// the spec's MetricsInterval, Events included — the whole-model check
+// that sampling steps the very run Run measures. The spec arms the
+// auditor and the aware manager on a chain busy enough to violate, so
+// their events are in the comparison. Each management counter's
+// per-tick deltas sum to the result's total, events at the last
+// sampling instant included.
 func TestMetricsObservational(t *testing.T) {
-	base, err := Run(tinySpec(core.PolicyAware, MechVWLROO))
+	mixB, err := workload.ByName("mixB")
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := tinySpec(core.PolicyAware, MechVWLROO)
+	spec.Workload, spec.Topology, spec.AuditEvery = mixB, topology.DaisyChain, 64
+	base, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	spec.MetricsInterval = 10 * sim.Microsecond
 	armed, err := Run(spec)
 	if err != nil {
@@ -72,18 +88,92 @@ func TestMetricsObservational(t *testing.T) {
 	if armed.Metrics == nil {
 		t.Fatal("metrics dump missing with MetricsInterval set")
 	}
-	if base.Throughput != armed.Throughput || base.Power != armed.Power ||
-		base.P99 != armed.P99 || base.Violations != armed.Violations {
-		t.Errorf("sampling perturbed the simulation:\nbase  thr=%v pow=%+v p99=%v viol=%d\narmed thr=%v pow=%+v p99=%v viol=%d",
-			base.Throughput, base.Power, base.P99, base.Violations,
-			armed.Throughput, armed.Power, armed.P99, armed.Violations)
+	dump := armed.Metrics
+	armed.Metrics, armed.Spec.MetricsInterval = nil, 0
+	if !reflect.DeepEqual(base, armed) {
+		t.Errorf("sampling perturbed the run:\nbase  %+v\narmed %+v", base, armed)
 	}
 	// 150us measured at 10us covers ticks at warmup+10us .. warmup+150us.
-	if armed.Metrics.Ticks != 15 {
-		t.Errorf("ticks = %d, want 15", armed.Metrics.Ticks)
+	if dump.Ticks != 15 {
+		t.Errorf("ticks = %d, want 15", dump.Ticks)
 	}
-	if armed.Metrics.Start != sim.Time(spec.Warmup) {
-		t.Errorf("metrics start = %d, want warmup boundary %d", armed.Metrics.Start, spec.Warmup)
+	if dump.Start != sim.Time(spec.Warmup) {
+		t.Errorf("metrics start = %d, want warmup boundary %d", dump.Start, spec.Warmup)
+	}
+	for _, s := range dump.Series {
+		want, ok := map[string]uint64{"core.violations": base.Violations, "core.grants": base.Granted}[s.Name]
+		if !ok {
+			continue
+		}
+		sum := 0.0
+		for _, v := range s.Samples {
+			sum += v
+		}
+		if sum != float64(want) {
+			t.Errorf("%s deltas sum to %v, the result counts %d", s.Name, sum, want)
+		}
+	}
+	if base.Violations == 0 {
+		t.Error("no violations: the sums above compare nothing")
+	}
+}
+
+// TestMetricsTickBound: a sampling interval must give between 1 and
+// metrics.MaxTicks samples over the resolved measured interval, so no
+// dump or stored result outgrows MaxTicks; anything else is a
+// FieldError naming metrics_interval.
+func TestMetricsTickBound(t *testing.T) {
+	us := sim.Microsecond
+	for _, tc := range []struct {
+		name              string
+		simTime, interval sim.Duration
+		ok                bool
+	}{
+		{"off", 150 * us, 0, true},
+		{"one tick", 150 * us, 150 * us, true},
+		{"interval over simtime", 150 * us, 151 * us, false},
+		{"remainder unsampled", 150 * us, 100 * us, true},
+		{"MaxTicks", sim.Duration(metrics.MaxTicks) * us, us, true},
+		{"one over MaxTicks", sim.Duration(metrics.MaxTicks+1) * us, us, false},
+		{"paper window at 10us", 10 * sim.Millisecond, 10 * us, true},
+		{"default simtime", 0, DefaultSimTime, true},
+		{"over the default simtime", 0, DefaultSimTime + 1, false},
+	} {
+		spec := tinySpec(core.PolicyNone, MechFP)
+		spec.SimTime, spec.MetricsInterval = tc.simTime, tc.interval
+		err := spec.Validate()
+		var fe *FieldError
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case !tc.ok && (!errors.As(err, &fe) || fe.Field != "metrics_interval"):
+			t.Errorf("%s: err = %v, want a FieldError naming metrics_interval", tc.name, err)
+		}
+	}
+}
+
+// TestTickerEraEntryMisses: an entry stored while a kernel event sampled
+// metrics-armed runs was keyed with the "m=" token and counts the
+// ticker's events in Result.Events. Such an entry must miss, so the cell
+// simulates afresh instead of being served stale.
+func TestTickerEraEntryMisses(t *testing.T) {
+	spec := tinySpec(core.PolicyAware, MechVWLROO)
+	spec.MetricsInterval = 10 * sim.Microsecond
+	old := strings.Replace(spec.Key(), "|metrics=", "|m=", 1)
+	if old == spec.Key() {
+		t.Fatalf("key %s has no metrics= token", old)
+	}
+	store := openStore(t, t.TempDir(), nil)
+	if err := persist(store, old, Result{Events: 1}); err != nil {
+		t.Fatal(err)
+	}
+	runs := countRuns(t)
+	res, errs := RunSpecs(context.Background(), []Spec{spec}, 1, store)
+	if err := FirstErr([]Spec{spec}, errs); err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != 1 || res[0].Events == 1 {
+		t.Fatalf("served the ticker-era entry (%d cells simulated, Events %d)", runs.Load(), res[0].Events)
 	}
 }
 

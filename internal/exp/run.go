@@ -118,10 +118,11 @@ type Spec struct {
 	// published 13.4 W; low radix stays half the high-radix value).
 	PeakWatts float64
 	// MetricsInterval arms the epoch-resolution metrics sampler over the
-	// measured interval with this sampling period (0 = disabled). The
-	// sampler only reads state, so every measured quantity is unchanged,
-	// but its ticker schedules kernel events — Result.Events grows — so
-	// unlike AuditEvery it is part of Key().
+	// measured interval with this sampling period (0 = disabled). It
+	// must give between 1 and metrics.MaxTicks samples over SimTime. The
+	// sampler only reads state and schedules no event, so every other
+	// Result field, Events included, is unchanged; Result.Metrics is
+	// not, so unlike AuditEvery it is part of Key().
 	MetricsInterval sim.Duration
 }
 
@@ -131,10 +132,12 @@ type Spec struct {
 // value) share a key and any two different runs do not. The footprint
 // rides along with the workload name because studies that perturb a
 // named profile (e.g. the scaling study's truncated is.D) must not
-// collide with the original.
+// collide with the original. The metrics token was spelled "m=" while
+// a kernel event sampled the run and Result.Events counted its ticks;
+// the new spelling makes entries stored then miss.
 func (s Spec) Key() string {
 	s = s.resolved()
-	return fmt.Sprintf("%s/%dGB|%s|%s|%s|%s|%g|%d|%d|%d|%v|%v|%d|m=%d|dram=%s|pw=%g",
+	return fmt.Sprintf("%s/%dGB|%s|%s|%s|%s|%g|%d|%d|%d|%v|%v|%d|metrics=%d|dram=%s|pw=%g",
 		s.Workload.Name, s.Workload.FootprintGB, s.Topology, s.Size, s.Mech, s.Policy, s.Alpha,
 		s.Wakeup, s.SimTime, s.Warmup, s.Interleave, s.CollectLinkHours, s.SeedSalt,
 		s.MetricsInterval, s.DRAM.Fingerprint(), s.PeakWatts)
@@ -300,7 +303,15 @@ func runBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) 
 	if err != nil {
 		return Result{}, err
 	}
-	spec, kernel, net, aud, reg := s.Spec, s.Kernel, s.Net, s.audit, s.metrics
+	return s.Measure(ctx, budget)
+}
+
+// Measure runs a freshly built simulation and measures it: warmup, then
+// the measured interval between two snapshots, sampled by the metrics
+// registry when the spec arms one. ctx and budget act as in
+// RunBudgeted; panics are not contained.
+func (s *Sim) Measure(ctx context.Context, budget Budget) (Result, error) {
+	spec, kernel, net, aud := s.Spec, s.Kernel, s.Net, s.audit
 	// Arm the cooperative check only when there is something to enforce:
 	// a cancelable context (ctx.Done() non-nil) or an event budget. The
 	// unarmed hot loop pays a single predictable branch, so plain Run
@@ -325,10 +336,9 @@ func runBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) 
 	snap0 := net.TakeSnapshot()
 	net.LatencyHist().Reset()
 	aud.RunSweeps() // full pass at the warmup boundary (nil-safe)
-	// Metrics cover the measured interval only; starting after the
+	// Metrics cover the measured interval only; sampling from after the
 	// latency-histogram reset keeps its cumulative pulls monotone.
-	reg.Start(spec.Warmup + spec.SimTime)
-	kernel.Run(spec.Warmup + spec.SimTime)
+	s.metrics.Run(kernel, spec.Warmup+spec.SimTime)
 	if err := kernel.Err(); err != nil {
 		return Result{}, fmt.Errorf("exp: %s: aborted after %d events: %w", spec.Key(), kernel.Processed(), err)
 	}
@@ -353,7 +363,7 @@ func runBudgeted(ctx context.Context, spec Spec, budget Budget) (Result, error) 
 	}
 	res.PerHMC = res.Power.Scale(1 / float64(nModules))
 	res.Violations, res.Granted = s.Manager.Violations()
-	res.Metrics = reg.Dump() // nil when metrics are disabled
+	res.Metrics = s.metrics.Dump() // nil when metrics are disabled
 	if aud != nil {
 		// End-of-run audit: a final full sweep over every registered
 		// component, then the interval-level energy checks. These read the
@@ -388,6 +398,13 @@ type Settings struct {
 	Audit int
 	// Metrics is the epoch-resolution sampling interval (0 = off).
 	Metrics sim.Duration
+}
+
+// Validate is Spec.Validate for the settings alone: the range check a
+// sweep can run once, up front, since every cell takes them. A failure
+// is a *FieldError.
+func (st Settings) Validate() error {
+	return Spec{SimTime: st.SimTime, Warmup: st.Warmup, MetricsInterval: st.Metrics}.validate()
 }
 
 // Apply fills every field spec leaves unset (zero) from the settings;

@@ -26,8 +26,9 @@ type jsonlLine struct {
 	Kind       string `json:"kind"`
 	IntervalPS int64  `json:"interval_ps"`
 	StartPS    int64  `json:"start_ps"`
-	// FirstTick is the 1-based tick index of Samples[0]/Hist[0]
-	// (greater than 1 when the ring wrapped and early ticks dropped).
+	// FirstTick is the 1-based tick index of Samples[0]/Hist[0]. A dump
+	// holds every tick of its run, so it is always 1; it stays in the
+	// schema so exported files keep their shape.
 	FirstTick int        `json:"first_tick"`
 	Samples   []float64  `json:"samples,omitempty"`
 	Bounds    []float64  `json:"bounds,omitempty"`
@@ -50,7 +51,7 @@ func WriteJSONL(w io.Writer, entries []Entry) error {
 				Kind:       s.Kind,
 				IntervalPS: int64(e.Dump.Interval),
 				StartPS:    int64(e.Dump.Start),
-				FirstTick:  e.Dump.Dropped + 1,
+				FirstTick:  1,
 				Samples:    s.Samples,
 				Bounds:     s.Bounds,
 				Hist:       s.Hist,
@@ -63,8 +64,8 @@ func WriteJSONL(w io.Writer, entries []Entry) error {
 	return bw.Flush()
 }
 
-// WriteCSV emits a long-format table: one row per retained sample for
-// counters/gauges, one row per non-zero bucket per retained sample for
+// WriteCSV emits a long-format table: one row per sample for
+// counters/gauges, one row per non-zero bucket per sample for
 // histograms. time_ps is the end of the sample's interval. Nil dumps
 // are skipped.
 func WriteCSV(w io.Writer, entries []Entry) error {
@@ -79,12 +80,12 @@ func WriteCSV(w io.Writer, entries []Entry) error {
 		d := e.Dump
 		key := csvQuote(e.Key)
 		tickTime := func(j int) int64 {
-			return int64(d.Start) + int64(d.Dropped+j+1)*int64(d.Interval)
+			return int64(d.Start) + int64(j+1)*int64(d.Interval)
 		}
 		for _, s := range d.Series {
 			for j, v := range s.Samples {
 				fmt.Fprintf(bw, "%s,%s,%s,%d,%d,,%s\n",
-					key, s.Name, s.Kind, d.Dropped+j+1, tickTime(j), formatFloat(v))
+					key, s.Name, s.Kind, j+1, tickTime(j), formatFloat(v))
 			}
 			for j, row := range s.Hist {
 				for b, c := range row {
@@ -92,7 +93,7 @@ func WriteCSV(w io.Writer, entries []Entry) error {
 						continue
 					}
 					fmt.Fprintf(bw, "%s,%s,%s,%d,%d,%s,%d\n",
-						key, s.Name, s.Kind, d.Dropped+j+1, tickTime(j),
+						key, s.Name, s.Kind, j+1, tickTime(j),
 						formatFloat(s.Bounds[b]), c)
 				}
 			}

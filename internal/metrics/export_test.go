@@ -11,8 +11,7 @@ import (
 func exportFixture() []Entry {
 	d := &Dump{
 		Interval: 10 * sim.Microsecond,
-		Ticks:    3,
-		Dropped:  1,
+		Ticks:    2,
 		Series: []SeriesDump{
 			{Name: "c", Kind: "counter", Samples: []float64{1.5, 2}},
 			{Name: "h", Kind: "histogram", Bounds: []float64{10, 100},
@@ -31,7 +30,7 @@ func TestWriteJSONL(t *testing.T) {
 	if len(lines) != 4 { // 2 series × 2 live entries; nil dump skipped
 		t.Fatalf("got %d lines, want 4:\n%s", len(lines), buf.String())
 	}
-	want := `{"key":"cell-a","series":"c","kind":"counter","interval_ps":10000000,"start_ps":0,"first_tick":2,"samples":[1.5,2]}`
+	want := `{"key":"cell-a","series":"c","kind":"counter","interval_ps":10000000,"start_ps":0,"first_tick":1,"samples":[1.5,2]}`
 	if lines[0] != want {
 		t.Errorf("line 0:\n got %s\nwant %s", lines[0], want)
 	}
@@ -48,10 +47,10 @@ func TestWriteCSV(t *testing.T) {
 	got := buf.String()
 	wantLines := []string{
 		"key,series,kind,tick,time_ps,bucket_le,value",
-		"cell-a,c,counter,2,20000000,,1.5",
-		"cell-a,c,counter,3,30000000,,2",
-		"cell-a,h,histogram,2,20000000,100,3", // zero buckets omitted
-		"cell-a,h,histogram,3,30000000,10,1",
+		"cell-a,c,counter,1,10000000,,1.5",
+		"cell-a,c,counter,2,20000000,,2",
+		"cell-a,h,histogram,1,10000000,100,3", // zero buckets omitted
+		"cell-a,h,histogram,2,20000000,10,1",
 	}
 	for _, w := range wantLines {
 		if !strings.Contains(got, w+"\n") {

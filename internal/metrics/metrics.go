@@ -1,6 +1,6 @@
 // Package metrics is the epoch-resolution time-series subsystem: named
 // counters, gauges and fixed-bucket histograms registered per component,
-// sampled by a kernel-driven ticker into preallocated ring buffers. The
+// sampled at fixed kernel times into buffers sized to the run. The
 // paper's core claims are time-resolved — idle I/O dominance, wakeup
 // cascades, per-epoch slack — and this package records how those
 // quantities evolve over a run instead of only reporting end-of-run
@@ -8,23 +8,23 @@
 //
 // Design rules, in priority order:
 //
+//   - Sampling moves no event. Registry.Run steps Kernel.Run from one
+//     sampling instant to the next and samples between the calls, so the
+//     kernel dispatches the very events, at the very seqs, of one
+//     unsampled Run (sim's TestSteppedRunMatchesOneRun pins this). An
+//     armed run's results, Events included, equal an unarmed run's.
 //   - Disabled must be free. A nil *Registry is a valid receiver for
-//     every method; components hold the nil handle and pay one branch.
-//     No ticker events are scheduled, so the kernel event sequence — and
-//     therefore every simulation result — is byte-identical to a build
-//     without metrics (the golden CLI tests pin this).
+//     every method; components hold the nil handle and pay one branch,
+//     and a nil Run is a plain Kernel.Run.
 //   - Sampling is pull-based and allocation-free. Components register
-//     closures over counters they already maintain; a tick reads them
-//     into rings preallocated at Start (TestObserveZeroAllocs asserts 0
-//     allocs/tick). The sampler never mutates simulation state.
+//     closures over counters they already maintain; a sample reads them
+//     into buffers Run sizes to the run's tick count up front
+//     (TestObserveZeroAllocs asserts 0 allocs/tick). The sampler never
+//     mutates simulation state.
 //   - Everything is deterministic. Series iterate in registration order
-//     (component build order), ticks fire at fixed kernel times, and the
-//     exported dump of a sweep cell is a pure function of its spec — so
-//     a -jobs 8 sweep exports byte-identical metrics to -jobs 1.
-//
-// Ring buffers hold the last Capacity samples per series; earlier
-// samples fall off the front and are reported via Dump.Dropped rather
-// than silently lost.
+//     (component build order), samples are taken at fixed kernel times,
+//     and the exported dump of a sweep cell is a pure function of its
+//     spec — so a -jobs 8 sweep exports byte-identical metrics to -jobs 1.
 package metrics
 
 import (
@@ -33,17 +33,22 @@ import (
 	"memnet/internal/sim"
 )
 
+// MaxTicks bounds the samples one run may take; exp.Spec.Validate
+// rejects a sampling interval that gives more over its measured
+// interval. It covers the paper's 10 ms window at a 10 µs interval.
+const MaxTicks = 1024
+
 // Kind discriminates how a series is sampled and stored.
 type Kind uint8
 
 const (
-	// Counter samples a cumulative, monotone value; the ring stores the
-	// per-tick delta (rate × interval).
+	// Counter samples a cumulative, monotone value; the buffer stores
+	// the per-tick delta (rate × interval).
 	Counter Kind = iota
-	// Gauge samples an instantaneous value; the ring stores it as-is.
+	// Gauge samples an instantaneous value; the buffer stores it as-is.
 	Gauge
-	// Histogram samples cumulative fixed-bucket counts; the ring stores
-	// per-tick bucket deltas.
+	// Histogram samples cumulative fixed-bucket counts; the buffer
+	// stores per-tick bucket deltas.
 	Histogram
 )
 
@@ -60,27 +65,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", k)
 }
 
-// Defaults. The interval is finer than the 100 µs management epoch so a
-// run resolves intra-epoch structure (wakeup cascades, queue spikes);
-// the capacity covers 10 ms of simulated time at the default interval —
-// the paper's own measurement window — before the ring wraps.
-const (
-	DefaultCapacity = 1024
-)
-
-// DefaultInterval is the sampling period when none is configured.
-var DefaultInterval = 10 * sim.Microsecond
-
-// Config parameterizes a Registry.
-type Config struct {
-	// Interval is the sampling period (0 = DefaultInterval).
-	Interval sim.Duration
-	// Capacity is the per-series ring size in samples (0 =
-	// DefaultCapacity). When a run outlasts the ring, the oldest samples
-	// are dropped and counted in Dump.Dropped.
-	Capacity int
-}
-
 // series is one registered time-series.
 type series struct {
 	name    string
@@ -91,44 +75,31 @@ type series struct {
 	prev    float64            // Counter: previous cumulative sample
 	prevH   []uint64           // Histogram: previous cumulative buckets
 	curH    []uint64           // Histogram: scratch for the current pull
-	ring    []float64          // Counter/Gauge ring, len == capacity
-	ringH   []uint64           // Histogram ring, len == capacity × len(bounds)
+	samples []float64          // Counter/Gauge: one value per tick
+	hist    []uint64           // Histogram: len(bounds) deltas per tick
 }
 
-// Registry owns the series of one simulation run and drives the ticker.
+// Registry owns the series of one simulation run and samples them.
 // The zero registry pointer (nil) is inert: every method is a no-op.
 type Registry struct {
-	kernel   *sim.Kernel
 	interval sim.Duration
-	capacity int
-	start    sim.Time // kernel time of Start (tick k fires at start + k·interval)
+	start    sim.Time // kernel time Run began (tick i is at start + i·interval)
 	ticks    int      // completed ticks
 	series   []*series
 	started  bool
 }
 
-// New builds a registry bound to k. Components register series before
-// Start arms the ticker.
-func New(k *sim.Kernel, cfg Config) *Registry {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultInterval
+// New builds a registry sampling every interval, which must be
+// positive. Components register series before Run.
+func New(interval sim.Duration) *Registry {
+	if interval <= 0 {
+		panic("metrics: non-positive sampling interval")
 	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
-	return &Registry{kernel: k, interval: cfg.Interval, capacity: cfg.Capacity}
-}
-
-// Interval returns the sampling period (0 on a nil registry).
-func (r *Registry) Interval() sim.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.interval
+	return &Registry{interval: interval}
 }
 
 // Counter registers a cumulative series; sample must be monotone
-// non-decreasing (the ring stores per-tick deltas). Nil-safe.
+// non-decreasing (the buffer stores per-tick deltas). Nil-safe.
 func (r *Registry) Counter(name string, sample func() float64) {
 	if r == nil {
 		return
@@ -146,7 +117,7 @@ func (r *Registry) Gauge(name string, sample func() float64) {
 
 // HistogramSeries registers a fixed-bucket histogram series: bounds are
 // the inclusive upper edges of len(bounds) buckets, and sample must fill
-// cum (len(bounds) long) with cumulative counts. The ring stores
+// cum (len(bounds) long) with cumulative counts. The buffer stores
 // per-tick deltas per bucket. Nil-safe.
 func (r *Registry) HistogramSeries(name string, bounds []float64, sample func(cum []uint64)) {
 	if r == nil {
@@ -165,7 +136,7 @@ func (r *Registry) HistogramSeries(name string, bounds []float64, sample func(cu
 
 func (r *Registry) add(s *series) {
 	if r.started {
-		panic("metrics: registration after Start")
+		panic("metrics: registration after Run")
 	}
 	for _, have := range r.series {
 		if have.name == s.name {
@@ -175,69 +146,68 @@ func (r *Registry) add(s *series) {
 	r.series = append(r.series, s)
 }
 
-// Start preallocates every ring and schedules sampling ticks at fixed
-// kernel times now+i, now+2i, … up to and including until. Nil-safe.
-// Without Start no events are scheduled and the registry stays silent.
-// It takes the baseline pull, so the first sample's counter deltas
-// cover exactly one interval even when counters advanced before Start
-// (e.g. warmup).
-func (r *Registry) Start(until sim.Time) {
-	if r == nil || r.started {
+// Run runs k to until, sampling every series at now+i, now+2i, … up to
+// and including until: it steps k.Run to each sampling instant and
+// samples after the call returns, once every event at that instant has
+// run. It stops early, with k.Err() set, when k's armed check stops a
+// step. A nil registry is just k.Run(until). A registry runs once.
+func (r *Registry) Run(k *sim.Kernel, until sim.Time) {
+	if r == nil {
+		k.Run(until)
 		return
 	}
-	r.started = true
-	r.start = r.kernel.Now()
-	for _, s := range r.series {
-		if s.kind == Histogram {
-			s.ringH = make([]uint64, r.capacity*len(s.bounds))
-		} else {
-			s.ring = make([]float64, r.capacity)
-		}
+	n := 0
+	if until > k.Now() {
+		n = int((until - k.Now()) / sim.Time(r.interval))
 	}
+	r.begin(k.Now(), n)
+	for i := 1; i <= n; i++ {
+		k.Run(r.start + sim.Time(i)*sim.Time(r.interval))
+		if k.Err() != nil {
+			return
+		}
+		r.observe()
+	}
+	k.Run(until)
+}
+
+// begin sizes every buffer to n ticks and takes the baseline pull, so
+// the first sample's counter deltas cover exactly one interval even when
+// counters advanced before Run (e.g. warmup).
+func (r *Registry) begin(now sim.Time, n int) {
+	if r.started {
+		panic("metrics: Run twice")
+	}
+	r.started = true
+	r.start = now
 	for _, s := range r.series {
 		switch s.kind {
 		case Counter:
+			s.samples = make([]float64, 0, n)
 			s.prev = s.sample()
+		case Gauge:
+			s.samples = make([]float64, 0, n)
 		case Histogram:
+			s.hist = make([]uint64, 0, n*len(s.bounds))
 			s.sampleH(s.prevH)
-			copy(s.curH, s.prevH)
 		}
 	}
-	r.scheduleTick(until)
 }
 
-func (r *Registry) scheduleTick(until sim.Time) {
-	next := r.kernel.Now() + sim.Time(r.interval)
-	if next > until {
-		return
-	}
-	r.kernel.Schedule(next, func() {
-		r.Observe()
-		r.scheduleTick(until)
-	})
-}
-
-// Observe takes one sample of every series. It is the ticker's body,
-// exported for benchmarks and the zero-alloc test; callers normally
-// never invoke it directly. Nil-safe.
-func (r *Registry) Observe() {
-	if r == nil || !r.started {
-		return
-	}
-	slot := r.ticks % r.capacity
+// observe takes one sample of every series.
+func (r *Registry) observe() {
 	for _, s := range r.series {
 		switch s.kind {
 		case Counter:
 			cur := s.sample()
-			s.ring[slot] = cur - s.prev
+			s.samples = append(s.samples, cur-s.prev)
 			s.prev = cur
 		case Gauge:
-			s.ring[slot] = s.sample()
+			s.samples = append(s.samples, s.sample())
 		case Histogram:
 			s.sampleH(s.curH)
-			row := s.ringH[slot*len(s.bounds) : (slot+1)*len(s.bounds)]
 			for i, c := range s.curH {
-				row[i] = c - s.prevH[i]
+				s.hist = append(s.hist, c-s.prevH[i])
 			}
 			copy(s.prevH, s.curH)
 		}
@@ -245,49 +215,31 @@ func (r *Registry) Observe() {
 	r.ticks++
 }
 
-// Ticks returns the number of completed sampling ticks. Nil-safe.
-func (r *Registry) Ticks() int {
-	if r == nil {
-		return 0
-	}
-	return r.ticks
-}
-
-// Dump freezes the registry into an exportable, JSON-friendly snapshot.
-// Samples are returned in chronological order; when the ring wrapped,
-// the oldest retained sample is tick Dropped+1. Returns nil on a nil
-// registry (the disabled path). Nil-safe.
+// Dump freezes the registry into an exportable, JSON-friendly snapshot
+// of every tick taken, in chronological order. Returns nil on a nil
+// registry (the disabled path).
 func (r *Registry) Dump() *Dump {
 	if r == nil {
 		return nil
-	}
-	n := r.ticks
-	if n > r.capacity {
-		n = r.capacity
 	}
 	d := &Dump{
 		Interval: r.interval,
 		Start:    r.start,
 		Ticks:    r.ticks,
-		Dropped:  r.ticks - n,
 		Series:   make([]SeriesDump, 0, len(r.series)),
 	}
-	first := r.ticks - n // ring index of the oldest retained sample
 	for _, s := range r.series {
 		sd := SeriesDump{Name: s.name, Kind: s.kind.String()}
 		if s.kind == Histogram {
 			b := len(s.bounds)
+			flat := append([]uint64(nil), s.hist...)
 			sd.Bounds = append([]float64(nil), s.bounds...)
-			sd.Hist = make([][]uint64, n)
-			for j := 0; j < n; j++ {
-				slot := (first + j) % r.capacity
-				sd.Hist[j] = append([]uint64(nil), s.ringH[slot*b:(slot+1)*b]...)
+			sd.Hist = make([][]uint64, r.ticks)
+			for j := range sd.Hist {
+				sd.Hist[j] = flat[j*b : (j+1)*b : (j+1)*b]
 			}
 		} else {
-			sd.Samples = make([]float64, n)
-			for j := 0; j < n; j++ {
-				sd.Samples[j] = s.ring[(first+j)%r.capacity]
-			}
+			sd.Samples = append(make([]float64, 0, r.ticks), s.samples...)
 		}
 		d.Series = append(d.Series, sd)
 	}
@@ -296,16 +248,14 @@ func (r *Registry) Dump() *Dump {
 
 // Dump is the frozen, exportable form of a registry.
 type Dump struct {
-	// Interval is the sampling period; retained sample j (0-based)
-	// covers simulated time Start + (Dropped+j)·Interval .. + Interval.
+	// Interval is the sampling period; sample j (0-based) covers
+	// simulated time Start + j·Interval .. + Interval.
 	Interval sim.Duration `json:"interval_ps"`
 	// Start is the kernel time sampling began.
 	Start sim.Time `json:"start_ps"`
-	// Ticks counts every sample taken; Dropped counts those lost to ring
-	// wraparound (oldest first).
-	Ticks   int          `json:"ticks"`
-	Dropped int          `json:"dropped,omitempty"`
-	Series  []SeriesDump `json:"series"`
+	// Ticks counts every sample taken.
+	Ticks  int          `json:"ticks"`
+	Series []SeriesDump `json:"series"`
 }
 
 // SeriesDump is one frozen series.
@@ -315,7 +265,7 @@ type SeriesDump struct {
 	// Samples holds counter deltas or gauge values, oldest first.
 	Samples []float64 `json:"samples,omitempty"`
 	// Bounds and Hist carry histogram series: Hist[j][i] is the count
-	// added to bucket i (upper edge Bounds[i]) during retained tick j.
+	// added to bucket i (upper edge Bounds[i]) during tick j.
 	Bounds []float64  `json:"bounds,omitempty"`
 	Hist   [][]uint64 `json:"hist,omitempty"`
 }
@@ -357,9 +307,6 @@ func Merge(dumps ...*Dump) (*Dump, error) {
 		}
 		if d.Ticks > out.Ticks {
 			out.Ticks = d.Ticks
-		}
-		if d.Dropped > out.Dropped {
-			out.Dropped = d.Dropped
 		}
 		for i := range d.Series {
 			src, dst := &d.Series[i], &out.Series[i]

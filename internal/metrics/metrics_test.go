@@ -1,15 +1,16 @@
 package metrics
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"memnet/internal/sim"
 )
 
-// tickerFixture builds a registry over a live kernel with one counter,
-// one gauge and one 3-bucket histogram driven by plain variables.
-type tickerFixture struct {
+// fixture builds a registry with one counter, one gauge and one
+// 3-bucket histogram driven by plain variables, over a fresh kernel.
+type fixture struct {
 	kernel *sim.Kernel
 	reg    *Registry
 	cum    float64
@@ -17,9 +18,9 @@ type tickerFixture struct {
 	hist   [3]uint64
 }
 
-func newFixture(cfg Config) *tickerFixture {
-	f := &tickerFixture{kernel: sim.NewKernel()}
-	f.reg = New(f.kernel, cfg)
+func newFixture(interval sim.Duration) *fixture {
+	f := &fixture{kernel: sim.NewKernel()}
+	f.reg = New(interval)
 	f.reg.Counter("c", func() float64 { return f.cum })
 	f.reg.Gauge("g", func() float64 { return f.gauge })
 	f.reg.HistogramSeries("h", []float64{10, 100, 1000}, func(cum []uint64) {
@@ -28,24 +29,33 @@ func newFixture(cfg Config) *tickerFixture {
 	return f
 }
 
+// step is a test event that advances the fixture's instrumented values.
+type step struct {
+	f *fixture
+	i int
+}
+
+func (s *step) Act() {
+	s.f.cum += float64(s.i) // counter delta i in tick i
+	s.f.gauge = float64(10 * s.i)
+	s.f.hist[s.i%3]++
+}
+
 func TestTickerSamplesAtFixedTimes(t *testing.T) {
-	f := newFixture(Config{Interval: 10 * sim.Microsecond})
+	f := newFixture(10 * sim.Microsecond)
 	until := sim.Time(55 * sim.Microsecond)
 	// Drive the instrumented values from kernel events between ticks.
 	for i := 1; i <= 5; i++ {
-		i := i
-		f.kernel.Schedule(sim.Time(i*10-5)*sim.Time(sim.Microsecond), func() {
-			f.cum += float64(i) // counter delta i in tick i
-			f.gauge = float64(10 * i)
-			f.hist[i%3]++
-		})
+		f.kernel.ScheduleAction(sim.Time(i*10-5)*sim.Time(sim.Microsecond), &step{f, i})
 	}
-	f.reg.Start(until)
-	f.kernel.Run(until)
+	f.reg.Run(f.kernel, until)
 
+	if f.kernel.Now() != until {
+		t.Errorf("kernel stopped at %v, want %v", f.kernel.Now(), until)
+	}
 	d := f.reg.Dump()
-	if d.Ticks != 5 || d.Dropped != 0 {
-		t.Fatalf("ticks=%d dropped=%d, want 5/0", d.Ticks, d.Dropped)
+	if d.Ticks != 5 {
+		t.Fatalf("ticks=%d, want 5", d.Ticks)
 	}
 	wantC := []float64{1, 2, 3, 4, 5}
 	if !reflect.DeepEqual(d.Series[0].Samples, wantC) {
@@ -61,79 +71,91 @@ func TestTickerSamplesAtFixedTimes(t *testing.T) {
 	}
 }
 
-// TestStartBaseline: counters that advanced before Start (warmup) must
-// not leak into the first tick's delta.
+// TestSampleSeesEveryEventAtItsInstant: an event at a sampling instant
+// counts in the tick ending there, whenever it was scheduled, because
+// the sample is taken after Kernel.Run returns from that instant.
+func TestSampleSeesEveryEventAtItsInstant(t *testing.T) {
+	f := newFixture(sim.Microsecond)
+	f.kernel.ScheduleAction(sim.Time(sim.Microsecond), &step{f, 1})
+	f.reg.Run(f.kernel, sim.Time(2*sim.Microsecond))
+	if got := f.reg.Dump().Series[0].Samples; !reflect.DeepEqual(got, []float64{1, 0}) {
+		t.Errorf("counter deltas = %v, want [1 0]", got)
+	}
+}
+
+// TestStartBaseline: counters that advanced before sampling starts
+// (warmup) must not leak into the first tick's delta.
 func TestStartBaseline(t *testing.T) {
-	f := newFixture(Config{Interval: sim.Duration(sim.Microsecond)})
+	f := newFixture(sim.Microsecond)
 	f.cum = 1000
 	f.hist[0] = 7
-	f.reg.Start(sim.Time(2 * sim.Microsecond))
-	f.kernel.Run(sim.Time(2 * sim.Microsecond))
+	f.reg.Run(f.kernel, sim.Time(2*sim.Microsecond))
 	d := f.reg.Dump()
 	if got := d.Series[0].Samples[0]; got != 0 {
-		t.Errorf("first counter delta = %g, want 0 (pre-Start cum excluded)", got)
+		t.Errorf("first counter delta = %g, want 0 (pre-Run cum excluded)", got)
 	}
 	if got := d.Series[2].Hist[0][0]; got != 0 {
 		t.Errorf("first hist delta = %d, want 0", got)
 	}
 }
 
-// TestRingWraparound: table-driven coverage of the ring keeping exactly
-// the last Capacity samples with Dropped accounting the rest.
-func TestRingWraparound(t *testing.T) {
+// TestRunTickCount: table-driven coverage of the tick count. A run takes
+// one sample per whole interval from its start to until, holds every one
+// in chronological order, and leaves the kernel at until; a run whose
+// armed check stops a step keeps the samples taken before it.
+func TestRunTickCount(t *testing.T) {
+	us := sim.Time(sim.Microsecond)
 	cases := []struct {
-		name        string
-		capacity    int
-		ticks       int
-		wantKept    int
-		wantDropped int
-		wantFirst   float64 // oldest retained counter delta (deltas are 1,2,3,…)
+		name      string
+		from      sim.Time // kernel time Run starts at
+		until     sim.Time
+		stopAfter uint64 // stop once this many events ran (0 = never)
+		want      int
 	}{
-		{"under capacity", 8, 5, 5, 0, 1},
-		{"exactly full", 8, 8, 8, 0, 1},
-		{"wrap by one", 8, 9, 8, 1, 2},
-		{"wrap full cycle", 4, 8, 4, 4, 5},
-		{"wrap many", 4, 11, 4, 7, 8},
-		{"capacity one", 1, 6, 1, 5, 6},
+		{"whole intervals", 0, 6 * us, 0, 6},
+		{"remainder runs unsampled", 0, 6*us + us/2, 0, 6},
+		{"shorter than one interval", 0, us / 2, 0, 0},
+		{"started late", 3 * us, 9 * us, 0, 6},
+		{"stopped by the check", 0, 6 * us, 3, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newFixture(Config{Interval: sim.Duration(sim.Microsecond), Capacity: tc.capacity})
-			for i := 1; i <= tc.ticks; i++ {
-				i := i
-				f.kernel.Schedule(sim.Time(i)*sim.Time(sim.Microsecond)-1, func() {
-					f.cum += float64(i)
-					f.hist[0] += uint64(i)
+			f := newFixture(sim.Duration(sim.Microsecond))
+			// One event just before every tick after the start, so the
+			// i-th sample's counter delta is the event's index.
+			for i := 1; sim.Time(i)*us <= tc.until; i++ {
+				f.kernel.ScheduleAction(sim.Time(i)*us-1, &step{f, i})
+			}
+			f.kernel.Run(tc.from)
+			if tc.stopAfter > 0 {
+				stop := errors.New("stop")
+				f.kernel.SetCheck(1, func() error {
+					if f.kernel.Processed() >= tc.stopAfter {
+						return stop
+					}
+					return nil
 				})
 			}
-			until := sim.Time(tc.ticks) * sim.Time(sim.Microsecond)
-			f.reg.Start(until)
-			f.kernel.Run(until)
+			f.reg.Run(f.kernel, tc.until)
 			d := f.reg.Dump()
-			if d.Ticks != tc.ticks || d.Dropped != tc.wantDropped {
-				t.Fatalf("ticks=%d dropped=%d, want %d/%d", d.Ticks, d.Dropped, tc.ticks, tc.wantDropped)
+			if d.Ticks != tc.want || len(d.Series[0].Samples) != tc.want || len(d.Series[2].Hist) != tc.want {
+				t.Fatalf("ticks=%d (%d samples, %d hist rows), want %d",
+					d.Ticks, len(d.Series[0].Samples), len(d.Series[2].Hist), tc.want)
 			}
-			got := d.Series[0].Samples
-			if len(got) != tc.wantKept {
-				t.Fatalf("kept %d samples, want %d", len(got), tc.wantKept)
+			if d.Start != tc.from {
+				t.Errorf("start = %v, want %v", d.Start, tc.from)
 			}
-			if got[0] != tc.wantFirst {
-				t.Errorf("oldest retained delta = %g, want %g", got[0], tc.wantFirst)
-			}
-			// Chronological order: deltas must ascend by exactly 1.
-			for j := 1; j < len(got); j++ {
-				if got[j] != got[j-1]+1 {
-					t.Errorf("samples not chronological at %d: %v", j, got)
-					break
+			first := int(tc.from/us) + 1
+			for j, v := range d.Series[0].Samples {
+				if v != float64(first+j) {
+					t.Fatalf("samples not chronological at %d: %v", j, d.Series[0].Samples)
 				}
 			}
-			// Histogram ring wraps in lockstep with the scalar ring.
-			h := d.Series[2].Hist
-			if len(h) != tc.wantKept {
-				t.Fatalf("hist kept %d rows, want %d", len(h), tc.wantKept)
+			if tc.stopAfter == 0 && f.kernel.Now() != tc.until {
+				t.Errorf("kernel stopped at %v, want %v", f.kernel.Now(), tc.until)
 			}
-			if h[0][0] != uint64(tc.wantFirst) {
-				t.Errorf("oldest hist delta = %d, want %g", h[0][0], tc.wantFirst)
+			if tc.stopAfter > 0 && f.kernel.Err() == nil {
+				t.Error("stopped run reports no error")
 			}
 		})
 	}
@@ -217,21 +239,27 @@ func TestMerge(t *testing.T) {
 	})
 }
 
-// TestNilRegistryInert: the disabled path must be safe and silent.
+// TestNilRegistryInert: the disabled path must be safe and silent, and
+// its Run a plain Kernel.Run.
 func TestNilRegistryInert(t *testing.T) {
 	var r *Registry
 	r.Counter("c", nil)
 	r.Gauge("g", nil)
 	r.HistogramSeries("h", []float64{1}, nil)
-	r.Start(100)
-	r.Observe()
-	if r.Dump() != nil || r.Ticks() != 0 || r.Interval() != 0 {
+	k := sim.NewKernel()
+	ran := false
+	k.Schedule(50, func() { ran = true })
+	r.Run(k, 100)
+	if !ran || k.Now() != 100 {
+		t.Errorf("nil Run: ran=%v now=%v, want the event run and the clock at 100", ran, k.Now())
+	}
+	if r.Dump() != nil {
 		t.Error("nil registry not inert")
 	}
 }
 
 func TestDuplicateAndLateRegistrationPanic(t *testing.T) {
-	f := newFixture(Config{})
+	f := newFixture(sim.Duration(sim.Microsecond))
 	mustPanic := func(name string, fn func()) {
 		defer func() {
 			if recover() == nil {
@@ -241,31 +269,34 @@ func TestDuplicateAndLateRegistrationPanic(t *testing.T) {
 		fn()
 	}
 	mustPanic("duplicate", func() { f.reg.Counter("c", func() float64 { return 0 }) })
-	f.reg.Start(sim.Time(sim.Microsecond))
+	mustPanic("zero interval", func() { New(0) })
+	f.reg.Run(f.kernel, sim.Time(sim.Microsecond))
 	mustPanic("late registration", func() { f.reg.Gauge("late", func() float64 { return 0 }) })
+	mustPanic("second run", func() { f.reg.Run(f.kernel, sim.Time(2*sim.Microsecond)) })
 }
 
 // TestObserveZeroAllocs pins the allocation-free sampling budget: the
-// rings are preallocated at Start, so a tick allocates nothing.
+// buffers are sized to the run before it starts, so a tick allocates
+// nothing.
 func TestObserveZeroAllocs(t *testing.T) {
-	f := newFixture(Config{Interval: sim.Duration(sim.Microsecond), Capacity: 16})
-	f.reg.Start(1 << 40)
+	f := newFixture(sim.Duration(sim.Microsecond))
+	f.reg.begin(0, 128)
 	allocs := testing.AllocsPerRun(100, func() {
 		f.cum++
 		f.hist[1]++
-		f.reg.Observe()
+		f.reg.observe()
 	})
 	if allocs != 0 {
-		t.Fatalf("Observe allocates %.1f objects/tick, want 0", allocs)
+		t.Fatalf("observe allocates %.1f objects/tick, want 0", allocs)
 	}
 }
 
 func BenchmarkObserve(b *testing.B) {
-	f := newFixture(Config{Interval: sim.Duration(sim.Microsecond), Capacity: 1024})
-	f.reg.Start(1 << 40)
+	f := newFixture(sim.Duration(sim.Microsecond))
+	f.reg.begin(0, b.N)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f.cum++
-		f.reg.Observe()
+		f.reg.observe()
 	}
 }

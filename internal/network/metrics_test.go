@@ -18,14 +18,13 @@ import (
 func TestAttachMetricsSeries(t *testing.T) {
 	k, net := buildNet(t, topology.DaisyChain, 2, nil)
 	interval := 10 * sim.Microsecond
-	reg := metrics.New(k, metrics.Config{Interval: interval})
+	reg := metrics.New(interval)
 	net.AttachMetrics(reg)
-	reg.Start(sim.Time(4 * interval))
 
 	for i := 0; i < 100; i++ {
 		net.InjectRead(uint64(i%2)*net.Cfg.ChunkBytes, 0)
 	}
-	k.Run(sim.Time(4 * interval))
+	reg.Run(k, sim.Time(4*interval))
 	d := reg.Dump()
 	if d == nil || d.Ticks != 4 {
 		t.Fatalf("dump = %+v, want 4 ticks", d)

@@ -19,16 +19,9 @@ import (
 // had a tail past that prefix, and a second open returns the same set
 // from the imported records.
 func FuzzAcceptImport(f *testing.F) {
-	golden, err := os.ReadFile("testdata/accept_v1.wal")
-	if err != nil {
-		f.Fatal(err)
-	}
-	lines := bytes.SplitAfter(golden, []byte("\n"))
-	f.Add(golden)
-	f.Add(append(bytes.Clone(golden), `{"job":{"id":"j9","runs":[{"work`...))
-	f.Add(bytes.Join([][]byte{lines[0], lines[1], []byte(`{"job":{"id":"j2","runs":[}` + "\n"), lines[3]}, nil))
+	addV1Seeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want := oracleV1(data)
+		want, _ := oracleV1(data)
 		path := filepath.Join(t.TempDir(), "accept.wal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -55,6 +48,49 @@ func FuzzAcceptImport(f *testing.F) {
 			t.Fatalf("tail past the good prefix: %v, but quarantine read returned err=%v", tail, err)
 		}
 	})
+}
+
+// FuzzReplayV1 fuzzes the pure v1 replay rule in memory, where each
+// execution costs microseconds rather than FuzzAcceptImport's temp dir,
+// lock and puts, so the engine explores far more inputs: replayV1 must
+// never panic, must stop exactly at the oracle's good prefix, and must
+// return the oracle's pending set in acceptance order (each id where its
+// first accept line is), with no id twice.
+func FuzzReplayV1(f *testing.F) {
+	addV1Seeds(f)
+	f.Add([]byte("{\"done\":\"j1\"}\n{\"job\":{\"id\":\"j1\"}}\n{\"job\":{\"id\":\"j2\"}}\n{\"job\":{\"id\":\"j1\"}}\n"))
+	f.Add([]byte("{\"job\":{\"id\":\"\"}}\n{\"job\":{\"id\":\"j3\"}}\n\n{\"job\":{\"id\":\"j4\"}}\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pending, good := replayV1(data)
+		if want := goodPrefix(data); good != want {
+			t.Fatalf("replay stopped after %d bytes, the good prefix is %d", good, want)
+		}
+		want, order := oracleV1(data)
+		got := map[string]AcceptedJob{}
+		ids := make([]string, len(pending))
+		for i, aj := range pending {
+			got[aj.ID], ids[i] = aj, aj.ID
+		}
+		if len(got) != len(pending) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("replayed %+v, want %+v", pending, want)
+		}
+		if len(ids) > 0 && !reflect.DeepEqual(ids, order) {
+			t.Fatalf("pending in order %v, want acceptance order %v", ids, order)
+		}
+	})
+}
+
+// addV1Seeds seeds a v1 journal fuzz target with the committed journal,
+// the journal with a torn last line, and one with a bad line mid-file.
+func addV1Seeds(f *testing.F) {
+	golden, err := os.ReadFile("testdata/accept_v1.wal")
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := bytes.SplitAfter(golden, []byte("\n"))
+	f.Add(golden)
+	f.Add(append(bytes.Clone(golden), `{"job":{"id":"j9","runs":[{"work`...))
+	f.Add(bytes.Join([][]byte{lines[0], lines[1], []byte(`{"job":{"id":"j2","runs":[}` + "\n"), lines[3]}, nil))
 }
 
 // noSyncFS is the real filesystem without fsyncs: the fuzz target
@@ -84,25 +120,36 @@ type oracleV1Record struct {
 
 // oracleV1 is the v1 replay rule, written apart from replayV1: walk
 // complete lines until the first one that is not an accept or a
-// tombstone, then drop every tombstoned id from the accepted ones.
-func oracleV1(data []byte) map[string]AcceptedJob {
+// tombstone, then drop every tombstoned id from the accepted ones. It
+// returns the pending jobs by id, and their ids in the order of each
+// one's first accept line.
+func oracleV1(data []byte) (map[string]AcceptedJob, []string) {
 	jobs := map[string]AcceptedJob{}
 	done := map[string]bool{}
+	var first []string
 	for _, line := range bytes.SplitAfter(data[:goodPrefix(data)], []byte("\n")) {
 		var rec oracleV1Record
 		if json.Unmarshal(bytes.TrimSuffix(line, []byte("\n")), &rec) != nil {
 			continue // the empty split after the final newline
 		}
 		if rec.Job != nil && rec.Job.ID != "" {
+			if _, seen := jobs[rec.Job.ID]; !seen {
+				first = append(first, rec.Job.ID)
+			}
 			jobs[rec.Job.ID] = *rec.Job
 		} else if rec.Done != "" {
 			done[rec.Done] = true
 		}
 	}
-	for id := range done {
-		delete(jobs, id)
+	var order []string
+	for _, id := range first {
+		if done[id] {
+			delete(jobs, id)
+		} else {
+			order = append(order, id)
+		}
 	}
-	return jobs
+	return jobs, order
 }
 
 // goodPrefix is the length of the longest prefix of complete lines that

@@ -169,6 +169,21 @@ func TestSubmitDefaultSpellingIsCacheHit(t *testing.T) {
 // before admission.
 func TestSubmitValidation(t *testing.T) {
 	_, hs := newTestServer(t, nil)
+	// The sampling interval's tick bound: a 400 naming metrics_interval.
+	for name, body := range map[string]string{
+		"interval-over-simtime": `{"runs":[{"workload":"mixG","simtime":"20us"}],"metrics_interval":"30us"}`,
+		"over-1024-ticks":       `{"runs":[{"workload":"mixG","simtime":"1025us"}],"metrics_interval":"1us"}`,
+	} {
+		resp, err := http.Post(hs.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "bad metrics_interval") {
+			t.Errorf("%s: status %d %q, want a 400 naming metrics_interval", name, resp.StatusCode, msg)
+		}
+	}
 	for name, body := range map[string]string{
 		"malformed":     `{"runs": [`,
 		"unknown-field": `{"runs":[],"bogus":1}`,

@@ -41,7 +41,7 @@ func (e *event) before(o *event) bool {
 // timings and think jitter (tens of ns) — so 128 slots of 512 ps give a
 // 65.5 ns horizon that covers that cluster. Events past the horizon (ROO
 // off-checks past 65 ns, wakeups, refresh-delayed DRAM timings, epoch
-// ticks, burst phases, metrics ticks) and events that find their
+// ticks and violation sweeps, burst phases) and events that find their
 // slot full go to a spill-over min-heap; see DESIGN.md §12 for the
 // determinism argument.
 const (

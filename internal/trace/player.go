@@ -48,6 +48,7 @@ type Player struct {
 	scale   float64
 	offset  sim.Time
 	next    int
+	pumpAct pumpAction
 
 	injected uint64
 }
@@ -63,6 +64,7 @@ func NewPlayer(k *sim.Kernel, net *network.Network, records []Record, timeScale 
 		return nil, fmt.Errorf("trace: negative time scale %v", timeScale)
 	}
 	p := &Player{kernel: k, net: net, records: records, scale: timeScale}
+	p.pumpAct.p = p
 	if len(records) > 0 {
 		p.offset = k.Now() - p.when(0)
 	}
@@ -89,7 +91,7 @@ func (p *Player) pump() {
 		at := p.when(p.next) + p.offset
 		now := p.kernel.Now()
 		if at > now {
-			p.kernel.Schedule(at, p.pump)
+			p.kernel.ScheduleAction(at, &p.pumpAct)
 			return
 		}
 		if rec.Read {
@@ -102,9 +104,15 @@ func (p *Player) pump() {
 	}
 	if p.next < len(p.records) {
 		// Batch boundary: yield to the event queue before continuing.
-		p.kernel.After(0, p.pump)
+		p.kernel.AfterAction(0, &p.pumpAct)
 	}
 }
+
+// pumpAction is the player's next pump. At most one is pending, so the
+// player embeds it.
+type pumpAction struct{ p *Player }
+
+func (a *pumpAction) Act() { a.p.pump() }
 
 // Injected returns how many records have been replayed so far.
 func (p *Player) Injected() uint64 { return p.injected }

@@ -14,7 +14,7 @@ const sparkWidth = 60
 
 // RenderTimeSeries draws one metrics dump as a labeled sparkline per
 // series — the repo's time-series figure. Counter and gauge series show
-// min/mean/max/last over the retained window; histogram series render
+// min/mean/max/last over the run; histogram series render
 // their per-tick total observation count. A nil or empty dump renders a
 // one-line placeholder so callers can print unconditionally.
 func RenderTimeSeries(d *metrics.Dump) string {
@@ -22,11 +22,7 @@ func RenderTimeSeries(d *metrics.Dump) string {
 		return "metrics: no samples (enable with -metrics)\n"
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "metrics: %d ticks x %s", d.Ticks, sim.Duration(d.Interval))
-	if d.Dropped > 0 {
-		fmt.Fprintf(&b, " (%d oldest dropped by the ring)", d.Dropped)
-	}
-	b.WriteByte('\n')
+	fmt.Fprintf(&b, "metrics: %d ticks x %s\n", d.Ticks, sim.Duration(d.Interval))
 	nameW := 0
 	for _, s := range d.Series {
 		if len(s.Name) > nameW {

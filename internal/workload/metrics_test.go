@@ -13,11 +13,10 @@ import (
 func TestFrontEndAttachMetrics(t *testing.T) {
 	k, _, fe := buildFrontEnd(t, "mixB", 7)
 	fe.AttachMetrics(nil) // disabled path registers nothing
-	reg := metrics.New(k, metrics.Config{Interval: 10 * sim.Microsecond})
+	reg := metrics.New(10 * sim.Microsecond)
 	fe.AttachMetrics(reg)
-	reg.Start(sim.Time(50 * sim.Microsecond))
 	fe.Start()
-	k.Run(50 * sim.Microsecond)
+	reg.Run(k, 50*sim.Microsecond)
 	d := reg.Dump()
 	if d == nil || d.Ticks != 5 {
 		t.Fatalf("dump = %+v, want 5 ticks", d)
