@@ -95,7 +95,13 @@ func monotoneChoices(in *ispInstance, off int) []treeChoice {
 	for li := range sel {
 		sel[li] = FullMode
 	}
-	modes := in.flo[off].modes()
+	var modes []Mode
+	lo, hi := in.flo[off].rooRange()
+	for b := range in.flo[off].bwFLO {
+		for r := lo; r < hi; r++ {
+			modes = append(modes, Mode{BW: b, ROO: r})
+		}
+	}
 	var out []treeChoice
 	idx := make([]int, n)
 	for {

@@ -107,24 +107,16 @@ func (t *floTable) score(m Mode) float64 {
 	return s
 }
 
-// modes enumerates the link's mode space. ROO-disabled links only vary the
-// bandwidth dimension; MechNone links only the ROO dimension.
-func (t *floTable) modes() []Mode {
-	nBW := len(t.bwFLO)
+// rooRange bounds the ROO dimension of the link's mode space, [lo, hi):
+// ROO-disabled links only vary the bandwidth dimension; MechNone links
+// only the ROO dimension. selectMode and nextCheaper walk bandwidth
+// modes in the outer loop and this range in the inner one, in place,
+// because they run for every link in every ISP round.
+func (t *floTable) rooRange() (lo, hi int) {
 	if !t.roo {
-		out := make([]Mode, 0, nBW)
-		for b := 0; b < nBW; b++ {
-			out = append(out, Mode{BW: b, ROO: link.ROOFullMode})
-		}
-		return out
+		return link.ROOFullMode, link.ROOFullMode + 1
 	}
-	out := make([]Mode, 0, nBW*link.NumROOModes)
-	for b := 0; b < nBW; b++ {
-		for r := 0; r < link.NumROOModes; r++ {
-			out = append(out, Mode{BW: b, ROO: r})
-		}
-	}
-	return out
+	return 0, link.NumROOModes
 }
 
 // selectMode returns the lowest-power mode whose FLO fits within ams,
@@ -134,17 +126,21 @@ func (t *floTable) selectMode(ams sim.Duration) Mode {
 	best := FullMode
 	bestScore := t.score(best)
 	bestFLO := t.flo(best)
-	for _, m := range t.modes() {
-		f := t.flo(m)
-		if f > ams {
-			continue
-		}
-		s := t.score(m)
-		switch {
-		case s < bestScore-1e-12,
-			math.Abs(s-bestScore) <= 1e-12 && f < bestFLO,
-			math.Abs(s-bestScore) <= 1e-12 && f == bestFLO && m.BW < best.BW:
-			best, bestScore, bestFLO = m, s, f
+	lo, hi := t.rooRange()
+	for b := range t.bwFLO {
+		for r := lo; r < hi; r++ {
+			m := Mode{BW: b, ROO: r}
+			f := t.flo(m)
+			if f > ams {
+				continue
+			}
+			s := t.score(m)
+			switch {
+			case s < bestScore-1e-12,
+				math.Abs(s-bestScore) <= 1e-12 && f < bestFLO,
+				math.Abs(s-bestScore) <= 1e-12 && f == bestFLO && m.BW < best.BW:
+				best, bestScore, bestFLO = m, s, f
+			}
 		}
 	}
 	return best
@@ -158,10 +154,14 @@ func (t *floTable) nextCheaper(m Mode) (Mode, bool) {
 	found := false
 	var best Mode
 	bestScore := -1.0
-	for _, c := range t.modes() {
-		s := t.score(c)
-		if s < cur-1e-12 && s > bestScore {
-			best, bestScore, found = c, s, true
+	lo, hi := t.rooRange()
+	for b := range t.bwFLO {
+		for r := lo; r < hi; r++ {
+			c := Mode{BW: b, ROO: r}
+			s := t.score(c)
+			if s < cur-1e-12 && s > bestScore {
+				best, bestScore, found = c, s, true
+			}
 		}
 	}
 	return best, found

@@ -35,7 +35,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -50,12 +49,6 @@ const QuarantineDir = "quarantine"
 // the read as a cache miss.
 var ErrCorrupt = errors.New("store entry corrupt")
 
-// ScanCacheTTL bounds how stale CachedScan's entry/byte figures may be
-// when nothing has mutated the store. Mutations (Put, GC, quarantine,
-// Fsck sweeps) invalidate the cache immediately, so the TTL only covers
-// changes made behind the store's back.
-const ScanCacheTTL = 500 * time.Millisecond
-
 // staleTempAge is how long a .put-* temp file must have gone unmodified
 // before Fsck removes it. A Put holds its temp for one write, fsync and
 // rename, far less than this, so an older temp was leaked by a crash and
@@ -69,23 +62,7 @@ type Store struct {
 
 	quarantined atomic.Uint64 // entries moved to quarantine/ (Get + Fsck)
 	evictions   atomic.Uint64 // entries removed by GC
-
-	// Scan cache: metrics scrapes and /statusz polls hit CachedScan,
-	// which answers from the last successful Scan while gen is unchanged
-	// and the TTL holds, so frequent polling costs O(1) filesystem work
-	// instead of a ReadDir + per-entry Stat per request.
-	gen         atomic.Uint64 // bumped by every mutating store operation
-	scanMu      sync.Mutex
-	scanValid   bool
-	scanGen     uint64
-	scanAt      time.Time
-	scanEntries int
-	scanBytes   int64
 }
-
-// markDirty invalidates the scan cache; every operation that changes
-// the directory's contents calls it.
-func (s *Store) markDirty() { s.gen.Add(1) }
 
 // storeEntry is the on-disk envelope: the key rides along so Get can
 // verify the file really belongs to the requested spec, and Sum is the
@@ -170,7 +147,6 @@ func (s *Store) Quarantine(path string) error {
 		return err
 	}
 	s.quarantined.Add(1)
-	s.markDirty()
 	return nil
 }
 
@@ -244,7 +220,6 @@ func (s *Store) put(key string, result json.RawMessage) error {
 		s.fs.Remove(tmp.Name())
 		return err
 	}
-	s.markDirty()
 	return s.fs.SyncDir(s.dir)
 }
 
@@ -254,7 +229,6 @@ func (s *Store) Delete(key string) error {
 	if err := s.fs.Remove(s.path(key)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("store %s: delete: %w", s.dir, err)
 	}
-	s.markDirty()
 	return nil
 }
 
@@ -276,32 +250,6 @@ func (s *Store) Scan() (entries int, bytes int64, err error) {
 		entries++
 		bytes += info.Size()
 	}
-	return entries, bytes, nil
-}
-
-// CachedScan is Scan behind a small cache: while no store operation has
-// mutated the directory and the last successful scan is younger than
-// ScanCacheTTL, it answers without touching the filesystem. Errors are
-// never cached — a failed scan is retried on the next call — so an
-// unreadable store surfaces within one TTL at worst, immediately after
-// any mutation. This is the variant the metrics gauge and /statusz use;
-// anything needing exact point-in-time figures calls Scan directly.
-func (s *Store) CachedScan() (entries int, bytes int64, err error) {
-	gen := s.gen.Load() // before the scan: a racing mutation forces a rescan
-	s.scanMu.Lock()
-	defer s.scanMu.Unlock()
-	if s.scanValid && s.scanGen == gen && time.Since(s.scanAt) < ScanCacheTTL {
-		return s.scanEntries, s.scanBytes, nil
-	}
-	entries, bytes, err = s.Scan()
-	if err != nil {
-		s.scanValid = false
-		return 0, 0, err
-	}
-	s.scanValid = true
-	s.scanGen = gen
-	s.scanAt = time.Now()
-	s.scanEntries, s.scanBytes = entries, bytes
 	return entries, bytes, nil
 }
 
@@ -343,7 +291,6 @@ func (s *Store) Walk(visit func(key string, result json.RawMessage)) (FsckReport
 			}
 			if err := s.fs.Remove(p); err == nil {
 				rep.TempsRemoved++
-				s.markDirty()
 			}
 			continue
 		}
@@ -432,7 +379,6 @@ func (s *Store) GC(cfg GCConfig) (int, error) {
 		total -= e.size
 		evicted++
 		s.evictions.Add(1)
-		s.markDirty()
 		return true
 	}
 	remaining := files[:0]

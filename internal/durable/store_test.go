@@ -182,45 +182,6 @@ func TestStorePutNonCompactPayload(t *testing.T) {
 	}
 }
 
-// TestStoreCachedScan pins the scan cache: an unchanged store answers
-// from cache (no filesystem work), and any mutation invalidates it
-// immediately. The fault seam proves both halves deterministically: a
-// ReadDir fault injected behind a warm cache stays invisible until a
-// Put dirties the store, at which point the next CachedScan really
-// scans and surfaces the error.
-func TestStoreCachedScan(t *testing.T) {
-	ffs := NewFaultFS(nil)
-	s, err := NewStoreFS(t.TempDir(), ffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("a", json.RawMessage(`{"Events":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	n, bytes1, err := s.CachedScan()
-	if err != nil || n != 1 || bytes1 <= 0 {
-		t.Fatalf("CachedScan = %d, %d, %v", n, bytes1, err)
-	}
-	// Warm cache: a ReadDir fault is not even reached.
-	ffs.Fail(FaultRule{Op: OpReadDir, Err: errors.New("injected EIO"), Count: -1})
-	if n, _, err := s.CachedScan(); err != nil || n != 1 {
-		t.Fatalf("warm CachedScan hit the filesystem: %d, %v", n, err)
-	}
-	// A mutation invalidates: the next call scans for real and surfaces
-	// the error instead of serving stale figures.
-	if err := s.Put("b", json.RawMessage(`{"Events":2}`)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.CachedScan(); err == nil {
-		t.Fatal("CachedScan served a stale result across a mutation")
-	}
-	// Errors are never cached: clearing the fault heals the next call.
-	ffs.Clear()
-	if n, _, err := s.CachedScan(); err != nil || n != 2 {
-		t.Fatalf("CachedScan after fault cleared = %d, %v", n, err)
-	}
-}
-
 // TestStoreFsck pins the startup pass: clean entries kept, corrupt and
 // misfiled ones quarantined, stale .put-* temps swept, foreign files
 // (accept journal) untouched.

@@ -131,3 +131,46 @@ func TestRunnerCtxThreadsToCells(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetIndependentOfMetrics pins that an event budget ends a
+// metrics-armed cell exactly as it ends the unarmed one. The sampler
+// steps Kernel.Run once per tick, and the kernel's check countdown
+// carries across those calls, so both runs are checked at the same
+// event counts: a budget just under the cell's events passes both, and
+// one at the last check point stops both at the same event.
+func TestBudgetIndependentOfMetrics(t *testing.T) {
+	spec := tinySpec(core.PolicyNone, MechFP)
+	plain, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastCheck := plain.Events / sim.DefaultCheckEvery * sim.DefaultCheckEvery
+	if plain.Events-10 <= lastCheck {
+		t.Fatalf("cell ends %d events past its last check, want more than 10", plain.Events-lastCheck)
+	}
+	armed := spec
+	armed.MetricsInterval = 10 * sim.Microsecond
+	outcome := func(s Spec, max uint64) string {
+		_, err := RunBudgeted(context.Background(), s, Budget{MaxEvents: max})
+		var be *BudgetError
+		if errors.As(err, &be) {
+			return be.Error()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return "done"
+	}
+	stopped := (&BudgetError{Events: lastCheck, MaxEvents: lastCheck}).Error()
+	for _, c := range []struct {
+		max  uint64
+		want string
+	}{{plain.Events - 10, "done"}, {lastCheck, stopped}} {
+		for _, s := range []Spec{spec, armed} {
+			if got := outcome(s, c.max); got != c.want {
+				t.Errorf("budget %d of %d events, metrics interval %v: %q, want %q",
+					c.max, plain.Events, s.MetricsInterval, got, c.want)
+			}
+		}
+	}
+}

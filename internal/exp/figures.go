@@ -430,76 +430,6 @@ func Fig18(r *Runner) string {
 	return t.String()
 }
 
-// AlphaSweep quantifies §V-C's diminishing-returns argument: sweeping α
-// buys rapidly less power for linearly more performance. Four
-// representative workloads on star/daisychain, big networks, VWL+ROO.
-func AlphaSweep(r *Runner) string {
-	alphas := []float64{0.0125, 0.025, 0.05, 0.10, 0.20, 0.30}
-	wls := []string{"sp.D", "mixB", "mg.D", "mixC"}
-	topos := []topology.Kind{topology.DaisyChain, topology.Star}
-	t := NewTable("Alpha sweep (big networks, VWL+ROO, avg of sp.D/mixB/mg.D/mixC on daisychain+star)",
-		"alpha", "unaware saving", "unaware deg", "aware saving", "aware deg")
-	for _, a := range alphas {
-		var saving, deg [2]float64
-		n := 0
-		for _, name := range wls {
-			wl, err := workload.ByName(name)
-			if err != nil {
-				continue
-			}
-			for _, topo := range topos {
-				for pi, pol := range []core.PolicyKind{core.PolicyUnaware, core.PolicyAware} {
-					spec := managedSpec(wl, topo, Big, MechVWLROO, pol, a)
-					res := r.Run(spec)
-					fp := r.FPBaseline(spec)
-					if fp.Power.Total() > 0 {
-						saving[pi] += 1 - res.Power.Total()/fp.Power.Total()
-					}
-					deg[pi] += r.PerfDegradation(res)
-				}
-				n++
-			}
-		}
-		t.Row(pct(a), pct(saving[0]/float64(n)), pct(deg[0]/float64(n)),
-			pct(saving[1]/float64(n)), pct(deg[1]/float64(n)))
-	}
-	return t.String()
-}
-
-// ScalingStudy is an extension: how per-HMC power, hop counts and idle-I/O
-// share scale with network size for each topology at a fixed traffic
-// profile — the capacity-scaling argument of §I/§II made quantitative.
-func ScalingStudy(r *Runner) string {
-	wl, err := workload.ByName("is.D") // largest footprint: up to 33 modules big
-	if err != nil {
-		panic(err)
-	}
-	t := NewTable("Scaling study (is.D, full power, big mapping): cost of growing each topology",
-		"topology", "modules", "maxHops", "links/acc", "W/HMC", "idleIO share")
-	for _, kind := range topology.Kinds {
-		for _, gb := range []int{4, 12, 22, 33} {
-			prof := *wl
-			prof.FootprintGB = gb
-			// Truncate the CDF at the reduced footprint.
-			prof.AccessCDF = []workload.CDFPoint{
-				{GB: float64(gb) / 2, Cum: 0.6},
-				{GB: float64(gb), Cum: 1},
-			}
-			topo, err := topology.Build(kind, prof.Modules(1))
-			if err != nil {
-				panic(err)
-			}
-			res := r.Run(Spec{Workload: &prof, Topology: kind, Size: Big})
-			t.Row(kind.String(), fmt.Sprintf("%d", res.Modules),
-				fmt.Sprintf("%d", topo.MaxDepth()),
-				fmt.Sprintf("%.1f", res.LinksPerAccess),
-				fmt.Sprintf("%.2f", res.PerHMC.Total()),
-				pct(res.IdleIOFraction()))
-		}
-	}
-	return t.String()
-}
-
 // SeedStudy is a robustness extension: the headline cell re-run under five
 // different workload seeds, reporting the spread — evidence the fixed-seed
 // methodology isn't cherry-picked.

@@ -28,8 +28,8 @@ func TestEveryGeneratorRenders(t *testing.T) {
 	}
 	r := tinyRunner()
 	for _, e := range Registry {
-		if e.Name == "alphasweep" || e.Name == "scaling" || e.Name == "seeds" {
-			continue // fixed workload lists; covered separately
+		if e.Name == "seeds" {
+			continue // fixed workload; covered separately
 		}
 		out := e.Run(r)
 		if len(out) < 40 || !strings.Contains(out, "\n") {
@@ -38,21 +38,7 @@ func TestEveryGeneratorRenders(t *testing.T) {
 	}
 }
 
-// TestAlphaSweepRenders covers the fixed-workload alpha sweep.
-func TestAlphaSweepRenders(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy generator sweep")
-	}
-	r := NewRunner()
-	r.SimTime = 20 * sim.Microsecond
-	r.Warmup = 5 * sim.Microsecond
-	out := AlphaSweep(r)
-	if !strings.Contains(out, "alpha") || strings.Count(out, "\n") < 6 {
-		t.Errorf("alpha sweep output:\n%s", out)
-	}
-}
-
-// TestExtensionGeneratorsRender covers the fixed-workload extensions.
+// TestExtensionGeneratorsRender covers the fixed-workload seed study.
 func TestExtensionGeneratorsRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy generator sweep")
@@ -60,12 +46,8 @@ func TestExtensionGeneratorsRender(t *testing.T) {
 	r := NewRunner()
 	r.SimTime = 20 * sim.Microsecond
 	r.Warmup = 5 * sim.Microsecond
-	for _, name := range []string{"scaling", "seeds"} {
-		e, _ := Lookup(name)
-		out := e.Run(r)
-		if strings.Count(out, "\n") < 4 {
-			t.Errorf("%s output:\n%s", name, out)
-		}
+	if out := SeedStudy(r); strings.Count(out, "\n") < 4 {
+		t.Errorf("seeds output:\n%s", out)
 	}
 }
 

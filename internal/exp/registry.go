@@ -31,8 +31,6 @@ var Registry = []Experiment{
 	{"fig17", "Fig. 17: perf overhead of network-aware management", true, Fig17},
 	{"fig18", "Fig. 18: DVFS and 20ns-ROO sensitivity", true, Fig18},
 	{"static", "Sec. VII-A: static fat/tapered baseline study", true, StaticStudy},
-	{"alphasweep", "Extension: diminishing returns of raising alpha (§V-C)", true, AlphaSweep},
-	{"scaling", "Extension: per-HMC cost of growing each topology", true, ScalingStudy},
 	{"seeds", "Extension: robustness of the headline cell across seeds", true, SeedStudy},
 	{"summary", "Headline paper-vs-measured comparison", true, Summary},
 }

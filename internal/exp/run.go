@@ -130,9 +130,9 @@ type Spec struct {
 // name a cell by it. It formats the resolved spec with every field but
 // AuditEvery, so two spellings of one run (a zero default and its
 // value) share a key and any two different runs do not. The footprint
-// rides along with the workload name because studies that perturb a
-// named profile (e.g. the scaling study's truncated is.D) must not
-// collide with the original. The metrics token was spelled "m=" while
+// rides along with the workload name so that a profile perturbed under
+// a kept name cannot collide with the original; no generator perturbs
+// one now, and the token stays so stored entries keep their keys. The metrics token was spelled "m=" while
 // a kernel event sampled the run and Result.Events counted its ticks;
 // the new spelling makes entries stored then miss.
 func (s Spec) Key() string {

@@ -814,12 +814,6 @@ func TestStatuszSurfacesScanError(t *testing.T) {
 	hs := newHTTPServer(t, s)
 	drainServer(t, s)
 	ffs.Fail(durable.FaultRule{Op: durable.OpReadDir, Err: errors.New("injected EIO"), Count: -1})
-	// Dirty the store so a warm scan cache cannot mask the injected
-	// fault.
-	if err := store.Put("k", json.RawMessage(`{"Events":1}`)); err != nil {
-		t.Fatal(err)
-	}
-
 	resp, err := http.Get(hs + "/statusz")
 	if err != nil {
 		t.Fatal(err)

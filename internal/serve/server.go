@@ -148,11 +148,10 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Stats is the /statusz payload. The store block reports a cached scan
-// (fresh within durable.ScanCacheTTL of any store mutation): entry count, total
-// bytes, lifetime quarantine/eviction counters, and — crucially — the
-// scan error itself when the store directory cannot be read, instead of
-// silently claiming an empty store.
+// Stats is the /statusz payload. The store block reports a fresh scan:
+// entry count, total bytes, lifetime quarantine/eviction counters, and
+// the scan error itself when the store directory cannot be read,
+// instead of silently claiming an empty store.
 type Stats struct {
 	Submitted      uint64 `json:"submitted"`
 	Recovered      uint64 `json:"recovered"`
@@ -190,7 +189,7 @@ func (s *Server) Stats() Stats {
 		AcceptErrors:   s.walErrors.Load(),
 	}
 	if s.cfg.Store != nil {
-		entries, bytes, err := s.cfg.Store.CachedScan()
+		entries, bytes, err := s.cfg.Store.Scan()
 		st.StoreEntries = entries
 		st.StoreBytes = bytes
 		if err != nil {

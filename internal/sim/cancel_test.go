@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -94,5 +95,34 @@ func TestSetCheckDeterminism(t *testing.T) {
 	n1, t1 := run(true)
 	if n0 != n1 || t0 != t1 {
 		t.Fatalf("armed check perturbed the run: %d/%v vs %d/%v", n0, t0, n1, t1)
+	}
+}
+
+// TestSetCheckCountsAcrossRuns pins that the check stride counts events
+// across Run calls: a run stepped through many short Run calls is
+// checked at the same processed-event counts as one Run to the end.
+func TestSetCheckCountsAcrossRuns(t *testing.T) {
+	const end = Time(Microsecond)
+	checkedAt := func(step Time) []uint64 {
+		k := NewKernel()
+		chain(k)
+		var at []uint64
+		k.SetCheck(64, func() error {
+			at = append(at, k.Processed())
+			return nil
+		})
+		for k.Now() < end {
+			k.Run(min(k.Now()+step, end))
+		}
+		return at
+	}
+	one := checkedAt(end)
+	if len(one) != 16 {
+		t.Fatalf("one Run checked at %v, want every 64 events from 0", one)
+	}
+	for _, step := range []Time{Time(Nanosecond), Time(7 * Nanosecond), Time(64 * Nanosecond)} {
+		if got := checkedAt(step); !slices.Equal(got, one) {
+			t.Fatalf("Run stepped by %v checked at %v, want %v", Duration(step), got, one)
+		}
 	}
 }

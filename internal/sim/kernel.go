@@ -162,8 +162,11 @@ type Kernel struct {
 	// its loop on the stride (see runSlice), so arming costs the hot
 	// path nothing per event; the amortized check cost is well under 1%
 	// of event throughput (bench/'s sim.cancel_overhead row, budgeted by
-	// make overhead).
+	// make overhead). checkLeft counts the events still due before the
+	// next call and carries across Run calls, so the calls land on the
+	// same processed-event counts however the caller steps Run.
 	checkMask uint64
+	checkLeft uint64
 	check     func() error
 	stopErr   error
 
@@ -210,10 +213,11 @@ func NewKernel() *Kernel { return new(Kernel) }
 // check function's cost amortizes to nothing.
 const DefaultCheckEvery = 1 << 14
 
-// SetCheck arms cooperative cancellation: Run calls fn about once every
-// `every` processed events (rounded up to a power of two; 0 means
-// DefaultCheckEvery) and stops early when fn returns a non-nil error,
-// which Err then reports. Callers poll a context, a budget, or a
+// SetCheck arms cooperative cancellation: Run calls fn at its next
+// entry and then once every `every` processed events (rounded up to a
+// power of two; 0 means DefaultCheckEvery), counted across Run calls,
+// and stops early when fn returns a non-nil error, which Err then
+// reports. Callers poll a context, a budget, or a
 // deadline from fn — the kernel only knows how to stop. A nil fn
 // disarms. Step and RunAll never check: they are the fine-grained
 // drivers whose callers already own the loop.
@@ -230,6 +234,7 @@ func (k *Kernel) SetCheck(every uint64, fn func() error) {
 		mask <<= 1
 	}
 	k.checkMask = mask - 1
+	k.checkLeft = 0
 	k.check = fn
 }
 
@@ -524,15 +529,22 @@ func (k *Kernel) Step() bool {
 // being cancelable is a register countdown, not loads of the check
 // state — measured within noise of the unarmed loop (bench/'s
 // sim.cancel_overhead row, budgeted by make overhead; an earlier
-// per-event `count&mask` probe cost ~4% on the benchmark sweep).
+// per-event `count&mask` probe cost ~4% on the benchmark sweep). The
+// countdown left over when Run returns resumes at the next call, so a
+// run stepped through many Run calls is checked at the same events as
+// one call; a stopped kernel owes a check and re-checks at once.
 func (k *Kernel) Run(until Time) {
 	if k.check != nil {
 		for {
-			if err := k.check(); err != nil {
-				k.stopErr = err
-				return
+			if k.checkLeft == 0 {
+				if err := k.check(); err != nil {
+					k.stopErr = err
+					return
+				}
+				k.checkLeft = k.checkMask + 1
 			}
-			if !k.runSlice(until, k.checkMask+1) {
+			var more bool
+			if k.checkLeft, more = k.runSlice(until, k.checkLeft); !more {
 				break
 			}
 		}
@@ -553,21 +565,22 @@ func (k *Kernel) Run(until Time) {
 }
 
 // runSlice executes at most max events with timestamps at or before
-// until. It reports true when the slice was used up with the horizon
-// not yet reached (more events may remain), false when the queue
-// drained or the next event lies beyond until.
-func (k *Kernel) runSlice(until Time, max uint64) bool {
+// until and returns how many of the max it did not use. more is true
+// when the slice was used up with the horizon not yet reached (more
+// events may remain), false when the queue drained or the next event
+// lies beyond until.
+func (k *Kernel) runSlice(until Time, max uint64) (left uint64, more bool) {
 	for ; max > 0; max-- {
 		at, slot, ok := k.next()
 		if !ok || at > until {
-			return false
+			return max, false
 		}
 		a := k.take(slot)
 		k.now = at
 		k.count++
 		a.Act()
 	}
-	return true
+	return 0, true
 }
 
 // RunAll executes every pending event, including events scheduled by other
